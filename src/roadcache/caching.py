@@ -1,4 +1,4 @@
-"""Per-RSU content cache: scoring, recommendation lists, replacement.
+"""Per-RSU content cache: recommendation lists, replacement, serving.
 
 Content ids are 1-based; a length-K score vector's slot k-1 belongs to
 content k.  Ranking ties always break toward the smaller content id, so
@@ -12,23 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-
-
-@dataclass
-class RecommendationList:
-    vehicle_id: int
-    rsu_id: int
-    contents: np.ndarray  # descending score order
-
-
-@dataclass
-class CacheState:
-    rsu_id: int
-    cached: np.ndarray
-    last_update_time: float = 0.0
-
-    def contains(self, content_id: int) -> bool:
-        return bool(np.isin(content_id, self.cached))
 
 
 @dataclass
@@ -69,14 +52,6 @@ class Metrics:
         return self.latency_ms_sum / total if total else 0.0
 
 
-def score_contents(reconstructions: np.ndarray) -> np.ndarray:
-    """Average the decoded samples into one per-content score vector."""
-    arr = np.atleast_2d(np.asarray(reconstructions, dtype=float))
-    if arr.shape[0] == 0:
-        raise ValueError("need at least one reconstruction")
-    return arr.mean(axis=0)
-
-
 def rank_contents(scores: np.ndarray) -> np.ndarray:
     """All content ids by descending score, ascending id on ties."""
     scores = np.asarray(scores, dtype=float)
@@ -112,27 +87,10 @@ def replacement_scores(
     return votes
 
 
-def update_cache(cache: CacheState, scores: np.ndarray, capacity: int,
-                 now: float = 0.0) -> CacheState:
-    """Full replacement with the capacity best-voted contents.
-
-    Zero-voted ids fill leftover slots lowest id first, so the result is
-    a deterministic function of the vote vector alone.
-    """
-    cache.cached = rank_contents(scores)[:capacity]
-    cache.last_update_time = now
-    return cache
-
-
-def serve_request(cache: CacheState, content_id: int, latency: LatencyModel,
-                  metrics: Metrics) -> tuple[bool, float]:
-    if not (1 <= content_id):
-        raise ValueError(f"content id {content_id} out of range")
-    hit = cache.contains(content_id)
-    cost = latency.hit_ms if hit else latency.miss_ms
-    if hit:
-        metrics.hits += 1
-    else:
-        metrics.misses += 1
-    metrics.latency_ms_sum += cost
-    return hit, cost
+def serve(metrics: Metrics, hit: np.ndarray, latency: LatencyModel) -> None:
+    """Account a batch of served requests; hit[i] tells whether request i hit."""
+    hits = int(np.count_nonzero(hit))
+    misses = len(hit) - hits
+    metrics.hits += hits
+    metrics.misses += misses
+    metrics.latency_ms_sum += float(hits * latency.hit_ms + misses * latency.miss_ms)

@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 
-from .config import SimConfig, known_keys, load_config, set_key, SCHEMES
+from .config import known_keys, load_config, SCHEMES
 from .errors import (ConfigError, DataFormatError, InvariantError, ProtocolError,
                      TrainingError, ZeroNormError)
 from .harness import run_simulation, run_sweep, validate_suite

@@ -18,7 +18,6 @@ SCHEMES = ("proposed", "oracle", "n_tau_greedy", "fedavg", "asyfed", "random")
 class SimGroup:
     seed: int = 0
     duration: float = 600.0
-    dt: float = 0.1
     scheme: str = "proposed"
     loop_road: bool = True
 
@@ -132,8 +131,6 @@ class SimConfig:
             raise ConfigError(f"unknown scheme {s.scheme!r}; choose from {', '.join(SCHEMES)}")
         if s.duration < 0:
             raise ConfigError("sim.duration must be >= 0")
-        if s.dt <= 0:
-            raise ConfigError("sim.dt must be > 0")
         if m.sigma <= 0:
             raise ConfigError("mobility.sigma must be > 0")
         if not (0 < m.v_min < m.v_max):
@@ -158,8 +155,8 @@ class SimConfig:
             raise ConfigError("ldpm.delta must be > 0")
         if self.ldpm.distill_weight < 0:
             raise ConfigError("ldpm.lambda must be >= 0")
-        if self.ldpm.sample_count < 0:
-            raise ConfigError("ldpm.F must be >= 0")
+        if self.ldpm.sample_count < 1:
+            raise ConfigError("ldpm.F must be >= 1")
         if self.kc.neighbor_count < 0:
             raise ConfigError("kc.neighbor_c must be >= 0")
         if self.kc.sync_period <= 0:

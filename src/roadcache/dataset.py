@@ -80,7 +80,7 @@ class RequestTrace:
         return len(self.times)
 
 
-def _parse_dat(lines, max_declared: int | None):
+def _parse_dat(lines):
     users, contents, ratings, stamps = [], [], [], []
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
@@ -101,7 +101,7 @@ def _parse_dat(lines, max_declared: int | None):
     return users, contents, ratings, stamps
 
 
-def _parse_csv(lines, max_declared: int | None):
+def _parse_csv(lines):
     import csv
 
     rows = list(csv.reader(lines))
@@ -122,6 +122,8 @@ def _parse_csv(lines, max_declared: int | None):
             raise DataFormatError(f"non-integer field in {row}", lineno) from None
         if not (1 <= r <= 5):
             raise DataFormatError(f"rating {r} outside 1..5", lineno)
+        if c < 1:
+            raise DataFormatError(f"content id {c} must be >= 1", lineno)
         users.append(u); contents.append(c); ratings.append(r); stamps.append(t)
     return users, contents, ratings, stamps
 
@@ -155,9 +157,9 @@ def load_ratings(source, fmt: str | None = None, num_contents: int | None = None
         probe = next((ln for ln in lines if ln.strip()), "")
         fmt = "dat" if "::" in probe else "csv"
     if fmt == "dat":
-        users, contents, ratings, stamps = _parse_dat(lines, num_contents)
+        users, contents, ratings, stamps = _parse_dat(lines)
     elif fmt == "csv":
-        users, contents, ratings, stamps = _parse_csv(lines, num_contents)
+        users, contents, ratings, stamps = _parse_csv(lines)
     else:
         raise ConfigError(f"unknown rating format {fmt!r}")
 
@@ -180,10 +182,6 @@ def load_ratings(source, fmt: str | None = None, num_contents: int | None = None
 def normalize_rating(r):
     """Map a 1..5 rating onto (0, 1]; zero stays the unrated marker."""
     return np.asarray(r, dtype=float) / 5.0
-
-
-def denormalize_rating(x):
-    return np.asarray(x, dtype=float) * 5.0
 
 
 def _user_rows(matrix: RatingMatrix) -> dict[int, np.ndarray]:

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fed_distill, latent_codec, ldpm
-from .caching import CacheState, LatencyModel, Metrics, rank_contents, serve_request, top_m
+from .caching import LatencyModel, Metrics, rank_contents, replacement_scores, serve, top_m
 from .config import SimConfig
 from .dataset import (LocalDataset, RatingMatrix, generate_requests, load_ratings,
                       partition_users, split_public_users, user_train_vector)
@@ -28,7 +28,7 @@ from .fed_distill import (MSG_FL_MODEL_DOWN, MSG_FL_MODEL_UP, MSG_HI, MSG_KI,
                           MSG_KNOWLEDGE_DOWN, MSG_REC_LIST, KnowledgeCache, Message,
                           VisitSetup, hi_bytes, ki_bytes, knowledge_bytes, merge_kc,
                           model_bytes, rec_list_bytes, train_and_predict)
-from .mobility import HighwayTopology, SpeedDistribution, VehicleTimeline, rollout
+from .mobility import HighwayTopology, SpeedDistribution, VehicleTimeline, residence_time, rollout
 from .report import Report, ReportRow
 from .rng import substream
 
@@ -236,7 +236,7 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv) -> Proto
         if kind == "entry":
             vid, seg = payload
             kc = kcs[seg.rsu_index]
-            residence = (motion.coverage_length - seg.entry_position) / seg.speed
+            residence = residence_time(seg, motion.coverage_length)
             version = current_version[vid]
             entries.append(EntryRecord(now, vid, seg.rsu_index, seg.entry_position, seg.speed, version))
             setup = VisitSetup(
@@ -382,51 +382,30 @@ def parameter_exchange_baseline(kind: str, cfg: SimConfig, motion: MotionEnv) ->
     return FLOutcome(kind, uplink, downlink, completions, completed_rounds, messages)
 
 
-def codec_param_count(num_contents: int, hidden: int, latent_dim: int) -> int:
-    enc = num_contents * hidden + hidden + hidden * latent_dim + latent_dim
-    dec = latent_dim * hidden + hidden + hidden * num_contents + num_contents
-    return enc + dec
-
-
-def cafr_overhead_bytes(cfg: SimConfig, num_contents: int) -> int:
-    """Accounting stand-in for an autoencoder-exchange scheme.
-
-    Models one up and one down transfer of the compression network per
-    vehicle per sync period; no predictive behavior is attached to it.
-    """
-    periods = int(np.ceil(cfg.sim.duration / cfg.kc.sync_period)) if cfg.sim.duration > 0 else 0
-    per_model = model_bytes(codec_param_count(num_contents, cfg.codec.hidden, cfg.codec.latent_dim))
-    return 2 * per_model * cfg.data.num_vehicles * periods
-
-
 # ---------------------------------------------------------------------------
 # policies
 
 
-def oracle_policy(window_request_ids, capacity: int, num_contents: int,
-                  rsu_id: int = -1) -> CacheState:
+def oracle_policy(window_request_ids, capacity: int, num_contents: int) -> np.ndarray:
     """Cache the contents most requested inside the known future window."""
     counts = np.bincount(np.asarray(window_request_ids, dtype=np.int64),
                          minlength=num_contents + 1)[1:].astype(float)
-    return CacheState(rsu_id=rsu_id, cached=rank_contents(counts)[:capacity])
+    return rank_contents(counts)[:capacity]
 
 
 def n_tau_greedy_policy(observed_counts: np.ndarray, capacity: int, tau: float,
-                        rng: np.random.Generator, rsu_id: int = -1) -> CacheState:
+                        rng: np.random.Generator) -> np.ndarray:
     """Top-by-history cache that goes fully random a tau fraction of the time."""
     if not (0 <= tau <= 1):
         raise ConfigError("tau must be in [0, 1]")
     num_contents = len(observed_counts)
     if rng.random() < tau:
-        cached = rng.permutation(num_contents)[:capacity] + 1
-    else:
-        cached = rank_contents(np.asarray(observed_counts, dtype=float))[:capacity]
-    return CacheState(rsu_id=rsu_id, cached=cached)
+        return rng.permutation(num_contents)[:capacity] + 1
+    return rank_contents(np.asarray(observed_counts, dtype=float))[:capacity]
 
 
-def random_policy(capacity: int, num_contents: int, rng: np.random.Generator,
-                  rsu_id: int = -1) -> CacheState:
-    return CacheState(rsu_id=rsu_id, cached=rng.permutation(num_contents)[:capacity] + 1)
+def random_policy(capacity: int, num_contents: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.permutation(num_contents)[:capacity] + 1
 
 
 # ---------------------------------------------------------------------------
@@ -449,28 +428,22 @@ def _window_scheme_eval(cfg: SimConfig, data: DataEnv, motion: MotionEnv, scheme
     windows = (times // tick).astype(np.int64) if len(times) else np.zeros(0, dtype=np.int64)
     n_windows = int(np.ceil(motion.duration / tick)) if motion.duration > 0 else 0
     past_counts = [np.zeros(K) for _ in range(motion.num_rsus)]
-    masks = [np.zeros(K + 1, dtype=bool) for _ in range(motion.num_rsus)]
 
     order = np.arange(len(times))
     for w in range(n_windows):
         for rsu in range(motion.num_rsus):
-            in_cell = order[(windows == w) & (motion.request_rsus == rsu)]
+            requested = motion.request_contents[order[(windows == w) & (motion.request_rsus == rsu)]]
             if scheme == "oracle":
-                state = oracle_policy(motion.request_contents[in_cell], capacity, K, rsu)
+                cached = oracle_policy(requested, capacity, K)
             elif scheme == "n_tau_greedy":
-                state = n_tau_greedy_policy(past_counts[rsu], capacity, cfg.greedy.tau,
-                                            substream(seed, "greedy", rsu, w), rsu)
+                cached = n_tau_greedy_policy(past_counts[rsu], capacity, cfg.greedy.tau,
+                                             substream(seed, "greedy", rsu, w))
             else:
-                state = random_policy(capacity, K, substream(seed, "randomcache", rsu, w), rsu)
-            masks[rsu] = _mask_from_ids(state.cached, K)
+                cached = random_policy(capacity, K, substream(seed, "randomcache", rsu, w))
             if dump is not None:
-                dump(w, rsu, state.cached, past_counts[rsu])
-            cell_hits = masks[rsu][motion.request_contents[in_cell]]
-            metrics.hits += int(cell_hits.sum())
-            metrics.misses += int(len(in_cell) - cell_hits.sum())
-            metrics.latency_ms_sum += float(cell_hits.sum() * latency.hit_ms
-                                            + (len(in_cell) - cell_hits.sum()) * latency.miss_ms)
-            np.add.at(past_counts[rsu], motion.request_contents[in_cell] - 1, 1.0)
+                dump(w, rsu, cached, past_counts[rsu])
+            serve(metrics, _mask_from_ids(cached, K)[requested], latency)
+            np.add.at(past_counts[rsu], requested - 1, 1.0)
 
 
 def _trigger_scheme_eval(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
@@ -514,33 +487,33 @@ def _trigger_scheme_eval(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
         {} for _ in range(motion.num_rsus)
     ]
     where: list[int] = [-1] * data.num_vehicles
-    masks = [np.zeros(K + 1, dtype=bool) for _ in range(motion.num_rsus)]
+    masks = np.zeros((motion.num_rsus, K + 1), dtype=bool)
     votes = [np.zeros(K) for _ in range(motion.num_rsus)]
+    cached = [np.zeros(0, dtype=np.int64) for _ in range(motion.num_rsus)]
 
     def refresh(rsu: int, now: float) -> None:
-        u = np.zeros(K)
-        for entry_t, pos0, speed, ids in members[rsu].values():
-            if ids is None:
-                continue
-            position = pos0 + (now - entry_t) * speed
-            u[ids - 1] += eta * (B - position) / speed
-        votes[rsu] = u
-        masks[rsu] = _mask_from_ids(rank_contents(u)[:capacity], K)
+        votes[rsu] = replacement_scores(
+            [(ids, pos0 + (now - entry_t) * speed, speed)
+             for entry_t, pos0, speed, ids in members[rsu].values()],
+            eta, B, K)
+        cached[rsu] = rank_contents(votes[rsu])[:capacity]
+        masks[rsu] = _mask_from_ids(cached[rsu], K)
 
     entry_counter = [0] * data.num_vehicles
     uploads_with_list = 0
 
-    times = motion.request_times
-    req_i = 0
-    n_req = len(times)
-    for trig_time, _, kind, payload in triggers:
-        while req_i < n_req and times[req_i] < trig_time:
-            rsu = int(motion.request_rsus[req_i])
-            hit = bool(masks[rsu][motion.request_contents[req_i]])
-            metrics.hits += hit
-            metrics.misses += not hit
-            metrics.latency_ms_sum += latency.hit_ms if hit else latency.miss_ms
-            req_i += 1
+    # Requests strictly before a trigger are served with the caches it finds.
+    served = 0
+    ends = np.searchsorted(motion.request_times, [t for t, *_ in triggers], side="left")
+
+    def serve_until(end: int) -> None:
+        nonlocal served
+        rsus = motion.request_rsus[served:end]
+        serve(metrics, masks[rsus, motion.request_contents[served:end]], latency)
+        served = end
+
+    for (_, _, kind, payload), end in zip(triggers, ends):
+        serve_until(end)
         if kind == "exit":
             members[payload.rsu].pop(payload.vehicle_id, None)
             where[payload.vehicle_id] = -1
@@ -571,14 +544,8 @@ def _trigger_scheme_eval(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
         if prev >= 0 and prev != e.rsu:
             refresh(prev, e.time)
         if dump is not None:
-            dump(e.time, e.rsu, rank_contents(votes[e.rsu])[:capacity], votes[e.rsu])
-    while req_i < n_req:
-        rsu = int(motion.request_rsus[req_i])
-        hit = bool(masks[rsu][motion.request_contents[req_i]])
-        metrics.hits += hit
-        metrics.misses += not hit
-        metrics.latency_ms_sum += latency.hit_ms if hit else latency.miss_ms
-        req_i += 1
+            dump(e.time, e.rsu, cached[e.rsu], votes[e.rsu])
+    serve_until(len(motion.request_times))
 
     if scheme == "proposed":
         counts = {MSG_HI: 0, MSG_KI: 0, MSG_KNOWLEDGE_DOWN: 0, MSG_REC_LIST: 0}
@@ -771,7 +738,6 @@ def validate_suite() -> list[tuple[str, bool, str]]:
     round_trip = parse_report(emit_report(report, "csv"), "csv")
     checks.append(("report-round-trip", round_trip == report, "parse(emit(r)) == r"))
 
-    from .caching import replacement_scores
     members = [(np.array([1, 5, 9]), 100.0, 20.0), (np.array([5, 7]), 300.0, 25.0)]
     base_votes = replacement_scores(members, 0.1, 500.0, 10)
     scaled = replacement_scores(members, 0.7, 500.0, 10)

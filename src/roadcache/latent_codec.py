@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TrainingError
-from .nn import Dense, Mlp, Relu, Sigmoid, mlp
+from .nn import Mlp, Sigmoid, mlp
 
 
 @dataclass
@@ -31,26 +31,6 @@ class CodecParams:
 
     def copy(self) -> "CodecParams":
         return CodecParams(self.encoder.copy(), self.decoder.copy(), self.latent_dim, self.num_contents)
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for tag, net in (("enc", self.encoder), ("dec", self.decoder)):
-            idx = 0
-            for layer in net.layers:
-                if isinstance(layer, Dense):
-                    idx += 1
-                    out[f"{tag}.w{idx}"] = layer.w
-                    out[f"{tag}.b{idx}"] = layer.b
-        return out
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for tag, net in (("enc", self.encoder), ("dec", self.decoder)):
-            idx = 0
-            for layer in net.layers:
-                if isinstance(layer, Dense):
-                    idx += 1
-                    layer.w[...] = arrays[f"{tag}.w{idx}"]
-                    layer.b[...] = arrays[f"{tag}.b{idx}"]
 
 
 def new_codec(num_contents: int, hidden: int, latent_dim: int, rng: np.random.Generator) -> CodecParams:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, TrainingError
-from .nn import Dense, Mlp, mlp
+from .nn import Mlp, mlp
 
 MOMENTUM = 0.9
 BETA_START = 1e-4
@@ -47,24 +47,6 @@ class DenoiserParams:
 
     def copy(self) -> "DenoiserParams":
         return DenoiserParams(self.net.copy(), self.latent_dim, self.time_embed_dim)
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        idx = 0
-        for layer in self.net.layers:
-            if isinstance(layer, Dense):
-                idx += 1
-                out[f"den.w{idx}"] = layer.w
-                out[f"den.b{idx}"] = layer.b
-        return out
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        idx = 0
-        for layer in self.net.layers:
-            if isinstance(layer, Dense):
-                idx += 1
-                layer.w[...] = arrays[f"den.w{idx}"]
-                layer.b[...] = arrays[f"den.b{idx}"]
 
 
 def new_denoiser(latent_dim: int, hidden: int, time_embed_dim: int, rng: np.random.Generator) -> DenoiserParams:
@@ -129,8 +111,8 @@ def kl_tempered(g: np.ndarray, target: np.ndarray, temperature: float) -> float:
     return float((p * (log_p - log_q)).sum(axis=-1).mean())
 
 
-def _objective(params: DenoiserParams, x0: np.ndarray, ctx: DistillationContext | None,
-               sched: NoiseSchedule, rng: np.random.Generator) -> float:
+def objective(params: DenoiserParams, x0: np.ndarray, ctx: DistillationContext | None,
+              sched: NoiseSchedule, rng: np.random.Generator) -> float:
     """Forward plus backward pass; leaves gradients on the network layers.
 
     One (step, noise) pair is drawn per sample.  The distillation branch
@@ -176,20 +158,6 @@ def _objective(params: DenoiserParams, x0: np.ndarray, ctx: DistillationContext 
     return loss
 
 
-def simple_loss(params: DenoiserParams, x0: np.ndarray, sched: NoiseSchedule,
-                rng: np.random.Generator) -> tuple[float, np.ndarray]:
-    """Noise-prediction objective; returns the loss and flattened gradient."""
-    loss = _objective(params, x0, None, sched, rng)
-    return loss, params.net.flat_grads()
-
-
-def distill_loss(params: DenoiserParams, x0: np.ndarray, ctx: DistillationContext,
-                 sched: NoiseSchedule, rng: np.random.Generator) -> tuple[float, np.ndarray]:
-    """Noise prediction plus the tempered-KL pull toward neighbor knowledge."""
-    loss = _objective(params, x0, ctx, sched, rng)
-    return loss, params.net.flat_grads()
-
-
 def local_train(params: DenoiserParams, latents: np.ndarray, ctx: DistillationContext,
                 sched: NoiseSchedule, epochs: int, lr: float, batch_size: int,
                 rng: np.random.Generator) -> tuple[DenoiserParams, list[float]]:
@@ -204,7 +172,7 @@ def local_train(params: DenoiserParams, latents: np.ndarray, ctx: DistillationCo
         batch_losses = []
         for start in range(0, len(latents), size):
             chunk = latents[order[start:start + size]]
-            loss = _objective(params, chunk, ctx, sched, rng)
+            loss = objective(params, chunk, ctx, sched, rng)
             params.net.step(lr, MOMENTUM)
             batch_losses.append(loss)
         losses.append(float(np.mean(batch_losses)))

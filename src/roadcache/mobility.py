@@ -3,13 +3,13 @@
 The road is a chain of contiguous RSU coverage zones of equal length.
 A vehicle keeps one speed for the whole zone and draws a fresh speed
 each time it crosses into the next zone.  Zone crossings are computed
-exactly from the kinematics, never quantized to the step size.
+exactly from the kinematics, never quantized to a time step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,44 +57,6 @@ class HighwayTopology:
     @property
     def road_length(self) -> float:
         return self.num_rsus * self.coverage_length
-
-    def rsu_entry_positions(self) -> np.ndarray:
-        """Global coordinate of each zone entrance, strictly increasing."""
-        return np.arange(self.num_rsus) * self.coverage_length
-
-
-@dataclass(frozen=True)
-class VehicleState:
-    """Where a vehicle is inside its current zone.
-
-    entry_position is nonzero only when the vehicle materialized partway
-    into a zone (initial placement); afterwards every zone is entered at
-    its entrance.
-    """
-
-    vehicle_id: int
-    rsu_index: int
-    position_in_rsu: float
-    speed: float
-    entry_time: float
-    entry_position: float = 0.0
-
-    def clock(self) -> float:
-        """Simulation time implied by the current position."""
-        return self.entry_time + (self.position_in_rsu - self.entry_position) / self.speed
-
-
-@dataclass(frozen=True)
-class HandoffEvent:
-    time: float
-    vehicle_id: int
-    new_rsu_index: int
-
-
-@dataclass(frozen=True)
-class ExitEvent:
-    time: float
-    vehicle_id: int
 
 
 def _phi(z: float) -> float:
@@ -154,57 +116,6 @@ def sample_speed(dist: SpeedDistribution, rng: np.random.Generator) -> float:
     return 0.5 * (lo + hi)
 
 
-def residence_time(vehicle: VehicleState, topo: HighwayTopology) -> float:
-    """Seconds until the vehicle reaches the end of its current zone."""
-    return (topo.coverage_length - vehicle.position_in_rsu) / vehicle.speed
-
-
-def advance(
-    vehicle: VehicleState,
-    dt: float,
-    topo: HighwayTopology,
-    dist: SpeedDistribution,
-    rng: np.random.Generator,
-) -> tuple[VehicleState, tuple]:
-    """Move a vehicle forward by dt seconds.
-
-    Returns the new state and the events raised along the way: one
-    HandoffEvent per zone boundary crossed (speed resampled at each),
-    or a terminal ExitEvent past the last zone.  Crossing instants are
-    solved exactly inside the step.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    if vehicle.rsu_index >= topo.num_rsus:
-        return vehicle, ()
-    events: list = []
-    state = vehicle
-    now = state.clock()
-    remaining = dt
-    while remaining > 0:
-        to_boundary = (topo.coverage_length - state.position_in_rsu) / state.speed
-        if to_boundary > remaining:
-            state = replace(state, position_in_rsu=state.position_in_rsu + state.speed * remaining)
-            break
-        now += to_boundary
-        remaining -= to_boundary
-        next_rsu = state.rsu_index + 1
-        if next_rsu >= topo.num_rsus:
-            events.append(ExitEvent(time=now, vehicle_id=state.vehicle_id))
-            state = replace(
-                state, rsu_index=topo.num_rsus, position_in_rsu=0.0,
-                entry_time=now, entry_position=0.0,
-            )
-            break
-        speed = sample_speed(dist, rng)
-        state = replace(
-            state, rsu_index=next_rsu, position_in_rsu=0.0,
-            speed=speed, entry_time=now, entry_position=0.0,
-        )
-        events.append(HandoffEvent(time=now, vehicle_id=state.vehicle_id, new_rsu_index=next_rsu))
-    return state, tuple(events)
-
-
 @dataclass(frozen=True)
 class Segment:
     """One constant-speed stretch of a vehicle's timeline inside one zone."""
@@ -213,6 +124,11 @@ class Segment:
     rsu_index: int
     entry_position: float
     speed: float
+
+
+def residence_time(seg: Segment, coverage_length: float) -> float:
+    """Seconds from the segment's entry until it reaches the end of its zone."""
+    return (coverage_length - seg.entry_position) / seg.speed
 
 
 @dataclass
@@ -260,7 +176,7 @@ def rollout(
     t = 0.0
     while True:
         seg = segments[-1]
-        t = seg.entry_time + (B - seg.entry_position) / seg.speed
+        t = seg.entry_time + residence_time(seg, B)
         if t >= duration:
             return VehicleTimeline(vehicle_id, segments, end_time=duration)
         nxt = seg.rsu_index + 1

@@ -11,7 +11,7 @@ import numpy as np
 
 from roadcache import fed_distill as fd
 from roadcache import harness, ldpm, mobility
-from roadcache.caching import CacheState, top_m, update_cache
+from roadcache.caching import rank_contents, replacement_scores, top_m
 from roadcache.config import load_config
 from roadcache.report import emit_report
 from roadcache.rng import substream
@@ -114,6 +114,11 @@ def _fd_rel_error(params, make_loss, h=1e-5):
     return float(np.linalg.norm(analytic - numeric)) / denom
 
 
+def _objective_and_grad(params, x0, ctx, sched, rng):
+    loss = ldpm.objective(params, x0, ctx, sched, rng)
+    return loss, params.net.flat_grads()
+
+
 def test_criterion_5_generative_model(env_store, record_criterion):
     t0 = time.perf_counter()
     parts = []
@@ -134,14 +139,14 @@ def test_criterion_5_generative_model(env_store, record_criterion):
     x_fd = substream(0, "c5-fd").normal(size=(3, 4))
     params = ldpm.new_denoiser(4, 6, 4, substream(1, "c5-fd"))
     rel_simple = _fd_rel_error(
-        params, lambda: ldpm.simple_loss(params, x_fd, ldpm.build_schedule(10),
-                                         substream(2, "c5-fd")))
+        params, lambda: _objective_and_grad(params, x_fd, None, ldpm.build_schedule(10),
+                                            substream(2, "c5-fd")))
     ctx = ldpm.DistillationContext(
         integrated_knowledge=substream(3, "c5-fd").normal(size=4),
         distill_weight=1.5, temperature=2.0)
     rel_distill = _fd_rel_error(
-        params, lambda: ldpm.distill_loss(params, x_fd, ctx, ldpm.build_schedule(10),
-                                          substream(2, "c5-fd")))
+        params, lambda: _objective_and_grad(params, x_fd, ctx, ldpm.build_schedule(10),
+                                            substream(2, "c5-fd")))
     fd_ok = rel_simple < 1e-4 and rel_distill < 1e-4
     parts.append(f"FD rel err plain {rel_simple:.2e} / distilled {rel_distill:.2e}")
 
@@ -244,12 +249,19 @@ def test_criterion_6_protocol_oracles(record_criterion):
     for i in range(trials):
         rng = substream(6, "upd", i)
         k = int(rng.integers(20, 201))
-        votes = np.where(rng.uniform(size=k) < 0.5,
-                         np.round(rng.uniform(0, 5, size=k), 1), 0.0)
+        # Coarse positions and two speeds make equal weights, so ties occur.
+        members = [(rng.choice(k, size=int(rng.integers(1, k // 2)), replace=False) + 1
+                    if rng.uniform() < 0.8 else None,
+                    float(100 * rng.integers(0, 6)), float(rng.choice([20.0, 25.0])))
+                   for _ in range(int(rng.integers(0, 9)))]
         capacity = int(rng.integers(1, k + 1))
-        cache = update_cache(CacheState(rsu_id=0, cached=np.zeros(0)), votes, capacity)
+        votes = [0.0] * k
+        for contents, position, speed in members:
+            for c in contents if contents is not None else ():
+                votes[c - 1] += 0.1 * (500.0 - position) / speed
         want = sorted(range(1, k + 1), key=lambda c: (-votes[c - 1], c))[:capacity]
-        if cache.cached.tolist() == want:
+        got = rank_contents(replacement_scores(members, 0.1, 500.0, k))[:capacity]
+        if got.tolist() == want:
             update_ok += 1
 
     oracle_ok = 0
@@ -260,7 +272,7 @@ def test_criterion_6_protocol_oracles(record_criterion):
         capacity = int(rng.integers(1, k + 1))
         counts = {c: int((window == c).sum()) for c in range(1, k + 1)}
         want = sorted(range(1, k + 1), key=lambda c: (-counts[c], c))[:capacity]
-        if harness.oracle_policy(window, capacity, k).cached.tolist() == want:
+        if harness.oracle_policy(window, capacity, k).tolist() == want:
             oracle_ok += 1
 
     ok = neighbor_ok == top_ok == update_ok == oracle_ok == trials

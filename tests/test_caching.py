@@ -1,4 +1,4 @@
-"""Content scoring, ranked lists, dwell-weighted replacement, serving."""
+"""Ranked lists, dwell-weighted replacement, cache update, serving."""
 
 import numpy as np
 import pytest
@@ -6,24 +6,6 @@ import pytest
 from roadcache import caching
 from roadcache.errors import ConfigError
 from roadcache.rng import substream
-
-
-class TestScoreContents:
-    def test_single_sample_identity(self):
-        row = np.array([0.3, 0.9, 0.1])
-        assert caching.score_contents(row[None, :]) == pytest.approx(row)
-        assert caching.score_contents(row) == pytest.approx(row)
-
-    def test_zeros(self):
-        assert caching.score_contents(np.zeros((4, 6))) == pytest.approx(np.zeros(6))
-
-    def test_mean_of_three(self):
-        recon = np.array([[0.0, 0.3], [0.6, 0.3], [0.3, 0.9]])
-        assert caching.score_contents(recon) == pytest.approx(np.array([0.3, 0.5]))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            caching.score_contents(np.zeros((0, 5)))
 
 
 class TestRanking:
@@ -103,69 +85,58 @@ class TestReplacementScores:
 
 
 class TestUpdateCache:
+    """The replay's cache update: the capacity best-voted ids, in rank order."""
+
+    @staticmethod
+    def update(votes, capacity):
+        return caching.rank_contents(votes)[:capacity]
+
     def test_everything_fits(self):
-        cache = caching.CacheState(rsu_id=0, cached=np.array([]))
-        scores = np.array([0.2, 0.9, 0.5])
-        caching.update_cache(cache, scores, capacity=10, now=42.0)
-        assert cache.cached.tolist() == [2, 3, 1]
-        assert cache.last_update_time == 42.0
+        assert self.update(np.array([0.2, 0.9, 0.5]), capacity=10).tolist() == [2, 3, 1]
 
     def test_keeps_top_votes(self):
-        cache = caching.CacheState(rsu_id=0, cached=np.array([]))
-        scores = np.array([0.1, 5.0, 0.1, 7.0, 0.1])
-        caching.update_cache(cache, scores, capacity=2)
-        assert set(cache.cached.tolist()) == {2, 4}
+        votes = np.array([0.1, 5.0, 0.1, 7.0, 0.1])
+        assert set(self.update(votes, capacity=2).tolist()) == {2, 4}
 
     def test_matches_sort_oracle(self):
         rng = substream(3, "cache")
         for trial in range(10):
             scores = np.round(rng.uniform(0, 1, size=1000), 2)
-            cache = caching.CacheState(rsu_id=0, cached=np.array([]))
-            caching.update_cache(cache, scores, capacity=500)
             order = sorted(range(1, 1001), key=lambda k: (-scores[k - 1], k))
-            assert cache.cached.tolist() == order[:500]
+            assert self.update(scores, capacity=500).tolist() == order[:500]
 
     def test_zero_votes_fill_by_lowest_id(self):
-        cache = caching.CacheState(rsu_id=0, cached=np.array([]))
-        scores = np.zeros(10)
-        scores[4] = 1.0  # content 5
-        scores[8] = 2.0  # content 9
-        caching.update_cache(cache, scores, capacity=4)
-        assert cache.cached.tolist() == [9, 5, 1, 2]
+        members = [(np.array([5, 9]), 250.0, 25.0), (np.array([9]), 0.0, 20.0)]
+        votes = caching.replacement_scores(members, eta=0.1, coverage_length=500.0,
+                                           num_contents=10)
+        assert self.update(votes, capacity=4).tolist() == [9, 5, 1, 2]
 
 
 class TestServeRequest:
     def test_hit_and_miss(self):
-        cache = caching.CacheState(rsu_id=0, cached=np.array([1, 5]))
         latency = caching.LatencyModel()
         metrics = caching.Metrics()
-        hit, cost = caching.serve_request(cache, 5, latency, metrics)
-        assert hit and cost == 20.0
-        hit, cost = caching.serve_request(cache, 2, latency, metrics)
-        assert not hit and cost == 100.0
+        mask = np.zeros(10, dtype=bool)
+        mask[[1, 5]] = True
+        caching.serve(metrics, mask[np.array([5, 2])], latency)
         assert metrics.hits == 1 and metrics.misses == 1
         assert metrics.latency_ms_sum == 120.0
+        caching.serve(metrics, mask[np.zeros(0, dtype=int)], latency)
+        assert metrics.total_requests == 2 and metrics.latency_ms_sum == 120.0
 
     def test_latency_accounting_identity(self):
         rng = substream(4, "serve")
-        cache = caching.CacheState(rsu_id=0, cached=np.arange(1, 40))
+        mask = np.zeros(100, dtype=bool)
+        mask[1:40] = True
         latency = caching.LatencyModel()
         metrics = caching.Metrics()
-        for _ in range(500):
-            caching.serve_request(cache, int(rng.integers(1, 100)), latency, metrics)
+        for _ in range(50):
+            caching.serve(metrics, mask[rng.integers(1, 100, size=10)], latency)
         frac_hit = metrics.hits / metrics.total_requests
         want = frac_hit * 20.0 + (1 - frac_hit) * 100.0
+        assert metrics.total_requests == 500
         assert metrics.mean_latency_ms() == pytest.approx(want, abs=1e-12)
         assert metrics.hit_pct() == pytest.approx(100.0 * frac_hit)
-
-    def test_bad_content_id(self):
-        cache = caching.CacheState(rsu_id=0, cached=np.array([1]))
-        with pytest.raises(ValueError):
-            caching.serve_request(cache, 0, caching.LatencyModel(), caching.Metrics())
-
-    def test_contains(self):
-        cache = caching.CacheState(rsu_id=0, cached=np.array([3, 8]))
-        assert cache.contains(8) and not cache.contains(4)
 
 
 class TestLatencyModel:

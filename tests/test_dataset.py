@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from roadcache.dataset import (
-    denormalize_rating,
     generate_requests,
     load_ratings,
     normalize_rating,
@@ -53,6 +52,10 @@ def test_out_of_range_rating_rejected():
         load_ratings(["1::10::9::100\n"], fmt="dat")
     with pytest.raises(DataFormatError):
         load_ratings(["1::0::3::100\n"], fmt="dat")
+    for bad in ("1,0,5,10\n", "1,-3,5,10\n"):
+        with pytest.raises(DataFormatError) as err:
+            load_ratings(["user_id,content_id,rating,timestamp\n", "1,2,4,5\n", bad], fmt="csv")
+        assert err.value.line_no == 3
 
 
 def test_csv_and_dat_agree():
@@ -98,9 +101,12 @@ def test_normalization_values():
 
 
 def test_normalization_round_trip():
-    ratings = np.arange(1, 6)
-    back = denormalize_rating(normalize_rating(ratings))
-    assert np.allclose(back, ratings)
+    # Ratings 1..5 survive the trip into a train vector and back.
+    lines = [f"1::{c}::{r}::{c}\n" for c, r in zip((2, 4, 5, 7, 9), (1, 2, 3, 4, 5))]
+    m = load_ratings(lines)
+    vec = user_train_vector(m, np.arange(len(m)))
+    assert np.allclose(vec[m.contents - 1] * 5.0, m.ratings)
+    assert np.count_nonzero(vec) == 5
 
 
 def test_duplicate_rating_latest_timestamp_wins():

@@ -6,9 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from roadcache import harness, latent_codec, report
+from roadcache import harness, report
 from roadcache.caching import Metrics
-from roadcache.config import load_config
+from roadcache.config import SCHEMES, load_config
 from roadcache.errors import ConfigError, DataFormatError
 from roadcache.mobility import Segment, VehicleTimeline
 from roadcache.rng import substream
@@ -37,23 +37,23 @@ def one_segment_timeline(vid, end_time, rsu=0):
 
 class TestOraclePolicy:
     def test_single_content(self):
-        cache = harness.oracle_policy([3, 3, 3], capacity=1, num_contents=10)
-        assert cache.cached.tolist() == [3]
+        cached = harness.oracle_policy([3, 3, 3], capacity=1, num_contents=10)
+        assert cached.tolist() == [3]
 
     def test_large_capacity_covers_window(self):
         window = [3, 3, 7]
-        cache = harness.oracle_policy(window, capacity=10, num_contents=10)
-        assert cache.cached.tolist() == [3, 7, 1, 2, 4, 5, 6, 8, 9, 10]
-        assert all(cache.contains(c) for c in window)
+        cached = harness.oracle_policy(window, capacity=10, num_contents=10)
+        assert cached.tolist() == [3, 7, 1, 2, 4, 5, 6, 8, 9, 10]
+        assert set(window) <= set(cached.tolist())
 
     def test_matches_count_enumeration(self):
         rng = substream(0, "oracle")
         for trial in range(20):
             window = rng.integers(1, 21, size=200)
-            cache = harness.oracle_policy(window, capacity=5, num_contents=20)
+            cached = harness.oracle_policy(window, capacity=5, num_contents=20)
             counts = {k: int((window == k).sum()) for k in range(1, 21)}
             want = sorted(range(1, 21), key=lambda k: (-counts[k], k))[:5]
-            assert cache.cached.tolist() == want
+            assert cached.tolist() == want
 
 
 class TestNTauGreedy:
@@ -62,12 +62,11 @@ class TestNTauGreedy:
         self.counts[:5] = [50, 40, 30, 20, 10]
 
     def test_tau_zero_is_pure_greedy(self):
-        cache = harness.n_tau_greedy_policy(self.counts, 5, 0.0, substream(0, "tau0"))
-        assert cache.cached.tolist() == [1, 2, 3, 4, 5]
+        cached = harness.n_tau_greedy_policy(self.counts, 5, 0.0, substream(0, "tau0"))
+        assert cached.tolist() == [1, 2, 3, 4, 5]
 
     def test_tau_one_is_pure_random(self):
-        cache = harness.n_tau_greedy_policy(self.counts, 5, 1.0, substream(0, "tau1"))
-        got = cache.cached.tolist()
+        got = harness.n_tau_greedy_policy(self.counts, 5, 1.0, substream(0, "tau1")).tolist()
         assert len(set(got)) == 5
         assert all(1 <= c <= 100 for c in got)
         assert set(got) != {1, 2, 3, 4, 5}
@@ -77,7 +76,7 @@ class TestNTauGreedy:
         rng = substream(0, "tau-freq")
         n = 10_000
         randomized = sum(
-            set(harness.n_tau_greedy_policy(self.counts, 5, 0.2, rng).cached.tolist())
+            set(harness.n_tau_greedy_policy(self.counts, 5, 0.2, rng).tolist())
             != greedy
             for _ in range(n))
         assert abs(randomized / n - 0.2) < 0.01
@@ -93,12 +92,12 @@ class TestRandomPolicy:
     def test_valid_and_reproducible(self):
         a = harness.random_policy(10, 50, substream(7, "rand"))
         b = harness.random_policy(10, 50, substream(7, "rand"))
-        got = a.cached.tolist()
+        got = a.tolist()
         assert len(got) == 10 and len(set(got)) == 10
         assert all(1 <= c <= 50 for c in got)
-        assert np.array_equal(a.cached, b.cached)
+        assert np.array_equal(a, b)
         c = harness.random_policy(10, 50, substream(8, "rand"))
-        assert not np.array_equal(a.cached, c.cached)
+        assert not np.array_equal(a, c)
 
 
 class TestParameterExchange:
@@ -152,23 +151,6 @@ class TestParameterExchange:
         assert out.completion_fraction(0, 99.0, 10) == pytest.approx(0.2)
         assert out.completion_fraction(0, 99.0, 1) == 1.0
         assert out.completion_fraction(5, 99.0, 1) == 0.0
-
-
-class TestOverheadAccounting:
-    def test_codec_param_count_matches_network(self):
-        codec = latent_codec.new_codec(30, 8, 4, substream(0, "count"))
-        want = codec.encoder.param_count() + codec.decoder.param_count()
-        assert harness.codec_param_count(30, 8, 4) == want
-
-    def test_codec_exchange_bytes(self):
-        cfg = load_config(None, ["sim.duration=600", "kc.sync_period=60",
-                                 "data.num_vehicles=60"])
-        per = 4 * harness.codec_param_count(200, cfg.codec.hidden, cfg.codec.latent_dim)
-        assert harness.cafr_overhead_bytes(cfg, 200) == 2 * per * 60 * 10
-
-    def test_zero_duration_zero_bytes(self):
-        cfg = load_config(None, ["sim.duration=0"])
-        assert harness.cafr_overhead_bytes(cfg, 200) == 0
 
 
 class TestReportFormats:
@@ -285,6 +267,42 @@ class TestRunSimulation:
         assert row.uplink_mb == 0.0
 
 
+class TestEvaluationAccounting:
+    """Every replay serves each request once, priced by the latency model."""
+
+    @pytest.fixture(scope="class")
+    def stack(self, tiny_cfg_path):
+        cfg = load_config(tiny_cfg_path, [])
+        data = harness.build_data_env(cfg)
+        motion = harness.build_motion_env(cfg, data.locals_)
+        return cfg, data, motion, harness.simulate_protocol(cfg, data, motion)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_hits_and_misses_cover_requests(self, stack, scheme):
+        cfg, data, motion, trace = stack
+        requests = len(motion.request_times)
+        assert requests > 0
+        for capacity in (1, 10, data.num_contents):
+            m = harness.evaluate_caching(cfg, data, motion, trace, scheme, capacity)
+            assert m.hits + m.misses == requests
+            assert m.latency_ms_sum == m.hits * cfg.latency.hit_ms + m.misses * cfg.latency.miss_ms
+        # A window cache that holds the whole catalog serves every request.
+        assert m.misses == 0 or scheme in harness.TRIGGER_SCHEMES
+
+
+class TestSweepMatchesRuns:
+    @pytest.mark.parametrize("list_m", [0, 20])
+    def test_rows_equal_standalone_runs(self, tiny_cfg_path, list_m):
+        base = load_config(tiny_cfg_path, [f"cache.list_m={list_m}"])
+        swept = harness.run_sweep(base, list(SCHEMES), [10, 40], [base.mobility.mu],
+                                  [base.sim.seed])
+        assert len(swept.rows) == 2 * len(SCHEMES)
+        for row in swept.rows:
+            cfg = load_config(tiny_cfg_path, [f"cache.list_m={list_m}", f"sim.scheme={row.scheme}",
+                                              f"cache.capacity_n={row.capacity}"])
+            assert harness.run_simulation(cfg).rows == [row]
+
+
 class TestCli:
     def test_run_writes_csv(self, tiny_cfg_path, tmp_path):
         out = tmp_path / "row.csv"
@@ -303,14 +321,16 @@ class TestCli:
         assert proc.stdout.splitlines()[1].startswith("random,20,")
 
     def test_unknown_key_exits_2(self, tiny_cfg_path):
-        proc = roadcache_cli("run", "--config", tiny_cfg_path, "--set", "bogus.key=1")
-        assert proc.returncode == 2
-        assert "error:" in proc.stderr
+        for setting in ("bogus.key=1", "sim.dt=0.1"):
+            proc = roadcache_cli("run", "--config", tiny_cfg_path, "--set", setting)
+            assert proc.returncode == 2
+            assert "error:" in proc.stderr
 
     def test_bad_value_exits_2(self, tiny_cfg_path):
-        proc = roadcache_cli("run", "--config", tiny_cfg_path,
-                             "--set", "cache.capacity_n=many")
-        assert proc.returncode == 2
+        for setting in ("cache.capacity_n=many", "ldpm.F=0"):
+            proc = roadcache_cli("run", "--config", tiny_cfg_path, "--set", setting)
+            assert proc.returncode == 2
+            assert setting.split("=")[0] in proc.stderr
 
     def test_unknown_scheme_exits_2(self, tiny_cfg_path):
         proc = roadcache_cli("run", "--config", tiny_cfg_path,

@@ -8,6 +8,11 @@ from roadcache.errors import TrainingError
 from roadcache.rng import substream
 
 
+def flat_params(codec):
+    """Every encoder and decoder weight, as one fresh vector."""
+    return np.concatenate([codec.encoder.flat_params(), codec.decoder.flat_params()])
+
+
 def synth_ratings(rng, users, contents, rated):
     """Sparse rating rows with `rated` nonzero entries per user."""
     vecs = np.zeros((users, contents))
@@ -84,10 +89,9 @@ class TestTraining:
             codec, losses = latent_codec.pretrain_codec(
                 data, hidden=10, latent_dim=4, lr=0.03, epochs=5,
                 batch_size=4, rng=substream(7, "codec"))
-            out.append((codec.to_arrays(), losses))
+            out.append((flat_params(codec), losses))
         assert out[0][1] == out[1][1]
-        for key, arr in out[0][0].items():
-            assert np.array_equal(arr, out[1][0][key])
+        assert np.array_equal(out[0][0], out[1][0])
 
     def test_overfit_single_vector(self):
         rng = substream(0, "overfit")
@@ -136,26 +140,20 @@ class TestFineTune:
     def test_zero_epochs_is_identity(self):
         tuned = latent_codec.fine_tune(self.codec, self.data[:3], epochs=0,
                                        lr=0.03, batch_size=2, rng=substream(1, "tune"))
-        before = self.codec.to_arrays()
-        after = tuned.to_arrays()
-        for key in before:
-            assert np.array_equal(before[key], after[key])
+        assert np.array_equal(flat_params(self.codec), flat_params(tuned))
 
     def test_base_codec_untouched(self):
-        before = {k: v.copy() for k, v in self.codec.to_arrays().items()}
+        before = flat_params(self.codec)
         latent_codec.fine_tune(self.codec, self.data[:5], epochs=10,
                                lr=0.03, batch_size=2, rng=substream(2, "tune"))
-        after = self.codec.to_arrays()
-        for key in before:
-            assert np.array_equal(before[key], after[key])
+        assert np.array_equal(before, flat_params(self.codec))
 
     def test_copies_are_independent(self):
         a = latent_codec.fine_tune(self.codec, self.data[:5], epochs=10,
                                    lr=0.03, batch_size=2, rng=substream(3, "tune"))
         b = latent_codec.fine_tune(self.codec, self.data[5:], epochs=10,
                                    lr=0.03, batch_size=2, rng=substream(4, "tune"))
-        arrays_a, arrays_b = a.to_arrays(), b.to_arrays()
-        assert any(not np.array_equal(arrays_a[k], arrays_b[k]) for k in arrays_a)
+        assert not np.array_equal(flat_params(a), flat_params(b))
 
     def test_improves_on_own_vectors(self):
         own = self.data[:1]

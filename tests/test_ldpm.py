@@ -9,6 +9,12 @@ from roadcache.errors import ConfigError, TrainingError
 from roadcache.rng import substream
 
 
+def loss_and_grad(params, x0, ctx, sched, rng):
+    """The training objective and the flat gradient it leaves on the network."""
+    loss = ldpm.objective(params, x0, ctx, sched, rng)
+    return loss, params.net.flat_grads()
+
+
 def toy_model(latent_dim=4, hidden=8, temb=4, label="toy"):
     return ldpm.new_denoiser(latent_dim, hidden, temb, substream(11, label))
 
@@ -150,7 +156,7 @@ class TestObjectives:
         params.net.set_flat_params(np.zeros(params.net.flat_params().size))
         sched = ldpm.build_schedule(50)
         x0 = np.zeros((10_000, d))
-        loss, grad = ldpm.simple_loss(params, x0, sched, substream(0, "zero-net"))
+        loss, grad = loss_and_grad(params, x0, None, sched, substream(0, "zero-net"))
         assert loss == pytest.approx(d, rel=0.05)
         assert grad.shape == (params.net.flat_params().size,)
 
@@ -160,10 +166,10 @@ class TestObjectives:
         x0 = substream(0, "noctx").normal(size=(5, 4))
         ctx = ldpm.DistillationContext(integrated_knowledge=np.ones(4),
                                        distill_weight=0.0)
-        loss_a, grad_a = ldpm.simple_loss(params.copy(), x0, sched,
-                                          substream(1, "noctx"))
-        loss_b, grad_b = ldpm.distill_loss(params.copy(), x0, ctx, sched,
-                                           substream(1, "noctx"))
+        loss_a, grad_a = loss_and_grad(params.copy(), x0, None, sched,
+                                       substream(1, "noctx"))
+        loss_b, grad_b = loss_and_grad(params.copy(), x0, ctx, sched,
+                                       substream(1, "noctx"))
         assert loss_a == loss_b
         assert np.array_equal(grad_a, grad_b)
 
@@ -172,8 +178,8 @@ class TestObjectives:
         sched = ldpm.build_schedule(20)
         x0 = substream(0, "nok").normal(size=(5, 4))
         ctx = ldpm.DistillationContext(integrated_knowledge=None, distill_weight=1.0)
-        loss_a, _ = ldpm.simple_loss(params.copy(), x0, sched, substream(1, "nok"))
-        loss_b, _ = ldpm.distill_loss(params.copy(), x0, ctx, sched, substream(1, "nok"))
+        loss_a, _ = loss_and_grad(params.copy(), x0, None, sched, substream(1, "nok"))
+        loss_b, _ = loss_and_grad(params.copy(), x0, ctx, sched, substream(1, "nok"))
         assert loss_a == loss_b
 
     def test_distillation_adds_positive_term(self):
@@ -182,15 +188,15 @@ class TestObjectives:
         x0 = substream(0, "addkl").normal(size=(8, 4))
         ctx = ldpm.DistillationContext(integrated_knowledge=np.array([4.0, 0.0, -4.0, 0.0]),
                                        distill_weight=1.0, temperature=2.0)
-        loss_plain, _ = ldpm.simple_loss(params.copy(), x0, sched, substream(1, "addkl"))
-        loss_kd, _ = ldpm.distill_loss(params.copy(), x0, ctx, sched, substream(1, "addkl"))
+        loss_plain, _ = loss_and_grad(params.copy(), x0, None, sched, substream(1, "addkl"))
+        loss_kd, _ = loss_and_grad(params.copy(), x0, ctx, sched, substream(1, "addkl"))
         assert loss_kd > loss_plain
 
     def test_empty_batch_rejected(self):
         params = toy_model(label="empty")
         sched = ldpm.build_schedule(5)
         with pytest.raises(ValueError):
-            ldpm.simple_loss(params, np.zeros((0, 4)), sched, substream(0, "empty"))
+            loss_and_grad(params, np.zeros((0, 4)), None, sched, substream(0, "empty"))
 
 
 class TestGradients:
@@ -222,7 +228,7 @@ class TestGradients:
         x0 = substream(0, "fd-simple").normal(size=(3, 4))
 
         def make_loss():
-            return ldpm.simple_loss(params, x0, sched, substream(1, "fd-simple"))
+            return loss_and_grad(params, x0, None, sched, substream(1, "fd-simple"))
 
         assert self._fd_check(make_loss, params) < 1e-4
 
@@ -235,7 +241,7 @@ class TestGradients:
             distill_weight=1.5, temperature=2.0)
 
         def make_loss():
-            return ldpm.distill_loss(params, x0, ctx, sched, substream(1, "fd-kd"))
+            return loss_and_grad(params, x0, ctx, sched, substream(1, "fd-kd"))
 
         assert self._fd_check(make_loss, params) < 1e-4
 

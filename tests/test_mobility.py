@@ -1,4 +1,4 @@
-"""Speed distribution, residence, stepping, and rollout behavior."""
+"""Speed distribution, residence, and rollout behavior."""
 
 import math
 
@@ -7,12 +7,9 @@ import pytest
 
 from roadcache.errors import ConfigError
 from roadcache.mobility import (
-    ExitEvent,
-    HandoffEvent,
     HighwayTopology,
+    Segment,
     SpeedDistribution,
-    VehicleState,
-    advance,
     residence_time,
     rollout,
     sample_speed,
@@ -128,84 +125,57 @@ def test_cdf_endpoints_and_midpoint():
     assert truncated_gaussian_cdf(25.0, DIST) == pytest.approx(0.5, abs=1e-12)
 
 
-def _vehicle(position, speed, rsu=0):
-    return VehicleState(vehicle_id=0, rsu_index=rsu, position_in_rsu=position,
-                        speed=speed, entry_time=0.0)
+def _segment(position, speed):
+    return Segment(entry_time=0.0, rsu_index=0, entry_position=position, speed=speed)
 
 
 def test_residence_time_direct_values():
-    assert residence_time(_vehicle(0.0, 25.0), TOPO) == pytest.approx(20.0)
-    assert residence_time(_vehicle(500.0, 25.0), TOPO) == pytest.approx(0.0)
-    assert residence_time(_vehicle(250.0, 20.0), TOPO) == pytest.approx(12.5)
+    B = TOPO.coverage_length
+    assert residence_time(_segment(0.0, 25.0), B) == pytest.approx(20.0)
+    assert residence_time(_segment(500.0, 25.0), B) == pytest.approx(0.0)
+    assert residence_time(_segment(250.0, 20.0), B) == pytest.approx(12.5)
 
 
 def test_residence_time_monotonicity():
+    B = TOPO.coverage_length
     speeds = np.linspace(DIST.v_min, DIST.v_max, 9)
-    at_fixed_p = [residence_time(_vehicle(100.0, v), TOPO) for v in speeds]
+    at_fixed_p = [residence_time(_segment(100.0, v), B) for v in speeds]
     assert all(a > b for a, b in zip(at_fixed_p, at_fixed_p[1:]))
     positions = np.linspace(0.0, 499.0, 9)
-    at_fixed_v = [residence_time(_vehicle(p, 25.0), TOPO) for p in positions]
+    at_fixed_v = [residence_time(_segment(p, 25.0), B) for p in positions]
     assert all(a > b for a, b in zip(at_fixed_v, at_fixed_v[1:]))
 
 
-def test_advance_interior_step_raises_no_event():
-    state, events = advance(_vehicle(100.0, 25.0), 1.0, TOPO, DIST, substream(0, "adv"))
-    assert events == ()
-    assert state.position_in_rsu == pytest.approx(125.0)
-    assert state.rsu_index == 0
-
-
-def test_advance_crosses_boundary_with_handoff():
-    state, events = advance(_vehicle(490.0, 25.0), 1.0, TOPO, DIST, substream(1, "adv"))
-    assert len(events) == 1
-    assert isinstance(events[0], HandoffEvent)
-    assert events[0].new_rsu_index == 1
-    # The state implies 19.6 s of driving already; the crossing lands 0.4 s in.
-    assert events[0].time == pytest.approx(20.0)
-    assert state.rsu_index == 1
-    # 0.6 s remain after the crossing, at whatever speed was redrawn.
-    assert state.position_in_rsu == pytest.approx(0.6 * state.speed)
-    assert DIST.v_min <= state.speed <= DIST.v_max
-
-
-def test_advance_past_last_rsu_exits():
-    last = VehicleState(vehicle_id=2, rsu_index=3, position_in_rsu=499.0,
-                        speed=20.0, entry_time=0.0)
-    state, events = advance(last, 5.0, TOPO, DIST, substream(2, "adv"))
-    assert any(isinstance(e, ExitEvent) for e in events)
-    assert state.rsu_index == TOPO.num_rsus
-    # Further stepping is a no-op once off the road.
-    again, more = advance(state, 5.0, TOPO, DIST, substream(3, "adv"))
-    assert more == ()
-    assert again == state
-
-
-def test_chained_advances_match_single_advance():
+def test_rollout_entries_chain_by_residence_time():
     big = HighwayTopology(num_rsus=40, coverage_length=500.0)
-    start = _vehicle(0.0, 25.0)
-    whole, whole_events = advance(start, 100.0, big, DIST, substream(9, "chain"))
-    state = start
-    chained_events = []
-    rng = substream(9, "chain")
-    for _ in range(1000):
-        state, events = advance(state, 0.1, big, DIST, rng)
-        chained_events.extend(events)
-    crossings = [e for e in chained_events if isinstance(e, HandoffEvent)]
-    whole_crossings = [e for e in whole_events if isinstance(e, HandoffEvent)]
-    assert len(crossings) == len(whole_crossings)
-    assert state.rsu_index == whole.rsu_index
-    assert state.position_in_rsu == pytest.approx(whole.position_in_rsu)
-    assert [e.new_rsu_index for e in crossings] == [e.new_rsu_index for e in whole_crossings]
+    timeline = rollout(0, DIST, big, 500.0, substream(1, "chain"), loop=False,
+                       initial_offset=490.0)
+    segs = timeline.segments
+    assert len(segs) > 10
+    for prev, seg in zip(segs, segs[1:]):
+        assert seg.entry_time == prev.entry_time + residence_time(prev, big.coverage_length)
+        assert seg.rsu_index == prev.rsu_index + 1
+        assert DIST.v_min <= seg.speed <= DIST.v_max
+
+
+def test_rollout_shorter_horizon_is_prefix():
+    big = HighwayTopology(num_rsus=40, coverage_length=500.0)
+    whole = rollout(0, DIST, big, 400.0, substream(9, "chain"), loop=False)
+    for horizon in (0.5, 20.0, 100.0, 250.0):
+        part = rollout(0, DIST, big, horizon, substream(9, "chain"), loop=False)
+        assert part.segments == whole.segments[:len(part.segments)]
+        assert part.end_time == horizon
+        assert whole.rsu_at(horizon - 1e-9) == part.rsu_at(horizon - 1e-9)
 
 
 def test_position_bounded_between_events():
-    rng = substream(4, "bounds")
-    state = _vehicle(0.0, sample_speed(DIST, rng))
-    for _ in range(400):
-        state, _ = advance(state, 0.25, TOPO, DIST, rng)
-        if state.rsu_index >= TOPO.num_rsus:
-            break
-        assert 0.0 <= state.position_in_rsu <= TOPO.coverage_length
+    for seed in range(20):
+        rng = substream(4, "bounds", seed)
+        offset = float(rng.uniform(0.0, TOPO.road_length))
+        timeline = rollout(0, DIST, TOPO, 600.0, rng, loop=True, initial_offset=offset)
+        for seg in timeline.segments:
+            assert 0.0 <= seg.entry_position < TOPO.coverage_length
+            assert 0 <= seg.rsu_index < TOPO.num_rsus
 
 
 def test_rollout_loop_road_covers_everything():
