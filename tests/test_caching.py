@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from roadcache import caching
-from roadcache.errors import ConfigError
+from roadcache.dataset import load_ratings
+from roadcache.errors import ConfigError, DataFormatError
 from roadcache.rng import substream
 
 
@@ -137,6 +138,15 @@ class TestServeRequest:
         assert metrics.total_requests == 500
         assert metrics.mean_latency_ms() == pytest.approx(want, abs=1e-12)
         assert metrics.hit_pct() == pytest.approx(100.0 * frac_hit)
+
+    def test_bad_content_id(self):
+        # Requests are drawn from the rating log, so an id below 1 is refused
+        # there, in either format, before it can index the replay's id mask.
+        header = "user_id,content_id,rating,timestamp\n"
+        for lines, fmt in ((["1::0::3::100\n"], "dat"), (["1::-2::3::100\n"], "dat"),
+                           ([header, "1,0,3,100\n"], "csv"), ([header, "1,-2,3,100\n"], "csv")):
+            with pytest.raises(DataFormatError):
+                load_ratings(lines, fmt=fmt)
 
 
 class TestLatencyModel:
