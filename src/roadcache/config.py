@@ -84,7 +84,7 @@ class ComputeGroup:
 @dataclass
 class CacheGroup:
     capacity_n: int = 500
-    list_m: int = 0               # 0 means "match capacity_n"
+    list_m: int = 500             # recommendation-list length, 1..catalog size
     eta: float = 0.1
 
 
@@ -120,10 +120,6 @@ class SimConfig:
     latency: LatencyGroup = field(default_factory=LatencyGroup)
     fl: FlGroup = field(default_factory=FlGroup)
     greedy: GreedyGroup = field(default_factory=GreedyGroup)
-
-    def effective_list_length(self) -> int:
-        """Recommendation-list length; defaults to the cache capacity."""
-        return self.cache.list_m if self.cache.list_m > 0 else self.cache.capacity_n
 
     def validate(self) -> None:
         s, m, t = self.sim, self.mobility, self.topology
@@ -165,8 +161,8 @@ class SimConfig:
             raise ConfigError("compute.visit_seconds must be >= 0")
         if self.cache.capacity_n < 1:
             raise ConfigError("cache.capacity_n must be >= 1")
-        if self.cache.list_m < 0:
-            raise ConfigError("cache.list_m must be >= 0")
+        if self.cache.list_m < 1:
+            raise ConfigError("cache.list_m must be >= 1")
         if self.cache.eta <= 0:
             raise ConfigError("cache.eta must be > 0")
         if not (0 < self.latency.hit_ms < self.latency.miss_ms):

@@ -4,17 +4,19 @@ A run has two phases.  The protocol phase walks entry, completion, and
 cache-merge events in time order, training each vehicle's model on its
 visits and recording every over-the-air message plus one per-content
 score vector per completed visit.  The evaluation phase replays list
-uploads and requests against a chosen caching scheme and capacity; it is
-cheap, so capacity sweeps and baseline comparisons reuse one protocol
-phase.  Everything draws from named substreams of the run seed, making
-whole reports byte-reproducible.
+uploads and requests against one caching scheme.  Its rankings never
+depend on the cache capacity, so one replay records where each request's
+content sits in its RSU's ranking and yields the hits at every capacity.
+It is cheap, so capacity sweeps and baseline comparisons reuse one
+protocol phase.  Everything draws from named substreams of the run
+seed, making whole reports byte-reproducible.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,8 +27,8 @@ from .dataset import (LocalDataset, RatingMatrix, generate_requests, load_rating
                       partition_users, split_public_users, user_train_vector)
 from .errors import ConfigError, InvariantError
 from .fed_distill import (MSG_FL_MODEL_DOWN, MSG_FL_MODEL_UP, MSG_HI, MSG_KI,
-                          MSG_KNOWLEDGE_DOWN, MSG_REC_LIST, KnowledgeCache, Message,
-                          VisitSetup, hi_bytes, ki_bytes, knowledge_bytes, merge_kc,
+                          MSG_KNOWLEDGE_DOWN, MSG_REC_LIST, UPLINK_KINDS, KnowledgeCache,
+                          Message, VisitSetup, hi_bytes, ki_bytes, knowledge_bytes, merge_kc,
                           model_bytes, rec_list_bytes, train_and_predict)
 from .mobility import HighwayTopology, SpeedDistribution, VehicleTimeline, residence_time, rollout
 from .report import Report, ReportRow
@@ -75,6 +77,9 @@ class MotionEnv:
 def build_data_env(cfg: SimConfig) -> DataEnv:
     seed = cfg.sim.seed
     matrix = load_ratings(cfg.data.path)
+    if cfg.cache.list_m > matrix.num_contents:
+        raise ConfigError(f"cache.list_m={cfg.cache.list_m} exceeds the catalog of "
+                          f"{matrix.num_contents} contents")
     if cfg.data.subsample_users > 0 and not cfg.data.path.startswith("synth://"):
         users = matrix.distinct_users()
         if cfg.data.subsample_users < len(users):
@@ -199,7 +204,7 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv) -> Proto
         for vid in range(n_vehicles)
     ]
     kcs = [KnowledgeCache(rsu_id=r) for r in range(motion.num_rsus)]
-    list_len = cfg.effective_list_length()
+    list_len = cfg.cache.list_m
 
     current_version = [-1] * n_vehicles
     visit_index = [0] * n_vehicles
@@ -291,8 +296,6 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv) -> Proto
 @dataclass
 class FLOutcome:
     kind: str
-    uplink_bytes: int
-    downlink_bytes: int
     completions: dict[int, list[float]]   # vehicle id -> completion times
     completed_rounds: int
     messages: list[Message]
@@ -321,7 +324,6 @@ def parameter_exchange_baseline(kind: str, cfg: SimConfig, motion: MotionEnv) ->
     per_model = model_bytes(cfg.fl.param_count)
     rs = cfg.fl.round_seconds
     duration = cfg.sim.duration
-    uplink = downlink = 0
     completions: dict[int, list[float]] = {}
     completed_rounds = 0
     messages: list[Message] = []
@@ -336,18 +338,16 @@ def parameter_exchange_baseline(kind: str, cfg: SimConfig, motion: MotionEnv) ->
                     start = seg.entry_time + j * rs
                     if start >= exit_time or start >= duration:
                         break
-                    downlink += per_model
                     messages.append(Message(start, f"rsu:{seg.rsu_index}", f"veh:{vid}",
                                             MSG_FL_MODEL_DOWN, per_model))
                     end = start + rs
                     if end < exit_time and end <= duration:
-                        uplink += per_model
                         messages.append(Message(end, f"veh:{vid}", f"rsu:{seg.rsu_index}",
                                                 MSG_FL_MODEL_UP, per_model))
                         completions.setdefault(vid, []).append(end)
                         completed_rounds += 1
                     j += 1
-        return FLOutcome(kind, uplink, downlink, completions, completed_rounds, messages)
+        return FLOutcome(kind, completions, completed_rounds, messages)
 
     # Synchronous rounds on a shared clock, one cohort per zone.
     occupancy: list[list[tuple[float, float, int, int]]] = [[] for _ in range(motion.num_rsus)]
@@ -366,11 +366,9 @@ def parameter_exchange_baseline(kind: str, cfg: SimConfig, motion: MotionEnv) ->
                 continue
             stayers = []
             for vid, exit_t in starters:
-                downlink += per_model
                 messages.append(Message(start, f"rsu:{rsu}", f"veh:{vid}", MSG_FL_MODEL_DOWN, per_model))
                 if exit_t >= end and end <= duration:
                     stayers.append(vid)
-                    uplink += per_model
                     messages.append(Message(end, f"veh:{vid}", f"rsu:{rsu}", MSG_FL_MODEL_UP, per_model))
             if len(stayers) == len(starters) and end <= duration:
                 completed_rounds += 1
@@ -379,83 +377,86 @@ def parameter_exchange_baseline(kind: str, cfg: SimConfig, motion: MotionEnv) ->
         k += 1
     for times in completions.values():
         times.sort()
-    return FLOutcome(kind, uplink, downlink, completions, completed_rounds, messages)
+    return FLOutcome(kind, completions, completed_rounds, messages)
 
 
 # ---------------------------------------------------------------------------
 # policies
+#
+# A policy returns every content id in cache order together with the scores
+# that order was sorted by (None for a random permutation); a cache of
+# capacity N holds the first N ids.
 
 
-def oracle_policy(window_request_ids, capacity: int, num_contents: int) -> np.ndarray:
-    """Cache the contents most requested inside the known future window."""
+def oracle_policy(window_request_ids, num_contents: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rank contents by their request count inside the known future window."""
     counts = np.bincount(np.asarray(window_request_ids, dtype=np.int64),
                          minlength=num_contents + 1)[1:].astype(float)
-    return rank_contents(counts)[:capacity]
+    return rank_contents(counts), counts
 
 
-def n_tau_greedy_policy(observed_counts: np.ndarray, capacity: int, tau: float,
-                        rng: np.random.Generator) -> np.ndarray:
-    """Top-by-history cache that goes fully random a tau fraction of the time."""
+def n_tau_greedy_policy(observed_counts: np.ndarray, tau: float,
+                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
+    """Rank by history, or fully at random a tau fraction of the time."""
     if not (0 <= tau <= 1):
         raise ConfigError("tau must be in [0, 1]")
-    num_contents = len(observed_counts)
     if rng.random() < tau:
-        return rng.permutation(num_contents)[:capacity] + 1
-    return rank_contents(np.asarray(observed_counts, dtype=float))[:capacity]
+        return rng.permutation(len(observed_counts)) + 1, None
+    counts = np.asarray(observed_counts, dtype=float)
+    return rank_contents(counts), counts
 
 
-def random_policy(capacity: int, num_contents: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.permutation(num_contents)[:capacity] + 1
+def random_policy(num_contents: int, rng: np.random.Generator) -> tuple[np.ndarray, None]:
+    return rng.permutation(num_contents) + 1, None
 
 
 # ---------------------------------------------------------------------------
 # evaluation phase
-
-
-def _mask_from_ids(ids: np.ndarray, num_contents: int) -> np.ndarray:
-    mask = np.zeros(num_contents + 1, dtype=bool)
-    mask[ids] = True
-    return mask
+#
+# A replay records, per served request, the position of its content in its
+# RSU's current ranking; the request hits a capacity-N cache exactly when
+# that position is below N.
 
 
 def _window_scheme_eval(cfg: SimConfig, data: DataEnv, motion: MotionEnv, scheme: str,
-                        capacity: int, metrics: Metrics, dump=None) -> None:
+                        dump=None) -> np.ndarray:
     seed = cfg.sim.seed
     K = data.num_contents
     tick = cfg.kc.sync_period
-    latency = LatencyModel(cfg.latency.hit_ms, cfg.latency.miss_ms)
     times = motion.request_times
     windows = (times // tick).astype(np.int64) if len(times) else np.zeros(0, dtype=np.int64)
     n_windows = int(np.ceil(motion.duration / tick)) if motion.duration > 0 else 0
     past_counts = [np.zeros(K) for _ in range(motion.num_rsus)]
+    slots = np.arange(K)
+    position = np.empty(K + 1, dtype=np.int64)
+    served = [np.zeros(0, dtype=np.int64)]
 
-    order = np.arange(len(times))
     for w in range(n_windows):
         for rsu in range(motion.num_rsus):
-            requested = motion.request_contents[order[(windows == w) & (motion.request_rsus == rsu)]]
+            requested = motion.request_contents[(windows == w) & (motion.request_rsus == rsu)]
             if scheme == "oracle":
-                cached = oracle_policy(requested, capacity, K)
+                ranking, scores = oracle_policy(requested, K)
             elif scheme == "n_tau_greedy":
-                cached = n_tau_greedy_policy(past_counts[rsu], capacity, cfg.greedy.tau,
-                                             substream(seed, "greedy", rsu, w))
+                ranking, scores = n_tau_greedy_policy(past_counts[rsu], cfg.greedy.tau,
+                                                      substream(seed, "greedy", rsu, w))
             else:
-                cached = random_policy(capacity, K, substream(seed, "randomcache", rsu, w))
+                ranking, scores = random_policy(K, substream(seed, "randomcache", rsu, w))
             if dump is not None:
-                dump(w, rsu, cached, past_counts[rsu])
-            serve(metrics, _mask_from_ids(cached, K)[requested], latency)
+                dump(w, rsu, ranking, scores)
+            position[ranking] = slots
+            served.append(position[requested])
             np.add.at(past_counts[rsu], requested - 1, 1.0)
+    return np.concatenate(served)
 
 
 def _trigger_scheme_eval(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
-                         trace: ProtocolTrace, scheme: str, capacity: int,
-                         metrics: Metrics, collect_messages: bool = False,
-                         dump=None):
+                         trace: ProtocolTrace, scheme: str, metrics: Metrics,
+                         dump=None) -> tuple[np.ndarray, list[Message]]:
     seed = cfg.sim.seed
     K = data.num_contents
     B = motion.coverage_length
     eta = cfg.cache.eta
-    list_len = cfg.effective_list_length()
-    latency = LatencyModel(cfg.latency.hit_ms, cfg.latency.miss_ms)
+    list_len = cfg.cache.list_m
 
     top_cache: dict[int, np.ndarray] = {}
 
@@ -465,15 +466,15 @@ def _trigger_scheme_eval(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
                                   else top_m(trace.versions[version], list_len))
         return top_cache[version]
 
-    fl = None
-    messages: list[Message] = []
-    if scheme in ("fedavg", "asyfed"):
+    if scheme == "proposed":
+        messages = list(trace.messages)
+        metrics.completed_visits = trace.completed_visits
+        metrics.aborted_visits = trace.aborted_visits
+        metrics.loss_trajectory = list(trace.losses)
+    else:
         fl = parameter_exchange_baseline(scheme, cfg, motion)
-        metrics.uplink_bytes += fl.uplink_bytes
-        metrics.downlink_bytes += fl.downlink_bytes
+        messages = list(fl.messages)
         metrics.completed_rounds = fl.completed_rounds
-        if collect_messages:
-            messages.extend(fl.messages)
 
     # Turn entry/exit records into cache triggers.
     triggers: list[tuple[float, int, str, object]] = []
@@ -487,29 +488,31 @@ def _trigger_scheme_eval(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
         {} for _ in range(motion.num_rsus)
     ]
     where: list[int] = [-1] * data.num_vehicles
-    masks = np.zeros((motion.num_rsus, K + 1), dtype=bool)
+    # Position K stands for "not cached": an RSU holds nothing before its first refresh.
+    positions = np.full((motion.num_rsus, K + 1), K, dtype=np.int64)
+    rankings = [np.zeros(0, dtype=np.int64) for _ in range(motion.num_rsus)]
     votes = [np.zeros(K) for _ in range(motion.num_rsus)]
-    cached = [np.zeros(0, dtype=np.int64) for _ in range(motion.num_rsus)]
+    slots = np.arange(K)
 
     def refresh(rsu: int, now: float) -> None:
         votes[rsu] = replacement_scores(
             [(ids, pos0 + (now - entry_t) * speed, speed)
              for entry_t, pos0, speed, ids in members[rsu].values()],
             eta, B, K)
-        cached[rsu] = rank_contents(votes[rsu])[:capacity]
-        masks[rsu] = _mask_from_ids(cached[rsu], K)
+        rankings[rsu] = rank_contents(votes[rsu])
+        positions[rsu, rankings[rsu]] = slots
 
     entry_counter = [0] * data.num_vehicles
-    uploads_with_list = 0
 
-    # Requests strictly before a trigger are served with the caches it finds.
+    # Requests strictly before a trigger are served with the rankings it finds.
     served = 0
+    request_positions = np.empty(len(motion.request_times), dtype=np.int64)
     ends = np.searchsorted(motion.request_times, [t for t, *_ in triggers], side="left")
 
     def serve_until(end: int) -> None:
         nonlocal served
         rsus = motion.request_rsus[served:end]
-        serve(metrics, masks[rsus, motion.request_contents[served:end]], latency)
+        request_positions[served:end] = positions[rsus, motion.request_contents[served:end]]
         served = end
 
     for (_, _, kind, payload), end in zip(triggers, ends):
@@ -526,17 +529,13 @@ def _trigger_scheme_eval(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
             members[prev].pop(vid, None)
         if scheme == "proposed":
             ids = list_ids(e.list_version) if e.list_version >= 0 else None
-            if ids is not None:
-                uploads_with_list += 1
         else:
             q = fl.completion_fraction(vid, e.time, cfg.fl.rounds_required)
             pick = substream(seed, "flpick", scheme, vid, entry_counter[vid]).random()
             personalized = pick < q and e.list_version >= 0
             ids = list_ids(e.list_version if personalized else -1)
-            uploads_with_list += 1
-            if collect_messages:
-                messages.append(Message(e.time, f"veh:{vid}", f"rsu:{e.rsu}",
-                                        MSG_REC_LIST, rec_list_bytes(list_len)))
+            messages.append(Message(e.time, f"veh:{vid}", f"rsu:{e.rsu}",
+                                    MSG_REC_LIST, rec_list_bytes(len(ids))))
         entry_counter[vid] += 1
         members[e.rsu][vid] = (e.time, e.entry_position, e.speed, ids)
         where[vid] = e.rsu
@@ -544,50 +543,45 @@ def _trigger_scheme_eval(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
         if prev >= 0 and prev != e.rsu:
             refresh(prev, e.time)
         if dump is not None:
-            dump(e.time, e.rsu, cached[e.rsu], votes[e.rsu])
+            dump(e.time, e.rsu, rankings[e.rsu], votes[e.rsu])
     serve_until(len(motion.request_times))
 
-    if scheme == "proposed":
-        counts = {MSG_HI: 0, MSG_KI: 0, MSG_KNOWLEDGE_DOWN: 0, MSG_REC_LIST: 0}
-        for msg in trace.messages:
-            counts[msg.kind] += 1
-        L = cfg.codec.latent_dim
-        metrics.uplink_bytes += (counts[MSG_HI] * hi_bytes(L) + counts[MSG_KI] * ki_bytes(L)
-                                 + counts[MSG_REC_LIST] * rec_list_bytes(list_len))
-        metrics.downlink_bytes += counts[MSG_KNOWLEDGE_DOWN] * knowledge_bytes(L)
-        metrics.completed_visits = trace.completed_visits
-        metrics.aborted_visits = trace.aborted_visits
-        metrics.loss_trajectory = list(trace.losses)
-        if collect_messages:
-            messages.extend(trace.messages)
-    else:
-        metrics.uplink_bytes += uploads_with_list * rec_list_bytes(list_len)
-
-    if collect_messages:
-        messages.sort(key=lambda m: (m.time, m.src, m.dst, m.kind))
-        return messages
-    return None
+    messages.sort(key=lambda m: (m.time, m.src, m.dst, m.kind))
+    return request_positions, messages
 
 
 def evaluate_caching(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
-                     trace: ProtocolTrace | None, scheme: str, capacity: int,
-                     collect_messages: bool = False, dump=None):
-    metrics = Metrics()
-    metrics.dropped_requests = motion.dropped_requests
-    messages = None
+                     trace: ProtocolTrace | None, scheme: str, capacities: list[int],
+                     dump=None) -> tuple[list[Metrics], list[Message]]:
+    """Replay one scheme once: one Metrics per capacity, and the scheme's messages.
+
+    Byte counters are summed from the messages.  dump, if given, is called
+    at each cache refresh with (time, rsu, full ranking, its scores).
+    """
+    base = Metrics(dropped_requests=motion.dropped_requests)
     if scheme in WINDOW_SCHEMES:
-        _window_scheme_eval(cfg, data, motion, scheme, capacity, metrics, dump=dump)
-        messages = [] if collect_messages else None
+        positions, messages = _window_scheme_eval(cfg, data, motion, scheme, dump=dump), []
     elif scheme in TRIGGER_SCHEMES:
         if trace is None:
             raise InvariantError(f"scheme {scheme} needs a protocol trace")
-        messages = _trigger_scheme_eval(cfg, data, motion, trace, scheme, capacity,
-                                        metrics, collect_messages=collect_messages, dump=dump)
+        positions, messages = _trigger_scheme_eval(cfg, data, motion, trace, scheme, base,
+                                                   dump=dump)
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")
-    if collect_messages:
-        return metrics, messages
-    return metrics
+    for m in messages:
+        if m.kind in UPLINK_KINDS:
+            base.uplink_bytes += m.nbytes
+        else:
+            base.downlink_bytes += m.nbytes
+
+    latency = LatencyModel(cfg.latency.hit_ms, cfg.latency.miss_ms)
+    curve = []
+    for capacity in capacities:
+        metrics = replace(base, loss_trajectory=list(base.loss_trajectory))
+        # Real positions are below K, so capping N at K keeps position K a miss.
+        serve(metrics, positions < min(capacity, data.num_contents), latency)
+        curve.append(metrics)
+    return curve, messages
 
 
 # ---------------------------------------------------------------------------
@@ -605,46 +599,43 @@ def run_simulation(cfg: SimConfig, trace_path: str | None = None,
     data = build_data_env(cfg)
     motion = build_motion_env(cfg, data.locals_)
     scheme = cfg.sim.scheme
+    capacity = cfg.cache.capacity_n
     trace = simulate_protocol(cfg, data, motion) if scheme in TRIGGER_SCHEMES else None
 
     dump_lines: list[str] = []
     dump = None
     if cache_dump_path is not None:
-        def dump(when, rsu, cached, scores):
-            for cid in cached:
-                dump_lines.append(f"{when:.6f} {rsu} {cid} {float(scores[cid - 1])!r}")
+        def dump(when, rsu, ranking, scores):
+            for cid in ranking[:capacity]:
+                score = float("nan") if scores is None else float(scores[cid - 1])
+                dump_lines.append(f"{when:.6f} {rsu} {cid} {score!r}")
 
-    result = evaluate_caching(cfg, data, motion, trace, scheme, cfg.cache.capacity_n,
-                              collect_messages=trace_path is not None, dump=dump)
+    [metrics], messages = evaluate_caching(cfg, data, motion, trace, scheme, [capacity],
+                                           dump=dump)
     if trace_path is not None:
-        metrics, messages = result
         with open(trace_path, "wb") as fh:
             fh.write(format_message_trace(messages))
-    else:
-        metrics = result
     if cache_dump_path is not None:
         with open(cache_dump_path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(dump_lines) + ("\n" if dump_lines else ""))
 
     total = metrics.uplink_bytes + metrics.downlink_bytes
-    ledger_total = _ledger_total(cfg, metrics, trace, scheme)
-    if ledger_total is not None and ledger_total != total:
+    ledger_total = _ledger_total(cfg, messages)
+    if ledger_total != total:
         raise InvariantError(
             f"byte counters ({total}) disagree with the message ledger ({ledger_total})")
-    row = ReportRow.build(scheme, cfg.cache.capacity_n, cfg.mobility.mu, cfg.sim.seed, metrics)
+    row = ReportRow.build(scheme, capacity, cfg.mobility.mu, cfg.sim.seed, metrics)
     return Report(rows=[row])
 
 
-def _ledger_total(cfg: SimConfig, metrics: Metrics, trace: ProtocolTrace | None,
-                  scheme: str) -> int | None:
-    """Independent recount of the proposed scheme's bytes from the raw log."""
-    if scheme != "proposed" or trace is None:
-        return None
+def _ledger_total(cfg: SimConfig, messages: list[Message]) -> int:
+    """Independent recount of the messages' bytes from the size formulas."""
     L = cfg.codec.latent_dim
-    M = cfg.effective_list_length()
+    model = model_bytes(cfg.fl.param_count)
     sizes = {MSG_HI: hi_bytes(L), MSG_KI: ki_bytes(L),
-             MSG_KNOWLEDGE_DOWN: knowledge_bytes(L), MSG_REC_LIST: rec_list_bytes(M)}
-    return sum(sizes[m.kind] for m in trace.messages)
+             MSG_KNOWLEDGE_DOWN: knowledge_bytes(L), MSG_REC_LIST: rec_list_bytes(cfg.cache.list_m),
+             MSG_FL_MODEL_DOWN: model, MSG_FL_MODEL_UP: model}
+    return sum(sizes[m.kind] for m in messages)
 
 
 def validate_suite() -> list[tuple[str, bool, str]]:
@@ -759,6 +750,7 @@ def validate_suite() -> list[tuple[str, bool, str]]:
     cfg.ldpm.sample_count = 4
     cfg.kc.sync_period = 40.0
     cfg.cache.capacity_n = 20
+    cfg.cache.list_m = 20
     cfg.validate()
     logs = []
     for _ in range(2):
@@ -776,7 +768,7 @@ def run_sweep(base: SimConfig, schemes: list[str], capacities: list[int],
     """Grid evaluation that shares environments and protocol traces.
 
     The protocol phase depends only on (seed, speed), so each such pair
-    is simulated once and every scheme and capacity cell replays it.
+    is simulated once; each scheme replays it once for every capacity.
     """
     import copy
 
@@ -799,13 +791,10 @@ def run_sweep(base: SimConfig, schemes: list[str], capacities: list[int],
                 note(f"seed={seed} speed={speed:g}: protocol phase")
                 trace = simulate_protocol(cfg, data, motion)
             for scheme in schemes:
-                for capacity in capacities:
-                    cell = copy.deepcopy(cfg)
-                    cell.sim.scheme = scheme
-                    cell.cache.capacity_n = capacity
-                    metrics = evaluate_caching(cell, data, motion,
-                                               trace if scheme in TRIGGER_SCHEMES else None,
-                                               scheme, capacity)
+                curve, _ = evaluate_caching(cfg, data, motion,
+                                            trace if scheme in TRIGGER_SCHEMES else None,
+                                            scheme, capacities)
+                for capacity, metrics in zip(capacities, curve):
                     rows.append(ReportRow.build(scheme, capacity, speed, seed, metrics))
                     note(f"seed={seed} speed={speed:g} {scheme} N={capacity}: "
                          f"hit {rows[-1].hit_pct:.2f}%")

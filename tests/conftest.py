@@ -91,9 +91,11 @@ class EnvStore:
             self._traces[key] = (cfg, slim, motion, trace)
         return self._traces[key]
 
-    def evaluate(self, seed: int, speed: float, scheme: str, capacity: int):
+    def evaluate(self, seed: int, speed: float, scheme: str, capacities: list[int]):
+        """One replay of a scheme: its Metrics at each capacity."""
         cfg, data, motion, trace = self.stack(seed, speed)
-        return harness.evaluate_caching(cfg, data, motion, trace, scheme, capacity)
+        curve, _ = harness.evaluate_caching(cfg, data, motion, trace, scheme, capacities)
+        return curve
 
 
 @pytest.fixture(scope="session")

@@ -29,8 +29,8 @@ def elapsed(t0):
 def test_criterion_1_overhead(env_store, desk_stack, record_criterion):
     t0 = time.perf_counter()
     cfg, _, _, trace = desk_stack
-    proposed = env_store.evaluate(0, 25.0, "proposed", 500)
-    baseline = env_store.evaluate(0, 25.0, "fedavg", 500)
+    [proposed] = env_store.evaluate(0, 25.0, "proposed", [500])
+    [baseline] = env_store.evaluate(0, 25.0, "fedavg", [500])
     prop_bytes = proposed.uplink_bytes + proposed.downlink_bytes
     base_bytes = baseline.uplink_bytes + baseline.downlink_bytes
 
@@ -40,7 +40,7 @@ def test_criterion_1_overhead(env_store, desk_stack, record_criterion):
         fd.MSG_HI: fd.hi_bytes(latent_dim),
         fd.MSG_KI: fd.ki_bytes(latent_dim),
         fd.MSG_KNOWLEDGE_DOWN: fd.knowledge_bytes(latent_dim),
-        fd.MSG_REC_LIST: fd.rec_list_bytes(cfg.effective_list_length()),
+        fd.MSG_REC_LIST: fd.rec_list_bytes(cfg.cache.list_m),
     }
     recount = sum(sizes[m.kind] for m in trace.messages)
     up_recount = sum(sizes[m.kind] for m in trace.messages if m.kind in fd.UPLINK_KINDS)
@@ -61,8 +61,7 @@ def test_criterion_2_capacity_monotonicity(env_store, record_criterion):
     t0 = time.perf_counter()
     table = {}
     for scheme in ALL_SCHEMES:
-        table[scheme] = [env_store.evaluate(0, 25.0, scheme, cap).hit_pct()
-                         for cap in CAPACITIES]
+        table[scheme] = [m.hit_pct() for m in env_store.evaluate(0, 25.0, scheme, CAPACITIES)]
     nondecreasing = all(
         b >= a - 1e-9
         for hits in table.values()
@@ -82,8 +81,8 @@ def test_criterion_2_capacity_monotonicity(env_store, record_criterion):
 
 def test_criterion_4_speed_robustness(env_store, record_criterion):
     t0 = time.perf_counter()
-    prop = [env_store.evaluate(0, v, "proposed", 500).hit_pct() for v in SPEEDS]
-    fed = [env_store.evaluate(0, v, "fedavg", 500).hit_pct() for v in SPEEDS]
+    prop = [env_store.evaluate(0, v, "proposed", [500])[0].hit_pct() for v in SPEEDS]
+    fed = [env_store.evaluate(0, v, "fedavg", [500])[0].hit_pct() for v in SPEEDS]
     spread = max(prop) - min(prop)
     fed_monotone = all(b <= a + 1e-9 for a, b in zip(fed, fed[1:]))
     ok = spread < 2.0 and fed_monotone
@@ -201,7 +200,7 @@ def test_criterion_3_scheme_dominance(env_store, record_criterion):
     means = {}
     for scheme in ("oracle", "proposed", "n_tau_greedy"):
         means[scheme] = float(np.mean(
-            [env_store.evaluate(seed, 25.0, scheme, 500).hit_pct() for seed in SEEDS]))
+            [env_store.evaluate(seed, 25.0, scheme, [500])[0].hit_pct() for seed in SEEDS]))
     ok = means["oracle"] > means["proposed"] > means["n_tau_greedy"]
     record_criterion(
         "criterion-3 scheme dominance",
@@ -272,7 +271,8 @@ def test_criterion_6_protocol_oracles(record_criterion):
         capacity = int(rng.integers(1, k + 1))
         counts = {c: int((window == c).sum()) for c in range(1, k + 1)}
         want = sorted(range(1, k + 1), key=lambda c: (-counts[c], c))[:capacity]
-        if harness.oracle_policy(window, capacity, k).tolist() == want:
+        ranking, _ = harness.oracle_policy(window, k)
+        if ranking[:capacity].tolist() == want:
             oracle_ok += 1
 
     ok = neighbor_ok == top_ok == update_ok == oracle_ok == trials

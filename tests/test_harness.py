@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from roadcache import harness, report
 from roadcache.caching import Metrics
 from roadcache.config import SCHEMES, load_config
 from roadcache.errors import ConfigError, DataFormatError
+from roadcache.fed_distill import UPLINK_KINDS
 from roadcache.mobility import Segment, VehicleTimeline
 from roadcache.rng import substream
 
@@ -35,22 +37,31 @@ def one_segment_timeline(vid, end_time, rsu=0):
     return VehicleTimeline(vehicle_id=vid, segments=[seg], end_time=end_time)
 
 
+def link_bytes(outcome):
+    """(uplink, downlink) bytes of an exchange outcome's messages."""
+    up = sum(m.nbytes for m in outcome.messages if m.kind in UPLINK_KINDS)
+    return up, sum(m.nbytes for m in outcome.messages) - up
+
+
 class TestOraclePolicy:
     def test_single_content(self):
-        cached = harness.oracle_policy([3, 3, 3], capacity=1, num_contents=10)
-        assert cached.tolist() == [3]
+        ranking, _ = harness.oracle_policy([3, 3, 3], num_contents=10)
+        assert ranking[:1].tolist() == [3]
 
     def test_large_capacity_covers_window(self):
         window = [3, 3, 7]
-        cached = harness.oracle_policy(window, capacity=10, num_contents=10)
+        ranking, counts = harness.oracle_policy(window, num_contents=10)
+        cached = ranking[:10]
         assert cached.tolist() == [3, 7, 1, 2, 4, 5, 6, 8, 9, 10]
+        assert counts.tolist() == [0, 0, 2, 0, 0, 0, 1, 0, 0, 0]
         assert set(window) <= set(cached.tolist())
 
     def test_matches_count_enumeration(self):
         rng = substream(0, "oracle")
         for trial in range(20):
             window = rng.integers(1, 21, size=200)
-            cached = harness.oracle_policy(window, capacity=5, num_contents=20)
+            ranking, _ = harness.oracle_policy(window, num_contents=20)
+            cached = ranking[:5]
             counts = {k: int((window == k).sum()) for k in range(1, 21)}
             want = sorted(range(1, 21), key=lambda k: (-counts[k], k))[:5]
             assert cached.tolist() == want
@@ -62,11 +73,14 @@ class TestNTauGreedy:
         self.counts[:5] = [50, 40, 30, 20, 10]
 
     def test_tau_zero_is_pure_greedy(self):
-        cached = harness.n_tau_greedy_policy(self.counts, 5, 0.0, substream(0, "tau0"))
-        assert cached.tolist() == [1, 2, 3, 4, 5]
+        ranking, scores = harness.n_tau_greedy_policy(self.counts, 0.0, substream(0, "tau0"))
+        assert ranking[:5].tolist() == [1, 2, 3, 4, 5]
+        assert np.array_equal(scores, self.counts)
 
     def test_tau_one_is_pure_random(self):
-        got = harness.n_tau_greedy_policy(self.counts, 5, 1.0, substream(0, "tau1")).tolist()
+        ranking, scores = harness.n_tau_greedy_policy(self.counts, 1.0, substream(0, "tau1"))
+        assert scores is None
+        got = ranking[:5].tolist()
         assert len(set(got)) == 5
         assert all(1 <= c <= 100 for c in got)
         assert set(got) != {1, 2, 3, 4, 5}
@@ -76,27 +90,27 @@ class TestNTauGreedy:
         rng = substream(0, "tau-freq")
         n = 10_000
         randomized = sum(
-            set(harness.n_tau_greedy_policy(self.counts, 5, 0.2, rng).tolist())
+            set(harness.n_tau_greedy_policy(self.counts, 0.2, rng)[0][:5].tolist())
             != greedy
             for _ in range(n))
         assert abs(randomized / n - 0.2) < 0.01
 
     def test_tau_bounds(self):
         with pytest.raises(ConfigError):
-            harness.n_tau_greedy_policy(self.counts, 5, -0.1, substream(0, "bad"))
+            harness.n_tau_greedy_policy(self.counts, -0.1, substream(0, "bad"))
         with pytest.raises(ConfigError):
-            harness.n_tau_greedy_policy(self.counts, 5, 1.5, substream(0, "bad"))
+            harness.n_tau_greedy_policy(self.counts, 1.5, substream(0, "bad"))
 
 
 class TestRandomPolicy:
     def test_valid_and_reproducible(self):
-        a = harness.random_policy(10, 50, substream(7, "rand"))
-        b = harness.random_policy(10, 50, substream(7, "rand"))
+        a = harness.random_policy(50, substream(7, "rand"))[0][:10]
+        b = harness.random_policy(50, substream(7, "rand"))[0][:10]
         got = a.tolist()
         assert len(got) == 10 and len(set(got)) == 10
         assert all(1 <= c <= 50 for c in got)
         assert np.array_equal(a, b)
-        c = harness.random_policy(10, 50, substream(8, "rand"))
+        c = harness.random_policy(50, substream(8, "rand"))[0][:10]
         assert not np.array_equal(a, c)
 
 
@@ -105,8 +119,7 @@ class TestParameterExchange:
         cfg = load_config(None, ["sim.duration=20", "fl.round_seconds=20"])
         motion = motion_with([one_segment_timeline(0, end_time=25.0)], duration=20.0)
         out = harness.parameter_exchange_baseline("fedavg", cfg, motion)
-        assert out.uplink_bytes == PER_MODEL
-        assert out.downlink_bytes == PER_MODEL
+        assert link_bytes(out) == (PER_MODEL, PER_MODEL)
         assert out.completed_rounds == 1
         assert out.completions == {0: [20.0]}
 
@@ -114,8 +127,7 @@ class TestParameterExchange:
         cfg = load_config(None, ["sim.duration=20", "fl.round_seconds=20"])
         motion = motion_with([one_segment_timeline(0, end_time=10.0)], duration=20.0)
         out = harness.parameter_exchange_baseline("fedavg", cfg, motion)
-        assert out.uplink_bytes == 0
-        assert out.downlink_bytes == PER_MODEL
+        assert link_bytes(out) == (0, PER_MODEL)
         assert out.completed_rounds == 0
         assert out.completions == {}
 
@@ -125,8 +137,7 @@ class TestParameterExchange:
         motion = motion_with([one_segment_timeline(0, end_time=25.0),
                               one_segment_timeline(1, end_time=10.0)], duration=20.0)
         out = harness.parameter_exchange_baseline("fedavg", cfg, motion)
-        assert out.downlink_bytes == 2 * PER_MODEL
-        assert out.uplink_bytes == PER_MODEL
+        assert link_bytes(out) == (PER_MODEL, 2 * PER_MODEL)
         assert out.completed_rounds == 0
         assert out.completions == {}
 
@@ -134,8 +145,7 @@ class TestParameterExchange:
         cfg = load_config(None, ["sim.duration=100", "fl.round_seconds=20"])
         motion = motion_with([one_segment_timeline(0, end_time=50.0)], duration=100.0)
         out = harness.parameter_exchange_baseline("asyfed", cfg, motion)
-        assert out.downlink_bytes == 3 * PER_MODEL
-        assert out.uplink_bytes == 2 * PER_MODEL
+        assert link_bytes(out) == (2 * PER_MODEL, 3 * PER_MODEL)
         assert out.completed_rounds == 2
         assert out.completions == {0: [20.0, 40.0]}
 
@@ -145,7 +155,7 @@ class TestParameterExchange:
             harness.parameter_exchange_baseline("gossip", cfg, motion_with([], 10.0))
 
     def test_completion_fraction(self):
-        out = harness.FLOutcome("asyfed", 0, 0, {0: [20.0, 40.0]}, 2, [])
+        out = harness.FLOutcome("asyfed", {0: [20.0, 40.0]}, 2, [])
         assert out.completion_fraction(0, 19.0, 10) == 0.0
         assert out.completion_fraction(0, 20.0, 10) == pytest.approx(0.1)
         assert out.completion_fraction(0, 99.0, 10) == pytest.approx(0.2)
@@ -259,7 +269,8 @@ class TestRunSimulation:
                                  "data.path=synth://users=30,contents=80,seed=7",
                                  "data.num_vehicles=6", "codec.epochs=2",
                                  "codec.finetune_epochs=1", "codec.hidden=8",
-                                 "codec.latent_dim=4", "cache.capacity_n=10"])
+                                 "codec.latent_dim=4", "cache.capacity_n=10",
+                                 "cache.list_m=20"])
         rep = harness.run_simulation(cfg)
         row = rep.rows[0]
         assert row.hit_pct == 0.0
@@ -267,31 +278,76 @@ class TestRunSimulation:
         assert row.uplink_mb == 0.0
 
 
+@pytest.fixture(scope="module")
+def tiny_stack(tiny_cfg_path):
+    cfg = load_config(tiny_cfg_path, [])
+    data = harness.build_data_env(cfg)
+    motion = harness.build_motion_env(cfg, data.locals_)
+    return cfg, data, motion, harness.simulate_protocol(cfg, data, motion)
+
+
 class TestEvaluationAccounting:
     """Every replay serves each request once, priced by the latency model."""
 
-    @pytest.fixture(scope="class")
-    def stack(self, tiny_cfg_path):
-        cfg = load_config(tiny_cfg_path, [])
-        data = harness.build_data_env(cfg)
-        motion = harness.build_motion_env(cfg, data.locals_)
-        return cfg, data, motion, harness.simulate_protocol(cfg, data, motion)
-
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_hits_and_misses_cover_requests(self, stack, scheme):
-        cfg, data, motion, trace = stack
+    def test_hits_and_misses_cover_requests(self, tiny_stack, scheme):
+        cfg, data, motion, trace = tiny_stack
         requests = len(motion.request_times)
         assert requests > 0
-        for capacity in (1, 10, data.num_contents):
-            m = harness.evaluate_caching(cfg, data, motion, trace, scheme, capacity)
+        K = data.num_contents
+        curve, _ = harness.evaluate_caching(cfg, data, motion, trace, scheme, [1, 10, K, 2 * K])
+        assert len(curve) == 4
+        for m in curve:
             assert m.hits + m.misses == requests
             assert m.latency_ms_sum == m.hits * cfg.latency.hit_ms + m.misses * cfg.latency.miss_ms
+        hits = [m.hits for m in curve]
+        assert hits == sorted(hits)
+        # No cache holds more than the catalog, and none holds anything
+        # before its RSU's first refresh, however large its capacity.
+        assert curve[3] == curve[2]
         # A window cache that holds the whole catalog serves every request.
-        assert m.misses == 0 or scheme in harness.TRIGGER_SCHEMES
+        assert curve[2].misses == 0 or scheme in harness.TRIGGER_SCHEMES
+
+    def test_nothing_cached_before_first_refresh(self):
+        # One vehicle enters RSU 0 at t=5; content 1 is requested there at
+        # t=1, before any refresh, and again at t=6, after it.
+        K = 4
+        cfg = load_config(None, [])
+        data = SimpleNamespace(num_contents=K, num_vehicles=1, prior_scores=np.ones(K))
+        motion = motion_with([], duration=100.0)
+        motion.request_times = np.array([1.0, 6.0])
+        motion.request_vehicles = np.zeros(2, dtype=np.int64)
+        motion.request_contents = np.ones(2, dtype=np.int64)
+        motion.request_rsus = np.zeros(2, dtype=np.int32)
+        trace = harness.ProtocolTrace(
+            versions=np.zeros((0, K), dtype=np.float32),
+            entries=[harness.EntryRecord(5.0, 0, 0, 0.0, 25.0, -1)],
+            exits=[], messages=[], completed_visits=0, aborted_visits=0, losses=[])
+        curve, _ = harness.evaluate_caching(cfg, data, motion, trace, "proposed", [1, K, 2 * K])
+        assert [(m.hits, m.misses) for m in curve] == [(1, 1)] * 3
+
+
+class TestCacheDump:
+    def test_oracle_scores_are_window_counts(self, tiny_cfg_path, tiny_stack, tmp_path):
+        cfg, _, motion, _ = tiny_stack
+        dump_path = tmp_path / "oracle.cache"
+        harness.run_simulation(load_config(tiny_cfg_path, ["sim.scheme=oracle"]),
+                               cache_dump_path=str(dump_path))
+        windows = (motion.request_times // cfg.kc.sync_period).astype(int)
+        lines = dump_path.read_text().splitlines()
+        assert lines
+        scores = []
+        for line in lines:
+            window, rsu, cid, score = line.split()
+            requested = ((windows == int(float(window))) & (motion.request_rsus == int(rsu))
+                         & (motion.request_contents == int(cid)))
+            assert float(score) == requested.sum(), line
+            scores.append(float(score))
+        assert max(scores) > 0
 
 
 class TestSweepMatchesRuns:
-    @pytest.mark.parametrize("list_m", [0, 20])
+    @pytest.mark.parametrize("list_m", [20])
     def test_rows_equal_standalone_runs(self, tiny_cfg_path, list_m):
         base = load_config(tiny_cfg_path, [f"cache.list_m={list_m}"])
         swept = harness.run_sweep(base, list(SCHEMES), [10, 40], [base.mobility.mu],
@@ -327,7 +383,8 @@ class TestCli:
             assert "error:" in proc.stderr
 
     def test_bad_value_exits_2(self, tiny_cfg_path):
-        for setting in ("cache.capacity_n=many", "ldpm.F=0"):
+        # list_m=81 exceeds the tiny config's 80-content catalog.
+        for setting in ("cache.capacity_n=many", "ldpm.F=0", "cache.list_m=81", "cache.list_m=0"):
             proc = roadcache_cli("run", "--config", tiny_cfg_path, "--set", setting)
             assert proc.returncode == 2
             assert setting.split("=")[0] in proc.stderr
