@@ -34,6 +34,11 @@ MSG_FL_MODEL_UP = "FL_MODEL_UP"
 
 UPLINK_KINDS = frozenset({MSG_HI, MSG_KI, MSG_REC_LIST, MSG_FL_MODEL_UP})
 
+# Most draw rows (visits x sample count) one stacked sampling call holds.
+# Bigger stacks ran slower: at 500 draws per visit, sampling 20 visits at
+# once made the protocol phase slower than sampling one at a time.
+SAMPLE_ROWS = 512
+
 
 def hi_bytes(latent_dim: int) -> int:
     return ID_BYTES + VALUE_BYTES * latent_dim + TIME_BYTES
@@ -101,12 +106,19 @@ class KnowledgeCache:
         return True
 
 
+def _require_finite(vector: np.ndarray, what: str, vehicle_id: int) -> None:
+    if not np.all(np.isfinite(vector)):
+        raise ProtocolError(f"non-finite {what} from vehicle {vehicle_id}")
+
+
 def upsert_hi(kc: KnowledgeCache, pair: HIPair) -> KnowledgeCache:
+    _require_finite(pair.hash, "fingerprint", pair.vehicle_id)
     kc.hi[pair.vehicle_id] = pair
     return kc
 
 
 def upsert_ki(kc: KnowledgeCache, pair: KIPair) -> KnowledgeCache:
+    _require_finite(pair.knowledge, "knowledge", pair.vehicle_id)
     kc.ki[pair.vehicle_id] = pair
     return kc
 
@@ -202,6 +214,16 @@ class VisitSetup:
 
 
 @dataclass
+class VisitInputs:
+    """A visit's compute inputs, all fixed when the vehicle enters the zone."""
+
+    setup: VisitSetup
+    integrated: np.ndarray | None
+    rng_train: np.random.Generator
+    rng_sample: np.random.Generator
+
+
+@dataclass
 class VisitBegin:
     messages: list[Message]
     integrated: np.ndarray | None
@@ -255,38 +277,69 @@ def latent_standardizer(latents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu, sd
 
 
-def train_and_predict(setup: VisitSetup, integrated: np.ndarray | None,
-                      rng_train: np.random.Generator, rng_sample: np.random.Generator):
-    """Compute half of a visit: distillation training, sampling, decoding.
+def stack_key(setup: VisitSetup) -> tuple:
+    """Visits with equal keys can train and sample as one stack."""
+    return (id(setup.schedule), setup.episodes, setup.lr, setup.batch_size,
+            setup.sample_count, setup.latents.shape)
 
-    Returns (scores, rec_list, knowledge, losses); pure vehicle-side work.
-    The neighbor target is mapped into the vehicle's standardized latent
-    coordinates for training, and draws are mapped back before decoding,
-    so knowledge exchanged over the air always lives in raw latent space.
+
+def train_and_predict(visits: list[VisitInputs]) -> list[tuple]:
+    """Compute half of visits: distillation training, sampling, decoding.
+
+    Returns one (scores, rec_list, knowledge, losses) per visit; pure
+    vehicle-side work.  The visits' denoisers train as one stack and
+    sample in stacks of at most ``SAMPLE_ROWS`` draw rows, so the visits
+    need one ``stack_key`` and distinct denoisers; each result is
+    bit-identical to computing that visit alone.  The neighbor
+    target is mapped into the vehicle's standardized latent coordinates
+    for training, and draws are mapped back before decoding, so knowledge
+    exchanged over the air always lives in raw latent space.
     """
-    if setup.latents.size == 0:
-        latent_dim = setup.denoiser.latent_dim
-        mu, sd = np.zeros(latent_dim), np.ones(latent_dim)
-        losses: list[float] = []
-    else:
+    first = visits[0].setup
+    if any(stack_key(visit.setup) != stack_key(first) for visit in visits):
+        raise ProtocolError("visits computed together need one schedule, training "
+                            "setting, draw count and latent shape")
+    standardizers, contexts = [], []
+    for visit in visits:
+        setup, integrated = visit.setup, visit.integrated
+        if setup.latents.size == 0:
+            latent_dim = setup.denoiser.latent_dim
+            standardizers.append((np.zeros(latent_dim), np.ones(latent_dim)))
+            continue
         mu, sd = latent_standardizer(setup.latents)
-        target = (integrated - mu) / sd if integrated is not None else None
-        ctx = ldpm.DistillationContext(
-            integrated_knowledge=target,
+        standardizers.append((mu, sd))
+        contexts.append(ldpm.DistillationContext(
+            integrated_knowledge=(integrated - mu) / sd if integrated is not None else None,
             distill_weight=setup.distill_weight if integrated is not None else 0.0,
             temperature=setup.temperature,
-        )
+        ))
+    denoisers = [visit.setup.denoiser for visit in visits]
+    stacked = ldpm.stack(denoisers)
+    if first.latents.size == 0:
+        losses = [[] for _ in visits]
+    else:
+        latents = np.stack([(visit.setup.latents - mu) / sd
+                            for visit, (mu, sd) in zip(visits, standardizers)])
         _, losses = ldpm.local_train(
-            setup.denoiser, (setup.latents - mu) / sd, ctx, setup.schedule,
-            setup.episodes, setup.lr, setup.batch_size, rng_train,
+            stacked, latents, contexts, first.schedule, first.episodes, first.lr,
+            first.batch_size, [visit.rng_train for visit in visits],
         )
-    draws = ldpm.sample(setup.denoiser, setup.schedule, setup.sample_count, rng_sample)
-    draws = draws * sd + mu
-    reconstructions = latent_codec.decode(setup.codec, draws)
-    scores = reconstructions.mean(axis=0)
-    rec_list = top_m(scores, setup.list_length)
-    knowledge = draws.mean(axis=0)
-    return scores, rec_list, knowledge, losses
+    ldpm.unstack(stacked, denoisers)
+    per_call = max(1, SAMPLE_ROWS // first.sample_count)
+    draws = []
+    for lo in range(0, len(visits), per_call):
+        chunk = visits[lo:lo + per_call]
+        draws.extend(ldpm.sample(ldpm.stack([visit.setup.denoiser for visit in chunk]),
+                                 first.schedule, first.sample_count,
+                                 [visit.rng_sample for visit in chunk]))
+    results = []
+    for visit, (mu, sd), own_draws, own_losses in zip(visits, standardizers, draws, losses):
+        own_draws = own_draws * sd + mu
+        reconstructions = latent_codec.decode(visit.setup.codec, own_draws)
+        scores = reconstructions.mean(axis=0)
+        rec_list = top_m(scores, visit.setup.list_length)
+        results.append((scores, rec_list, own_draws.mean(axis=0), own_losses))
+    return results
 
 
 def complete_visit(kc: KnowledgeCache, vehicle_id: int, knowledge: np.ndarray,
@@ -307,7 +360,8 @@ def vehicle_visit(kc: KnowledgeCache, setup: VisitSetup, now: float, residence: 
     begun = begin_visit(kc, setup, now, residence, visit_seconds)
     if not begun.proceed:
         return VisitResult(begun.messages, rec_list=None, scores=None, completed=False, losses=[])
-    scores, rec_list, knowledge, losses = train_and_predict(setup, begun.integrated, rng_train, rng_sample)
+    [(scores, rec_list, knowledge, losses)] = train_and_predict(
+        [VisitInputs(setup, begun.integrated, rng_train, rng_sample)])
     done = complete_visit(kc, setup.vehicle_id, knowledge, now + visit_seconds)
     return VisitResult(begun.messages + done, rec_list=rec_list, scores=scores,
                        completed=True, losses=losses)

@@ -3,13 +3,22 @@
 A run has two phases.  The protocol phase walks entry, completion, and
 cache-merge events in time order, training each vehicle's model on its
 visits and recording every over-the-air message plus one per-content
-score vector per completed visit.  The evaluation phase replays list
-uploads and requests against one caching scheme.  Its rankings never
-depend on the cache capacity, so one replay records where each request's
-content sits in its RSU's ranking and yields the hits at every capacity.
-It is cheap, so capacity sweeps and baseline comparisons reuse one
-protocol phase.  Everything draws from named substreams of the run
-seed, making whole reports byte-reproducible.
+score vector per completed visit.  A visit's compute inputs are fixed at
+entry and its output is first read at completion, so a visit that
+proceeds joins a pending list.  The first completion event that finds no
+result computes every pending visit, in batches whose denoisers train
+and sample as one stacked computation (``visit_batches``); decoding
+stays per visit.  Messages, score versions and losses are still
+published at each visit's own completion event, bit-identical to
+computing the visits one at a time.
+
+The evaluation phase replays list uploads and requests against one
+caching scheme.  Its rankings never depend on the cache capacity, so
+one replay records where each request's content sits in its RSU's
+ranking and yields the hits at every capacity.  It is cheap, so capacity
+sweeps and baseline comparisons reuse one protocol phase.  Everything
+draws from named substreams of the run seed, making whole reports
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -28,8 +37,9 @@ from .dataset import (LocalDataset, RatingMatrix, generate_requests, load_rating
 from .errors import ConfigError, InvariantError
 from .fed_distill import (MSG_FL_MODEL_DOWN, MSG_FL_MODEL_UP, MSG_HI, MSG_KI,
                           MSG_KNOWLEDGE_DOWN, MSG_REC_LIST, UPLINK_KINDS, KnowledgeCache,
-                          Message, VisitSetup, hi_bytes, ki_bytes, knowledge_bytes, merge_kc,
-                          model_bytes, rec_list_bytes, train_and_predict)
+                          Message, VisitInputs, VisitSetup, hi_bytes, ki_bytes,
+                          knowledge_bytes, merge_kc, model_bytes, rec_list_bytes, stack_key,
+                          train_and_predict)
 from .mobility import HighwayTopology, SpeedDistribution, VehicleTimeline, residence_time, rollout
 from .report import Report, ReportRow
 from .rng import substream
@@ -193,6 +203,31 @@ class ProtocolTrace:
     losses: list[float]            # per-visit mean objective, time order
 
 
+def visit_batches(visits: list[VisitInputs]) -> list[list[int]]:
+    """Split pending visits (in entry order) into stacks, in the order they must run.
+
+    A batch holds visits of one ``stack_key`` (so one latent row count) and
+    at most one visit per vehicle.  A vehicle's visits run in entry order:
+    once a scan passes over a vehicle, its later visits wait for a later
+    batch.  Returns indices into ``visits``.
+    """
+    left = list(range(len(visits)))
+    batches = []
+    while left:
+        key = stack_key(visits[left[0]].setup)
+        batch, rest, seen = [], [], set()
+        for i in left:
+            setup = visits[i].setup
+            if setup.vehicle_id not in seen and stack_key(setup) == key:
+                batch.append(i)
+            else:
+                rest.append(i)
+            seen.add(setup.vehicle_id)
+        batches.append(batch)
+        left = rest
+    return batches
+
+
 def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv) -> ProtocolTrace:
     seed = cfg.sim.seed
     duration = cfg.sim.duration
@@ -208,6 +243,8 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv) -> Proto
 
     current_version = [-1] * n_vehicles
     visit_index = [0] * n_vehicles
+    pending: list[tuple[int, VisitInputs]] = []   # (ticket, inputs), entry order
+    computed: dict[int, tuple] = {}                 # ticket -> train_and_predict result
     versions: list[np.ndarray] = []
     entries: list[EntryRecord] = []
     exits: list[ExitRecord] = []
@@ -268,17 +305,23 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv) -> Proto
             if not begun.proceed or finish >= duration:
                 aborted += 1
                 continue
-            heapq.heappush(heap, (finish, 2, seq, ("complete", (vid, seg.rsu_index, setup, begun.integrated))))
+            pending.append((seq, VisitInputs(
+                setup, begun.integrated,
+                substream(seed, "train", vid, visit_index[vid]),
+                substream(seed, "sample", vid, visit_index[vid]),
+            )))
+            visit_index[vid] += 1
+            heapq.heappush(heap, (finish, 2, seq, ("complete", (vid, seg.rsu_index, seq))))
             seq += 1
             continue
-        # completion
-        vid, rsu, setup, integrated = payload
-        scores, _, knowledge, visit_losses = train_and_predict(
-            setup, integrated,
-            substream(seed, "train", vid, visit_index[vid]),
-            substream(seed, "sample", vid, visit_index[vid]),
-        )
-        visit_index[vid] += 1
+        # completion: the first one to find no result computes every pending visit
+        vid, rsu, ticket = payload
+        if ticket not in computed:
+            for batch in visit_batches([inputs for _, inputs in pending]):
+                outs = train_and_predict([pending[i][1] for i in batch])
+                computed.update(zip((pending[i][0] for i in batch), outs))
+            pending.clear()
+        scores, _, knowledge, visit_losses = computed.pop(ticket)
         messages.extend(fed_distill.complete_visit(kcs[rsu], vid, knowledge, now))
         versions.append(scores.astype(np.float32))
         current_version[vid] = len(versions) - 1
@@ -722,6 +765,32 @@ def validate_suite() -> list[tuple[str, bool, str]]:
     want = (rec_list_bytes(5) + hi_bytes(4) + knowledge_bytes(4) + ki_bytes(4))
     checks.append(("visit-message-ledger", kinds == expected and total == want,
                    f"kinds {kinds}, {total} bytes (expected {want})"))
+
+    rng = substream(7, "validate", "stack")
+    sched = ldpm.build_schedule(10)
+    nets = [ldpm.new_denoiser(4, 8, 4, rng) for _ in range(3)]
+    latents = rng.normal(size=(3, 5, 4))
+    contexts = [None, ldpm.DistillationContext(rng.normal(size=4)),
+                ldpm.DistillationContext(None)]
+
+    def streams(kind):
+        return [substream(7, "validate", kind, v) for v in range(3)]
+
+    alone = []
+    for net, x, ctx, rng_train, rng_sample in zip(nets, latents, contexts, streams("train"),
+                                                  streams("sample")):
+        own = net.copy()
+        _, own_losses = ldpm.local_train(own, x, ctx, sched, 2, 1e-2, 2, rng_train)
+        alone.append((own.net.flat_params(), own_losses, ldpm.sample(own, sched, 3, rng_sample)))
+    stacked = ldpm.stack(nets)
+    _, losses = ldpm.local_train(stacked, latents, contexts, sched, 2, 1e-2, 2, streams("train"))
+    draws = ldpm.sample(stacked, sched, 3, streams("sample"))
+    ldpm.unstack(stacked, nets)
+    same = all(np.array_equal(nets[v].net.flat_params(), alone[v][0])
+               and losses[v] == alone[v][1] and np.array_equal(draws[v], alone[v][2])
+               for v in range(3))
+    checks.append(("stacked-visit-parity", same,
+                   "3 denoisers trained and sampled as one stack == one at a time"))
 
     metrics = Metrics(hits=321, misses=79, latency_ms_sum=321 * 20.0 + 79 * 100.0,
                       uplink_bytes=123456, downlink_bytes=6543)

@@ -128,10 +128,16 @@ def fine_tune(
     rng: np.random.Generator,
     negative_weight: float = 0.05,
 ) -> CodecParams:
-    """Adapt a private copy of the codec to one vehicle's vectors."""
+    """Adapt a private copy of the codec to one vehicle's vectors.
+
+    The copy only encodes and decodes afterwards, so its gradient and
+    momentum buffers are released.
+    """
     tuned = codec.copy()
     if epochs > 0 and len(local_vectors) > 0:
         _run_epochs(tuned, local_vectors, epochs, lr, batch_size, rng, negative_weight)
+    tuned.encoder.release_training_state()
+    tuned.decoder.release_training_state()
     return tuned
 
 

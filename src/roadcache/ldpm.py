@@ -6,14 +6,20 @@ When neighbor knowledge is available, a tempered KL penalty pulls the
 network's implied clean-latent estimate toward the aggregated neighbor
 latent; the aggregate is a fixed target, so the penalty's gradient flows
 only through the local prediction.
+
+Training and sampling run on a stack of V denoisers at once (``stack``),
+one visit per slice, each with its own latents, generator and target.
+Every slice sees the same arithmetic and the same draws, in the same
+order, as that visit computed alone; a single denoiser is the V=1 case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import nn
 from .errors import ConfigError, TrainingError
 from .nn import Mlp, mlp
 
@@ -28,6 +34,16 @@ class NoiseSchedule:
     beta: np.ndarray
     alpha: np.ndarray
     alpha_bar: np.ndarray
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def embedding_table(self, dim: int) -> np.ndarray:
+        """``time_embedding`` of every step, built once; row t-1 embeds step t."""
+        table = self._tables.get(dim)
+        if table is None:
+            table = time_embedding(np.arange(1, self.steps + 1), dim)
+            table.flags.writeable = False
+            self._tables[dim] = table
+        return table
 
 
 def build_schedule(steps: int) -> NoiseSchedule:
@@ -47,6 +63,24 @@ class DenoiserParams:
 
     def copy(self) -> "DenoiserParams":
         return DenoiserParams(self.net.copy(), self.latent_dim, self.time_embed_dim)
+
+    @property
+    def stacked(self) -> bool:
+        return self.net.layers[0].w.ndim == 3
+
+
+def stack(denoisers: list[DenoiserParams]) -> DenoiserParams:
+    """V same-shaped denoisers as one, weights and momentum stacked (V, in, out)."""
+    if len({id(d) for d in denoisers}) != len(denoisers):
+        raise ValueError("a denoiser can only hold one slice of a stack")
+    first = denoisers[0]
+    return DenoiserParams(nn.stack([d.net for d in denoisers]), first.latent_dim,
+                          first.time_embed_dim)
+
+
+def unstack(stacked: DenoiserParams, denoisers: list[DenoiserParams]) -> None:
+    """Write each slice's weights, gradients and momentum back to its denoiser."""
+    nn.unstack(stacked.net, [d.net for d in denoisers])
 
 
 def new_denoiser(latent_dim: int, hidden: int, time_embed_dim: int, rng: np.random.Generator) -> DenoiserParams:
@@ -78,9 +112,9 @@ def time_embedding(t: np.ndarray, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
 
 
-def predict_noise(params: DenoiserParams, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    emb = time_embedding(t, params.time_embed_dim)
-    return params.net.forward(np.concatenate([np.atleast_2d(x), emb], axis=1))
+def predict_noise(params: DenoiserParams, x: np.ndarray, emb: np.ndarray) -> np.ndarray:
+    """Noise estimate for latents (..., n, d) given their step embeddings (..., n, E)."""
+    return params.net.forward(np.concatenate([x, emb], axis=-1))
 
 
 def forward_noise(x0: np.ndarray, t, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
@@ -111,88 +145,129 @@ def kl_tempered(g: np.ndarray, target: np.ndarray, temperature: float) -> float:
     return float((p * (log_p - log_q)).sum(axis=-1).mean())
 
 
-def objective(params: DenoiserParams, x0: np.ndarray, ctx: DistillationContext | None,
-              sched: NoiseSchedule, rng: np.random.Generator) -> float:
+def _distilling(ctx: DistillationContext | None) -> bool:
+    return ctx is not None and ctx.integrated_knowledge is not None and ctx.distill_weight > 0
+
+
+def objective(params: DenoiserParams, x0: np.ndarray, ctx: DistillationContext | None | list,
+              sched: NoiseSchedule, rng: np.random.Generator | list) -> float | np.ndarray:
     """Forward plus backward pass; leaves gradients on the network layers.
+
+    ``params`` is a stack of V denoisers, ``x0`` is (V, n, d), and ``ctx``
+    and ``rng`` hold one context (or None) and one generator per visit;
+    returns the (V,) losses.  One denoiser with (n, d) rows, one context
+    and one generator is the V=1 case and returns a float.
 
     One (step, noise) pair is drawn per sample.  The distillation branch
     consumes no extra randomness, so the plain and distilled objectives
     see identical draws under identical streams.
     """
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    if len(x0) == 0:
+    if not params.stacked:
+        one = stack([params])
+        loss = objective(one, np.atleast_2d(np.asarray(x0, dtype=float))[None], [ctx], sched, [rng])
+        unstack(one, [params])
+        return float(loss[0])
+    x0 = np.asarray(x0, dtype=float)
+    batch = x0.shape[1]
+    if batch == 0:
         raise ValueError("empty batch")
-    batch = len(x0)
-    t = rng.integers(1, sched.steps + 1, size=batch)
-    eps = rng.standard_normal(x0.shape)
+    t = np.empty(x0.shape[:2], dtype=np.int64)
+    eps = np.empty_like(x0)
+    for v, visit_rng in enumerate(rng):
+        t[v] = visit_rng.integers(1, sched.steps + 1, size=batch)
+        eps[v] = visit_rng.standard_normal(x0.shape[1:])
     ab = sched.alpha_bar[t - 1]
-    root_ab = np.sqrt(ab)[:, None]
-    root_rest = np.sqrt(1.0 - ab)[:, None]
+    root_ab = np.sqrt(ab)[..., None]
+    root_rest = np.sqrt(1.0 - ab)[..., None]
     xt = root_ab * x0 + root_rest * eps
-    eps_hat = predict_noise(params, xt, t)
+    eps_hat = predict_noise(params, xt, sched.embedding_table(params.time_embed_dim)[t - 1])
     resid = eps_hat - eps
-    loss = float((resid**2).sum(axis=1).mean())
+    loss = (resid**2).sum(axis=-1).mean(axis=-1)
     grad_eps_hat = 2.0 * resid / batch
 
-    distilling = (
-        ctx is not None
-        and ctx.integrated_knowledge is not None
-        and ctx.distill_weight > 0
-    )
-    if distilling:
-        temp = ctx.temperature
-        x0_hat = (xt - root_rest * eps_hat) / root_ab
+    d = [v for v, c in enumerate(ctx) if _distilling(c)]
+    if d:
+        weight = np.array([ctx[v].distill_weight for v in d])[:, None, None]
+        temp = np.array([ctx[v].temperature for v in d])[:, None, None]
+        target = np.stack([np.asarray(ctx[v].integrated_knowledge, dtype=float) for v in d])
+        x0_hat = (xt[d] - root_rest[d] * eps_hat[d]) / root_ab[d]
         p, log_p = _softmax_and_log(x0_hat / temp)
-        _, log_q = _softmax_and_log(np.asarray(ctx.integrated_knowledge, dtype=float) / temp)
+        _, log_q = _softmax_and_log(target[:, None, :] / temp)
         diff = log_p - log_q
-        kl = (p * diff).sum(axis=1)
-        loss += ctx.distill_weight * float(kl.mean())
+        kl = (p * diff).sum(axis=-1)
+        loss[d] += weight[:, 0, 0] * kl.mean(axis=-1)
         # d KL / d x0_hat, then through x0_hat = (xt - sqrt(1-ab) eps_hat)/sqrt(ab).
-        grad_x0_hat = p * (diff - kl[:, None]) / temp
-        grad_eps_hat += (ctx.distill_weight * grad_x0_hat
-                         * (-root_rest / root_ab) / batch)
+        grad_x0_hat = p * (diff - kl[..., None]) / temp
+        grad_eps_hat[d] += (weight * grad_x0_hat
+                            * (-root_rest[d] / root_ab[d]) / batch)
 
-    if not np.isfinite(loss):
+    if not np.all(np.isfinite(loss)):
         raise TrainingError("diffusion objective became non-finite")
     params.net.backward(grad_eps_hat)
     return loss
 
 
-def local_train(params: DenoiserParams, latents: np.ndarray, ctx: DistillationContext,
-                sched: NoiseSchedule, epochs: int, lr: float, batch_size: int,
-                rng: np.random.Generator) -> tuple[DenoiserParams, list[float]]:
-    """Run SGD epochs over the local latents; records the loss trajectory."""
-    latents = np.atleast_2d(latents)
-    losses: list[float] = []
-    if len(latents) == 0:
+def local_train(params: DenoiserParams, latents: np.ndarray,
+                ctx: DistillationContext | None | list, sched: NoiseSchedule, epochs: int,
+                lr: float, batch_size: int,
+                rng: np.random.Generator | list) -> tuple[DenoiserParams, list]:
+    """Run SGD epochs over the local latents; records the loss trajectory.
+
+    Stacked as ``objective``: latents (V, n, d), one context and one
+    generator per visit, and one per-epoch trajectory per visit returned.
+    Each visit draws a permutation per epoch and then, per batch, its step
+    indices and noise.  One denoiser with (n, d) latents is the V=1 case
+    and returns its one trajectory.
+    """
+    if not params.stacked:
+        one = stack([params])
+        _, losses = local_train(one, np.atleast_2d(latents)[None], [ctx], sched, epochs, lr,
+                                batch_size, [rng])
+        unstack(one, [params])
+        return params, losses[0]
+    latents = np.asarray(latents, dtype=float)
+    n_visits, n = latents.shape[:2]
+    losses: list[list[float]] = [[] for _ in range(n_visits)]
+    if n == 0:
         return params, losses
-    size = min(batch_size, len(latents))
+    size = min(batch_size, n)
+    rows = np.arange(n_visits)[:, None]
     for _ in range(epochs):
-        order = rng.permutation(len(latents))
+        order = np.stack([visit_rng.permutation(n) for visit_rng in rng])
         batch_losses = []
-        for start in range(0, len(latents), size):
-            chunk = latents[order[start:start + size]]
-            loss = objective(params, chunk, ctx, sched, rng)
+        for start in range(0, n, size):
+            chunk = latents[rows, order[:, start:start + size]]
+            batch_losses.append(objective(params, chunk, ctx, sched, rng))
             params.net.step(lr, MOMENTUM)
-            batch_losses.append(loss)
-        losses.append(float(np.mean(batch_losses)))
+        for own, per_batch in zip(losses, np.stack(batch_losses, axis=1)):
+            own.append(float(np.mean(per_batch)))
     return params, losses
 
 
 def sample(params: DenoiserParams, sched: NoiseSchedule, count: int,
-           rng: np.random.Generator) -> np.ndarray:
-    """Ancestral reverse walk from pure noise; the last step adds none."""
-    x = rng.standard_normal((count, params.latent_dim))
+           rng: np.random.Generator | list) -> np.ndarray:
+    """Ancestral reverse walk from pure noise; the last step adds none.
+
+    Stacked: one generator per visit and (V, count, d) draws; each visit
+    draws its initial noise, then one noise per step.  One denoiser with
+    one generator is the V=1 case and returns (count, d).
+    """
+    if not params.stacked:
+        return sample(stack([params]), sched, count, [rng])[0]
+    shape = (count, params.latent_dim)
+    x = np.stack([visit_rng.standard_normal(shape) for visit_rng in rng])
     if count == 0:
         return x
+    table = sched.embedding_table(params.time_embed_dim)
     for t in range(sched.steps, 0, -1):
         beta = sched.beta[t - 1]
         alpha = sched.alpha[t - 1]
         ab = sched.alpha_bar[t - 1]
-        eps_hat = predict_noise(params, x, np.full(count, t))
+        emb = np.broadcast_to(table[t - 1], (*x.shape[:-1], table.shape[1]))
+        eps_hat = predict_noise(params, x, emb)
         x = (x - beta / np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(alpha)
         if t > 1:
-            x = x + np.sqrt(beta) * rng.standard_normal(x.shape)
+            x = x + np.sqrt(beta) * np.stack([visit_rng.standard_normal(shape) for visit_rng in rng])
     if not np.all(np.isfinite(x)):
         raise TrainingError("reverse-process sample became non-finite")
     return x

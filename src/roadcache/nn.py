@@ -5,11 +5,20 @@ leaves parameter gradients on the layer, and step applies SGD with
 optional momentum.  Keeping the gradients explicit is what lets the test
 suite compare every analytic derivative against central finite
 differences.
+
+A Dense layer works on (rows, in) inputs with (in, out) weights, or on a
+stack of V such networks: (V, rows, in) inputs with (V, in, out) weights.
+Each slice of a stacked product is computed exactly as the 2-D product
+of that slice, so ``stack``/``unstack`` let V independent networks train
+in one call with the same arithmetic as V separate calls.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Per-layer arrays that travel with a network when it is stacked.
+_DENSE_STATE = ("w", "b", "dw", "db", "_vw", "_vb")
 
 
 class Dense:
@@ -25,16 +34,18 @@ class Dense:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        return x @ self.w + self.b
+        return x @ self.w + self.b[..., None, :]
 
     def backward(self, grad_y: np.ndarray) -> np.ndarray:
-        self.dw = self._x.T @ grad_y
-        self.db = grad_y.sum(axis=0)
-        return grad_y @ self.w.T
+        self.dw = np.swapaxes(self._x, -1, -2) @ grad_y
+        self.db = grad_y.sum(axis=-2)
+        return grad_y @ np.swapaxes(self.w, -1, -2)
 
     def step(self, lr: float, momentum: float = 0.0) -> None:
-        self._vw = momentum * self._vw + self.dw
-        self._vb = momentum * self._vb + self.db
+        self._vw *= momentum
+        self._vw += self.dw
+        self._vb *= momentum
+        self._vb += self.db
         self.w -= lr * self._vw
         self.b -= lr * self._vb
 
@@ -138,6 +149,42 @@ class Mlp:
 
     def param_count(self) -> int:
         return int(sum(p.size for p in self.params()))
+
+    def release_training_state(self) -> None:
+        """Drop gradients and momentum; the network can still run forward."""
+        for layer in self.layers:
+            if isinstance(layer, Dense):
+                layer.dw = layer.db = layer._vw = layer._vb = None
+
+
+def stack(nets: list[Mlp]) -> Mlp:
+    """One network holding V same-shaped networks along a leading axis.
+
+    Weights, biases, gradients and momentum are all stacked, so training
+    the stack and then calling ``unstack`` leaves each network exactly as
+    training it alone would.
+    """
+    layers: list = []
+    for parts in zip(*(net.layers for net in nets)):
+        if isinstance(parts[0], Dense):
+            layer = Dense.__new__(Dense)
+            for name in _DENSE_STATE:
+                setattr(layer, name, np.stack([getattr(p, name) for p in parts]))
+            layer._x = None
+        else:
+            layer = type(parts[0])()
+        layers.append(layer)
+    return Mlp(layers)
+
+
+def unstack(stacked: Mlp, nets: list[Mlp]) -> None:
+    """Copy each slice of a stacked network back into its own network."""
+    for i, layer in enumerate(stacked.layers):
+        if isinstance(layer, Dense):
+            for name in _DENSE_STATE:
+                full = getattr(layer, name)
+                for v, net in enumerate(nets):
+                    setattr(net.layers[i], name, full[v].copy())
 
 
 def mlp(sizes: list[int], rng: np.random.Generator, *, hidden_act=Relu, out_act=None) -> Mlp:

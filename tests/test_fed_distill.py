@@ -71,6 +71,28 @@ class TestUpsert:
         assert len(kc.hi) == 100 and len(kc.ki) == 100
         assert kc.ki[42].knowledge[1] == 42.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fingerprint_rejected(self, bad):
+        kc = make_kc()
+        fd.upsert_hi(kc, fd.HIPair(hash=np.ones(3), vehicle_id=7, upload_time=1.0))
+        for vid in (7, 8):
+            with pytest.raises(ProtocolError):
+                fd.upsert_hi(kc, fd.HIPair(hash=np.array([1.0, bad, 0.0]), vehicle_id=vid,
+                                           upload_time=2.0))
+        assert set(kc.hi) == {7} and kc.hi[7].upload_time == 1.0
+        assert np.array_equal(kc.hi[7].hash, np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_knowledge_rejected(self, bad):
+        kc = make_kc()
+        fd.upsert_ki(kc, fd.KIPair(knowledge=np.ones(3), vehicle_id=7, upload_time=1.0))
+        for vid in (7, 8):
+            with pytest.raises(ProtocolError):
+                fd.upsert_ki(kc, fd.KIPair(knowledge=np.array([bad, 1.0, 0.0]), vehicle_id=vid,
+                                           upload_time=2.0))
+        assert set(kc.ki) == {7} and kc.ki[7].upload_time == 1.0
+        assert np.array_equal(kc.ki[7].knowledge, np.ones(3))
+
 
 class TestCosineSimilarity:
     def test_identical(self):
@@ -337,3 +359,39 @@ class TestByteSizes:
         assert fd.knowledge_bytes(16) == 64
         assert fd.rec_list_bytes(500) == 2000
         assert fd.model_bytes(770_000) == 3_080_000
+
+
+class TestTrainAndPredict:
+    def visits(self, count=3):
+        rng = substream(0, "tap")
+        out = []
+        for vid in range(count):
+            setup = make_setup(vid, rng.normal(size=LATENT_DIM), rng.normal(size=(5, LATENT_DIM)))
+            integrated = rng.normal(size=LATENT_DIM) if vid % 2 == 0 else None
+            out.append(fd.VisitInputs(setup, integrated, substream(1, "tap-train", vid),
+                                      substream(1, "tap-sample", vid)))
+        return out
+
+    def test_batch_equals_one_visit_at_a_time(self):
+        batch = self.visits()
+        alone = self.visits()
+        schedule = alone[0].setup.schedule
+        for visit in alone + batch:
+            visit.setup.schedule = schedule
+        together = fd.train_and_predict(batch)
+        for visit, (scores, rec_list, knowledge, losses) in zip(alone, together):
+            [(own_scores, own_list, own_knowledge, own_losses)] = fd.train_and_predict([visit])
+            assert scores.tobytes() == own_scores.tobytes()
+            assert np.array_equal(rec_list, own_list)
+            assert knowledge.tobytes() == own_knowledge.tobytes()
+            assert losses == own_losses and len(losses) == 2
+        for mine, theirs in zip(batch, alone):
+            assert (mine.setup.denoiser.net.flat_params().tobytes()
+                    == theirs.setup.denoiser.net.flat_params().tobytes())
+
+    def test_mismatched_visits_rejected(self):
+        batch = self.visits(2)
+        batch[1].setup.latents = batch[1].setup.latents[:4]
+        batch[1].setup.schedule = batch[0].setup.schedule
+        with pytest.raises(ProtocolError):
+            fd.train_and_predict(batch)

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from roadcache import harness, report
+from roadcache import fed_distill, harness, ldpm, report
 from roadcache.caching import Metrics
 from roadcache.config import SCHEMES, load_config
 from roadcache.errors import ConfigError, DataFormatError
@@ -457,3 +457,66 @@ class TestCli:
         keys = proc.stdout.split()
         assert "cache.capacity_n" in keys
         assert "ldpm.T" in keys
+
+
+def pending_visit(vid, rows):
+    setup = SimpleNamespace(vehicle_id=vid, schedule=None, episodes=3, lr=0.01, batch_size=4,
+                            sample_count=8, latents=np.zeros((rows, 4)))
+    return SimpleNamespace(setup=setup)
+
+
+class TestBatchedProtocol:
+    def test_batches_keep_vehicles_apart_and_in_order(self):
+        rng = substream(0, "batches")
+        visits = [pending_visit(int(rng.integers(0, 6)), int(rng.choice([9, 10])))
+                  for _ in range(60)]
+        batches = harness.visit_batches(visits)
+        assert sorted(i for batch in batches for i in batch) == list(range(60))
+        assert max(len(batch) for batch in batches) > 1
+        batch_of = {i: b for b, batch in enumerate(batches) for i in batch}
+        for batch in batches:
+            vehicles = [visits[i].setup.vehicle_id for i in batch]
+            assert len(set(vehicles)) == len(vehicles)
+            assert len({len(visits[i].setup.latents) for i in batch}) == 1
+        for vid in range(6):
+            order = [batch_of[i] for i, v in enumerate(visits) if v.setup.vehicle_id == vid]
+            assert order == sorted(order) and len(set(order)) == len(order)
+
+    def test_one_visit_per_call_gives_identical_trace(self, monkeypatch, tiny_stack):
+        cfg, data, motion, batched = tiny_stack
+        real_train, real_sample, real_batches = (harness.train_and_predict, ldpm.sample,
+                                                 harness.visit_batches)
+        sizes = {"train": [], "sample": []}
+
+        def train(visits):
+            sizes["train"].append(len(visits))
+            return real_train(visits)
+
+        def sample(params, sched, count, rng):
+            sizes["sample"].append(len(rng))
+            return real_sample(params, sched, count, rng)
+
+        def singletons(visits):
+            return [[i] for batch in real_batches(visits) for i in batch]
+
+        monkeypatch.setattr(harness, "train_and_predict", train)
+        monkeypatch.setattr(ldpm, "sample", sample)
+        largest = []
+        # As configured; sampling two visits per call; one visit per call throughout.
+        for sample_rows, split in ((fed_distill.SAMPLE_ROWS, real_batches),
+                                   (2 * cfg.ldpm.sample_count, real_batches), (1, singletons)):
+            monkeypatch.setattr(fed_distill, "SAMPLE_ROWS", sample_rows)
+            monkeypatch.setattr(harness, "visit_batches", split)
+            sizes["train"].clear()
+            sizes["sample"].clear()
+            trace = harness.simulate_protocol(cfg, data, motion)
+            largest.append((max(sizes["train"]), max(sizes["sample"])))
+            assert (harness.format_message_trace(trace.messages)
+                    == harness.format_message_trace(batched.messages))
+            assert trace.versions.tobytes() == batched.versions.tobytes()
+            assert np.array_equal(trace.losses, batched.losses, equal_nan=True)
+            assert (trace.completed_visits, trace.aborted_visits) == (
+                batched.completed_visits, batched.aborted_visits)
+        assert largest[0][0] > 2 and largest[0][1] == largest[0][0]
+        assert largest[1] == (largest[0][0], 2)
+        assert largest[2] == (1, 1)

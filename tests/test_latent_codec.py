@@ -166,6 +166,17 @@ class TestFineTune:
 
         assert err(tuned) < err(self.codec)
 
+    def test_training_buffers_released(self):
+        tuned = latent_codec.fine_tune(self.codec, self.data[:5], epochs=2,
+                                       lr=0.03, batch_size=2, rng=substream(6, "tune"))
+        for net in (tuned.encoder, tuned.decoder):
+            for layer in net.layers:
+                if hasattr(layer, "w"):
+                    assert layer.dw is layer.db is layer._vw is layer._vb is None
+        assert self.codec.encoder.layers[0]._vw is not None
+        recon = latent_codec.decode(tuned, latent_codec.encode(tuned, self.data[:5]))
+        assert recon.shape == (5, self.data.shape[1]) and np.all(np.isfinite(recon))
+
 
 class TestHashes:
     def test_similar_histories_have_similar_hashes(self):

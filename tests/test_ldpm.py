@@ -337,3 +337,80 @@ class TestDenoiserConstruction:
         params = ldpm.new_denoiser(d, h, e, substream(0, "count"))
         want = (d + e) * h + h + h * h + h + h * d + d
         assert params.net.param_count() == want
+
+
+def momentum(params):
+    return np.concatenate([np.concatenate([layer._vw.ravel(), layer._vb.ravel()])
+                           for layer in params.net.layers if hasattr(layer, "_vw")])
+
+
+class TestStacked:
+    """A stack of V denoisers computes exactly what V lone calls compute."""
+
+    def test_stacked_train_and_sample_equal_lone_calls(self):
+        sched = ldpm.build_schedule(20)
+        nets = [toy_model(label=f"stack-{v}") for v in range(5)]
+        latents = substream(0, "stack-lat").normal(size=(5, 9, 4))
+        knowledge = substream(0, "stack-kd").normal(size=(5, 4))
+        contexts = [
+            ldpm.DistillationContext(integrated_knowledge=knowledge[0], distill_weight=1.0),
+            None,
+            ldpm.DistillationContext(integrated_knowledge=None),
+            ldpm.DistillationContext(integrated_knowledge=knowledge[3], distill_weight=0.0),
+            ldpm.DistillationContext(integrated_knowledge=knowledge[4], distill_weight=0.5,
+                                     temperature=3.0),
+        ]
+
+        def streams(kind):
+            return [substream(5, kind, v) for v in range(5)]
+
+        alone = []
+        train_after, sample_after = streams("train"), streams("sample")
+        for v, net in enumerate(nets):
+            own = net.copy()
+            _, losses = ldpm.local_train(own, latents[v], contexts[v], sched, epochs=3, lr=0.01,
+                                         batch_size=4, rng=train_after[v])
+            draws = ldpm.sample(own, sched, 6, sample_after[v])
+            alone.append((own.net.flat_params(), momentum(own), losses, draws))
+
+        stacked = ldpm.stack(nets)
+        train_rngs, sample_rngs = streams("train"), streams("sample")
+        _, losses = ldpm.local_train(stacked, latents, contexts, sched, epochs=3, lr=0.01,
+                                     batch_size=4, rng=train_rngs)
+        draws = ldpm.sample(stacked, sched, 6, sample_rngs)
+        ldpm.unstack(stacked, nets)
+        assert draws.shape == (5, 6, 4)
+        for v, (weights, mom, own_losses, own_draws) in enumerate(alone):
+            assert nets[v].net.flat_params().tobytes() == weights.tobytes()
+            assert momentum(nets[v]).tobytes() == mom.tobytes()
+            assert losses[v] == own_losses
+            assert draws[v].tobytes() == own_draws.tobytes()
+            # Each visit consumed exactly the draws it consumes alone.
+            assert train_rngs[v].bit_generator.state == train_after[v].bit_generator.state
+            assert sample_rngs[v].bit_generator.state == sample_after[v].bit_generator.state
+
+    def test_distillation_reaches_only_its_visits(self):
+        sched = ldpm.build_schedule(10)
+        latents = substream(0, "only-lat").normal(size=(2, 3, 4))
+        target = ldpm.DistillationContext(integrated_knowledge=np.array([4.0, 0.0, -4.0, 0.0]))
+        plain = ldpm.objective(ldpm.stack([toy_model(label="only-a"), toy_model(label="only-b")]),
+                               latents, [None, None], sched,
+                               [substream(1, "only", v) for v in range(2)])
+        mixed = ldpm.objective(ldpm.stack([toy_model(label="only-a"), toy_model(label="only-b")]),
+                               latents, [None, target], sched,
+                               [substream(1, "only", v) for v in range(2)])
+        assert mixed[0] == plain[0]
+        assert mixed[1] > plain[1]
+
+    def test_embedding_table_rows_equal_time_embedding(self):
+        sched = ldpm.build_schedule(50)
+        table = sched.embedding_table(16)
+        assert table.shape == (50, 16)
+        assert sched.embedding_table(16) is table
+        for t in range(1, 51):
+            assert table[t - 1].tobytes() == ldpm.time_embedding(np.array([t]), 16)[0].tobytes()
+
+    def test_repeated_denoiser_rejected(self):
+        net = toy_model(label="twice")
+        with pytest.raises(ValueError):
+            ldpm.stack([net, net])
