@@ -74,6 +74,11 @@ class HIPair:
     hash: np.ndarray
     vehicle_id: int
     upload_time: float
+    # The fingerprint's Euclidean norm, computed once for every neighbour search.
+    norm: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "norm", np.linalg.norm(self.hash))
 
 
 @dataclass(frozen=True)
@@ -142,17 +147,15 @@ def find_neighbors(kc: KnowledgeCache, vehicle_id: int, count: int, gamma: float
     """
     if vehicle_id not in kc.hi:
         raise ProtocolError(f"vehicle {vehicle_id} has no fingerprint at RSU {kc.rsu_id}")
-    own = kc.hi[vehicle_id].hash
-    if np.linalg.norm(own) == 0.0:
+    own = kc.hi[vehicle_id]
+    if own.norm == 0.0:
         return []
     scored: list[tuple[float, int]] = []
     for vid, pair in kc.hi.items():
-        if vid == vehicle_id:
+        if vid == vehicle_id or pair.norm == 0.0:
             continue
-        try:
-            sim = cosine_similarity(own, pair.hash)
-        except ZeroNormError:
-            continue
+        # cosine_similarity's expression, with both norms read from the pairs
+        sim = float(own.hash @ pair.hash / (own.norm * pair.norm))
         if sim >= gamma:
             scored.append((sim, vid))
     scored.sort(key=lambda item: (-item[0], item[1]))
@@ -286,7 +289,7 @@ def stack_key(setup: VisitSetup) -> tuple:
 def train_and_predict(visits: list[VisitInputs]) -> list[tuple]:
     """Compute half of visits: distillation training, sampling, decoding.
 
-    Returns one (scores, rec_list, knowledge, losses) per visit; pure
+    Returns one (scores, knowledge, losses) per visit; pure
     vehicle-side work.  The visits' denoisers train as one stack and
     sample in stacks of at most ``SAMPLE_ROWS`` draw rows, so the visits
     need one ``stack_key`` and distinct denoisers; each result is
@@ -336,9 +339,7 @@ def train_and_predict(visits: list[VisitInputs]) -> list[tuple]:
     for visit, (mu, sd), own_draws, own_losses in zip(visits, standardizers, draws, losses):
         own_draws = own_draws * sd + mu
         reconstructions = latent_codec.decode(visit.setup.codec, own_draws)
-        scores = reconstructions.mean(axis=0)
-        rec_list = top_m(scores, visit.setup.list_length)
-        results.append((scores, rec_list, own_draws.mean(axis=0), own_losses))
+        results.append((reconstructions.mean(axis=0), own_draws.mean(axis=0), own_losses))
     return results
 
 
@@ -360,8 +361,8 @@ def vehicle_visit(kc: KnowledgeCache, setup: VisitSetup, now: float, residence: 
     begun = begin_visit(kc, setup, now, residence, visit_seconds)
     if not begun.proceed:
         return VisitResult(begun.messages, rec_list=None, scores=None, completed=False, losses=[])
-    [(scores, rec_list, knowledge, losses)] = train_and_predict(
+    [(scores, knowledge, losses)] = train_and_predict(
         [VisitInputs(setup, begun.integrated, rng_train, rng_sample)])
     done = complete_visit(kc, setup.vehicle_id, knowledge, now + visit_seconds)
-    return VisitResult(begun.messages + done, rec_list=rec_list, scores=scores,
-                       completed=True, losses=losses)
+    return VisitResult(begun.messages + done, rec_list=top_m(scores, setup.list_length),
+                       scores=scores, completed=True, losses=losses)

@@ -321,7 +321,7 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv) -> Proto
                 outs = train_and_predict([pending[i][1] for i in batch])
                 computed.update(zip((pending[i][0] for i in batch), outs))
             pending.clear()
-        scores, _, knowledge, visit_losses = computed.pop(ticket)
+        scores, knowledge, visit_losses = computed.pop(ticket)
         messages.extend(fed_distill.complete_visit(kcs[rsu], vid, knowledge, now))
         versions.append(scores.astype(np.float32))
         current_version[vid] = len(versions) - 1
@@ -791,6 +791,23 @@ def validate_suite() -> list[tuple[str, bool, str]]:
                for v in range(3))
     checks.append(("stacked-visit-parity", same,
                    "3 denoisers trained and sampled as one stack == one at a time"))
+
+    rng = substream(7, "validate", "inference")
+    shapes = SimConfig()
+    codec = latent_codec.new_codec(3952, shapes.codec.hidden, shapes.codec.latent_dim, rng)
+    profiles = np.where(rng.random((9, 3952)) < 0.05, rng.uniform(0.2, 1.0, (9, 3952)), 0.0)
+    draws = rng.normal(size=(32, shapes.codec.latent_dim))
+    sched = ldpm.build_schedule(50)
+    stacked = ldpm.stack([ldpm.new_denoiser(shapes.codec.latent_dim, shapes.ldpm.hidden,
+                                            shapes.ldpm.time_embed, rng) for _ in range(3)])
+    x = rng.normal(size=(3, 32, shapes.codec.latent_dim))
+    emb = sched.embedding_table(shapes.ldpm.time_embed)[rng.integers(0, 50, size=(3, 32))]
+    pairs = [(latent_codec.encode(codec, profiles), codec.encoder.forward(profiles)),
+             (latent_codec.decode(codec, draws), codec.decoder.forward(draws)),
+             (ldpm.predict_noise(stacked, x, emb), ldpm.predict_noise(stacked, x, emb, train=True))]
+    same = all(inferred.tobytes() == trained.tobytes() for inferred, trained in pairs)
+    checks.append(("inference-parity", same,
+                   "predict == forward on a desk-shaped codec and a 3-visit denoiser stack"))
 
     metrics = Metrics(hits=321, misses=79, latency_ms_sum=321 * 20.0 + 79 * 100.0,
                       uplink_bytes=123456, downlink_bytes=6543)

@@ -111,7 +111,7 @@ def pretrain_codec(
         val = train = public_data
 
     def monitor():
-        return reconstruction_error(codec.decoder.forward(codec.encoder.forward(val)),
+        return reconstruction_error(codec.decoder.predict(codec.encoder.predict(val)),
                                     val, negative_weight)
 
     losses = _run_epochs(codec, train, epochs, lr, batch_size, rng, negative_weight,
@@ -130,8 +130,9 @@ def fine_tune(
 ) -> CodecParams:
     """Adapt a private copy of the codec to one vehicle's vectors.
 
-    The copy only encodes and decodes afterwards, so its gradient and
-    momentum buffers are released.
+    The copy starts from the codec's weights and momentum.  It only
+    encodes and decodes afterwards, so its gradients, momentum and cached
+    activations are released and it keeps only its weights.
     """
     tuned = codec.copy()
     if epochs > 0 and len(local_vectors) > 0:
@@ -145,7 +146,7 @@ def encode(codec: CodecParams, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != codec.num_contents:
         raise ValueError(f"expected length-{codec.num_contents} vector, got {v.shape}")
-    out = codec.encoder.forward(np.atleast_2d(v))
+    out = codec.encoder.predict(np.atleast_2d(v))
     return out[0] if v.ndim == 1 else out
 
 
@@ -153,5 +154,5 @@ def decode(codec: CodecParams, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != codec.latent_dim:
         raise ValueError(f"expected length-{codec.latent_dim} latent, got {z.shape}")
-    out = codec.decoder.forward(np.atleast_2d(z))
+    out = codec.decoder.predict(np.atleast_2d(z))
     return out[0] if z.ndim == 1 else out

@@ -112,9 +112,15 @@ def time_embedding(t: np.ndarray, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
 
 
-def predict_noise(params: DenoiserParams, x: np.ndarray, emb: np.ndarray) -> np.ndarray:
-    """Noise estimate for latents (..., n, d) given their step embeddings (..., n, E)."""
-    return params.net.forward(np.concatenate([x, emb], axis=-1))
+def predict_noise(params: DenoiserParams, x: np.ndarray, emb: np.ndarray, *,
+                  train: bool = False) -> np.ndarray:
+    """Noise estimate for latents (..., n, d) given their step embeddings (..., n, E).
+
+    ``train`` runs the caching forward pass a backward pass needs;
+    otherwise the network keeps nothing.
+    """
+    x = np.concatenate([x, emb], axis=-1)
+    return params.net.forward(x) if train else params.net.predict(x)
 
 
 def forward_noise(x0: np.ndarray, t, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
@@ -180,7 +186,8 @@ def objective(params: DenoiserParams, x0: np.ndarray, ctx: DistillationContext |
     root_ab = np.sqrt(ab)[..., None]
     root_rest = np.sqrt(1.0 - ab)[..., None]
     xt = root_ab * x0 + root_rest * eps
-    eps_hat = predict_noise(params, xt, sched.embedding_table(params.time_embed_dim)[t - 1])
+    eps_hat = predict_noise(params, xt, sched.embedding_table(params.time_embed_dim)[t - 1],
+                            train=True)
     resid = eps_hat - eps
     loss = (resid**2).sum(axis=-1).mean(axis=-1)
     grad_eps_hat = 2.0 * resid / batch
@@ -248,14 +255,17 @@ def sample(params: DenoiserParams, sched: NoiseSchedule, count: int,
            rng: np.random.Generator | list) -> np.ndarray:
     """Ancestral reverse walk from pure noise; the last step adds none.
 
-    Stacked: one generator per visit and (V, count, d) draws; each visit
-    draws its initial noise, then one noise per step.  One denoiser with
-    one generator is the V=1 case and returns (count, d).
+    Stacked: one generator per visit and (V, count, d) draws.  Each visit
+    draws all its noise in one block, the initial noise first and then one
+    noise per step, which are the values and generator state that drawing
+    them one at a time gives.  One denoiser with one generator is the V=1
+    case and returns (count, d).
     """
     if not params.stacked:
         return sample(stack([params]), sched, count, [rng])[0]
-    shape = (count, params.latent_dim)
-    x = np.stack([visit_rng.standard_normal(shape) for visit_rng in rng])
+    shape = (sched.steps, count, params.latent_dim)
+    noise = np.stack([visit_rng.standard_normal(shape) for visit_rng in rng], axis=1)
+    x = noise[0]
     if count == 0:
         return x
     table = sched.embedding_table(params.time_embed_dim)
@@ -267,7 +277,7 @@ def sample(params: DenoiserParams, sched: NoiseSchedule, count: int,
         eps_hat = predict_noise(params, x, emb)
         x = (x - beta / np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(alpha)
         if t > 1:
-            x = x + np.sqrt(beta) * np.stack([visit_rng.standard_normal(shape) for visit_rng in rng])
+            x = x + np.sqrt(beta) * noise[sched.steps - t + 1]
     if not np.all(np.isfinite(x)):
         raise TrainingError("reverse-process sample became non-finite")
     return x

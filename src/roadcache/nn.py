@@ -1,10 +1,14 @@
 """Tiny fully connected networks with hand-written backprop.
 
-Everything is float64 numpy.  Layers cache what backward needs, backward
+Everything is float64 numpy.  Each layer writes its arithmetic once, in
+``apply``, which stores nothing.  ``forward`` is the training pass: it
+keeps what backward needs on the layer and then calls ``apply``; backward
 leaves parameter gradients on the layer, and step applies SGD with
-optional momentum.  Keeping the gradients explicit is what lets the test
-suite compare every analytic derivative against central finite
-differences.
+optional momentum.  ``Mlp.predict`` chains the ``apply`` calls, so encoding,
+decoding and sampling hold no activations once they return, and give
+byte for byte what ``forward`` gives.  Keeping the gradients explicit is
+what lets the test suite compare every analytic derivative against
+central finite differences.
 
 A Dense layer works on (rows, in) inputs with (in, out) weights, or on a
 stack of V such networks: (V, rows, in) inputs with (V, in, out) weights.
@@ -32,9 +36,12 @@ class Dense:
         self._vb = np.zeros_like(self.b)
         self._x: np.ndarray | None = None
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return x @ self.w + self.b[..., None, :]
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        return x @ self.w + self.b[..., None, :]
+        return self.apply(x)
 
     def backward(self, grad_y: np.ndarray) -> np.ndarray:
         self.dw = np.swapaxes(self._x, -1, -2) @ grad_y
@@ -60,9 +67,12 @@ class Relu:
     def __init__(self):
         self._mask = None
 
+    def apply(self, x):
+        return x * (x > 0)
+
     def forward(self, x):
         self._mask = x > 0
-        return x * self._mask
+        return self.apply(x)
 
     def backward(self, grad_y):
         return grad_y * self._mask
@@ -81,8 +91,11 @@ class Sigmoid:
     def __init__(self):
         self._y = None
 
+    def apply(self, x):
+        return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
+
     def forward(self, x):
-        self._y = 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
+        self._y = self.apply(x)
         return self._y
 
     def backward(self, grad_y):
@@ -105,6 +118,12 @@ class Mlp:
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:
             x = layer.forward(x)
+        return x
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """The forward result without keeping anything for backward."""
+        for layer in self.layers:
+            x = layer.apply(x)
         return x
 
     def backward(self, grad_y: np.ndarray) -> np.ndarray:
@@ -143,18 +162,36 @@ class Mlp:
         return np.concatenate([g.ravel() for g in self.grads()])
 
     def copy(self) -> "Mlp":
-        import copy as _copy
+        """An independent network with the same weights, biases and momentum.
 
-        return _copy.deepcopy(self)
+        Gradients start at zero and no activations are carried over, so a
+        copy costs the parameters, not the last batch the source saw.
+        """
+        layers: list = []
+        for layer in self.layers:
+            if isinstance(layer, Dense):
+                twin = Dense.__new__(Dense)
+                twin.w, twin.b = layer.w.copy(), layer.b.copy()
+                twin.dw, twin.db = np.zeros_like(twin.w), np.zeros_like(twin.b)
+                twin._vw, twin._vb = layer._vw.copy(), layer._vb.copy()
+                twin._x = None
+            else:
+                twin = type(layer)()
+            layers.append(twin)
+        return Mlp(layers)
 
     def param_count(self) -> int:
         return int(sum(p.size for p in self.params()))
 
     def release_training_state(self) -> None:
-        """Drop gradients and momentum; the network can still run forward."""
+        """Drop gradients, momentum and cached activations; ``predict`` still runs."""
         for layer in self.layers:
             if isinstance(layer, Dense):
-                layer.dw = layer.db = layer._vw = layer._vb = None
+                layer.dw = layer.db = layer._vw = layer._vb = layer._x = None
+            elif isinstance(layer, Relu):
+                layer._mask = None
+            elif isinstance(layer, Sigmoid):
+                layer._y = None
 
 
 def stack(nets: list[Mlp]) -> Mlp:

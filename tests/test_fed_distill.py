@@ -5,6 +5,7 @@ import pytest
 
 from roadcache import fed_distill as fd
 from roadcache import latent_codec, ldpm
+from roadcache.caching import top_m
 from roadcache.errors import ProtocolError, ZeroNormError
 from roadcache.rng import substream
 
@@ -164,6 +165,36 @@ class TestFindNeighbors:
         kc = seeded_kc(substream(4, "nbr"), range(3))
         with pytest.raises(ProtocolError):
             fd.find_neighbors(kc, 77, count=3, gamma=0.0)
+
+    def test_matches_brute_force_with_zeros_and_ties(self):
+        for trial in range(30):
+            rng = substream(5, "nbr", trial)
+            base = rng.normal(size=(4, LATENT_DIM))
+            kc = make_kc()
+            for vid in rng.permutation(12):
+                kind = rng.integers(0, 3)
+                if kind == 0:
+                    vector = np.zeros(LATENT_DIM)
+                elif kind == 1:      # a positive multiple of a shared direction: tied
+                    vector = base[rng.integers(0, 4)] * rng.choice([0.5, 1.0, 3.0])
+                else:
+                    vector = rng.normal(size=LATENT_DIM)
+                fd.upsert_hi(kc, fd.HIPair(hash=vector, vehicle_id=int(vid), upload_time=0.0))
+            for own_id in range(12):
+                scored = []
+                for vid, pair in kc.hi.items():
+                    if vid == own_id:
+                        continue
+                    try:
+                        scored.append((fd.cosine_similarity(kc.hi[own_id].hash, pair.hash), vid))
+                    except ZeroNormError:
+                        continue
+                scored.sort(key=lambda item: (-item[0], item[1]))
+                for count in (1, 4, 12):
+                    for gamma in (-1.0, 0.0, 0.9):
+                        want = [v for s, v in scored if s >= gamma][:count]
+                        got = fd.find_neighbors(kc, own_id, count=count, gamma=gamma)
+                        assert got == want
 
     def test_zero_fingerprints_never_qualify(self):
         kc = make_kc()
@@ -379,10 +410,10 @@ class TestTrainAndPredict:
         for visit in alone + batch:
             visit.setup.schedule = schedule
         together = fd.train_and_predict(batch)
-        for visit, (scores, rec_list, knowledge, losses) in zip(alone, together):
-            [(own_scores, own_list, own_knowledge, own_losses)] = fd.train_and_predict([visit])
+        for visit, (scores, knowledge, losses) in zip(alone, together):
+            [(own_scores, own_knowledge, own_losses)] = fd.train_and_predict([visit])
             assert scores.tobytes() == own_scores.tobytes()
-            assert np.array_equal(rec_list, own_list)
+            assert np.array_equal(top_m(scores, 5), top_m(own_scores, 5))
             assert knowledge.tobytes() == own_knowledge.tobytes()
             assert losses == own_losses and len(losses) == 2
         for mine, theirs in zip(batch, alone):

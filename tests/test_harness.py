@@ -520,3 +520,40 @@ class TestBatchedProtocol:
         assert largest[0][0] > 2 and largest[0][1] == largest[0][0]
         assert largest[1] == (largest[0][0], 2)
         assert largest[2] == (1, 1)
+
+
+class TestInferenceCachesNothing:
+    """Encoding, decoding and sampling leave no activations on any layer."""
+
+    @staticmethod
+    def held(nets):
+        return [(i, name) for i, net in enumerate(nets) for layer in net.layers
+                for name in ("_x", "_mask", "_y") if getattr(layer, name, None) is not None]
+
+    def test_protocol_leaves_no_activations(self, monkeypatch, tiny_cfg_path):
+        cfg = load_config(tiny_cfg_path, [])
+        denoisers, sampled = [], []
+        real_new, real_sample = ldpm.new_denoiser, ldpm.sample
+
+        def new_denoiser(*args):
+            denoisers.append(real_new(*args))
+            return denoisers[-1]
+
+        def sample(params, sched, count, rng):
+            sampled.append(params)
+            return real_sample(params, sched, count, rng)
+
+        monkeypatch.setattr(ldpm, "new_denoiser", new_denoiser)
+        monkeypatch.setattr(ldpm, "sample", sample)
+        data = harness.build_data_env(cfg)
+        motion = harness.build_motion_env(cfg, data.locals_)
+        trace = harness.simulate_protocol(cfg, data, motion)
+        assert trace.completed_visits > 0 and sampled
+        assert len(denoisers) == data.num_vehicles
+        codec_nets = [net for codec in data.codecs for net in (codec.encoder, codec.decoder)]
+        assert self.held(codec_nets) == []
+        assert self.held([d.net for d in denoisers + sampled]) == []
+        for codec in data.codecs:
+            for layer in codec.encoder.layers + codec.decoder.layers:
+                if hasattr(layer, "w"):
+                    assert layer.dw is layer.db is layer._vw is layer._vb is None

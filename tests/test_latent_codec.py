@@ -177,6 +177,15 @@ class TestFineTune:
         recon = latent_codec.decode(tuned, latent_codec.encode(tuned, self.data[:5]))
         assert recon.shape == (5, self.data.shape[1]) and np.all(np.isfinite(recon))
 
+    def test_encode_and_decode_cache_nothing(self):
+        tuned = latent_codec.fine_tune(self.codec, self.data[:5], epochs=2,
+                                       lr=0.03, batch_size=2, rng=substream(7, "tune"))
+        latent_codec.decode(tuned, latent_codec.encode(tuned, self.data[:5]))
+        for net in (tuned.encoder, tuned.decoder):
+            for layer in net.layers:
+                for name in ("_x", "_mask", "_y"):
+                    assert getattr(layer, name, None) is None
+
 
 class TestHashes:
     def test_similar_histories_have_similar_hashes(self):

@@ -315,6 +315,23 @@ class TestSample:
         b = ldpm.sample(params, sched, 8, substream(3, "det"))
         assert a.tobytes() == b.tobytes()
 
+    def test_matches_per_step_reference(self):
+        """One noise block per visit equals drawing the initial noise, then one per step."""
+        params = toy_model(label="ref")
+        sched = ldpm.build_schedule(12)
+        rng = substream(4, "ref")
+        x = rng.standard_normal((7, 4))
+        table = sched.embedding_table(params.time_embed_dim)
+        for t in range(sched.steps, 0, -1):
+            eps_hat = ldpm.predict_noise(params, x, np.broadcast_to(table[t - 1], (7, 4)))
+            x = ((x - sched.beta[t - 1] / np.sqrt(1.0 - sched.alpha_bar[t - 1]) * eps_hat)
+                 / np.sqrt(sched.alpha[t - 1]))
+            if t > 1:
+                x = x + np.sqrt(sched.beta[t - 1]) * rng.standard_normal((7, 4))
+        own = substream(4, "ref")
+        assert ldpm.sample(params, sched, 7, own).tobytes() == x.tobytes()
+        assert own.bit_generator.state == rng.bit_generator.state
+
     def test_non_finite_guard(self):
         params = toy_model(label="nanspl")
         flat = params.net.flat_params()

@@ -1,0 +1,90 @@
+"""Layer arithmetic: the cache-free inference pass against the training pass."""
+
+import numpy as np
+import pytest
+
+from roadcache import nn
+from roadcache.rng import substream
+
+CACHES = ("_x", "_mask", "_y")
+
+
+def cached(net):
+    """Names of the activation caches some layer of ``net`` still holds."""
+    return [name for layer in net.layers for name in CACHES
+            if getattr(layer, name, None) is not None]
+
+
+def net_and_input(stacked):
+    rng = substream(0, "nn", "parity", stacked)
+    nets = [nn.mlp([6, 9, 5], rng, out_act=nn.Sigmoid) for _ in range(3)]
+    x = rng.normal(scale=3.0, size=(3, 7, 6))
+    # exact zeros for Relu's boundary, and inputs big enough to hit Sigmoid's clip
+    x[:, 0] = 0.0
+    x[:, 1] *= 400.0
+    if stacked:
+        return nn.stack(nets), x
+    return nets[0], x[0]
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["2d", "stacked"])
+class TestPredict:
+    def test_each_layer_apply_equals_forward(self, stacked):
+        net, x = net_and_input(stacked)
+        kinds = set()
+        for layer in net.layers:
+            kinds.add(type(layer))
+            y = layer.forward(x)
+            assert layer.apply(x).tobytes() == y.tobytes()
+            x = y
+        assert kinds == {nn.Dense, nn.Relu, nn.Sigmoid}
+
+    def test_predict_equals_forward(self, stacked):
+        net, x = net_and_input(stacked)
+        inferred = net.predict(x)
+        assert cached(net) == []
+        trained = net.forward(x)
+        assert inferred.shape == trained.shape
+        assert inferred.tobytes() == trained.tobytes()
+        assert sorted(set(cached(net))) == ["_mask", "_x", "_y"]
+
+
+class TestCopyAndRelease:
+    def test_copy_keeps_weights_and_momentum_only(self):
+        rng = substream(0, "nn", "copy")
+        net = nn.mlp([4, 6, 3], rng, out_act=nn.Sigmoid)
+        x = rng.normal(size=(5, 4))
+        net.forward(x)
+        net.backward(np.ones((5, 3)))
+        net.step(0.1, momentum=0.9)
+        twin = net.copy()
+        assert twin.flat_params().tobytes() == net.flat_params().tobytes()
+        for mine, theirs in zip(twin.layers, net.layers):
+            if isinstance(mine, nn.Dense):
+                assert mine._vw.tobytes() == theirs._vw.tobytes()
+                assert mine._vb.tobytes() == theirs._vb.tobytes()
+                assert not np.any(mine.dw) and not np.any(mine.db)
+                assert mine.w is not theirs.w and mine._vw is not theirs._vw
+        assert cached(twin) == [] and cached(net) != []
+        # Training the copy leaves the source alone, and matches training the source.
+        before = net.flat_params().copy()
+        for target in (twin, net):
+            target.forward(x)
+            target.backward(np.ones((5, 3)))
+            target.step(0.1, momentum=0.9)
+        assert twin.flat_params().tobytes() == net.flat_params().tobytes()
+        assert not np.array_equal(before, net.flat_params())
+
+    def test_release_keeps_only_weights(self):
+        rng = substream(0, "nn", "release")
+        net = nn.mlp([4, 6, 3], rng, out_act=nn.Sigmoid)
+        x = rng.normal(size=(5, 4))
+        net.forward(x)
+        net.backward(np.ones((5, 3)))
+        want = net.predict(x)
+        net.release_training_state()
+        assert cached(net) == []
+        for layer in net.layers:
+            if isinstance(layer, nn.Dense):
+                assert layer.dw is layer.db is layer._vw is layer._vb is None
+        assert net.predict(x).tobytes() == want.tobytes()
