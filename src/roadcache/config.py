@@ -7,6 +7,7 @@ same keys are accepted by the CLI via ``--set key=value``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
@@ -19,7 +20,6 @@ class SimGroup:
     seed: int = 0
     duration: float = 600.0
     scheme: str = "proposed"
-    loop_road: bool = True
 
 
 @dataclass
@@ -41,7 +41,6 @@ class DataGroup:
     path: str = "synth://users=600,contents=3952,seed=1"
     num_vehicles: int = 60
     split_ratio: float = 0.8
-    subsample_users: int = 0
     public_fraction: float = 0.1
 
 
@@ -145,6 +144,20 @@ class SimConfig:
             raise ConfigError("codec.latent_dim and codec.hidden must be >= 1")
         if self.codec.negative_weight < 0:
             raise ConfigError("codec.negative_weight must be >= 0")
+        for key, value in (("codec.batch", self.codec.batch), ("ldpm.batch", self.ldpm.batch),
+                           ("ldpm.hidden", self.ldpm.hidden)):
+            if value < 1:
+                raise ConfigError(f"{key} must be >= 1")
+        for key, value in (("codec.epochs", self.codec.epochs),
+                           ("codec.finetune_epochs", self.codec.finetune_epochs),
+                           ("ldpm.episodes", self.ldpm.episodes)):
+            if value < 0:
+                raise ConfigError(f"{key} must be >= 0")
+        for key, value in (("codec.lr", self.codec.lr), ("ldpm.lr", self.ldpm.lr)):
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{key} must be finite and > 0")
+        if self.ldpm.time_embed < 2 or self.ldpm.time_embed % 2:
+            raise ConfigError("ldpm.time_embed must be even and >= 2")
         if self.ldpm.steps < 1:
             raise ConfigError("ldpm.T must be >= 1")
         if self.ldpm.temperature <= 0:

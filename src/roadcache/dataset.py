@@ -8,7 +8,7 @@ through the synthetic generator and then the very same parser.
 Each user's rated items are split chronologically: the earlier share
 becomes the training vector, the remainder becomes that user's future
 requests.  Users ride vehicles; a vehicle's request stream is the union
-of its users' held-out items at random instants inside coverage.
+of its users' held-out items at uniform instants of the run.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 
 from . import synth
 from .errors import ConfigError, DataFormatError
-from .mobility import VehicleTimeline
 
 
 @dataclass
@@ -80,8 +79,25 @@ class RequestTrace:
         return len(self.times)
 
 
-def _parse_dat(lines):
+def _rating_columns(rows):
+    """Check (line number, four fields, source) rows and return the user, content,
+    rating and timestamp columns; errors quote the repr of source."""
     users, contents, ratings, stamps = [], [], [], []
+    for lineno, fields, source in rows:
+        try:
+            u, c, r, t = int(fields[0]), int(fields[1]), int(fields[2]), int(fields[3])
+        except ValueError:
+            raise DataFormatError(f"non-integer field in {source!r}", lineno) from None
+        if not (1 <= r <= 5):
+            raise DataFormatError(f"rating {r} outside 1..5", lineno)
+        if c < 1:
+            raise DataFormatError(f"content id {c} must be >= 1", lineno)
+        users.append(u); contents.append(c); ratings.append(r); stamps.append(t)
+    return users, contents, ratings, stamps
+
+
+def _parse_dat(lines):
+    """Yield (line number, four fields, the stripped line) per non-blank line."""
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text:
@@ -89,43 +105,25 @@ def _parse_dat(lines):
         parts = text.split("::")
         if len(parts) != 4:
             raise DataFormatError(f"expected 4 '::' fields, got {len(parts)}", lineno)
-        try:
-            u, c, r, t = int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])
-        except ValueError:
-            raise DataFormatError(f"non-integer field in {text!r}", lineno) from None
-        if not (1 <= r <= 5):
-            raise DataFormatError(f"rating {r} outside 1..5", lineno)
-        if c < 1:
-            raise DataFormatError(f"content id {c} must be >= 1", lineno)
-        users.append(u); contents.append(c); ratings.append(r); stamps.append(t)
-    return users, contents, ratings, stamps
+        yield lineno, parts, text
 
 
 def _parse_csv(lines):
+    """Yield (line number, four fields, the same fields) per non-blank row after the header."""
     import csv
 
     rows = list(csv.reader(lines))
     if not rows:
-        return [], [], [], []
+        return
     header = [h.strip() for h in rows[0]]
     if header != ["user_id", "content_id", "rating", "timestamp"]:
         raise DataFormatError(f"unexpected CSV header {header}", 1)
-    users, contents, ratings, stamps = [], [], [], []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 4:
             raise DataFormatError(f"expected 4 columns, got {len(row)}", lineno)
-        try:
-            u, c, r, t = int(row[0]), int(row[1]), int(row[2]), int(row[3])
-        except ValueError:
-            raise DataFormatError(f"non-integer field in {row}", lineno) from None
-        if not (1 <= r <= 5):
-            raise DataFormatError(f"rating {r} outside 1..5", lineno)
-        if c < 1:
-            raise DataFormatError(f"content id {c} must be >= 1", lineno)
-        users.append(u); contents.append(c); ratings.append(r); stamps.append(t)
-    return users, contents, ratings, stamps
+        yield lineno, row, row
 
 
 def load_ratings(source, fmt: str | None = None, num_contents: int | None = None) -> RatingMatrix:
@@ -157,11 +155,12 @@ def load_ratings(source, fmt: str | None = None, num_contents: int | None = None
         probe = next((ln for ln in lines if ln.strip()), "")
         fmt = "dat" if "::" in probe else "csv"
     if fmt == "dat":
-        users, contents, ratings, stamps = _parse_dat(lines)
+        rows = _parse_dat(lines)
     elif fmt == "csv":
-        users, contents, ratings, stamps = _parse_csv(lines)
+        rows = _parse_csv(lines)
     else:
         raise ConfigError(f"unknown rating format {fmt!r}")
+    users, contents, ratings, stamps = _rating_columns(rows)
 
     contents_arr = np.asarray(contents, dtype=np.int32)
     max_seen = int(contents_arr.max()) if len(contents_arr) else 0
@@ -184,7 +183,7 @@ def normalize_rating(r):
     return np.asarray(r, dtype=float) / 5.0
 
 
-def _user_rows(matrix: RatingMatrix) -> dict[int, np.ndarray]:
+def user_rows(matrix: RatingMatrix) -> dict[int, np.ndarray]:
     """Indices of each user's entries, ordered by (timestamp, content id)."""
     order = np.lexsort((matrix.contents, matrix.timestamps, matrix.users))
     rows: dict[int, np.ndarray] = {}
@@ -229,7 +228,7 @@ def partition_users(
         raise ConfigError(f"{num_vehicles} vehicles but only {len(users)} users")
     if not (0 < split_ratio < 1):
         raise ConfigError("split_ratio must be in (0, 1)")
-    rows = _user_rows(matrix)
+    rows = user_rows(matrix)
     shuffled = users[rng.permutation(len(users))]
     locals_: list[LocalDataset] = []
     assignment: list[list[int]] = [[] for _ in range(num_vehicles)]
@@ -259,38 +258,26 @@ def partition_users(
 
 def generate_requests(
     locals_: list[LocalDataset],
-    timelines: list[VehicleTimeline],
     duration: float,
     rng_for_vehicle,
 ) -> RequestTrace:
-    """Emit each held-out item at a uniform instant inside coverage.
+    """Emit each held-out item at a uniform instant in [0, duration).
 
-    rng_for_vehicle maps a vehicle id to its request stream, which keeps
-    request times untouched by unrelated draws (and by the speed setting,
-    since a ring road covers every instant).
+    Every vehicle stays on the ring road for the whole run, so any instant
+    lies inside some RSU's coverage.  rng_for_vehicle maps a vehicle id to
+    its request stream, which keeps request times untouched by unrelated
+    draws and by the speed setting.  A zero-length run drops every request.
     """
     times, vids, cids = [], [], []
     dropped = 0
-    for local, timeline in zip(locals_, timelines):
-        spans = timeline.coverage_intervals(duration)
-        total = sum(e - s for s, e in spans)
-        if total <= 0 or not spans:
-            dropped += len(local.held_out_requests)
+    for local in locals_:
+        held = local.held_out_requests
+        if duration <= 0:
+            dropped += len(held)
             continue
-        rng = rng_for_vehicle(local.vehicle_id)
-        draws = rng.uniform(0.0, total, size=len(local.held_out_requests))
-        for item, u in zip(local.held_out_requests, draws):
-            at = u
-            for s, e in spans:
-                width = e - s
-                if at < width:
-                    times.append(s + at)
-                    break
-                at -= width
-            else:
-                times.append(spans[-1][1] - 1e-9)
-            vids.append(local.vehicle_id)
-            cids.append(item)
+        times.extend(rng_for_vehicle(local.vehicle_id).uniform(0.0, duration, size=len(held)))
+        vids.extend([local.vehicle_id] * len(held))
+        cids.extend(held)
     times_arr = np.asarray(times)
     vids_arr = np.asarray(vids, dtype=np.int32)
     cids_arr = np.asarray(cids, dtype=np.int32)

@@ -33,7 +33,7 @@ from . import fed_distill, latent_codec, ldpm
 from .caching import LatencyModel, Metrics, rank_contents, replacement_scores, serve, top_m
 from .config import SimConfig
 from .dataset import (LocalDataset, RatingMatrix, generate_requests, load_ratings,
-                      partition_users, split_public_users, user_train_vector)
+                      partition_users, split_public_users, user_rows, user_train_vector)
 from .errors import ConfigError, InvariantError
 from .fed_distill import (MSG_FL_MODEL_DOWN, MSG_FL_MODEL_UP, MSG_HI, MSG_KI,
                           MSG_KNOWLEDGE_DOWN, MSG_REC_LIST, UPLINK_KINDS, KnowledgeCache,
@@ -56,7 +56,6 @@ WINDOW_SCHEMES = ("oracle", "n_tau_greedy", "random")
 class DataEnv:
     matrix: RatingMatrix
     locals_: list[LocalDataset]
-    codec_base: latent_codec.CodecParams
     codecs: list[latent_codec.CodecParams]
     hashes: np.ndarray
     latents: list[np.ndarray]
@@ -90,25 +89,15 @@ def build_data_env(cfg: SimConfig) -> DataEnv:
     if cfg.cache.list_m > matrix.num_contents:
         raise ConfigError(f"cache.list_m={cfg.cache.list_m} exceeds the catalog of "
                           f"{matrix.num_contents} contents")
-    if cfg.data.subsample_users > 0 and not cfg.data.path.startswith("synth://"):
-        users = matrix.distinct_users()
-        if cfg.data.subsample_users < len(users):
-            # The subsample is pinned to its own stream so the same desk
-            # slice is drawn no matter which run seed is in play.
-            pick = substream(0, "subsample").permutation(len(users))[: cfg.data.subsample_users]
-            matrix = matrix.select_users(users[pick])
     public_ids, rider_ids = split_public_users(matrix, cfg.data.public_fraction, substream(seed, "public"))
     if cfg.data.num_vehicles > len(rider_ids):
         raise ConfigError(
             f"{cfg.data.num_vehicles} vehicles need at least that many riders, "
             f"only {len(rider_ids)} users remain after the public holdout"
         )
-    order = np.lexsort((matrix.contents, matrix.timestamps, matrix.users))
-    public_vectors = []
-    sorted_users = matrix.users[order]
-    for uid in public_ids:
-        public_vectors.append(user_train_vector(matrix, order[sorted_users == uid]))
-    public = np.vstack(public_vectors) if public_vectors else np.zeros((0, matrix.num_contents))
+    rows = user_rows(matrix)
+    public = (np.vstack([user_train_vector(matrix, rows[int(uid)]) for uid in public_ids])
+              if len(public_ids) else np.zeros((0, matrix.num_contents)))
 
     riders = matrix.select_users(rider_ids)
     locals_ = partition_users(riders, cfg.data.num_vehicles, cfg.data.split_ratio, substream(seed, "partition"))
@@ -116,7 +105,7 @@ def build_data_env(cfg: SimConfig) -> DataEnv:
     if len(public) == 0:
         # No public holdout configured: fall back to the riders' vectors.
         public = np.vstack([loc.user_train_vectors for loc in locals_ if len(loc.user_train_vectors)])
-    codec_base, _ = latent_codec.pretrain_codec(
+    base, _ = latent_codec.pretrain_codec(
         public, cfg.codec.hidden, cfg.codec.latent_dim, cfg.codec.lr,
         cfg.codec.epochs, cfg.codec.batch, substream(seed, "codec"),
         negative_weight=cfg.codec.negative_weight,
@@ -124,7 +113,7 @@ def build_data_env(cfg: SimConfig) -> DataEnv:
     codecs, hashes, latents = [], [], []
     for loc in locals_:
         tuned = latent_codec.fine_tune(
-            codec_base, loc.user_train_vectors, cfg.codec.finetune_epochs,
+            base, loc.user_train_vectors, cfg.codec.finetune_epochs,
             cfg.codec.lr, cfg.codec.batch, substream(seed, "finetune", loc.vehicle_id),
             negative_weight=cfg.codec.negative_weight,
         )
@@ -136,7 +125,7 @@ def build_data_env(cfg: SimConfig) -> DataEnv:
     for loc in locals_:
         if len(loc.user_train_vectors):
             prior += loc.user_train_vectors.sum(axis=0)
-    return DataEnv(matrix, locals_, codec_base, codecs, np.vstack(hashes), latents, prior)
+    return DataEnv(matrix, locals_, codecs, np.vstack(hashes), latents, prior)
 
 
 def build_motion_env(cfg: SimConfig, locals_: list[LocalDataset]) -> MotionEnv:
@@ -149,20 +138,19 @@ def build_motion_env(cfg: SimConfig, locals_: list[LocalDataset]) -> MotionEnv:
         offset = substream(seed, "mobility", "init", vid).uniform(0.0, topo.road_length)
         timelines.append(rollout(
             vid, dist, topo, cfg.sim.duration, substream(seed, "mobility", "speed", vid),
-            loop=cfg.sim.loop_road, initial_offset=offset,
+            initial_offset=offset,
         ))
-    trace = generate_requests(locals_, timelines, cfg.sim.duration,
+    trace = generate_requests(locals_, cfg.sim.duration,
                               lambda vid: substream(seed, "requests", vid))
     rsus = np.array([timelines[v].rsu_at(t) for t, v in zip(trace.times, trace.vehicle_ids)],
                     dtype=np.int32) if len(trace) else np.zeros(0, dtype=np.int32)
-    keep = rsus >= 0
     return MotionEnv(
         timelines=timelines,
-        request_times=trace.times[keep],
-        request_vehicles=trace.vehicle_ids[keep],
-        request_contents=trace.content_ids[keep],
-        request_rsus=rsus[keep],
-        dropped_requests=trace.dropped + int((~keep).sum()),
+        request_times=trace.times,
+        request_vehicles=trace.vehicle_ids,
+        request_contents=trace.content_ids,
+        request_rsus=rsus,
+        dropped_requests=trace.dropped,
         duration=cfg.sim.duration,
         coverage_length=cfg.topology.coverage_length,
         num_rsus=cfg.topology.num_rsus,
@@ -185,18 +173,10 @@ class EntryRecord:
     list_version: int  # -1 before the first completed visit
 
 
-@dataclass(frozen=True)
-class ExitRecord:
-    time: float
-    vehicle_id: int
-    rsu: int
-
-
 @dataclass
 class ProtocolTrace:
     versions: np.ndarray           # (n_versions, K) float32 score vectors
-    entries: list[EntryRecord]
-    exits: list[ExitRecord]
+    entries: list[EntryRecord]     # time order
     messages: list[Message]
     completed_visits: int
     aborted_visits: int
@@ -247,7 +227,6 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv) -> Proto
     computed: dict[int, tuple] = {}                 # ticket -> train_and_predict result
     versions: list[np.ndarray] = []
     entries: list[EntryRecord] = []
-    exits: list[ExitRecord] = []
     messages: list[Message] = []
     losses: list[float] = []
     completed = aborted = 0
@@ -265,9 +244,6 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv) -> Proto
             if seg.entry_time < duration:
                 heapq.heappush(heap, (seg.entry_time, 1, seq, ("entry", (timeline.vehicle_id, seg))))
                 seq += 1
-        if timeline.end_time < duration:
-            last = timeline.segments[-1]
-            exits.append(ExitRecord(timeline.end_time, timeline.vehicle_id, last.rsu_index))
 
     while heap:
         now, _, _, (kind, payload) = heapq.heappop(heap)
@@ -329,7 +305,7 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv) -> Proto
         completed += 1
 
     stacked = np.vstack(versions) if versions else np.zeros((0, data.num_contents), dtype=np.float32)
-    return ProtocolTrace(stacked, entries, exits, messages, completed, aborted, losses)
+    return ProtocolTrace(stacked, entries, messages, completed, aborted, losses)
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +324,12 @@ class FLOutcome:
         return min(1.0, done / required)
 
 
-def _segment_exit(timeline: VehicleTimeline, idx: int) -> float:
+def _segment_exit(timeline: VehicleTimeline, idx: int, duration: float) -> float:
+    """When the vehicle hands off out of segment idx; the last segment lasts the run,
+    so no segment outlasts the horizon."""
     if idx + 1 < len(timeline.segments):
         return timeline.segments[idx + 1].entry_time
-    return timeline.end_time
+    return duration
 
 
 def parameter_exchange_baseline(kind: str, cfg: SimConfig, motion: MotionEnv) -> FLOutcome:
@@ -359,7 +337,7 @@ def parameter_exchange_baseline(kind: str, cfg: SimConfig, motion: MotionEnv) ->
 
     A round moves the full parameter vector down at its start and up at
     its end.  The synchronous variant runs zone-wide rounds that fail for
-    everyone when any participant leaves early; the asynchronous variant
+    everyone when any participant hands off early; the asynchronous variant
     lets each vehicle run its own rounds and simply lose unfinished ones.
     """
     if kind not in ("fedavg", "asyfed"):
@@ -375,16 +353,16 @@ def parameter_exchange_baseline(kind: str, cfg: SimConfig, motion: MotionEnv) ->
         for timeline in motion.timelines:
             vid = timeline.vehicle_id
             for idx, seg in enumerate(timeline.segments):
-                exit_time = _segment_exit(timeline, idx)
+                exit_time = _segment_exit(timeline, idx, duration)
                 j = 0
                 while True:
                     start = seg.entry_time + j * rs
-                    if start >= exit_time or start >= duration:
+                    if start >= exit_time:
                         break
                     messages.append(Message(start, f"rsu:{seg.rsu_index}", f"veh:{vid}",
                                             MSG_FL_MODEL_DOWN, per_model))
                     end = start + rs
-                    if end < exit_time and end <= duration:
+                    if end < exit_time:
                         messages.append(Message(end, f"veh:{vid}", f"rsu:{seg.rsu_index}",
                                                 MSG_FL_MODEL_UP, per_model))
                         completions.setdefault(vid, []).append(end)
@@ -397,7 +375,7 @@ def parameter_exchange_baseline(kind: str, cfg: SimConfig, motion: MotionEnv) ->
     for timeline in motion.timelines:
         for idx, seg in enumerate(timeline.segments):
             occupancy[seg.rsu_index].append(
-                (seg.entry_time, _segment_exit(timeline, idx), timeline.vehicle_id, idx))
+                (seg.entry_time, _segment_exit(timeline, idx, duration), timeline.vehicle_id, idx))
     k = 0
     while k * rs < duration:
         start = k * rs
@@ -410,10 +388,10 @@ def parameter_exchange_baseline(kind: str, cfg: SimConfig, motion: MotionEnv) ->
             stayers = []
             for vid, exit_t in starters:
                 messages.append(Message(start, f"rsu:{rsu}", f"veh:{vid}", MSG_FL_MODEL_DOWN, per_model))
-                if exit_t >= end and end <= duration:
+                if exit_t >= end:
                     stayers.append(vid)
                     messages.append(Message(end, f"veh:{vid}", f"rsu:{rsu}", MSG_FL_MODEL_UP, per_model))
-            if len(stayers) == len(starters) and end <= duration:
+            if len(stayers) == len(starters):
                 completed_rounds += 1
                 for vid in stayers:
                     completions.setdefault(vid, []).append(end)
@@ -519,14 +497,6 @@ def _trigger_scheme_eval(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
         messages = list(fl.messages)
         metrics.completed_rounds = fl.completed_rounds
 
-    # Turn entry/exit records into cache triggers.
-    triggers: list[tuple[float, int, str, object]] = []
-    for i, e in enumerate(trace.entries):
-        triggers.append((e.time, 0, "entry", (i, e)))
-    for x in trace.exits:
-        triggers.append((x.time, 1, "exit", x))
-    triggers.sort(key=lambda item: (item[0], item[1]))
-
     members: list[dict[int, tuple[float, float, float, np.ndarray | None]]] = [
         {} for _ in range(motion.num_rsus)
     ]
@@ -547,10 +517,10 @@ def _trigger_scheme_eval(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
 
     entry_counter = [0] * data.num_vehicles
 
-    # Requests strictly before a trigger are served with the rankings it finds.
+    # Requests strictly before an entry are served with the rankings it finds.
     served = 0
     request_positions = np.empty(len(motion.request_times), dtype=np.int64)
-    ends = np.searchsorted(motion.request_times, [t for t, *_ in triggers], side="left")
+    ends = np.searchsorted(motion.request_times, [e.time for e in trace.entries], side="left")
 
     def serve_until(end: int) -> None:
         nonlocal served
@@ -558,18 +528,12 @@ def _trigger_scheme_eval(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
         request_positions[served:end] = positions[rsus, motion.request_contents[served:end]]
         served = end
 
-    for (_, _, kind, payload), end in zip(triggers, ends):
+    for e, end in zip(trace.entries, ends):
         serve_until(end)
-        if kind == "exit":
-            members[payload.rsu].pop(payload.vehicle_id, None)
-            where[payload.vehicle_id] = -1
-            refresh(payload.rsu, payload.time)
-            continue
-        _, e = payload
         vid = e.vehicle_id
         prev = where[vid]
         if prev >= 0:
-            members[prev].pop(vid, None)
+            del members[prev][vid]
         if scheme == "proposed":
             ids = list_ids(e.list_version) if e.list_version >= 0 else None
         else:

@@ -1,6 +1,8 @@
 """Highway mobility: truncated-Gaussian speeds, RSU zones, handoffs.
 
-The road is a chain of contiguous RSU coverage zones of equal length.
+The road is a ring of contiguous RSU coverage zones of equal length, so
+the fleet stays on it for the whole run and leaves a zone only by
+handing off to the next one (the last zone hands off to the first).
 A vehicle keeps one speed for the whole zone and draws a fresh speed
 each time it crosses into the next zone.  Zone crossings are computed
 exactly from the kinematics, never quantized to a time step.
@@ -135,21 +137,14 @@ def residence_time(seg: Segment, coverage_length: float) -> float:
 class VehicleTimeline:
     vehicle_id: int
     segments: list[Segment]
-    end_time: float  # exit instant on a finite road, else the horizon
 
     def entry_times(self) -> np.ndarray:
         return np.array([s.entry_time for s in self.segments])
 
     def rsu_at(self, t: float) -> int:
-        """Zone occupied at time t; -1 once the vehicle has left the road."""
-        if t >= self.end_time:
-            return -1
+        """Zone occupied at time t."""
         idx = int(np.searchsorted(self.entry_times(), t, side="right")) - 1
         return self.segments[max(idx, 0)].rsu_index
-
-    def coverage_intervals(self, horizon: float) -> list[tuple[float, float]]:
-        end = min(self.end_time, horizon)
-        return [(0.0, end)] if end > 0 else []
 
 
 def rollout(
@@ -159,29 +154,22 @@ def rollout(
     duration: float,
     rng: np.random.Generator,
     *,
-    loop: bool = True,
     initial_offset: float = 0.0,
 ) -> VehicleTimeline:
-    """Precompute a vehicle's whole sequence of zone visits.
+    """Precompute a vehicle's whole sequence of zone visits up to duration.
 
     The vehicle starts at a global road offset at t = 0 and draws a new
-    speed at every zone entry, wrapping to the first zone after the last
-    when loop is set (the harness models a ring road to keep the fleet
-    density constant).
+    speed at every zone entry, wrapping to the first zone after the last,
+    so it stays on the ring until the horizon.
     """
     B = topo.coverage_length
     offset = initial_offset % topo.road_length
     rsu = min(int(offset // B), topo.num_rsus - 1)
     segments = [Segment(0.0, rsu, offset - rsu * B, sample_speed(dist, rng))]
-    t = 0.0
     while True:
         seg = segments[-1]
         t = seg.entry_time + residence_time(seg, B)
         if t >= duration:
-            return VehicleTimeline(vehicle_id, segments, end_time=duration)
-        nxt = seg.rsu_index + 1
-        if nxt >= topo.num_rsus:
-            if not loop:
-                return VehicleTimeline(vehicle_id, segments, end_time=t)
-            nxt = 0
-        segments.append(Segment(t, nxt, 0.0, sample_speed(dist, rng)))
+            return VehicleTimeline(vehicle_id, segments)
+        segments.append(Segment(t, (seg.rsu_index + 1) % topo.num_rsus, 0.0,
+                                sample_speed(dist, rng)))

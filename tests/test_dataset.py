@@ -14,7 +14,6 @@ from roadcache.dataset import (
     user_train_vector,
 )
 from roadcache.errors import ConfigError, DataFormatError
-from roadcache.mobility import HighwayTopology, SpeedDistribution, rollout
 from roadcache.rng import substream
 from roadcache.synth import generate_lines, parse_synth_uri
 
@@ -48,11 +47,10 @@ def test_malformed_line_reports_line_number():
 
 
 def test_out_of_range_rating_rejected():
-    with pytest.raises(DataFormatError):
-        load_ratings(["1::10::9::100\n"], fmt="dat")
-    with pytest.raises(DataFormatError):
-        load_ratings(["1::0::3::100\n"], fmt="dat")
-    for bad in ("1,0,5,10\n", "1,-3,5,10\n"):
+    for bad in ("1::10::9::100\n", "1::10::0::100\n", "1::0::3::100\n"):
+        with pytest.raises(DataFormatError):
+            load_ratings([bad], fmt="dat")
+    for bad in ("1,0,5,10\n", "1,-3,5,10\n", "1,2,0,10\n", "1,2,6,10\n"):
         with pytest.raises(DataFormatError) as err:
             load_ratings(["user_id,content_id,rating,timestamp\n", "1,2,4,5\n", bad], fmt="csv")
         assert err.value.line_no == 3
@@ -184,47 +182,39 @@ def test_public_split_sizes_and_disjointness():
     assert len(all_riders) == 10
 
 
-DIST = SpeedDistribution(25.0, 5.0, 15.0, 35.0)
-TOPO = HighwayTopology(2, 500.0)
-
-
-def _locals_and_timelines(duration, seed=0):
-    m = _synthetic_matrix(seed=seed)
-    locals_ = partition_users(m, 5, 0.8, substream(seed, "p"))
-    timelines = [
-        rollout(loc.vehicle_id, DIST, TOPO, duration,
-                substream(seed, "speed", loc.vehicle_id), loop=True,
-                initial_offset=137.0 * loc.vehicle_id)
-        for loc in locals_
-    ]
-    return locals_, timelines
+def _locals(seed=0):
+    return partition_users(_synthetic_matrix(seed=seed), 5, 0.8, substream(seed, "p"))
 
 
 def test_requests_conserved_and_inside_coverage():
-    locals_, timelines = _locals_and_timelines(400.0)
-    trace = generate_requests(locals_, timelines, 400.0,
-                              lambda vid: substream(0, "req", vid))
+    # The ring road covers every instant of the run.
+    locals_ = _locals()
+    trace = generate_requests(locals_, 400.0, lambda vid: substream(0, "req", vid))
     expected = sum(len(loc.held_out_requests) for loc in locals_)
     assert len(trace) + trace.dropped == expected
     assert trace.dropped == 0
     assert np.all(np.diff(trace.times) >= 0)
-    spans = {t.vehicle_id: t.coverage_intervals(400.0) for t in timelines}
-    for t, vid in zip(trace.times, trace.vehicle_ids):
-        assert any(s <= t < e for s, e in spans[int(vid)])
+    assert np.all((trace.times >= 0.0) & (trace.times < 400.0))
+    for loc in locals_:
+        mine = trace.vehicle_ids == loc.vehicle_id
+        assert sorted(trace.content_ids[mine].tolist()) == sorted(loc.held_out_requests)
+        # Each vehicle's times are exactly its own stream's draws.
+        draws = substream(0, "req", loc.vehicle_id).uniform(0.0, 400.0, len(loc.held_out_requests))
+        assert sorted(trace.times[mine].tolist()) == sorted(draws.tolist())
 
 
 def test_requests_reproducible():
-    locals_, timelines = _locals_and_timelines(400.0)
-    a = generate_requests(locals_, timelines, 400.0, lambda vid: substream(0, "req", vid))
-    b = generate_requests(locals_, timelines, 400.0, lambda vid: substream(0, "req", vid))
+    locals_ = _locals()
+    a = generate_requests(locals_, 400.0, lambda vid: substream(0, "req", vid))
+    b = generate_requests(locals_, 400.0, lambda vid: substream(0, "req", vid))
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.vehicle_ids, b.vehicle_ids)
     assert np.array_equal(a.content_ids, b.content_ids)
 
 
 def test_requests_dropped_without_coverage():
-    locals_, timelines = _locals_and_timelines(0.0)
-    trace = generate_requests(locals_, timelines, 0.0, lambda vid: substream(0, "req", vid))
+    locals_ = _locals()
+    trace = generate_requests(locals_, 0.0, lambda vid: substream(0, "req", vid))
     assert len(trace) == 0
     assert trace.dropped == sum(len(loc.held_out_requests) for loc in locals_)
 
@@ -233,8 +223,7 @@ def test_empty_held_out_set_contributes_nothing():
     lines = ["1::5::4::10\n"]
     m = load_ratings(lines)
     locals_ = partition_users(m, 1, 0.8, substream(7, "p"))
-    timelines = [rollout(0, DIST, TOPO, 100.0, substream(7, "speed"), loop=True)]
-    trace = generate_requests(locals_, timelines, 100.0, lambda vid: substream(7, "req", vid))
+    trace = generate_requests(locals_, 100.0, lambda vid: substream(7, "req", vid))
     assert len(trace) == 0
     assert trace.dropped == 0
 

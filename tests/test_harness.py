@@ -32,9 +32,15 @@ def motion_with(timelines, duration, num_rsus=2):
     )
 
 
-def one_segment_timeline(vid, end_time, rsu=0):
-    seg = Segment(entry_time=0.0, rsu_index=rsu, entry_position=0.0, speed=25.0)
-    return VehicleTimeline(vehicle_id=vid, segments=[seg], end_time=end_time)
+def handoff_timeline(vid, handoff=None, rsu=0):
+    """A vehicle entering zone rsu at t=0 that hands off to the next zone at
+    t=handoff (its speed makes that the zone's residence time), or stays to the end."""
+    speed = 25.0 if handoff is None else 500.0 / handoff
+    segments = [Segment(entry_time=0.0, rsu_index=rsu, entry_position=0.0, speed=speed)]
+    if handoff is not None:
+        segments.append(Segment(entry_time=handoff, rsu_index=rsu + 1, entry_position=0.0,
+                                speed=25.0))
+    return VehicleTimeline(vehicle_id=vid, segments=segments)
 
 
 def link_bytes(outcome):
@@ -117,25 +123,26 @@ class TestRandomPolicy:
 class TestParameterExchange:
     def test_fedavg_single_round(self):
         cfg = load_config(None, ["sim.duration=20", "fl.round_seconds=20"])
-        motion = motion_with([one_segment_timeline(0, end_time=25.0)], duration=20.0)
+        motion = motion_with([handoff_timeline(0)], duration=20.0)
         out = harness.parameter_exchange_baseline("fedavg", cfg, motion)
         assert link_bytes(out) == (PER_MODEL, PER_MODEL)
         assert out.completed_rounds == 1
         assert out.completions == {0: [20.0]}
 
     def test_fedavg_departure_wastes_downlink(self):
+        # Handing off to zone 1 mid-round loses zone 0's round; zone 1 starts none before 20 s.
         cfg = load_config(None, ["sim.duration=20", "fl.round_seconds=20"])
-        motion = motion_with([one_segment_timeline(0, end_time=10.0)], duration=20.0)
+        motion = motion_with([handoff_timeline(0, handoff=10.0)], duration=20.0)
         out = harness.parameter_exchange_baseline("fedavg", cfg, motion)
         assert link_bytes(out) == (0, PER_MODEL)
         assert out.completed_rounds == 0
         assert out.completions == {}
 
     def test_fedavg_cohort_fails_together(self):
-        # One early leaver spoils the zone's round for everyone.
+        # One early handoff spoils the zone's round for everyone.
         cfg = load_config(None, ["sim.duration=20", "fl.round_seconds=20"])
-        motion = motion_with([one_segment_timeline(0, end_time=25.0),
-                              one_segment_timeline(1, end_time=10.0)], duration=20.0)
+        motion = motion_with([handoff_timeline(0),
+                              handoff_timeline(1, handoff=10.0)], duration=20.0)
         out = harness.parameter_exchange_baseline("fedavg", cfg, motion)
         assert link_bytes(out) == (PER_MODEL, 2 * PER_MODEL)
         assert out.completed_rounds == 0
@@ -143,11 +150,16 @@ class TestParameterExchange:
 
     def test_asyfed_per_vehicle_rounds(self):
         cfg = load_config(None, ["sim.duration=100", "fl.round_seconds=20"])
-        motion = motion_with([one_segment_timeline(0, end_time=50.0)], duration=100.0)
+        # Zone 0 until the 50 s handoff, zone 1 to the end: each zone completes
+        # two rounds and loses the third, cut by the handoff or by the horizon.
+        motion = motion_with([handoff_timeline(0, handoff=50.0)], duration=100.0)
         out = harness.parameter_exchange_baseline("asyfed", cfg, motion)
-        assert link_bytes(out) == (2 * PER_MODEL, 3 * PER_MODEL)
-        assert out.completed_rounds == 2
-        assert out.completions == {0: [20.0, 40.0]}
+        assert link_bytes(out) == (4 * PER_MODEL, 6 * PER_MODEL)
+        assert out.completed_rounds == 4
+        assert out.completions == {0: [20.0, 40.0, 70.0, 90.0]}
+        down = [(m.time, m.src) for m in out.messages if m.kind == fed_distill.MSG_FL_MODEL_DOWN]
+        assert down == [(0.0, "rsu:0"), (20.0, "rsu:0"), (40.0, "rsu:0"),
+                        (50.0, "rsu:1"), (70.0, "rsu:1"), (90.0, "rsu:1")]
 
     def test_unknown_kind(self):
         cfg = load_config(None, [])
@@ -322,7 +334,7 @@ class TestEvaluationAccounting:
         trace = harness.ProtocolTrace(
             versions=np.zeros((0, K), dtype=np.float32),
             entries=[harness.EntryRecord(5.0, 0, 0, 0.0, 25.0, -1)],
-            exits=[], messages=[], completed_visits=0, aborted_visits=0, losses=[])
+            messages=[], completed_visits=0, aborted_visits=0, losses=[])
         curve, _ = harness.evaluate_caching(cfg, data, motion, trace, "proposed", [1, K, 2 * K])
         assert [(m.hits, m.misses) for m in curve] == [(1, 1)] * 3
 
@@ -377,14 +389,19 @@ class TestCli:
         assert proc.stdout.splitlines()[1].startswith("random,20,")
 
     def test_unknown_key_exits_2(self, tiny_cfg_path):
-        for setting in ("bogus.key=1", "sim.dt=0.1"):
+        for setting in ("bogus.key=1", "sim.dt=0.1", "data.subsample_users=10",
+                        "sim.loop_road=false"):
             proc = roadcache_cli("run", "--config", tiny_cfg_path, "--set", setting)
             assert proc.returncode == 2
             assert "error:" in proc.stderr
 
     def test_bad_value_exits_2(self, tiny_cfg_path):
         # list_m=81 exceeds the tiny config's 80-content catalog.
-        for setting in ("cache.capacity_n=many", "ldpm.F=0", "cache.list_m=81", "cache.list_m=0"):
+        for setting in ("cache.capacity_n=many", "ldpm.F=0", "cache.list_m=81", "cache.list_m=0",
+                        "codec.batch=0", "ldpm.batch=0", "ldpm.batch=-1", "ldpm.hidden=0",
+                        "ldpm.time_embed=3", "ldpm.time_embed=0", "ldpm.lr=nan",
+                        "codec.lr=inf", "codec.lr=0", "codec.epochs=-1",
+                        "codec.finetune_epochs=-1", "ldpm.episodes=-1"):
             proc = roadcache_cli("run", "--config", tiny_cfg_path, "--set", setting)
             assert proc.returncode == 2
             assert setting.split("=")[0] in proc.stderr

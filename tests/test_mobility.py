@@ -148,8 +148,7 @@ def test_residence_time_monotonicity():
 
 def test_rollout_entries_chain_by_residence_time():
     big = HighwayTopology(num_rsus=40, coverage_length=500.0)
-    timeline = rollout(0, DIST, big, 500.0, substream(1, "chain"), loop=False,
-                       initial_offset=490.0)
+    timeline = rollout(0, DIST, big, 500.0, substream(1, "chain"), initial_offset=490.0)
     segs = timeline.segments
     assert len(segs) > 10
     for prev, seg in zip(segs, segs[1:]):
@@ -159,12 +158,16 @@ def test_rollout_entries_chain_by_residence_time():
 
 
 def test_rollout_shorter_horizon_is_prefix():
-    big = HighwayTopology(num_rsus=40, coverage_length=500.0)
-    whole = rollout(0, DIST, big, 400.0, substream(9, "chain"), loop=False)
+    # On the 4-zone ring, 400 s wraps past the last zone several times.
+    whole = rollout(0, DIST, TOPO, 400.0, substream(9, "chain"))
+    assert len(whole.segments) > TOPO.num_rsus + 1
     for horizon in (0.5, 20.0, 100.0, 250.0):
-        part = rollout(0, DIST, big, horizon, substream(9, "chain"), loop=False)
+        part = rollout(0, DIST, TOPO, horizon, substream(9, "chain"))
         assert part.segments == whole.segments[:len(part.segments)]
-        assert part.end_time == horizon
+        # The rollout stops at the horizon: its last zone lasts past it.
+        last = part.segments[-1]
+        assert last.entry_time < horizon
+        assert last.entry_time + residence_time(last, TOPO.coverage_length) >= horizon
         assert whole.rsu_at(horizon - 1e-9) == part.rsu_at(horizon - 1e-9)
 
 
@@ -172,17 +175,17 @@ def test_position_bounded_between_events():
     for seed in range(20):
         rng = substream(4, "bounds", seed)
         offset = float(rng.uniform(0.0, TOPO.road_length))
-        timeline = rollout(0, DIST, TOPO, 600.0, rng, loop=True, initial_offset=offset)
+        timeline = rollout(0, DIST, TOPO, 600.0, rng, initial_offset=offset)
         for seg in timeline.segments:
             assert 0.0 <= seg.entry_position < TOPO.coverage_length
             assert 0 <= seg.rsu_index < TOPO.num_rsus
 
 
 def test_rollout_loop_road_covers_everything():
-    timeline = rollout(0, DIST, TOPO, 600.0, substream(6, "roll"), loop=True,
-                       initial_offset=750.0)
-    spans = timeline.coverage_intervals(600.0)
-    assert spans == [(0.0, 600.0)]
+    timeline = rollout(0, DIST, TOPO, 600.0, substream(6, "roll"), initial_offset=750.0)
+    assert timeline.segments[0].entry_time == 0.0
+    last = timeline.segments[-1]
+    assert last.entry_time + residence_time(last, TOPO.coverage_length) >= 600.0
     entries = timeline.entry_times()
     assert np.all(np.diff(entries) > 0)
     # Segment chaining: each entry follows from the previous zone's span.
@@ -192,16 +195,23 @@ def test_rollout_loop_road_covers_everything():
         assert seg.entry_position == 0.0
 
 
-def test_rollout_finite_road_ends():
-    timeline = rollout(0, DIST, TOPO, 10_000.0, substream(8, "roll"), loop=False,
-                       initial_offset=0.0)
-    assert timeline.end_time < 10_000.0
-    assert timeline.segments[-1].rsu_index == TOPO.num_rsus - 1
-    assert timeline.rsu_at(timeline.end_time + 1.0) == -1
+def test_rollout_last_zone_hands_off_to_first():
+    # Start 100 m before the end of the last zone; stop shortly after the handoff.
+    first_leg = rollout(0, DIST, TOPO, 1e-9, substream(8, "roll"),
+                        initial_offset=TOPO.road_length - 100.0)
+    handoff = residence_time(first_leg.segments[0], TOPO.coverage_length)
+    timeline = rollout(0, DIST, TOPO, handoff + 1.0, substream(8, "roll"),
+                       initial_offset=TOPO.road_length - 100.0)
+    first, second = timeline.segments
+    assert first == first_leg.segments[0]
+    assert (first.rsu_index, first.entry_position) == (TOPO.num_rsus - 1, 400.0)
+    assert (second.entry_time, second.rsu_index, second.entry_position) == (handoff, 0, 0.0)
+    assert timeline.rsu_at(handoff - 1e-9) == TOPO.num_rsus - 1
+    assert timeline.rsu_at(handoff) == 0
+    assert timeline.rsu_at(handoff + 1.0) == 0
 
 
 def test_rsu_at_matches_segments():
-    timeline = rollout(1, DIST, TOPO, 300.0, substream(10, "roll"), loop=True,
-                       initial_offset=100.0)
+    timeline = rollout(1, DIST, TOPO, 300.0, substream(10, "roll"), initial_offset=100.0)
     for seg in timeline.segments:
         assert timeline.rsu_at(seg.entry_time + 1e-9) == seg.rsu_index
