@@ -220,13 +220,6 @@ def known_keys() -> list[str]:
 def _parse_value(key: str, raw: str, target_type: type):
     raw = raw.strip()
     try:
-        if target_type is bool:
-            low = raw.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         if target_type is int:
             return int(raw)
         if target_type is float:

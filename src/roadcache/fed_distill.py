@@ -19,6 +19,7 @@ import numpy as np
 
 from . import latent_codec, ldpm
 from .caching import top_m
+from .config import SimConfig
 from .errors import ProtocolError, ZeroNormError
 
 ID_BYTES = 4
@@ -196,24 +197,14 @@ def merge_kc(rsu_kcs: list[KnowledgeCache]) -> KnowledgeCache:
 
 @dataclass
 class VisitSetup:
-    """Everything vehicle-side a single visit needs."""
+    """The vehicle's own state at a visit; the run's settings come from its config."""
 
     vehicle_id: int
     vehicle_hash: np.ndarray
-    carried_list: np.ndarray | None
     latents: np.ndarray
     denoiser: ldpm.DenoiserParams
     codec: latent_codec.CodecParams
-    schedule: ldpm.NoiseSchedule
-    distill_weight: float
-    temperature: float
-    episodes: int
-    lr: float
-    batch_size: int
-    sample_count: int
-    list_length: int
-    neighbor_count: int = 10
-    gamma: float = 0.5
+    carries_list: bool   # whether the vehicle holds a list from a completed visit
 
 
 @dataclass
@@ -243,7 +234,7 @@ class VisitResult:
 
 
 def begin_visit(kc: KnowledgeCache, setup: VisitSetup, now: float,
-                residence: float, visit_seconds: float) -> VisitBegin:
+                residence: float, cfg: SimConfig) -> VisitBegin:
     """Entry half of a visit: list and fingerprint up, knowledge down.
 
     Aborts (fingerprint only, no knowledge exchange) when the vehicle
@@ -253,13 +244,13 @@ def begin_visit(kc: KnowledgeCache, setup: VisitSetup, now: float,
     veh, rsu = f"veh:{vid}", f"rsu:{kc.rsu_id}"
     latent_dim = len(setup.vehicle_hash)
     messages: list[Message] = []
-    if setup.carried_list is not None:
-        messages.append(Message(now, veh, rsu, MSG_REC_LIST, rec_list_bytes(len(setup.carried_list))))
+    if setup.carries_list:
+        messages.append(Message(now, veh, rsu, MSG_REC_LIST, rec_list_bytes(cfg.cache.list_m)))
     upsert_hi(kc, HIPair(hash=setup.vehicle_hash, vehicle_id=vid, upload_time=now))
     messages.append(Message(now, veh, rsu, MSG_HI, hi_bytes(latent_dim)))
-    if residence < visit_seconds:
+    if residence < cfg.compute.visit_seconds:
         return VisitBegin(messages=messages, integrated=None, proceed=False)
-    neighbors = find_neighbors(kc, vid, count=setup.neighbor_count, gamma=setup.gamma)
+    neighbors = find_neighbors(kc, vid, count=cfg.kc.neighbor_count, gamma=cfg.kc.gamma)
     integrated = integrate_knowledge(kc, neighbors)
     if integrated is not None:
         messages.append(Message(now, rsu, veh, MSG_KNOWLEDGE_DOWN, knowledge_bytes(latent_dim)))
@@ -280,60 +271,43 @@ def latent_standardizer(latents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu, sd
 
 
-def stack_key(setup: VisitSetup) -> tuple:
-    """Visits with equal keys can train and sample as one stack."""
-    return (id(setup.schedule), setup.episodes, setup.lr, setup.batch_size,
-            setup.sample_count, setup.latents.shape)
-
-
-def train_and_predict(visits: list[VisitInputs]) -> list[tuple]:
+def train_and_predict(visits: list[VisitInputs], cfg: SimConfig,
+                      schedule: ldpm.NoiseSchedule) -> list[tuple]:
     """Compute half of visits: distillation training, sampling, decoding.
 
-    Returns one (scores, knowledge, losses) per visit; pure
-    vehicle-side work.  The visits' denoisers train as one stack and
-    sample in stacks of at most ``SAMPLE_ROWS`` draw rows, so the visits
-    need one ``stack_key`` and distinct denoisers; each result is
-    bit-identical to computing that visit alone.  The neighbor
-    target is mapped into the vehicle's standardized latent coordinates
-    for training, and draws are mapped back before decoding, so knowledge
-    exchanged over the air always lives in raw latent space.
+    Returns one (scores, knowledge, losses) per visit; pure vehicle-side
+    work under the run's ``cfg.ldpm`` settings.  The visits' denoisers
+    train as one stack and sample in stacks of at most ``SAMPLE_ROWS``
+    draw rows, so the visits need one latent shape and distinct
+    denoisers; each result is bit-identical to computing that visit
+    alone.  The neighbor target is mapped into the vehicle's standardized
+    latent coordinates for training, and draws are mapped back before
+    decoding, so knowledge exchanged over the air always lives in raw
+    latent space.
     """
-    first = visits[0].setup
-    if any(stack_key(visit.setup) != stack_key(first) for visit in visits):
-        raise ProtocolError("visits computed together need one schedule, training "
-                            "setting, draw count and latent shape")
-    standardizers, contexts = [], []
-    for visit in visits:
-        setup, integrated = visit.setup, visit.integrated
-        if setup.latents.size == 0:
-            latent_dim = setup.denoiser.latent_dim
-            standardizers.append((np.zeros(latent_dim), np.ones(latent_dim)))
-            continue
-        mu, sd = latent_standardizer(setup.latents)
-        standardizers.append((mu, sd))
-        contexts.append(ldpm.DistillationContext(
-            integrated_knowledge=(integrated - mu) / sd if integrated is not None else None,
-            distill_weight=setup.distill_weight if integrated is not None else 0.0,
-            temperature=setup.temperature,
-        ))
+    shape = visits[0].setup.latents.shape
+    if any(visit.setup.latents.shape != shape for visit in visits):
+        raise ProtocolError("visits computed together need one latent shape")
+    settings = cfg.ldpm
+    standardizers = [latent_standardizer(visit.setup.latents) for visit in visits]
+    targets = [None if visit.integrated is None else (visit.integrated - mu) / sd
+               for visit, (mu, sd) in zip(visits, standardizers)]
     denoisers = [visit.setup.denoiser for visit in visits]
     stacked = ldpm.stack(denoisers)
-    if first.latents.size == 0:
-        losses = [[] for _ in visits]
-    else:
-        latents = np.stack([(visit.setup.latents - mu) / sd
-                            for visit, (mu, sd) in zip(visits, standardizers)])
-        _, losses = ldpm.local_train(
-            stacked, latents, contexts, first.schedule, first.episodes, first.lr,
-            first.batch_size, [visit.rng_train for visit in visits],
-        )
+    latents = np.stack([(visit.setup.latents - mu) / sd
+                        for visit, (mu, sd) in zip(visits, standardizers)])
+    _, losses = ldpm.local_train(
+        stacked, latents, targets, schedule, settings.episodes, settings.lr, settings.batch,
+        [visit.rng_train for visit in visits],
+        weight=settings.distill_weight, temperature=settings.temperature,
+    )
     ldpm.unstack(stacked, denoisers)
-    per_call = max(1, SAMPLE_ROWS // first.sample_count)
+    per_call = max(1, SAMPLE_ROWS // settings.sample_count)
     draws = []
     for lo in range(0, len(visits), per_call):
         chunk = visits[lo:lo + per_call]
         draws.extend(ldpm.sample(ldpm.stack([visit.setup.denoiser for visit in chunk]),
-                                 first.schedule, first.sample_count,
+                                 schedule, settings.sample_count,
                                  [visit.rng_sample for visit in chunk]))
     results = []
     for visit, (mu, sd), own_draws, own_losses in zip(visits, standardizers, draws, losses):
@@ -351,18 +325,18 @@ def complete_visit(kc: KnowledgeCache, vehicle_id: int, knowledge: np.ndarray,
 
 
 def vehicle_visit(kc: KnowledgeCache, setup: VisitSetup, now: float, residence: float,
-                  visit_seconds: float, rng_train: np.random.Generator,
+                  cfg: SimConfig, schedule: ldpm.NoiseSchedule, rng_train: np.random.Generator,
                   rng_sample: np.random.Generator) -> VisitResult:
     """One whole visit against one RSU cache, with its byte ledger.
 
     This is the uninterleaved composition of the entry, compute, and exit
     halves; the event-driven harness calls the halves on its own clock.
     """
-    begun = begin_visit(kc, setup, now, residence, visit_seconds)
+    begun = begin_visit(kc, setup, now, residence, cfg)
     if not begun.proceed:
         return VisitResult(begun.messages, rec_list=None, scores=None, completed=False, losses=[])
     [(scores, knowledge, losses)] = train_and_predict(
-        [VisitInputs(setup, begun.integrated, rng_train, rng_sample)])
-    done = complete_visit(kc, setup.vehicle_id, knowledge, now + visit_seconds)
-    return VisitResult(begun.messages + done, rec_list=top_m(scores, setup.list_length),
+        [VisitInputs(setup, begun.integrated, rng_train, rng_sample)], cfg, schedule)
+    done = complete_visit(kc, setup.vehicle_id, knowledge, now + cfg.compute.visit_seconds)
+    return VisitResult(begun.messages + done, rec_list=top_m(scores, cfg.cache.list_m),
                        scores=scores, completed=True, losses=losses)

@@ -38,7 +38,7 @@ from .errors import ConfigError, InvariantError
 from .fed_distill import (MSG_FL_MODEL_DOWN, MSG_FL_MODEL_UP, MSG_HI, MSG_KI,
                           MSG_KNOWLEDGE_DOWN, MSG_REC_LIST, UPLINK_KINDS, KnowledgeCache,
                           Message, VisitInputs, VisitSetup, hi_bytes, ki_bytes,
-                          knowledge_bytes, merge_kc, model_bytes, rec_list_bytes, stack_key,
+                          knowledge_bytes, merge_kc, model_bytes, rec_list_bytes,
                           train_and_predict)
 from .mobility import HighwayTopology, SpeedDistribution, VehicleTimeline, residence_time, rollout
 from .report import Report, ReportRow
@@ -104,7 +104,7 @@ def build_data_env(cfg: SimConfig) -> DataEnv:
 
     if len(public) == 0:
         # No public holdout configured: fall back to the riders' vectors.
-        public = np.vstack([loc.user_train_vectors for loc in locals_ if len(loc.user_train_vectors)])
+        public = np.vstack([loc.user_train_vectors for loc in locals_])
     base, _ = latent_codec.pretrain_codec(
         public, cfg.codec.hidden, cfg.codec.latent_dim, cfg.codec.lr,
         cfg.codec.epochs, cfg.codec.batch, substream(seed, "codec"),
@@ -119,12 +119,10 @@ def build_data_env(cfg: SimConfig) -> DataEnv:
         )
         codecs.append(tuned)
         hashes.append(latent_codec.encode(tuned, loc.train_vector))
-        latents.append(latent_codec.encode(tuned, loc.user_train_vectors)
-                       if len(loc.user_train_vectors) else np.zeros((0, cfg.codec.latent_dim)))
+        latents.append(latent_codec.encode(tuned, loc.user_train_vectors))
     prior = np.zeros(matrix.num_contents)
     for loc in locals_:
-        if len(loc.user_train_vectors):
-            prior += loc.user_train_vectors.sum(axis=0)
+        prior += loc.user_train_vectors.sum(axis=0)
     return DataEnv(matrix, locals_, codecs, np.vstack(hashes), latents, prior)
 
 
@@ -142,8 +140,10 @@ def build_motion_env(cfg: SimConfig, locals_: list[LocalDataset]) -> MotionEnv:
         ))
     trace = generate_requests(locals_, cfg.sim.duration,
                               lambda vid: substream(seed, "requests", vid))
-    rsus = np.array([timelines[v].rsu_at(t) for t, v in zip(trace.times, trace.vehicle_ids)],
-                    dtype=np.int32) if len(trace) else np.zeros(0, dtype=np.int32)
+    rsus = np.zeros(len(trace), dtype=np.int32)
+    for timeline in timelines:
+        mine = trace.vehicle_ids == timeline.vehicle_id
+        rsus[mine] = timeline.rsu_at(trace.times[mine])
     return MotionEnv(
         timelines=timelines,
         request_times=trace.times,
@@ -186,19 +186,20 @@ class ProtocolTrace:
 def visit_batches(visits: list[VisitInputs]) -> list[list[int]]:
     """Split pending visits (in entry order) into stacks, in the order they must run.
 
-    A batch holds visits of one ``stack_key`` (so one latent row count) and
-    at most one visit per vehicle.  A vehicle's visits run in entry order:
-    once a scan passes over a vehicle, its later visits wait for a later
-    batch.  Returns indices into ``visits``.
+    A batch holds visits of one latent row count (every vehicle's latents
+    share the codec's width, so one latent shape) and at most one visit
+    per vehicle.  A vehicle's visits run in entry order: once a scan
+    passes over a vehicle, its later visits wait for a later batch.
+    Returns indices into ``visits``.
     """
     left = list(range(len(visits)))
     batches = []
     while left:
-        key = stack_key(visits[left[0]].setup)
+        rows = len(visits[left[0]].setup.latents)
         batch, rest, seen = [], [], set()
         for i in left:
             setup = visits[i].setup
-            if setup.vehicle_id not in seen and stack_key(setup) == key:
+            if setup.vehicle_id not in seen and len(setup.latents) == rows:
                 batch.append(i)
             else:
                 rest.append(i)
@@ -219,7 +220,6 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv) -> Proto
         for vid in range(n_vehicles)
     ]
     kcs = [KnowledgeCache(rsu_id=r) for r in range(motion.num_rsus)]
-    list_len = cfg.cache.list_m
 
     current_version = [-1] * n_vehicles
     visit_index = [0] * n_vehicles
@@ -257,25 +257,9 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv) -> Proto
             residence = residence_time(seg, motion.coverage_length)
             version = current_version[vid]
             entries.append(EntryRecord(now, vid, seg.rsu_index, seg.entry_position, seg.speed, version))
-            setup = VisitSetup(
-                vehicle_id=vid,
-                vehicle_hash=data.hashes[vid],
-                carried_list=np.empty(list_len) if version >= 0 else None,
-                latents=data.latents[vid],
-                denoiser=denoisers[vid],
-                codec=data.codecs[vid],
-                schedule=schedule,
-                distill_weight=cfg.ldpm.distill_weight,
-                temperature=cfg.ldpm.temperature,
-                episodes=cfg.ldpm.episodes,
-                lr=cfg.ldpm.lr,
-                batch_size=cfg.ldpm.batch,
-                sample_count=cfg.ldpm.sample_count,
-                list_length=list_len,
-                neighbor_count=cfg.kc.neighbor_count,
-                gamma=cfg.kc.gamma,
-            )
-            begun = fed_distill.begin_visit(kc, setup, now, residence, cfg.compute.visit_seconds)
+            setup = VisitSetup(vid, data.hashes[vid], data.latents[vid], denoisers[vid],
+                               data.codecs[vid], carries_list=version >= 0)
+            begun = fed_distill.begin_visit(kc, setup, now, residence, cfg)
             messages.extend(begun.messages)
             finish = now + cfg.compute.visit_seconds
             if not begun.proceed or finish >= duration:
@@ -294,7 +278,7 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv) -> Proto
         vid, rsu, ticket = payload
         if ticket not in computed:
             for batch in visit_batches([inputs for _, inputs in pending]):
-                outs = train_and_predict([pending[i][1] for i in batch])
+                outs = train_and_predict([pending[i][1] for i in batch], cfg, schedule)
                 computed.update(zip((pending[i][0] for i in batch), outs))
             pending.clear()
         scores, knowledge, visit_losses = computed.pop(ticket)
@@ -695,6 +679,15 @@ def validate_suite() -> list[tuple[str, bool, str]]:
     twice = merge_kc([merged, merged.copy_with_rsu(9)])
     checks.append(("cache-merge-idempotent", merged.equals(twice), "merge(m, m) == m"))
 
+    small = SimConfig()
+    small.ldpm.episodes = 2
+    small.ldpm.lr = 1e-2
+    small.ldpm.batch = 2
+    small.ldpm.sample_count = 3
+    small.kc.neighbor_count = 3
+    small.kc.gamma = 0.0
+    small.cache.list_m = 5
+    small.validate()
     rng = substream(7, "validate", "visit")
     kc = KnowledgeCache(rsu_id=0)
     for vid in (1, 2, 3):
@@ -702,25 +695,10 @@ def validate_suite() -> list[tuple[str, bool, str]]:
             hash=np.ones(4) + 0.01 * rng.normal(size=4), vehicle_id=vid, upload_time=1.0))
         fed_distill.upsert_ki(kc, fed_distill.KIPair(
             knowledge=rng.normal(size=4), vehicle_id=vid, upload_time=1.0))
-    setup = VisitSetup(
-        vehicle_id=0,
-        vehicle_hash=np.ones(4),
-        carried_list=np.arange(1, 6),
-        latents=rng.normal(size=(3, 4)),
-        denoiser=ldpm.new_denoiser(4, 8, 4, rng),
-        codec=latent_codec.new_codec(30, 8, 4, rng),
-        schedule=ldpm.build_schedule(10),
-        distill_weight=1.0,
-        temperature=2.0,
-        episodes=1,
-        lr=1e-3,
-        batch_size=8,
-        sample_count=3,
-        list_length=5,
-        neighbor_count=3,
-        gamma=0.0,
-    )
-    result = fed_distill.vehicle_visit(kc, setup, now=10.0, residence=30.0, visit_seconds=5.0,
+    setup = VisitSetup(0, np.ones(4), rng.normal(size=(3, 4)), ldpm.new_denoiser(4, 8, 4, rng),
+                       latent_codec.new_codec(30, 8, 4, rng), carries_list=True)
+    result = fed_distill.vehicle_visit(kc, setup, now=10.0, residence=30.0, cfg=small,
+                                       schedule=ldpm.build_schedule(10),
                                        rng_train=substream(7, "validate", "t"),
                                        rng_sample=substream(7, "validate", "s"))
     kinds = [m.kind for m in result.messages]
@@ -734,21 +712,25 @@ def validate_suite() -> list[tuple[str, bool, str]]:
     sched = ldpm.build_schedule(10)
     nets = [ldpm.new_denoiser(4, 8, 4, rng) for _ in range(3)]
     latents = rng.normal(size=(3, 5, 4))
-    contexts = [None, ldpm.DistillationContext(rng.normal(size=4)),
-                ldpm.DistillationContext(None)]
+    targets = [None, rng.normal(size=4), None]
+    p = small.ldpm
+    settings = dict(weight=p.distill_weight, temperature=p.temperature)
 
     def streams(kind):
         return [substream(7, "validate", kind, v) for v in range(3)]
 
     alone = []
-    for net, x, ctx, rng_train, rng_sample in zip(nets, latents, contexts, streams("train"),
-                                                  streams("sample")):
+    for net, x, target, rng_train, rng_sample in zip(nets, latents, targets, streams("train"),
+                                                     streams("sample")):
         own = net.copy()
-        _, own_losses = ldpm.local_train(own, x, ctx, sched, 2, 1e-2, 2, rng_train)
-        alone.append((own.net.flat_params(), own_losses, ldpm.sample(own, sched, 3, rng_sample)))
+        _, own_losses = ldpm.local_train(own, x, target, sched, p.episodes, p.lr, p.batch,
+                                         rng_train, **settings)
+        alone.append((own.net.flat_params(), own_losses,
+                      ldpm.sample(own, sched, p.sample_count, rng_sample)))
     stacked = ldpm.stack(nets)
-    _, losses = ldpm.local_train(stacked, latents, contexts, sched, 2, 1e-2, 2, streams("train"))
-    draws = ldpm.sample(stacked, sched, 3, streams("sample"))
+    _, losses = ldpm.local_train(stacked, latents, targets, sched, p.episodes, p.lr, p.batch,
+                                 streams("train"), **settings)
+    draws = ldpm.sample(stacked, sched, p.sample_count, streams("sample"))
     ldpm.unstack(stacked, nets)
     same = all(np.array_equal(nets[v].net.flat_params(), alone[v][0])
                and losses[v] == alone[v][1] and np.array_equal(draws[v], alone[v][2])

@@ -8,9 +8,11 @@ latent; the aggregate is a fixed target, so the penalty's gradient flows
 only through the local prediction.
 
 Training and sampling run on a stack of V denoisers at once (``stack``),
-one visit per slice, each with its own latents, generator and target.
-Every slice sees the same arithmetic and the same draws, in the same
-order, as that visit computed alone; a single denoiser is the V=1 case.
+one visit per slice, each with its own latents, generator and target
+(None for a visit without neighbor knowledge).  The distillation weight
+and temperature are run-wide settings, one per call.  Every slice sees
+the same arithmetic and the same draws, in the same order, as that visit
+computed alone; a single denoiser is the V=1 case.
 """
 
 from __future__ import annotations
@@ -90,19 +92,6 @@ def new_denoiser(latent_dim: int, hidden: int, time_embed_dim: int, rng: np.rand
     return DenoiserParams(net=net, latent_dim=latent_dim, time_embed_dim=time_embed_dim)
 
 
-@dataclass
-class DistillationContext:
-    integrated_knowledge: np.ndarray | None
-    distill_weight: float = 1.0
-    temperature: float = 2.0
-
-    def __post_init__(self):
-        if self.temperature <= 0:
-            raise ConfigError("distillation temperature must be > 0")
-        if self.distill_weight < 0:
-            raise ConfigError("distillation weight must be >= 0")
-
-
 def time_embedding(t: np.ndarray, dim: int) -> np.ndarray:
     """Sinusoidal features of the integer step index."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -124,15 +113,15 @@ def predict_noise(params: DenoiserParams, x: np.ndarray, emb: np.ndarray, *,
 
 
 def forward_noise(x0: np.ndarray, t, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
-    """Jump straight to step t: scale the signal down, mix the noise in."""
-    t_arr = np.atleast_1d(np.asarray(t))
-    if np.any(t_arr < 1) or np.any(t_arr > sched.steps):
+    """Jump straight to step t: scale the signal down, mix the noise in.
+
+    ``x0`` and ``eps`` are (..., d) and ``t`` holds one step per row (...).
+    """
+    t = np.asarray(t)
+    if np.any(t < 1) or np.any(t > sched.steps):
         raise ValueError(f"step index out of range 1..{sched.steps}")
-    ab = sched.alpha_bar[t_arr - 1]
-    x0_2d = np.atleast_2d(np.asarray(x0, dtype=float))
-    eps_2d = np.atleast_2d(np.asarray(eps, dtype=float))
-    out = np.sqrt(ab)[:, None] * x0_2d + np.sqrt(1.0 - ab)[:, None] * eps_2d
-    return out[0] if np.asarray(x0).ndim == 1 else out
+    ab = sched.alpha_bar[t - 1][..., None]
+    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
 
 
 def _softmax_and_log(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,35 +131,42 @@ def _softmax_and_log(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(log_p), log_p
 
 
+def _kl_rows(g: np.ndarray, target: np.ndarray, temperature: float) -> tuple:
+    """Per-row KL of the tempered softmaxes p (of g) and q (of target), p, and log p - log q."""
+    p, log_p = _softmax_and_log(g / temperature)
+    _, log_q = _softmax_and_log(target / temperature)
+    diff = log_p - log_q
+    return (p * diff).sum(axis=-1), p, diff
+
+
 def kl_tempered(g: np.ndarray, target: np.ndarray, temperature: float) -> float:
     """KL between the tempered softmaxes of a prediction and a fixed target."""
     if temperature <= 0:
         raise ConfigError("temperature must be > 0")
-    p, log_p = _softmax_and_log(np.asarray(g, dtype=float) / temperature)
-    _, log_q = _softmax_and_log(np.asarray(target, dtype=float) / temperature)
-    return float((p * (log_p - log_q)).sum(axis=-1).mean())
+    kl, _, _ = _kl_rows(np.asarray(g, dtype=float), np.asarray(target, dtype=float), temperature)
+    return float(kl.mean())
 
 
-def _distilling(ctx: DistillationContext | None) -> bool:
-    return ctx is not None and ctx.integrated_knowledge is not None and ctx.distill_weight > 0
-
-
-def objective(params: DenoiserParams, x0: np.ndarray, ctx: DistillationContext | None | list,
-              sched: NoiseSchedule, rng: np.random.Generator | list) -> float | np.ndarray:
+def objective(params: DenoiserParams, x0: np.ndarray, target: np.ndarray | None | list,
+              sched: NoiseSchedule, rng: np.random.Generator | list, *, weight: float,
+              temperature: float) -> float | np.ndarray:
     """Forward plus backward pass; leaves gradients on the network layers.
 
-    ``params`` is a stack of V denoisers, ``x0`` is (V, n, d), and ``ctx``
-    and ``rng`` hold one context (or None) and one generator per visit;
-    returns the (V,) losses.  One denoiser with (n, d) rows, one context
-    and one generator is the V=1 case and returns a float.
+    ``params`` is a stack of V denoisers, ``x0`` is (V, n, d), and
+    ``target`` and ``rng`` hold one distillation target (or None) and one
+    generator per visit; returns the (V,) losses.  One denoiser with (n, d)
+    rows, one target and one generator is the V=1 case and returns a float.
 
-    One (step, noise) pair is drawn per sample.  The distillation branch
-    consumes no extra randomness, so the plain and distilled objectives
-    see identical draws under identical streams.
+    A visit distills, adding ``weight`` times the KL at ``temperature``,
+    exactly when its target is not None and ``weight`` > 0.  One (step,
+    noise) pair is drawn per sample.  The distillation branch consumes no
+    extra randomness, so the plain and distilled objectives see identical
+    draws under identical streams.
     """
     if not params.stacked:
         one = stack([params])
-        loss = objective(one, np.atleast_2d(np.asarray(x0, dtype=float))[None], [ctx], sched, [rng])
+        loss = objective(one, np.atleast_2d(np.asarray(x0, dtype=float))[None], [target], sched,
+                         [rng], weight=weight, temperature=temperature)
         unstack(one, [params])
         return float(loss[0])
     x0 = np.asarray(x0, dtype=float)
@@ -182,31 +178,24 @@ def objective(params: DenoiserParams, x0: np.ndarray, ctx: DistillationContext |
     for v, visit_rng in enumerate(rng):
         t[v] = visit_rng.integers(1, sched.steps + 1, size=batch)
         eps[v] = visit_rng.standard_normal(x0.shape[1:])
-    ab = sched.alpha_bar[t - 1]
-    root_ab = np.sqrt(ab)[..., None]
-    root_rest = np.sqrt(1.0 - ab)[..., None]
-    xt = root_ab * x0 + root_rest * eps
+    xt = forward_noise(x0, t, eps, sched)
     eps_hat = predict_noise(params, xt, sched.embedding_table(params.time_embed_dim)[t - 1],
                             train=True)
     resid = eps_hat - eps
     loss = (resid**2).sum(axis=-1).mean(axis=-1)
     grad_eps_hat = 2.0 * resid / batch
 
-    d = [v for v, c in enumerate(ctx) if _distilling(c)]
+    d = [v for v, own in enumerate(target) if own is not None] if weight > 0 else []
     if d:
-        weight = np.array([ctx[v].distill_weight for v in d])[:, None, None]
-        temp = np.array([ctx[v].temperature for v in d])[:, None, None]
-        target = np.stack([np.asarray(ctx[v].integrated_knowledge, dtype=float) for v in d])
-        x0_hat = (xt[d] - root_rest[d] * eps_hat[d]) / root_ab[d]
-        p, log_p = _softmax_and_log(x0_hat / temp)
-        _, log_q = _softmax_and_log(target[:, None, :] / temp)
-        diff = log_p - log_q
-        kl = (p * diff).sum(axis=-1)
-        loss[d] += weight[:, 0, 0] * kl.mean(axis=-1)
+        ab = sched.alpha_bar[t[d] - 1][..., None]
+        root_ab, root_rest = np.sqrt(ab), np.sqrt(1.0 - ab)
+        goal = np.stack([np.asarray(target[v], dtype=float) for v in d])
+        x0_hat = (xt[d] - root_rest * eps_hat[d]) / root_ab
+        kl, p, diff = _kl_rows(x0_hat, goal[:, None, :], temperature)
+        loss[d] += weight * kl.mean(axis=-1)
         # d KL / d x0_hat, then through x0_hat = (xt - sqrt(1-ab) eps_hat)/sqrt(ab).
-        grad_x0_hat = p * (diff - kl[..., None]) / temp
-        grad_eps_hat[d] += (weight * grad_x0_hat
-                            * (-root_rest[d] / root_ab[d]) / batch)
+        grad_x0_hat = p * (diff - kl[..., None]) / temperature
+        grad_eps_hat[d] += weight * grad_x0_hat * (-root_rest / root_ab) / batch
 
     if not np.all(np.isfinite(loss)):
         raise TrainingError("diffusion objective became non-finite")
@@ -214,13 +203,13 @@ def objective(params: DenoiserParams, x0: np.ndarray, ctx: DistillationContext |
     return loss
 
 
-def local_train(params: DenoiserParams, latents: np.ndarray,
-                ctx: DistillationContext | None | list, sched: NoiseSchedule, epochs: int,
-                lr: float, batch_size: int,
-                rng: np.random.Generator | list) -> tuple[DenoiserParams, list]:
+def local_train(params: DenoiserParams, latents: np.ndarray, target: np.ndarray | None | list,
+                sched: NoiseSchedule, epochs: int, lr: float, batch_size: int,
+                rng: np.random.Generator | list, *, weight: float,
+                temperature: float) -> tuple[DenoiserParams, list]:
     """Run SGD epochs over the local latents; records the loss trajectory.
 
-    Stacked as ``objective``: latents (V, n, d), one context and one
+    Stacked as ``objective``: latents (V, n, d), one target and one
     generator per visit, and one per-epoch trajectory per visit returned.
     Each visit draws a permutation per epoch and then, per batch, its step
     indices and noise.  One denoiser with (n, d) latents is the V=1 case
@@ -228,8 +217,8 @@ def local_train(params: DenoiserParams, latents: np.ndarray,
     """
     if not params.stacked:
         one = stack([params])
-        _, losses = local_train(one, np.atleast_2d(latents)[None], [ctx], sched, epochs, lr,
-                                batch_size, [rng])
+        _, losses = local_train(one, np.atleast_2d(latents)[None], [target], sched, epochs, lr,
+                                batch_size, [rng], weight=weight, temperature=temperature)
         unstack(one, [params])
         return params, losses[0]
     latents = np.asarray(latents, dtype=float)
@@ -244,7 +233,8 @@ def local_train(params: DenoiserParams, latents: np.ndarray,
         batch_losses = []
         for start in range(0, n, size):
             chunk = latents[rows, order[:, start:start + size]]
-            batch_losses.append(objective(params, chunk, ctx, sched, rng))
+            batch_losses.append(objective(params, chunk, target, sched, rng, weight=weight,
+                                          temperature=temperature))
             params.net.step(lr, MOMENTUM)
         for own, per_batch in zip(losses, np.stack(batch_losses, axis=1)):
             own.append(float(np.mean(per_batch)))

@@ -141,10 +141,11 @@ class VehicleTimeline:
     def entry_times(self) -> np.ndarray:
         return np.array([s.entry_time for s in self.segments])
 
-    def rsu_at(self, t: float) -> int:
-        """Zone occupied at time t."""
-        idx = int(np.searchsorted(self.entry_times(), t, side="right")) - 1
-        return self.segments[max(idx, 0)].rsu_index
+    def rsu_at(self, t: float | np.ndarray) -> int | np.ndarray:
+        """Zone occupied at time t; an array of times gives an array of zones."""
+        idx = np.searchsorted(self.entry_times(), t, side="right") - 1
+        zones = np.array([s.rsu_index for s in self.segments])[np.maximum(idx, 0)]
+        return zones if np.ndim(t) else int(zones)
 
 
 def rollout(

@@ -113,8 +113,8 @@ def _fd_rel_error(params, make_loss, h=1e-5):
     return float(np.linalg.norm(analytic - numeric)) / denom
 
 
-def _objective_and_grad(params, x0, ctx, sched, rng):
-    loss = ldpm.objective(params, x0, ctx, sched, rng)
+def _objective_and_grad(params, x0, target, sched, rng, weight=0.0):
+    loss = ldpm.objective(params, x0, target, sched, rng, weight=weight, temperature=2.0)
     return loss, params.net.flat_grads()
 
 
@@ -140,12 +140,10 @@ def test_criterion_5_generative_model(env_store, record_criterion):
     rel_simple = _fd_rel_error(
         params, lambda: _objective_and_grad(params, x_fd, None, ldpm.build_schedule(10),
                                             substream(2, "c5-fd")))
-    ctx = ldpm.DistillationContext(
-        integrated_knowledge=substream(3, "c5-fd").normal(size=4),
-        distill_weight=1.5, temperature=2.0)
+    target = substream(3, "c5-fd").normal(size=4)
     rel_distill = _fd_rel_error(
-        params, lambda: _objective_and_grad(params, x_fd, ctx, ldpm.build_schedule(10),
-                                            substream(2, "c5-fd")))
+        params, lambda: _objective_and_grad(params, x_fd, target, ldpm.build_schedule(10),
+                                            substream(2, "c5-fd"), weight=1.5))
     fd_ok = rel_simple < 1e-4 and rel_distill < 1e-4
     parts.append(f"FD rel err plain {rel_simple:.2e} / distilled {rel_distill:.2e}")
 
@@ -154,9 +152,9 @@ def test_criterion_5_generative_model(env_store, record_criterion):
     zstar = 2.0 * zstar / np.linalg.norm(zstar)
     deep_sched = ldpm.build_schedule(1000)
     net = ldpm.new_denoiser(16, 128, 16, substream(0, "sm", "net"))
-    plain = ldpm.DistillationContext(None, 0.0, 2.0)
-    ldpm.local_train(net, np.tile(zstar, (32, 1)), plain, deep_sched,
-                     epochs=1200, lr=5e-3, batch_size=32, rng=substream(0, "sm", "tr"))
+    ldpm.local_train(net, np.tile(zstar, (32, 1)), None, deep_sched,
+                     epochs=1200, lr=5e-3, batch_size=32, rng=substream(0, "sm", "tr"),
+                     weight=0.0, temperature=2.0)
     draws = ldpm.sample(net, deep_sched, 500, substream(0, "sm", "sa"))
     rel = float(np.linalg.norm(draws.mean(axis=0) - zstar) / np.linalg.norm(zstar))
     mode_ok = rel < 0.15
@@ -178,10 +176,10 @@ def test_criterion_5_generative_model(env_store, record_criterion):
                                       cfg.ldpm.time_embed,
                                       substream(0, "descent", vid, "net"))
             target = std.mean(axis=0) if lam > 0 else None
-            ctx_v = ldpm.DistillationContext(target, lam, cfg.ldpm.temperature)
-            _, losses = ldpm.local_train(net_v, std, ctx_v, desk_sched, 300,
+            _, losses = ldpm.local_train(net_v, std, target, desk_sched, 300,
                                          cfg.ldpm.lr, cfg.ldpm.batch,
-                                         substream(0, "descent", vid, "tr"))
+                                         substream(0, "descent", vid, "tr"),
+                                         weight=lam, temperature=cfg.ldpm.temperature)
             trajs.append(losses)
         mean_traj = np.mean(trajs, axis=0)
         smooth = np.convolve(mean_traj, np.ones(10) / 10, mode="valid")

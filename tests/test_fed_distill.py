@@ -6,6 +6,7 @@ import pytest
 from roadcache import fed_distill as fd
 from roadcache import latent_codec, ldpm
 from roadcache.caching import top_m
+from roadcache.config import SimConfig
 from roadcache.errors import ProtocolError, ZeroNormError
 from roadcache.rng import substream
 
@@ -27,28 +28,31 @@ def seeded_kc(rng, vehicles, rsu_id=0, with_ki=True):
     return kc
 
 
-def make_setup(vid, vehicle_hash, latents, carried=None, **overrides):
+def make_cfg(visit_seconds=5.0):
+    cfg = SimConfig()
+    cfg.ldpm.episodes = 2
+    cfg.ldpm.lr = 0.01
+    cfg.ldpm.batch = 4
+    cfg.ldpm.sample_count = 6
+    cfg.cache.list_m = 5
+    cfg.compute.visit_seconds = visit_seconds
+    cfg.validate()
+    return cfg
+
+
+SCHEDULE = ldpm.build_schedule(5)
+
+
+def make_setup(vid, vehicle_hash, latents, carried=False):
     rng = substream(99, "setup", vid)
-    kwargs = dict(
+    return fd.VisitSetup(
         vehicle_id=vid,
         vehicle_hash=vehicle_hash,
-        carried_list=carried,
         latents=latents,
         denoiser=ldpm.new_denoiser(LATENT_DIM, 8, 4, rng),
         codec=latent_codec.new_codec(20, 8, LATENT_DIM, rng),
-        schedule=ldpm.build_schedule(5),
-        distill_weight=1.0,
-        temperature=2.0,
-        episodes=2,
-        lr=0.01,
-        batch_size=4,
-        sample_count=6,
-        list_length=5,
-        neighbor_count=10,
-        gamma=0.5,
+        carries_list=carried,
     )
-    kwargs.update(overrides)
-    return fd.VisitSetup(**kwargs)
 
 
 class TestUpsert:
@@ -312,7 +316,7 @@ class TestVisit:
         setup = make_setup(0, np.array([1.0, 0.5, -0.5, 2.0]),
                            substream(0, "visit").normal(size=(8, LATENT_DIM)))
         result = fd.vehicle_visit(kc, setup, now=10.0, residence=30.0,
-                                  visit_seconds=5.0,
+                                  cfg=make_cfg(), schedule=SCHEDULE,
                                   rng_train=substream(1, "visit"),
                                   rng_sample=substream(2, "visit"))
         assert result.completed
@@ -329,12 +333,11 @@ class TestVisit:
         fd.upsert_hi(kc, fd.HIPair(hash=own_hash + 0.01, vehicle_id=9, upload_time=1.0))
         fd.upsert_ki(kc, fd.KIPair(knowledge=np.ones(LATENT_DIM), vehicle_id=9,
                                    upload_time=1.0))
-        carried = np.arange(5)
         setup = make_setup(0, own_hash,
                            substream(3, "visit").normal(size=(8, LATENT_DIM)),
-                           carried=carried)
+                           carried=True)
         result = fd.vehicle_visit(kc, setup, now=0.0, residence=30.0,
-                                  visit_seconds=5.0,
+                                  cfg=make_cfg(), schedule=SCHEDULE,
                                   rng_train=substream(4, "visit"),
                                   rng_sample=substream(5, "visit"))
         kinds = [m.kind for m in result.messages]
@@ -358,7 +361,7 @@ class TestVisit:
             setup = make_setup(1, np.ones(LATENT_DIM) * 0.9,
                                substream(6, "visit").normal(size=(10, LATENT_DIM)))
             return fd.vehicle_visit(kc, setup, now=2.0, residence=20.0,
-                                    visit_seconds=4.0,
+                                    cfg=make_cfg(visit_seconds=4.0), schedule=SCHEDULE,
                                     rng_train=substream(7, "visit"),
                                     rng_sample=substream(8, "visit"))
 
@@ -368,13 +371,39 @@ class TestVisit:
         assert np.array_equal(a.rec_list, b.rec_list)
         assert a.losses == b.losses
 
+    def test_entry_reads_neighbor_settings_from_config(self):
+        rng = substream(12, "visit")
+        kc = seeded_kc(rng, vehicles=[1, 2, 3, 4])
+        setup = make_setup(0, rng.normal(size=LATENT_DIM), rng.normal(size=(8, LATENT_DIM)))
+        for count, gamma, found in ((2, -1.0, 2), (3, -1.0, 3), (10, 1.1, 0)):
+            cfg = make_cfg()
+            cfg.kc.neighbor_count = count
+            cfg.kc.gamma = gamma
+            begun = fd.begin_visit(kc, setup, now=5.0, residence=30.0, cfg=cfg)
+            neighbors = fd.find_neighbors(kc, 0, count=count, gamma=gamma)
+            assert len(neighbors) == found
+            if found:
+                want = np.mean([kc.ki[vid].knowledge for vid in neighbors], axis=0)
+                assert np.array_equal(begun.integrated, want)
+            else:
+                assert begun.integrated is None
+
+    def test_abort_follows_the_visit_budget(self):
+        kc = make_kc()
+        setup = make_setup(3, np.ones(LATENT_DIM), np.zeros((2, LATENT_DIM)))
+        for budget, residence, proceed in ((5.0, 5.0, True), (5.0, 4.9, False),
+                                           (2.0, 4.9, True)):
+            begun = fd.begin_visit(kc, setup, now=0.0, residence=residence,
+                                   cfg=make_cfg(visit_seconds=budget))
+            assert begun.proceed == proceed
+
     def test_abort_on_short_residence(self):
         kc = make_kc()
         setup = make_setup(2, np.ones(LATENT_DIM),
                            substream(9, "visit").normal(size=(8, LATENT_DIM)),
-                           carried=np.arange(3))
+                           carried=True)
         result = fd.vehicle_visit(kc, setup, now=0.0, residence=2.0,
-                                  visit_seconds=5.0,
+                                  cfg=make_cfg(), schedule=SCHEDULE,
                                   rng_train=substream(10, "visit"),
                                   rng_sample=substream(11, "visit"))
         assert not result.completed
@@ -406,12 +435,10 @@ class TestTrainAndPredict:
     def test_batch_equals_one_visit_at_a_time(self):
         batch = self.visits()
         alone = self.visits()
-        schedule = alone[0].setup.schedule
-        for visit in alone + batch:
-            visit.setup.schedule = schedule
-        together = fd.train_and_predict(batch)
+        cfg = make_cfg()
+        together = fd.train_and_predict(batch, cfg, SCHEDULE)
         for visit, (scores, knowledge, losses) in zip(alone, together):
-            [(own_scores, own_knowledge, own_losses)] = fd.train_and_predict([visit])
+            [(own_scores, own_knowledge, own_losses)] = fd.train_and_predict([visit], cfg, SCHEDULE)
             assert scores.tobytes() == own_scores.tobytes()
             assert np.array_equal(top_m(scores, 5), top_m(own_scores, 5))
             assert knowledge.tobytes() == own_knowledge.tobytes()
@@ -420,9 +447,28 @@ class TestTrainAndPredict:
             assert (mine.setup.denoiser.net.flat_params().tobytes()
                     == theirs.setup.denoiser.net.flat_params().tobytes())
 
+    def test_distillation_follows_the_config(self):
+        """A visit with knowledge trains under the run's lambda and delta."""
+        def run(with_knowledge=True, **ldpm_settings):
+            cfg = make_cfg()
+            for key, value in ldpm_settings.items():
+                setattr(cfg.ldpm, key, value)
+            [visit] = self.visits(1)
+            assert visit.integrated is not None
+            if not with_knowledge:
+                visit.integrated = None
+            [(scores, _, losses)] = fd.train_and_predict([visit], cfg, SCHEDULE)
+            return scores.tobytes(), losses
+
+        plain = run(with_knowledge=False)
+        assert run(distill_weight=0.0) == plain
+        distilled = run()
+        assert distilled != plain
+        assert run(distill_weight=2.0) != distilled
+        assert run(temperature=3.0) != distilled
+
     def test_mismatched_visits_rejected(self):
         batch = self.visits(2)
         batch[1].setup.latents = batch[1].setup.latents[:4]
-        batch[1].setup.schedule = batch[0].setup.schedule
         with pytest.raises(ProtocolError):
-            fd.train_and_predict(batch)
+            fd.train_and_predict(batch, make_cfg(), SCHEDULE)

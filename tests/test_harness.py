@@ -298,6 +298,15 @@ def tiny_stack(tiny_cfg_path):
     return cfg, data, motion, harness.simulate_protocol(cfg, data, motion)
 
 
+def test_request_zones_match_segments(tiny_stack):
+    """Each request's zone is that of the last segment its vehicle entered by then."""
+    _, _, motion, _ = tiny_stack
+    assert len(motion.request_times) > 0
+    for t, vid, rsu in zip(motion.request_times, motion.request_vehicles, motion.request_rsus):
+        entered = [seg for seg in motion.timelines[vid].segments if seg.entry_time <= t]
+        assert rsu == entered[-1].rsu_index
+
+
 class TestEvaluationAccounting:
     """Every replay serves each request once, priced by the latency model."""
 
@@ -401,7 +410,8 @@ class TestCli:
                         "codec.batch=0", "ldpm.batch=0", "ldpm.batch=-1", "ldpm.hidden=0",
                         "ldpm.time_embed=3", "ldpm.time_embed=0", "ldpm.lr=nan",
                         "codec.lr=inf", "codec.lr=0", "codec.epochs=-1",
-                        "codec.finetune_epochs=-1", "ldpm.episodes=-1"):
+                        "codec.finetune_epochs=-1", "ldpm.episodes=-1", "ldpm.delta=0",
+                        "ldpm.delta=-1", "ldpm.lambda=-0.5"):
             proc = roadcache_cli("run", "--config", tiny_cfg_path, "--set", setting)
             assert proc.returncode == 2
             assert setting.split("=")[0] in proc.stderr
@@ -477,8 +487,7 @@ class TestCli:
 
 
 def pending_visit(vid, rows):
-    setup = SimpleNamespace(vehicle_id=vid, schedule=None, episodes=3, lr=0.01, batch_size=4,
-                            sample_count=8, latents=np.zeros((rows, 4)))
+    setup = SimpleNamespace(vehicle_id=vid, latents=np.zeros((rows, 4)))
     return SimpleNamespace(setup=setup)
 
 
@@ -505,9 +514,9 @@ class TestBatchedProtocol:
                                                  harness.visit_batches)
         sizes = {"train": [], "sample": []}
 
-        def train(visits):
+        def train(visits, cfg, schedule):
             sizes["train"].append(len(visits))
-            return real_train(visits)
+            return real_train(visits, cfg, schedule)
 
         def sample(params, sched, count, rng):
             sizes["sample"].append(len(rng))

@@ -9,9 +9,9 @@ from roadcache.errors import ConfigError, TrainingError
 from roadcache.rng import substream
 
 
-def loss_and_grad(params, x0, ctx, sched, rng):
+def loss_and_grad(params, x0, target, sched, rng, weight=1.0, temperature=2.0):
     """The training objective and the flat gradient it leaves on the network."""
-    loss = ldpm.objective(params, x0, ctx, sched, rng)
+    loss = ldpm.objective(params, x0, target, sched, rng, weight=weight, temperature=temperature)
     return loss, params.net.flat_grads()
 
 
@@ -141,10 +141,6 @@ class TestKlTempered:
     def test_bad_temperature(self):
         with pytest.raises(ConfigError):
             ldpm.kl_tempered(np.zeros(2), np.zeros(2), 0.0)
-        with pytest.raises(ConfigError):
-            ldpm.DistillationContext(integrated_knowledge=None, temperature=-1.0)
-        with pytest.raises(ConfigError):
-            ldpm.DistillationContext(integrated_knowledge=None, distill_weight=-0.1)
 
 
 class TestObjectives:
@@ -164,12 +160,10 @@ class TestObjectives:
         params = toy_model(label="noctx")
         sched = ldpm.build_schedule(20)
         x0 = substream(0, "noctx").normal(size=(5, 4))
-        ctx = ldpm.DistillationContext(integrated_knowledge=np.ones(4),
-                                       distill_weight=0.0)
         loss_a, grad_a = loss_and_grad(params.copy(), x0, None, sched,
                                        substream(1, "noctx"))
-        loss_b, grad_b = loss_and_grad(params.copy(), x0, ctx, sched,
-                                       substream(1, "noctx"))
+        loss_b, grad_b = loss_and_grad(params.copy(), x0, np.ones(4), sched,
+                                       substream(1, "noctx"), weight=0.0)
         assert loss_a == loss_b
         assert np.array_equal(grad_a, grad_b)
 
@@ -177,20 +171,40 @@ class TestObjectives:
         params = toy_model(label="nok")
         sched = ldpm.build_schedule(20)
         x0 = substream(0, "nok").normal(size=(5, 4))
-        ctx = ldpm.DistillationContext(integrated_knowledge=None, distill_weight=1.0)
-        loss_a, _ = loss_and_grad(params.copy(), x0, None, sched, substream(1, "nok"))
-        loss_b, _ = loss_and_grad(params.copy(), x0, ctx, sched, substream(1, "nok"))
+        loss_a, grad_a = loss_and_grad(params.copy(), x0, None, sched, substream(1, "nok"),
+                                       weight=0.0)
+        loss_b, grad_b = loss_and_grad(params.copy(), x0, None, sched, substream(1, "nok"),
+                                       weight=1.0)
         assert loss_a == loss_b
+        assert np.array_equal(grad_a, grad_b)
 
     def test_distillation_adds_positive_term(self):
         params = toy_model(label="addkl")
         sched = ldpm.build_schedule(20)
         x0 = substream(0, "addkl").normal(size=(8, 4))
-        ctx = ldpm.DistillationContext(integrated_knowledge=np.array([4.0, 0.0, -4.0, 0.0]),
-                                       distill_weight=1.0, temperature=2.0)
+        target = np.array([4.0, 0.0, -4.0, 0.0])
         loss_plain, _ = loss_and_grad(params.copy(), x0, None, sched, substream(1, "addkl"))
-        loss_kd, _ = loss_and_grad(params.copy(), x0, ctx, sched, substream(1, "addkl"))
+        loss_kd, _ = loss_and_grad(params.copy(), x0, target, sched, substream(1, "addkl"))
         assert loss_kd > loss_plain
+
+    def test_distilled_loss_is_plain_plus_weighted_kl(self):
+        """The distillation term is weight x kl_tempered of the implied clean latents."""
+        params = toy_model(label="klref")
+        sched = ldpm.build_schedule(20)
+        x0 = substream(0, "klref").normal(size=(6, 4))
+        target = np.array([1.0, -2.0, 0.5, 3.0])
+        weight, temperature = 0.7, 3.0
+        plain, _ = loss_and_grad(params.copy(), x0, None, sched, substream(1, "klref"))
+        distilled, _ = loss_and_grad(params.copy(), x0, target, sched, substream(1, "klref"),
+                                     weight=weight, temperature=temperature)
+        rng = substream(1, "klref")
+        t = rng.integers(1, sched.steps + 1, size=6)
+        xt = ldpm.forward_noise(x0, t, rng.standard_normal((6, 4)), sched)
+        eps_hat = ldpm.predict_noise(params, xt, sched.embedding_table(4)[t - 1])
+        ab = sched.alpha_bar[t - 1][:, None]
+        x0_hat = (xt - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab)
+        kl = ldpm.kl_tempered(x0_hat, target, temperature)
+        assert distilled == pytest.approx(plain + weight * kl, rel=1e-12)
 
     def test_empty_batch_rejected(self):
         params = toy_model(label="empty")
@@ -236,12 +250,10 @@ class TestGradients:
         params = toy_model(latent_dim=4, hidden=6, temb=4, label="fd-kd")
         sched = ldpm.build_schedule(10)
         x0 = substream(0, "fd-kd").normal(size=(3, 4))
-        ctx = ldpm.DistillationContext(
-            integrated_knowledge=substream(2, "fd-kd").normal(size=4),
-            distill_weight=1.5, temperature=2.0)
+        target = substream(2, "fd-kd").normal(size=4)
 
         def make_loss():
-            return loss_and_grad(params, x0, ctx, sched, substream(1, "fd-kd"))
+            return loss_and_grad(params, x0, target, sched, substream(1, "fd-kd"), weight=1.5)
 
         assert self._fd_check(make_loss, params) < 1e-4
 
@@ -250,46 +262,45 @@ class TestLocalTrain:
     def test_zero_epochs_noop(self):
         params = toy_model(label="noop")
         before = params.net.flat_params().copy()
-        ctx = ldpm.DistillationContext(integrated_knowledge=None)
         sched = ldpm.build_schedule(10)
         latents = substream(0, "noop").normal(size=(6, 4))
-        _, losses = ldpm.local_train(params, latents, ctx, sched, epochs=0,
-                                     lr=0.01, batch_size=4, rng=substream(1, "noop"))
+        _, losses = ldpm.local_train(params, latents, None, sched, epochs=0,
+                                     lr=0.01, batch_size=4, rng=substream(1, "noop"),
+                                     weight=1.0, temperature=2.0)
         assert losses == []
         assert np.array_equal(params.net.flat_params(), before)
 
     def test_empty_latents_noop(self):
         params = toy_model(label="nolat")
         before = params.net.flat_params().copy()
-        ctx = ldpm.DistillationContext(integrated_knowledge=None)
         sched = ldpm.build_schedule(10)
-        _, losses = ldpm.local_train(params, np.zeros((0, 4)), ctx, sched, epochs=5,
-                                     lr=0.01, batch_size=4, rng=substream(1, "nolat"))
+        _, losses = ldpm.local_train(params, np.zeros((0, 4)), None, sched, epochs=5,
+                                     lr=0.01, batch_size=4, rng=substream(1, "nolat"),
+                                     weight=1.0, temperature=2.0)
         assert losses == []
         assert np.array_equal(params.net.flat_params(), before)
 
     def test_reproducible(self):
-        ctx = ldpm.DistillationContext(integrated_knowledge=np.ones(4),
-                                       distill_weight=0.5)
         sched = ldpm.build_schedule(20)
         latents = substream(0, "repro").normal(size=(12, 4))
         runs = []
         for _ in range(2):
             params = toy_model(label="repro-net")
-            params, losses = ldpm.local_train(params, latents, ctx, sched, epochs=4,
+            params, losses = ldpm.local_train(params, latents, np.ones(4), sched, epochs=4,
                                               lr=0.01, batch_size=4,
-                                              rng=substream(1, "repro-train"))
+                                              rng=substream(1, "repro-train"),
+                                              weight=0.5, temperature=2.0)
             runs.append((losses, params.net.flat_params()))
         assert runs[0][0] == runs[1][0]
         assert np.array_equal(runs[0][1], runs[1][1])
 
     def test_records_one_loss_per_epoch(self):
         params = toy_model(label="traj")
-        ctx = ldpm.DistillationContext(integrated_knowledge=None)
         sched = ldpm.build_schedule(10)
         latents = substream(0, "traj").normal(size=(10, 4))
-        _, losses = ldpm.local_train(params, latents, ctx, sched, epochs=7,
-                                     lr=0.005, batch_size=4, rng=substream(1, "traj"))
+        _, losses = ldpm.local_train(params, latents, None, sched, epochs=7,
+                                     lr=0.005, batch_size=4, rng=substream(1, "traj"),
+                                     weight=1.0, temperature=2.0)
         assert len(losses) == 7
         assert all(np.isfinite(v) for v in losses)
 
@@ -365,18 +376,18 @@ class TestStacked:
     """A stack of V denoisers computes exactly what V lone calls compute."""
 
     def test_stacked_train_and_sample_equal_lone_calls(self):
+        for weight, temperature in ((1.0, 2.0), (0.5, 3.0)):
+            self.check_stack_equals_lone_calls(weight, temperature)
+
+    @staticmethod
+    def check_stack_equals_lone_calls(weight, temperature):
         sched = ldpm.build_schedule(20)
         nets = [toy_model(label=f"stack-{v}") for v in range(5)]
         latents = substream(0, "stack-lat").normal(size=(5, 9, 4))
         knowledge = substream(0, "stack-kd").normal(size=(5, 4))
-        contexts = [
-            ldpm.DistillationContext(integrated_knowledge=knowledge[0], distill_weight=1.0),
-            None,
-            ldpm.DistillationContext(integrated_knowledge=None),
-            ldpm.DistillationContext(integrated_knowledge=knowledge[3], distill_weight=0.0),
-            ldpm.DistillationContext(integrated_knowledge=knowledge[4], distill_weight=0.5,
-                                     temperature=3.0),
-        ]
+        # Distilling and target-less visits mixed in one stack.
+        targets = [knowledge[0], None, None, knowledge[3], knowledge[4]]
+        settings = dict(weight=weight, temperature=temperature)
 
         def streams(kind):
             return [substream(5, kind, v) for v in range(5)]
@@ -385,15 +396,15 @@ class TestStacked:
         train_after, sample_after = streams("train"), streams("sample")
         for v, net in enumerate(nets):
             own = net.copy()
-            _, losses = ldpm.local_train(own, latents[v], contexts[v], sched, epochs=3, lr=0.01,
-                                         batch_size=4, rng=train_after[v])
+            _, losses = ldpm.local_train(own, latents[v], targets[v], sched, epochs=3, lr=0.01,
+                                         batch_size=4, rng=train_after[v], **settings)
             draws = ldpm.sample(own, sched, 6, sample_after[v])
             alone.append((own.net.flat_params(), momentum(own), losses, draws))
 
         stacked = ldpm.stack(nets)
         train_rngs, sample_rngs = streams("train"), streams("sample")
-        _, losses = ldpm.local_train(stacked, latents, contexts, sched, epochs=3, lr=0.01,
-                                     batch_size=4, rng=train_rngs)
+        _, losses = ldpm.local_train(stacked, latents, targets, sched, epochs=3, lr=0.01,
+                                     batch_size=4, rng=train_rngs, **settings)
         draws = ldpm.sample(stacked, sched, 6, sample_rngs)
         ldpm.unstack(stacked, nets)
         assert draws.shape == (5, 6, 4)
@@ -409,15 +420,31 @@ class TestStacked:
     def test_distillation_reaches_only_its_visits(self):
         sched = ldpm.build_schedule(10)
         latents = substream(0, "only-lat").normal(size=(2, 3, 4))
-        target = ldpm.DistillationContext(integrated_knowledge=np.array([4.0, 0.0, -4.0, 0.0]))
+        target = np.array([4.0, 0.0, -4.0, 0.0])
         plain = ldpm.objective(ldpm.stack([toy_model(label="only-a"), toy_model(label="only-b")]),
                                latents, [None, None], sched,
-                               [substream(1, "only", v) for v in range(2)])
+                               [substream(1, "only", v) for v in range(2)],
+                               weight=1.0, temperature=2.0)
         mixed = ldpm.objective(ldpm.stack([toy_model(label="only-a"), toy_model(label="only-b")]),
                                latents, [None, target], sched,
-                               [substream(1, "only", v) for v in range(2)])
+                               [substream(1, "only", v) for v in range(2)],
+                               weight=1.0, temperature=2.0)
         assert mixed[0] == plain[0]
         assert mixed[1] > plain[1]
+
+    def test_zero_weight_stack_equals_plain(self):
+        """With lambda = 0 a stack of visits holding targets computes the plain objective."""
+        sched = ldpm.build_schedule(10)
+        latents = substream(0, "zero-lat").normal(size=(3, 5, 4))
+        knowledge = substream(0, "zero-kd").normal(size=(3, 4))
+        runs = []
+        for targets, weight in (([None] * 3, 1.0), (list(knowledge), 0.0)):
+            stacked = ldpm.stack([toy_model(label=f"zero-{v}") for v in range(3)])
+            loss = ldpm.objective(stacked, latents, targets, sched,
+                                  [substream(1, "zero", v) for v in range(3)],
+                                  weight=weight, temperature=2.0)
+            runs.append((loss.tobytes(), stacked.net.flat_grads().tobytes()))
+        assert runs[0] == runs[1]
 
     def test_embedding_table_rows_equal_time_embedding(self):
         sched = ldpm.build_schedule(50)

@@ -209,9 +209,16 @@ def test_rollout_last_zone_hands_off_to_first():
     assert timeline.rsu_at(handoff - 1e-9) == TOPO.num_rsus - 1
     assert timeline.rsu_at(handoff) == 0
     assert timeline.rsu_at(handoff + 1.0) == 0
+    assert timeline.rsu_at(np.array([handoff - 1e-9, handoff, handoff + 1.0])).tolist() == [
+        TOPO.num_rsus - 1, 0, 0]
 
 
 def test_rsu_at_matches_segments():
     timeline = rollout(1, DIST, TOPO, 300.0, substream(10, "roll"), initial_offset=100.0)
     for seg in timeline.segments:
         assert timeline.rsu_at(seg.entry_time + 1e-9) == seg.rsu_index
+    # An array of times looks every one up at once, as the scalar calls do.
+    times = np.array([seg.entry_time + 1e-9 for seg in timeline.segments] + [0.0, 150.0, 299.9])
+    zones = timeline.rsu_at(times)
+    assert zones.shape == times.shape
+    assert zones.tolist() == [timeline.rsu_at(float(t)) for t in times]
