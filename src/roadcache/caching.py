@@ -7,7 +7,7 @@ every cache decision is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,11 +33,7 @@ class Metrics:
     latency_ms_sum: float = 0.0
     uplink_bytes: int = 0
     downlink_bytes: int = 0
-    completed_visits: int = 0
-    aborted_visits: int = 0
     completed_rounds: int = 0
-    dropped_requests: int = 0
-    loss_trajectory: list = field(default_factory=list)
 
     @property
     def total_requests(self) -> int:

@@ -244,8 +244,8 @@ def partition_users(
             vectors.append(user_train_vector(matrix, idx[:n_train]))
             if n >= 2:
                 held.extend(int(c) for c in matrix.contents[idx[n_train:]])
-        stack = np.vstack(vectors) if vectors else np.zeros((0, matrix.num_contents))
-        profile = stack.mean(axis=0) if len(stack) else np.zeros(matrix.num_contents)
+        stack = np.vstack(vectors)
+        profile = stack.mean(axis=0)
         locals_.append(LocalDataset(
             vehicle_id=vid,
             user_ids=user_list,

@@ -1,10 +1,13 @@
 """RSU knowledge caches and the vehicle-visit exchange.
 
 Each RSU keeps, per vehicle, the newest uploaded fingerprint (HI) and
-the newest model-output knowledge (KI).  A visiting vehicle uploads its
-fingerprint and current recommendation list, receives the averaged
-knowledge of its most similar peers, trains its local model against it,
-and uploads fresh knowledge before leaving.  A backhaul merge
+the newest model-output knowledge (KI).  A visit runs in three steps,
+which the protocol phase (``harness.simulate_protocol``) calls on its
+own clock.  At entry the vehicle uploads its current recommendation
+list and fingerprint and receives the averaged knowledge of its most
+similar peers (``begin_visit``).  It then trains its local model
+against that knowledge (``train_and_predict``) and uploads fresh
+knowledge before leaving (``complete_visit``).  A backhaul merge
 periodically reconciles all RSU caches to the per-vehicle latest.
 
 Every over-the-air payload is metered: 4 bytes per real value or id,
@@ -18,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import latent_codec, ldpm
-from .caching import top_m
 from .config import SimConfig
 from .errors import ProtocolError, ZeroNormError
 
@@ -196,22 +198,18 @@ def merge_kc(rsu_kcs: list[KnowledgeCache]) -> KnowledgeCache:
 
 
 @dataclass
-class VisitSetup:
-    """The vehicle's own state at a visit; the run's settings come from its config."""
+class VisitInputs:
+    """A proceeding visit's compute inputs, all fixed when the vehicle enters the zone.
+
+    The vehicle's latents, denoiser and codec, the knowledge its peers
+    sent down (None when none had any), and the visit's train and sample
+    substreams.
+    """
 
     vehicle_id: int
-    vehicle_hash: np.ndarray
     latents: np.ndarray
     denoiser: ldpm.DenoiserParams
     codec: latent_codec.CodecParams
-    carries_list: bool   # whether the vehicle holds a list from a completed visit
-
-
-@dataclass
-class VisitInputs:
-    """A visit's compute inputs, all fixed when the vehicle enters the zone."""
-
-    setup: VisitSetup
     integrated: np.ndarray | None
     rng_train: np.random.Generator
     rng_sample: np.random.Generator
@@ -224,33 +222,26 @@ class VisitBegin:
     proceed: bool
 
 
-@dataclass
-class VisitResult:
-    messages: list[Message]
-    rec_list: np.ndarray | None
-    scores: np.ndarray | None
-    completed: bool
-    losses: list[float]
-
-
-def begin_visit(kc: KnowledgeCache, setup: VisitSetup, now: float,
-                residence: float, cfg: SimConfig) -> VisitBegin:
+def begin_visit(kc: KnowledgeCache, vehicle_id: int, vehicle_hash: np.ndarray,
+                carries_list: bool, now: float, residence: float,
+                cfg: SimConfig) -> VisitBegin:
     """Entry half of a visit: list and fingerprint up, knowledge down.
 
-    Aborts (fingerprint only, no knowledge exchange) when the vehicle
-    will leave before the local compute budget elapses.
+    The list goes up only when the vehicle carries one from a completed
+    visit.  Aborts (no knowledge exchange) when the vehicle will leave
+    before the local compute budget elapses; the fingerprint is stored
+    either way.
     """
-    vid = setup.vehicle_id
-    veh, rsu = f"veh:{vid}", f"rsu:{kc.rsu_id}"
-    latent_dim = len(setup.vehicle_hash)
+    veh, rsu = f"veh:{vehicle_id}", f"rsu:{kc.rsu_id}"
+    latent_dim = len(vehicle_hash)
     messages: list[Message] = []
-    if setup.carries_list:
+    if carries_list:
         messages.append(Message(now, veh, rsu, MSG_REC_LIST, rec_list_bytes(cfg.cache.list_m)))
-    upsert_hi(kc, HIPair(hash=setup.vehicle_hash, vehicle_id=vid, upload_time=now))
+    upsert_hi(kc, HIPair(hash=vehicle_hash, vehicle_id=vehicle_id, upload_time=now))
     messages.append(Message(now, veh, rsu, MSG_HI, hi_bytes(latent_dim)))
     if residence < cfg.compute.visit_seconds:
         return VisitBegin(messages=messages, integrated=None, proceed=False)
-    neighbors = find_neighbors(kc, vid, count=cfg.kc.neighbor_count, gamma=cfg.kc.gamma)
+    neighbors = find_neighbors(kc, vehicle_id, count=cfg.kc.neighbor_count, gamma=cfg.kc.gamma)
     integrated = integrate_knowledge(kc, neighbors)
     if integrated is not None:
         messages.append(Message(now, rsu, veh, MSG_KNOWLEDGE_DOWN, knowledge_bytes(latent_dim)))
@@ -285,16 +276,16 @@ def train_and_predict(visits: list[VisitInputs], cfg: SimConfig,
     decoding, so knowledge exchanged over the air always lives in raw
     latent space.
     """
-    shape = visits[0].setup.latents.shape
-    if any(visit.setup.latents.shape != shape for visit in visits):
+    shape = visits[0].latents.shape
+    if any(visit.latents.shape != shape for visit in visits):
         raise ProtocolError("visits computed together need one latent shape")
     settings = cfg.ldpm
-    standardizers = [latent_standardizer(visit.setup.latents) for visit in visits]
+    standardizers = [latent_standardizer(visit.latents) for visit in visits]
     targets = [None if visit.integrated is None else (visit.integrated - mu) / sd
                for visit, (mu, sd) in zip(visits, standardizers)]
-    denoisers = [visit.setup.denoiser for visit in visits]
+    denoisers = [visit.denoiser for visit in visits]
     stacked = ldpm.stack(denoisers)
-    latents = np.stack([(visit.setup.latents - mu) / sd
+    latents = np.stack([(visit.latents - mu) / sd
                         for visit, (mu, sd) in zip(visits, standardizers)])
     _, losses = ldpm.local_train(
         stacked, latents, targets, schedule, settings.episodes, settings.lr, settings.batch,
@@ -306,13 +297,13 @@ def train_and_predict(visits: list[VisitInputs], cfg: SimConfig,
     draws = []
     for lo in range(0, len(visits), per_call):
         chunk = visits[lo:lo + per_call]
-        draws.extend(ldpm.sample(ldpm.stack([visit.setup.denoiser for visit in chunk]),
+        draws.extend(ldpm.sample(ldpm.stack([visit.denoiser for visit in chunk]),
                                  schedule, settings.sample_count,
                                  [visit.rng_sample for visit in chunk]))
     results = []
     for visit, (mu, sd), own_draws, own_losses in zip(visits, standardizers, draws, losses):
         own_draws = own_draws * sd + mu
-        reconstructions = latent_codec.decode(visit.setup.codec, own_draws)
+        reconstructions = latent_codec.decode(visit.codec, own_draws)
         results.append((reconstructions.mean(axis=0), own_draws.mean(axis=0), own_losses))
     return results
 
@@ -323,20 +314,3 @@ def complete_visit(kc: KnowledgeCache, vehicle_id: int, knowledge: np.ndarray,
     upsert_ki(kc, KIPair(knowledge=knowledge, vehicle_id=vehicle_id, upload_time=now))
     return [Message(now, f"veh:{vehicle_id}", f"rsu:{kc.rsu_id}", MSG_KI, ki_bytes(len(knowledge)))]
 
-
-def vehicle_visit(kc: KnowledgeCache, setup: VisitSetup, now: float, residence: float,
-                  cfg: SimConfig, schedule: ldpm.NoiseSchedule, rng_train: np.random.Generator,
-                  rng_sample: np.random.Generator) -> VisitResult:
-    """One whole visit against one RSU cache, with its byte ledger.
-
-    This is the uninterleaved composition of the entry, compute, and exit
-    halves; the event-driven harness calls the halves on its own clock.
-    """
-    begun = begin_visit(kc, setup, now, residence, cfg)
-    if not begun.proceed:
-        return VisitResult(begun.messages, rec_list=None, scores=None, completed=False, losses=[])
-    [(scores, knowledge, losses)] = train_and_predict(
-        [VisitInputs(setup, begun.integrated, rng_train, rng_sample)], cfg, schedule)
-    done = complete_visit(kc, setup.vehicle_id, knowledge, now + cfg.compute.visit_seconds)
-    return VisitResult(begun.messages + done, rec_list=top_m(scores, cfg.cache.list_m),
-                       scores=scores, completed=True, losses=losses)

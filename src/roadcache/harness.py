@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,7 +38,7 @@ from .dataset import (LocalDataset, RatingMatrix, generate_requests, load_rating
 from .errors import ConfigError, InvariantError
 from .fed_distill import (MSG_FL_MODEL_DOWN, MSG_FL_MODEL_UP, MSG_HI, MSG_KI,
                           MSG_KNOWLEDGE_DOWN, MSG_REC_LIST, UPLINK_KINDS, KnowledgeCache,
-                          Message, VisitInputs, VisitSetup, hi_bytes, ki_bytes,
+                          Message, VisitInputs, hi_bytes, ki_bytes,
                           knowledge_bytes, merge_kc, model_bytes, rec_list_bytes,
                           train_and_predict)
 from .mobility import HighwayTopology, SpeedDistribution, VehicleTimeline, residence_time, rollout
@@ -195,15 +196,15 @@ def visit_batches(visits: list[VisitInputs]) -> list[list[int]]:
     left = list(range(len(visits)))
     batches = []
     while left:
-        rows = len(visits[left[0]].setup.latents)
+        rows = len(visits[left[0]].latents)
         batch, rest, seen = [], [], set()
         for i in left:
-            setup = visits[i].setup
-            if setup.vehicle_id not in seen and len(setup.latents) == rows:
+            visit = visits[i]
+            if visit.vehicle_id not in seen and len(visit.latents) == rows:
                 batch.append(i)
             else:
                 rest.append(i)
-            seen.add(setup.vehicle_id)
+            seen.add(visit.vehicle_id)
         batches.append(batch)
         left = rest
     return batches
@@ -257,16 +258,15 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv) -> Proto
             residence = residence_time(seg, motion.coverage_length)
             version = current_version[vid]
             entries.append(EntryRecord(now, vid, seg.rsu_index, seg.entry_position, seg.speed, version))
-            setup = VisitSetup(vid, data.hashes[vid], data.latents[vid], denoisers[vid],
-                               data.codecs[vid], carries_list=version >= 0)
-            begun = fed_distill.begin_visit(kc, setup, now, residence, cfg)
+            begun = fed_distill.begin_visit(kc, vid, data.hashes[vid], version >= 0,
+                                            now, residence, cfg)
             messages.extend(begun.messages)
             finish = now + cfg.compute.visit_seconds
             if not begun.proceed or finish >= duration:
                 aborted += 1
                 continue
             pending.append((seq, VisitInputs(
-                setup, begun.integrated,
+                vid, data.latents[vid], denoisers[vid], data.codecs[vid], begun.integrated,
                 substream(seed, "train", vid, visit_index[vid]),
                 substream(seed, "sample", vid, visit_index[vid]),
             )))
@@ -473,9 +473,6 @@ def _trigger_scheme_eval(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
 
     if scheme == "proposed":
         messages = list(trace.messages)
-        metrics.completed_visits = trace.completed_visits
-        metrics.aborted_visits = trace.aborted_visits
-        metrics.loss_trajectory = list(trace.losses)
     else:
         fl = parameter_exchange_baseline(scheme, cfg, motion)
         messages = list(fl.messages)
@@ -549,7 +546,7 @@ def evaluate_caching(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
     Byte counters are summed from the messages.  dump, if given, is called
     at each cache refresh with (time, rsu, full ranking, its scores).
     """
-    base = Metrics(dropped_requests=motion.dropped_requests)
+    base = Metrics()
     if scheme in WINDOW_SCHEMES:
         positions, messages = _window_scheme_eval(cfg, data, motion, scheme, dump=dump), []
     elif scheme in TRIGGER_SCHEMES:
@@ -568,7 +565,7 @@ def evaluate_caching(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
     latency = LatencyModel(cfg.latency.hit_ms, cfg.latency.miss_ms)
     curve = []
     for capacity in capacities:
-        metrics = replace(base, loss_trajectory=list(base.loss_trajectory))
+        metrics = replace(base)
         # Real positions are below K, so capping N at K keeps position K a miss.
         serve(metrics, positions < min(capacity, data.num_contents), latency)
         curve.append(metrics)
@@ -684,29 +681,7 @@ def validate_suite() -> list[tuple[str, bool, str]]:
     small.ldpm.lr = 1e-2
     small.ldpm.batch = 2
     small.ldpm.sample_count = 3
-    small.kc.neighbor_count = 3
-    small.kc.gamma = 0.0
-    small.cache.list_m = 5
     small.validate()
-    rng = substream(7, "validate", "visit")
-    kc = KnowledgeCache(rsu_id=0)
-    for vid in (1, 2, 3):
-        fed_distill.upsert_hi(kc, fed_distill.HIPair(
-            hash=np.ones(4) + 0.01 * rng.normal(size=4), vehicle_id=vid, upload_time=1.0))
-        fed_distill.upsert_ki(kc, fed_distill.KIPair(
-            knowledge=rng.normal(size=4), vehicle_id=vid, upload_time=1.0))
-    setup = VisitSetup(0, np.ones(4), rng.normal(size=(3, 4)), ldpm.new_denoiser(4, 8, 4, rng),
-                       latent_codec.new_codec(30, 8, 4, rng), carries_list=True)
-    result = fed_distill.vehicle_visit(kc, setup, now=10.0, residence=30.0, cfg=small,
-                                       schedule=ldpm.build_schedule(10),
-                                       rng_train=substream(7, "validate", "t"),
-                                       rng_sample=substream(7, "validate", "s"))
-    kinds = [m.kind for m in result.messages]
-    expected = [MSG_REC_LIST, MSG_HI, MSG_KNOWLEDGE_DOWN, MSG_KI]
-    total = sum(m.nbytes for m in result.messages)
-    want = (rec_list_bytes(5) + hi_bytes(4) + knowledge_bytes(4) + ki_bytes(4))
-    checks.append(("visit-message-ledger", kinds == expected and total == want,
-                   f"kinds {kinds}, {total} bytes (expected {want})"))
 
     rng = substream(7, "validate", "stack")
     sched = ldpm.build_schedule(10)
@@ -792,6 +767,18 @@ def validate_suite() -> list[tuple[str, bool, str]]:
         logs.append(format_message_trace(trace.messages))
     checks.append(("protocol-determinism", logs[0] == logs[1] and len(logs[0]) > 0,
                    f"two runs, {len(logs[0])} identical bytes"))
+
+    # The last run's trace: one HI per entry, a list with every entry that
+    # carries one, one KI per completed visit, and every size by its formula.
+    kinds = Counter(m.kind for m in trace.messages)
+    got = tuple(kinds[kind] for kind in (MSG_HI, MSG_REC_LIST, MSG_KI))
+    want = (len(trace.entries), sum(e.list_version >= 0 for e in trace.entries),
+            trace.completed_visits)
+    total = sum(m.nbytes for m in trace.messages)
+    expected_total = _ledger_total(cfg, trace.messages)
+    checks.append(("visit-message-ledger", got == want and total == expected_total,
+                   f"HI/REC_LIST/KI counts {got} (expected {want}), "
+                   f"{total} bytes (expected {expected_total})"))
     return checks
 
 

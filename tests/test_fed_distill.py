@@ -43,15 +43,16 @@ def make_cfg(visit_seconds=5.0):
 SCHEDULE = ldpm.build_schedule(5)
 
 
-def make_setup(vid, vehicle_hash, latents, carried=False):
+def make_visit(vid, latents, integrated):
     rng = substream(99, "setup", vid)
-    return fd.VisitSetup(
+    return fd.VisitInputs(
         vehicle_id=vid,
-        vehicle_hash=vehicle_hash,
         latents=latents,
         denoiser=ldpm.new_denoiser(LATENT_DIM, 8, 4, rng),
         codec=latent_codec.new_codec(20, 8, LATENT_DIM, rng),
-        carries_list=carried,
+        integrated=integrated,
+        rng_train=substream(1, "tap-train", vid),
+        rng_sample=substream(1, "tap-sample", vid),
     )
 
 
@@ -311,75 +312,15 @@ class TestStandardizer:
 
 
 class TestVisit:
-    def test_cold_start(self):
-        kc = make_kc()
-        setup = make_setup(0, np.array([1.0, 0.5, -0.5, 2.0]),
-                           substream(0, "visit").normal(size=(8, LATENT_DIM)))
-        result = fd.vehicle_visit(kc, setup, now=10.0, residence=30.0,
-                                  cfg=make_cfg(), schedule=SCHEDULE,
-                                  rng_train=substream(1, "visit"),
-                                  rng_sample=substream(2, "visit"))
-        assert result.completed
-        kinds = [m.kind for m in result.messages]
-        assert kinds == [fd.MSG_HI, fd.MSG_KI]
-        assert result.rec_list is not None and len(result.rec_list) == 5
-        assert result.scores.shape == (20,)
-        assert 0 in kc.hi and 0 in kc.ki
-        assert kc.ki[0].upload_time == 15.0
-
-    def test_byte_ledger_conserved(self):
-        kc = make_kc()
-        own_hash = np.array([1.0, 0.5, -0.5, 2.0])
-        fd.upsert_hi(kc, fd.HIPair(hash=own_hash + 0.01, vehicle_id=9, upload_time=1.0))
-        fd.upsert_ki(kc, fd.KIPair(knowledge=np.ones(LATENT_DIM), vehicle_id=9,
-                                   upload_time=1.0))
-        setup = make_setup(0, own_hash,
-                           substream(3, "visit").normal(size=(8, LATENT_DIM)),
-                           carried=True)
-        result = fd.vehicle_visit(kc, setup, now=0.0, residence=30.0,
-                                  cfg=make_cfg(), schedule=SCHEDULE,
-                                  rng_train=substream(4, "visit"),
-                                  rng_sample=substream(5, "visit"))
-        kinds = [m.kind for m in result.messages]
-        assert kinds == [fd.MSG_REC_LIST, fd.MSG_HI, fd.MSG_KNOWLEDGE_DOWN, fd.MSG_KI]
-        want_total = (fd.rec_list_bytes(5) + fd.hi_bytes(LATENT_DIM)
-                      + fd.knowledge_bytes(LATENT_DIM) + fd.ki_bytes(LATENT_DIM))
-        assert sum(m.nbytes for m in result.messages) == want_total
-        for msg in result.messages:
-            if msg.kind in fd.UPLINK_KINDS:
-                assert msg.src == "veh:0" and msg.dst == "rsu:0"
-            else:
-                assert msg.src == "rsu:0" and msg.dst == "veh:0"
-
-    def test_replay_is_deterministic(self):
-        def run():
-            kc = make_kc()
-            fd.upsert_hi(kc, fd.HIPair(hash=np.ones(LATENT_DIM), vehicle_id=5,
-                                       upload_time=0.5))
-            fd.upsert_ki(kc, fd.KIPair(knowledge=np.full(LATENT_DIM, 0.3),
-                                       vehicle_id=5, upload_time=0.5))
-            setup = make_setup(1, np.ones(LATENT_DIM) * 0.9,
-                               substream(6, "visit").normal(size=(10, LATENT_DIM)))
-            return fd.vehicle_visit(kc, setup, now=2.0, residence=20.0,
-                                    cfg=make_cfg(visit_seconds=4.0), schedule=SCHEDULE,
-                                    rng_train=substream(7, "visit"),
-                                    rng_sample=substream(8, "visit"))
-
-        a, b = run(), run()
-        assert a.messages == b.messages
-        assert a.scores.tobytes() == b.scores.tobytes()
-        assert np.array_equal(a.rec_list, b.rec_list)
-        assert a.losses == b.losses
-
     def test_entry_reads_neighbor_settings_from_config(self):
         rng = substream(12, "visit")
         kc = seeded_kc(rng, vehicles=[1, 2, 3, 4])
-        setup = make_setup(0, rng.normal(size=LATENT_DIM), rng.normal(size=(8, LATENT_DIM)))
+        own_hash = rng.normal(size=LATENT_DIM)
         for count, gamma, found in ((2, -1.0, 2), (3, -1.0, 3), (10, 1.1, 0)):
             cfg = make_cfg()
             cfg.kc.neighbor_count = count
             cfg.kc.gamma = gamma
-            begun = fd.begin_visit(kc, setup, now=5.0, residence=30.0, cfg=cfg)
+            begun = fd.begin_visit(kc, 0, own_hash, False, now=5.0, residence=30.0, cfg=cfg)
             neighbors = fd.find_neighbors(kc, 0, count=count, gamma=gamma)
             assert len(neighbors) == found
             if found:
@@ -390,26 +331,21 @@ class TestVisit:
 
     def test_abort_follows_the_visit_budget(self):
         kc = make_kc()
-        setup = make_setup(3, np.ones(LATENT_DIM), np.zeros((2, LATENT_DIM)))
         for budget, residence, proceed in ((5.0, 5.0, True), (5.0, 4.9, False),
                                            (2.0, 4.9, True)):
-            begun = fd.begin_visit(kc, setup, now=0.0, residence=residence,
-                                   cfg=make_cfg(visit_seconds=budget))
+            begun = fd.begin_visit(kc, 3, np.ones(LATENT_DIM), False, now=0.0,
+                                   residence=residence, cfg=make_cfg(visit_seconds=budget))
             assert begun.proceed == proceed
 
     def test_abort_on_short_residence(self):
-        kc = make_kc()
-        setup = make_setup(2, np.ones(LATENT_DIM),
-                           substream(9, "visit").normal(size=(8, LATENT_DIM)),
-                           carried=True)
-        result = fd.vehicle_visit(kc, setup, now=0.0, residence=2.0,
-                                  cfg=make_cfg(), schedule=SCHEDULE,
-                                  rng_train=substream(10, "visit"),
-                                  rng_sample=substream(11, "visit"))
-        assert not result.completed
-        assert [m.kind for m in result.messages] == [fd.MSG_REC_LIST, fd.MSG_HI]
-        assert result.rec_list is None and result.scores is None
-        assert 2 in kc.hi and 2 not in kc.ki
+        kc = seeded_kc(substream(9, "visit"), vehicles=[1])
+        own_hash = kc.hi[1].hash + 0.01
+        begun = fd.begin_visit(kc, 2, own_hash, True, now=3.0, residence=2.0, cfg=make_cfg())
+        assert not begun.proceed and begun.integrated is None
+        assert [m.kind for m in begun.messages] == [fd.MSG_REC_LIST, fd.MSG_HI]
+        assert [(m.time, m.src, m.dst) for m in begun.messages] == [(3.0, "veh:2", "rsu:0")] * 2
+        assert kc.hi[2].upload_time == 3.0 and np.array_equal(kc.hi[2].hash, own_hash)
+        assert 2 not in kc.ki
 
 
 class TestByteSizes:
@@ -426,10 +362,9 @@ class TestTrainAndPredict:
         rng = substream(0, "tap")
         out = []
         for vid in range(count):
-            setup = make_setup(vid, rng.normal(size=LATENT_DIM), rng.normal(size=(5, LATENT_DIM)))
+            latents = rng.normal(size=(5, LATENT_DIM))
             integrated = rng.normal(size=LATENT_DIM) if vid % 2 == 0 else None
-            out.append(fd.VisitInputs(setup, integrated, substream(1, "tap-train", vid),
-                                      substream(1, "tap-sample", vid)))
+            out.append(make_visit(vid, latents, integrated))
         return out
 
     def test_batch_equals_one_visit_at_a_time(self):
@@ -444,8 +379,8 @@ class TestTrainAndPredict:
             assert knowledge.tobytes() == own_knowledge.tobytes()
             assert losses == own_losses and len(losses) == 2
         for mine, theirs in zip(batch, alone):
-            assert (mine.setup.denoiser.net.flat_params().tobytes()
-                    == theirs.setup.denoiser.net.flat_params().tobytes())
+            assert (mine.denoiser.net.flat_params().tobytes()
+                    == theirs.denoiser.net.flat_params().tobytes())
 
     def test_distillation_follows_the_config(self):
         """A visit with knowledge trains under the run's lambda and delta."""
@@ -469,6 +404,6 @@ class TestTrainAndPredict:
 
     def test_mismatched_visits_rejected(self):
         batch = self.visits(2)
-        batch[1].setup.latents = batch[1].setup.latents[:4]
+        batch[1].latents = batch[1].latents[:4]
         with pytest.raises(ProtocolError):
             fd.train_and_predict(batch, make_cfg(), SCHEDULE)
