@@ -311,7 +311,52 @@ class TestStandardizer:
         assert sd[1] > 1.0
 
 
+def run_visit(kc, vid, own_hash, latents, carries_list, now, residence, cfg):
+    """One visit through its entry, compute and exit halves, as the simulator runs it."""
+    begun = fd.begin_visit(kc, vid, own_hash, carries_list, now=now,
+                           residence=residence, cfg=cfg)
+    if not begun.proceed:
+        return begun.messages, None
+    [(scores, knowledge, _)] = fd.train_and_predict(
+        [make_visit(vid, latents, begun.integrated)], cfg, SCHEDULE)
+    finish = now + cfg.compute.visit_seconds
+    return begun.messages + fd.complete_visit(kc, vid, knowledge, finish), scores
+
+
 class TestVisit:
+    def test_cold_start(self):
+        kc = make_kc()
+        cfg = make_cfg()
+        messages, scores = run_visit(kc, 0, np.array([1.0, 0.5, -0.5, 2.0]),
+                                     substream(0, "visit").normal(size=(8, LATENT_DIM)),
+                                     carries_list=False, now=10.0, residence=30.0, cfg=cfg)
+        assert [m.kind for m in messages] == [fd.MSG_HI, fd.MSG_KI]
+        assert [m.time for m in messages] == [10.0, 15.0]
+        assert scores.shape == (20,)
+        assert len(top_m(scores, cfg.cache.list_m)) == 5
+        assert 0 in kc.hi and 0 in kc.ki
+        assert kc.ki[0].upload_time == 15.0
+
+    def test_byte_ledger_conserved(self):
+        kc = make_kc()
+        own_hash = np.array([1.0, 0.5, -0.5, 2.0])
+        fd.upsert_hi(kc, fd.HIPair(hash=own_hash + 0.01, vehicle_id=9, upload_time=1.0))
+        fd.upsert_ki(kc, fd.KIPair(knowledge=np.ones(LATENT_DIM), vehicle_id=9,
+                                   upload_time=1.0))
+        messages, _ = run_visit(kc, 0, own_hash,
+                                substream(3, "visit").normal(size=(8, LATENT_DIM)),
+                                carries_list=True, now=0.0, residence=30.0, cfg=make_cfg())
+        kinds = [m.kind for m in messages]
+        assert kinds == [fd.MSG_REC_LIST, fd.MSG_HI, fd.MSG_KNOWLEDGE_DOWN, fd.MSG_KI]
+        want_total = (fd.rec_list_bytes(5) + fd.hi_bytes(LATENT_DIM)
+                      + fd.knowledge_bytes(LATENT_DIM) + fd.ki_bytes(LATENT_DIM))
+        assert sum(m.nbytes for m in messages) == want_total
+        for msg in messages:
+            if msg.kind in fd.UPLINK_KINDS:
+                assert msg.src == "veh:0" and msg.dst == "rsu:0"
+            else:
+                assert msg.src == "rsu:0" and msg.dst == "veh:0"
+
     def test_entry_reads_neighbor_settings_from_config(self):
         rng = substream(12, "visit")
         kc = seeded_kc(rng, vehicles=[1, 2, 3, 4])
