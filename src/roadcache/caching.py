@@ -33,7 +33,6 @@ class Metrics:
     latency_ms_sum: float = 0.0
     uplink_bytes: int = 0
     downlink_bytes: int = 0
-    completed_rounds: int = 0
 
     @property
     def total_requests(self) -> int:
@@ -59,7 +58,7 @@ def top_m(scores: np.ndarray, m: int) -> np.ndarray:
     """The m best-scored content ids (every id, ordered, when m >= K)."""
     if m < 1:
         raise ValueError("list length must be >= 1")
-    return rank_contents(scores)[:m]
+    return rank_contents(scores)[:m].copy()   # a view would keep the K-long ranking alive
 
 
 def replacement_scores(

@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 
-from .config import known_keys, load_config, SCHEMES
+from .config import known_keys, load_config, read_assignments, SCHEMES
 from .errors import (ConfigError, DataFormatError, InvariantError, ProtocolError,
                      TrainingError, ZeroNormError)
 from .harness import run_simulation, run_sweep, validate_suite
@@ -57,21 +57,10 @@ def _expand_values(raw: str, cast):
 
 
 def _parse_grid(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read grid file {path}: {exc}") from exc
     base_path = None
     overrides: list[str] = []
     axes: dict[str, str] = {}
-    for lineno, line in enumerate(lines, start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        if "=" not in text:
-            raise ConfigError(f"{path}:{lineno}: expected key = value")
-        key, raw = (part.strip() for part in text.split("=", 1))
+    for lineno, key, raw in read_assignments(path):
         if key == "config":
             base_path = raw if os.path.isabs(raw) else os.path.join(os.path.dirname(path) or ".", raw)
         elif key in ("schemes", "capacities", "speeds", "seeds"):

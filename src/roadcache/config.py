@@ -239,23 +239,35 @@ def set_key(cfg: SimConfig, key: str, raw_value: str) -> None:
     setattr(group, fname, _parse_value(key, raw_value, type(current)))
 
 
+def read_assignments(path: str) -> list[tuple[int, str, str]]:
+    """(line number, key, value) for each line of a flat ``key = value`` file.
+
+    ``#`` starts a comment and blank lines are skipped; an unreadable file
+    or a line without ``=`` raises ConfigError.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    assignments = []
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError(f"{path}:{lineno}: expected key = value, got {line.strip()!r}")
+        key, raw = text.split("=", 1)
+        assignments.append((lineno, key.strip(), raw.strip()))
+    return assignments
+
+
 def load_config(path: str | None = None, overrides: list[str] | None = None) -> SimConfig:
     """Build a SimConfig from defaults, an optional file, and ``k=v`` overrides."""
     cfg = SimConfig()
     if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        for lineno, line in enumerate(lines, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected key = value, got {line.strip()!r}")
-            key, raw = text.split("=", 1)
-            set_key(cfg, key.strip(), raw)
+        for _, key, raw in read_assignments(path):
+            set_key(cfg, key, raw)
     for pair in overrides or []:
         if "=" not in pair:
             raise ConfigError(f"--set expects key=value, got {pair!r}")

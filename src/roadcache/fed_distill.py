@@ -262,49 +262,74 @@ def latent_standardizer(latents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu, sd
 
 
+def visit_batches(visits: list[VisitInputs]) -> list[list[int]]:
+    """Split visits (in entry order) into stacks, in the order they must run.
+
+    A stack holds visits of one latent row count (every vehicle's latents
+    share the codec's width, so one latent shape) and at most one visit
+    per vehicle.  A vehicle's visits run in entry order: once a scan
+    passes over a vehicle, its later visits wait for a later stack.
+    Returns indices into ``visits``.
+    """
+    left = list(range(len(visits)))
+    batches = []
+    while left:
+        rows = len(visits[left[0]].latents)
+        batch, rest, seen = [], [], set()
+        for i in left:
+            visit = visits[i]
+            if visit.vehicle_id not in seen and len(visit.latents) == rows:
+                batch.append(i)
+            else:
+                rest.append(i)
+            seen.add(visit.vehicle_id)
+        batches.append(batch)
+        left = rest
+    return batches
+
+
 def train_and_predict(visits: list[VisitInputs], cfg: SimConfig,
                       schedule: ldpm.NoiseSchedule) -> list[tuple]:
     """Compute half of visits: distillation training, sampling, decoding.
 
-    Returns one (scores, knowledge, losses) per visit; pure vehicle-side
-    work under the run's ``cfg.ldpm`` settings.  The visits' denoisers
-    train as one stack and sample in stacks of at most ``SAMPLE_ROWS``
-    draw rows, so the visits need one latent shape and distinct
-    denoisers; each result is bit-identical to computing that visit
-    alone.  The neighbor target is mapped into the vehicle's standardized
-    latent coordinates for training, and draws are mapped back before
-    decoding, so knowledge exchanged over the air always lives in raw
-    latent space.
+    Takes visits in entry order and returns one (scores, knowledge,
+    losses) per visit, in that order; pure vehicle-side work under the
+    run's ``cfg.ldpm`` settings.  The visits run in the stacks that
+    ``visit_batches`` picks: a stack's denoisers train as one computation
+    and sample in chunks of at most ``SAMPLE_ROWS`` draw rows, and each
+    result is bit-identical to computing the visits one at a time.  The
+    neighbor target is mapped into the vehicle's standardized latent
+    coordinates for training, and draws are mapped back before decoding,
+    so knowledge exchanged over the air always lives in raw latent space.
     """
-    shape = visits[0].latents.shape
-    if any(visit.latents.shape != shape for visit in visits):
-        raise ProtocolError("visits computed together need one latent shape")
     settings = cfg.ldpm
-    standardizers = [latent_standardizer(visit.latents) for visit in visits]
-    targets = [None if visit.integrated is None else (visit.integrated - mu) / sd
-               for visit, (mu, sd) in zip(visits, standardizers)]
-    denoisers = [visit.denoiser for visit in visits]
-    stacked = ldpm.stack(denoisers)
-    latents = np.stack([(visit.latents - mu) / sd
-                        for visit, (mu, sd) in zip(visits, standardizers)])
-    _, losses = ldpm.local_train(
-        stacked, latents, targets, schedule, settings.episodes, settings.lr, settings.batch,
-        [visit.rng_train for visit in visits],
-        weight=settings.distill_weight, temperature=settings.temperature,
-    )
-    ldpm.unstack(stacked, denoisers)
     per_call = max(1, SAMPLE_ROWS // settings.sample_count)
-    draws = []
-    for lo in range(0, len(visits), per_call):
-        chunk = visits[lo:lo + per_call]
-        draws.extend(ldpm.sample(ldpm.stack([visit.denoiser for visit in chunk]),
-                                 schedule, settings.sample_count,
-                                 [visit.rng_sample for visit in chunk]))
-    results = []
-    for visit, (mu, sd), own_draws, own_losses in zip(visits, standardizers, draws, losses):
-        own_draws = own_draws * sd + mu
-        reconstructions = latent_codec.decode(visit.codec, own_draws)
-        results.append((reconstructions.mean(axis=0), own_draws.mean(axis=0), own_losses))
+    results: list[tuple] = [()] * len(visits)
+    for batch in visit_batches(visits):
+        stack = [visits[i] for i in batch]
+        standardizers = [latent_standardizer(visit.latents) for visit in stack]
+        targets = [None if visit.integrated is None else (visit.integrated - mu) / sd
+                   for visit, (mu, sd) in zip(stack, standardizers)]
+        denoisers = [visit.denoiser for visit in stack]
+        stacked = ldpm.stack(denoisers)
+        latents = np.stack([(visit.latents - mu) / sd
+                            for visit, (mu, sd) in zip(stack, standardizers)])
+        _, losses = ldpm.local_train(
+            stacked, latents, targets, schedule, settings.episodes, settings.lr, settings.batch,
+            [visit.rng_train for visit in stack],
+            weight=settings.distill_weight, temperature=settings.temperature,
+        )
+        ldpm.unstack(stacked, denoisers)
+        draws = []
+        for lo in range(0, len(stack), per_call):
+            chunk = stack[lo:lo + per_call]
+            draws.extend(ldpm.sample(ldpm.stack([visit.denoiser for visit in chunk]),
+                                     schedule, settings.sample_count,
+                                     [visit.rng_sample for visit in chunk]))
+        for i, (mu, sd), own_draws, own_losses in zip(batch, standardizers, draws, losses):
+            own_draws = own_draws * sd + mu
+            reconstructions = latent_codec.decode(visits[i].codec, own_draws)
+            results[i] = (reconstructions.mean(axis=0), own_draws.mean(axis=0), own_losses)
     return results
 
 

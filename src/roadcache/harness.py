@@ -2,15 +2,14 @@
 
 A run has two phases.  The protocol phase walks entry, completion, and
 cache-merge events in time order, training each vehicle's model on its
-visits and recording every over-the-air message plus one per-content
-score vector per completed visit.  A visit's compute inputs are fixed at
-entry and its output is first read at completion, so a visit that
-proceeds joins a pending list.  The first completion event that finds no
-result computes every pending visit, in batches whose denoisers train
-and sample as one stacked computation (``visit_batches``); decoding
-stays per visit.  Messages, score versions and losses are still
-published at each visit's own completion event, bit-identical to
-computing the visits one at a time.
+visits and recording every over-the-air message plus the recommendation
+list each completed visit leaves the vehicle to upload.  A visit's
+compute inputs are fixed at entry and its output is first read at
+completion, so a visit that proceeds joins a pending list.  The first
+completion event that finds no computed result hands every pending
+visit to ``fed_distill.train_and_predict``, which stacks them itself.
+Messages, lists and losses are still published at each visit's own
+completion event, bit-identical to computing the visits one at a time.
 
 The evaluation phase replays list uploads and requests against one
 caching scheme.  Its rankings never depend on the cache capacity, so
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -79,9 +78,6 @@ class MotionEnv:
     request_contents: np.ndarray
     request_rsus: np.ndarray
     dropped_requests: int
-    duration: float
-    coverage_length: float
-    num_rsus: int
 
 
 def build_data_env(cfg: SimConfig) -> DataEnv:
@@ -152,9 +148,6 @@ def build_motion_env(cfg: SimConfig, locals_: list[LocalDataset]) -> MotionEnv:
         request_contents=trace.content_ids,
         request_rsus=rsus,
         dropped_requests=trace.dropped,
-        duration=cfg.sim.duration,
-        coverage_length=cfg.topology.coverage_length,
-        num_rsus=cfg.topology.num_rsus,
     )
 
 
@@ -171,43 +164,17 @@ class EntryRecord:
     rsu: int
     entry_position: float
     speed: float
-    list_version: int  # -1 before the first completed visit
+    list_version: int  # row of ProtocolTrace.lists; -1 before the first completed visit
 
 
 @dataclass
 class ProtocolTrace:
-    versions: np.ndarray           # (n_versions, K) float32 score vectors
+    lists: np.ndarray              # (completed visits, list_m) ids each visit leaves to upload
     entries: list[EntryRecord]     # time order
     messages: list[Message]
     completed_visits: int
     aborted_visits: int
     losses: list[float]            # per-visit mean objective, time order
-
-
-def visit_batches(visits: list[VisitInputs]) -> list[list[int]]:
-    """Split pending visits (in entry order) into stacks, in the order they must run.
-
-    A batch holds visits of one latent row count (every vehicle's latents
-    share the codec's width, so one latent shape) and at most one visit
-    per vehicle.  A vehicle's visits run in entry order: once a scan
-    passes over a vehicle, its later visits wait for a later batch.
-    Returns indices into ``visits``.
-    """
-    left = list(range(len(visits)))
-    batches = []
-    while left:
-        rows = len(visits[left[0]].latents)
-        batch, rest, seen = [], [], set()
-        for i in left:
-            visit = visits[i]
-            if visit.vehicle_id not in seen and len(visit.latents) == rows:
-                batch.append(i)
-            else:
-                rest.append(i)
-            seen.add(visit.vehicle_id)
-        batches.append(batch)
-        left = rest
-    return batches
 
 
 def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv) -> ProtocolTrace:
@@ -220,13 +187,14 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv) -> Proto
                           substream(seed, "denoiser", vid))
         for vid in range(n_vehicles)
     ]
-    kcs = [KnowledgeCache(rsu_id=r) for r in range(motion.num_rsus)]
+    num_rsus = cfg.topology.num_rsus
+    kcs = [KnowledgeCache(rsu_id=r) for r in range(num_rsus)]
 
     current_version = [-1] * n_vehicles
     visit_index = [0] * n_vehicles
-    pending: list[tuple[int, VisitInputs]] = []   # (ticket, inputs), entry order
-    computed: dict[int, tuple] = {}                 # ticket -> train_and_predict result
-    versions: list[np.ndarray] = []
+    pending: list[VisitInputs] = []               # proceeding visits not yet computed
+    ready: deque[tuple[VisitInputs, tuple]] = deque()   # computed, with their results
+    lists: list[np.ndarray] = []
     entries: list[EntryRecord] = []
     messages: list[Message] = []
     losses: list[float] = []
@@ -250,12 +218,12 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv) -> Proto
         now, _, _, (kind, payload) = heapq.heappop(heap)
         if kind == "merge":
             merged = merge_kc(kcs)
-            kcs = [merged.copy_with_rsu(r) for r in range(motion.num_rsus)]
+            kcs = [merged.copy_with_rsu(r) for r in range(num_rsus)]
             continue
         if kind == "entry":
             vid, seg = payload
             kc = kcs[seg.rsu_index]
-            residence = residence_time(seg, motion.coverage_length)
+            residence = residence_time(seg, cfg.topology.coverage_length)
             version = current_version[vid]
             entries.append(EntryRecord(now, vid, seg.rsu_index, seg.entry_position, seg.speed, version))
             begun = fed_distill.begin_visit(kc, vid, data.hashes[vid], version >= 0,
@@ -265,31 +233,34 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv) -> Proto
             if not begun.proceed or finish >= duration:
                 aborted += 1
                 continue
-            pending.append((seq, VisitInputs(
+            pending.append(VisitInputs(
                 vid, data.latents[vid], denoisers[vid], data.codecs[vid], begun.integrated,
                 substream(seed, "train", vid, visit_index[vid]),
                 substream(seed, "sample", vid, visit_index[vid]),
-            )))
+            ))
             visit_index[vid] += 1
-            heapq.heappush(heap, (finish, 2, seq, ("complete", (vid, seg.rsu_index, seq))))
+            heapq.heappush(heap, (finish, 2, seq, ("complete", (vid, seg.rsu_index))))
             seq += 1
             continue
-        # completion: the first one to find no result computes every pending visit
-        vid, rsu, ticket = payload
-        if ticket not in computed:
-            for batch in visit_batches([inputs for _, inputs in pending]):
-                outs = train_and_predict([pending[i][1] for i in batch], cfg, schedule)
-                computed.update(zip((pending[i][0] for i in batch), outs))
+        # Completion.  Every visit finishes the same visit_seconds after its
+        # entry, and equal times pop by seq, which grows with entry order, so
+        # visits complete in entry order, the order of ``ready`` then
+        # ``pending``: the head of ``ready`` is always this visit.
+        vid, rsu = payload
+        if not ready:
+            ready.extend(zip(pending, train_and_predict(pending, cfg, schedule)))
             pending.clear()
-        scores, knowledge, visit_losses = computed.pop(ticket)
+        visit, (scores, knowledge, visit_losses) = ready.popleft()
+        if visit.vehicle_id != vid:
+            raise InvariantError(f"vehicle {vid} completed vehicle {visit.vehicle_id}'s visit")
         messages.extend(fed_distill.complete_visit(kcs[rsu], vid, knowledge, now))
-        versions.append(scores.astype(np.float32))
-        current_version[vid] = len(versions) - 1
+        lists.append(top_m(scores.astype(np.float32), cfg.cache.list_m))
+        current_version[vid] = len(lists) - 1
         losses.append(float(np.mean(visit_losses)) if visit_losses else float("nan"))
         completed += 1
 
-    stacked = np.vstack(versions) if versions else np.zeros((0, data.num_contents), dtype=np.float32)
-    return ProtocolTrace(stacked, entries, messages, completed, aborted, losses)
+    uploaded = np.vstack(lists) if lists else np.zeros((0, cfg.cache.list_m), dtype=np.int64)
+    return ProtocolTrace(uploaded, entries, messages, completed, aborted, losses)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +326,8 @@ def parameter_exchange_baseline(kind: str, cfg: SimConfig, motion: MotionEnv) ->
         return FLOutcome(kind, completions, completed_rounds, messages)
 
     # Synchronous rounds on a shared clock, one cohort per zone.
-    occupancy: list[list[tuple[float, float, int, int]]] = [[] for _ in range(motion.num_rsus)]
+    occupancy: list[list[tuple[float, float, int, int]]] = [
+        [] for _ in range(cfg.topology.num_rsus)]
     for timeline in motion.timelines:
         for idx, seg in enumerate(timeline.segments):
             occupancy[seg.rsu_index].append(
@@ -430,14 +402,16 @@ def _window_scheme_eval(cfg: SimConfig, data: DataEnv, motion: MotionEnv, scheme
     tick = cfg.kc.sync_period
     times = motion.request_times
     windows = (times // tick).astype(np.int64) if len(times) else np.zeros(0, dtype=np.int64)
-    n_windows = int(np.ceil(motion.duration / tick)) if motion.duration > 0 else 0
-    past_counts = [np.zeros(K) for _ in range(motion.num_rsus)]
+    duration = cfg.sim.duration
+    num_rsus = cfg.topology.num_rsus
+    n_windows = int(np.ceil(duration / tick)) if duration > 0 else 0
+    past_counts = [np.zeros(K) for _ in range(num_rsus)]
     slots = np.arange(K)
     position = np.empty(K + 1, dtype=np.int64)
     served = [np.zeros(0, dtype=np.int64)]
 
     for w in range(n_windows):
-        for rsu in range(motion.num_rsus):
+        for rsu in range(num_rsus):
             requested = motion.request_contents[(windows == w) & (motion.request_rsus == rsu)]
             if scheme == "oracle":
                 ranking, scores = oracle_policy(requested, K)
@@ -455,37 +429,28 @@ def _window_scheme_eval(cfg: SimConfig, data: DataEnv, motion: MotionEnv, scheme
 
 
 def _trigger_scheme_eval(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
-                         trace: ProtocolTrace, scheme: str, metrics: Metrics,
-                         dump=None) -> tuple[np.ndarray, list[Message]]:
+                         trace: ProtocolTrace, scheme: str, dump=None) -> tuple[np.ndarray, list[Message]]:
     seed = cfg.sim.seed
     K = data.num_contents
-    B = motion.coverage_length
+    B = cfg.topology.coverage_length
     eta = cfg.cache.eta
-    list_len = cfg.cache.list_m
-
-    top_cache: dict[int, np.ndarray] = {}
-
-    def list_ids(version: int) -> np.ndarray:
-        if version not in top_cache:
-            top_cache[version] = (top_m(data.prior_scores, list_len) if version < 0
-                                  else top_m(trace.versions[version], list_len))
-        return top_cache[version]
+    num_rsus = cfg.topology.num_rsus
 
     if scheme == "proposed":
         messages = list(trace.messages)
     else:
         fl = parameter_exchange_baseline(scheme, cfg, motion)
         messages = list(fl.messages)
-        metrics.completed_rounds = fl.completed_rounds
+        prior_list = top_m(data.prior_scores, cfg.cache.list_m)
 
     members: list[dict[int, tuple[float, float, float, np.ndarray | None]]] = [
-        {} for _ in range(motion.num_rsus)
+        {} for _ in range(num_rsus)
     ]
     where: list[int] = [-1] * data.num_vehicles
     # Position K stands for "not cached": an RSU holds nothing before its first refresh.
-    positions = np.full((motion.num_rsus, K + 1), K, dtype=np.int64)
-    rankings = [np.zeros(0, dtype=np.int64) for _ in range(motion.num_rsus)]
-    votes = [np.zeros(K) for _ in range(motion.num_rsus)]
+    positions = np.full((num_rsus, K + 1), K, dtype=np.int64)
+    rankings = [np.zeros(0, dtype=np.int64) for _ in range(num_rsus)]
+    votes = [np.zeros(K) for _ in range(num_rsus)]
     slots = np.arange(K)
 
     def refresh(rsu: int, now: float) -> None:
@@ -516,12 +481,12 @@ def _trigger_scheme_eval(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
         if prev >= 0:
             del members[prev][vid]
         if scheme == "proposed":
-            ids = list_ids(e.list_version) if e.list_version >= 0 else None
+            ids = trace.lists[e.list_version] if e.list_version >= 0 else None
         else:
             q = fl.completion_fraction(vid, e.time, cfg.fl.rounds_required)
             pick = substream(seed, "flpick", scheme, vid, entry_counter[vid]).random()
             personalized = pick < q and e.list_version >= 0
-            ids = list_ids(e.list_version if personalized else -1)
+            ids = trace.lists[e.list_version] if personalized else prior_list
             messages.append(Message(e.time, f"veh:{vid}", f"rsu:{e.rsu}",
                                     MSG_REC_LIST, rec_list_bytes(len(ids))))
         entry_counter[vid] += 1
@@ -543,8 +508,9 @@ def evaluate_caching(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
                      dump=None) -> tuple[list[Metrics], list[Message]]:
     """Replay one scheme once: one Metrics per capacity, and the scheme's messages.
 
-    Byte counters are summed from the messages.  dump, if given, is called
-    at each cache refresh with (time, rsu, full ranking, its scores).
+    Byte counters are summed from the messages and checked against a
+    recount from the size formulas.  dump, if given, is called at each
+    cache refresh with (time, rsu, full ranking, its scores).
     """
     base = Metrics()
     if scheme in WINDOW_SCHEMES:
@@ -552,8 +518,7 @@ def evaluate_caching(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
     elif scheme in TRIGGER_SCHEMES:
         if trace is None:
             raise InvariantError(f"scheme {scheme} needs a protocol trace")
-        positions, messages = _trigger_scheme_eval(cfg, data, motion, trace, scheme, base,
-                                                   dump=dump)
+        positions, messages = _trigger_scheme_eval(cfg, data, motion, trace, scheme, dump=dump)
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")
     for m in messages:
@@ -561,6 +526,11 @@ def evaluate_caching(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
             base.uplink_bytes += m.nbytes
         else:
             base.downlink_bytes += m.nbytes
+    total = base.uplink_bytes + base.downlink_bytes
+    ledger_total = _ledger_total(cfg, messages)
+    if ledger_total != total:
+        raise InvariantError(
+            f"byte counters ({total}) disagree with the message ledger ({ledger_total})")
 
     latency = LatencyModel(cfg.latency.hit_ms, cfg.latency.miss_ms)
     curve = []
@@ -607,11 +577,6 @@ def run_simulation(cfg: SimConfig, trace_path: str | None = None,
         with open(cache_dump_path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(dump_lines) + ("\n" if dump_lines else ""))
 
-    total = metrics.uplink_bytes + metrics.downlink_bytes
-    ledger_total = _ledger_total(cfg, messages)
-    if ledger_total != total:
-        raise InvariantError(
-            f"byte counters ({total}) disagree with the message ledger ({ledger_total})")
     row = ReportRow.build(scheme, capacity, cfg.mobility.mu, cfg.sim.seed, metrics)
     return Report(rows=[row])
 

@@ -19,7 +19,10 @@ class TestRanking:
 
     def test_top_m_truncates(self):
         scores = np.array([0.1, 0.9, 0.5])
-        assert caching.top_m(scores, 2).tolist() == [2, 3]
+        top = caching.top_m(scores, 2)
+        assert top.tolist() == [2, 3]
+        # The simulator keeps one list per completed visit: none may pin a K-long ranking.
+        assert top.base is None
 
     def test_top_m_whole_catalog_when_m_large(self):
         scores = np.array([0.1, 0.9, 0.5])

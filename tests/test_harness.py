@@ -3,6 +3,7 @@
 import subprocess
 import sys
 from collections import Counter, defaultdict
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from roadcache import cli, fed_distill, harness, ldpm, report
 from roadcache.caching import Metrics
 from roadcache.config import SCHEMES, load_config
-from roadcache.errors import ConfigError, DataFormatError
+from roadcache.errors import ConfigError, DataFormatError, InvariantError
 from roadcache.fed_distill import (MSG_HI, MSG_KI, MSG_KNOWLEDGE_DOWN, MSG_REC_LIST,
                                    UPLINK_KINDS)
 from roadcache.mobility import Segment, VehicleTimeline
@@ -20,7 +21,7 @@ from roadcache.rng import substream
 PER_MODEL = 770_000 * 4
 
 
-def motion_with(timelines, duration, num_rsus=2):
+def motion_with(timelines):
     return harness.MotionEnv(
         timelines=timelines,
         request_times=np.zeros(0),
@@ -28,9 +29,6 @@ def motion_with(timelines, duration, num_rsus=2):
         request_contents=np.zeros(0, dtype=np.int64),
         request_rsus=np.zeros(0, dtype=np.int32),
         dropped_requests=0,
-        duration=duration,
-        coverage_length=500.0,
-        num_rsus=num_rsus,
     )
 
 
@@ -125,7 +123,7 @@ class TestRandomPolicy:
 class TestParameterExchange:
     def test_fedavg_single_round(self):
         cfg = load_config(None, ["sim.duration=20", "fl.round_seconds=20"])
-        motion = motion_with([handoff_timeline(0)], duration=20.0)
+        motion = motion_with([handoff_timeline(0)])
         out = harness.parameter_exchange_baseline("fedavg", cfg, motion)
         assert link_bytes(out) == (PER_MODEL, PER_MODEL)
         assert out.completed_rounds == 1
@@ -134,7 +132,7 @@ class TestParameterExchange:
     def test_fedavg_departure_wastes_downlink(self):
         # Handing off to zone 1 mid-round loses zone 0's round; zone 1 starts none before 20 s.
         cfg = load_config(None, ["sim.duration=20", "fl.round_seconds=20"])
-        motion = motion_with([handoff_timeline(0, handoff=10.0)], duration=20.0)
+        motion = motion_with([handoff_timeline(0, handoff=10.0)])
         out = harness.parameter_exchange_baseline("fedavg", cfg, motion)
         assert link_bytes(out) == (0, PER_MODEL)
         assert out.completed_rounds == 0
@@ -143,8 +141,7 @@ class TestParameterExchange:
     def test_fedavg_cohort_fails_together(self):
         # One early handoff spoils the zone's round for everyone.
         cfg = load_config(None, ["sim.duration=20", "fl.round_seconds=20"])
-        motion = motion_with([handoff_timeline(0),
-                              handoff_timeline(1, handoff=10.0)], duration=20.0)
+        motion = motion_with([handoff_timeline(0), handoff_timeline(1, handoff=10.0)])
         out = harness.parameter_exchange_baseline("fedavg", cfg, motion)
         assert link_bytes(out) == (PER_MODEL, 2 * PER_MODEL)
         assert out.completed_rounds == 0
@@ -154,7 +151,7 @@ class TestParameterExchange:
         cfg = load_config(None, ["sim.duration=100", "fl.round_seconds=20"])
         # Zone 0 until the 50 s handoff, zone 1 to the end: each zone completes
         # two rounds and loses the third, cut by the handoff or by the horizon.
-        motion = motion_with([handoff_timeline(0, handoff=50.0)], duration=100.0)
+        motion = motion_with([handoff_timeline(0, handoff=50.0)])
         out = harness.parameter_exchange_baseline("asyfed", cfg, motion)
         assert link_bytes(out) == (4 * PER_MODEL, 6 * PER_MODEL)
         assert out.completed_rounds == 4
@@ -166,7 +163,7 @@ class TestParameterExchange:
     def test_unknown_kind(self):
         cfg = load_config(None, [])
         with pytest.raises(ConfigError):
-            harness.parameter_exchange_baseline("gossip", cfg, motion_with([], 10.0))
+            harness.parameter_exchange_baseline("gossip", cfg, motion_with([]))
 
     def test_completion_fraction(self):
         out = harness.FLOutcome("asyfed", {0: [20.0, 40.0]}, 2, [])
@@ -314,7 +311,7 @@ def test_protocol_ledger_follows_each_entry(tiny_stack):
     and that instant falls inside the run.  Each message is claimed by
     exactly one entry.
     """
-    cfg, _, motion, trace = tiny_stack
+    cfg, _, _, trace = tiny_stack
     budget, L = cfg.compute.visit_seconds, cfg.codec.latent_dim
     sizes = {MSG_HI: fed_distill.hi_bytes(L), MSG_KI: fed_distill.ki_bytes(L),
              MSG_KNOWLEDGE_DOWN: fed_distill.knowledge_bytes(L),
@@ -330,7 +327,7 @@ def test_protocol_ledger_follows_each_entry(tiny_stack):
     outcomes = Counter()
     for e in trace.entries:
         veh, rsu = f"veh:{e.vehicle_id}", f"rsu:{e.rsu}"
-        stays = (motion.coverage_length - e.entry_position) / e.speed >= budget
+        stays = (cfg.topology.coverage_length - e.entry_position) / e.speed >= budget
         at_entry = sent[veh, e.time]
         head = [(MSG_REC_LIST, rsu)] * (e.list_version >= 0) + [(MSG_HI, rsu)]
         assert at_entry[:len(head)] == head, (e, at_entry)
@@ -391,17 +388,26 @@ class TestEvaluationAccounting:
         K = 4
         cfg = load_config(None, [])
         data = SimpleNamespace(num_contents=K, num_vehicles=1, prior_scores=np.ones(K))
-        motion = motion_with([], duration=100.0)
+        motion = motion_with([])
         motion.request_times = np.array([1.0, 6.0])
         motion.request_vehicles = np.zeros(2, dtype=np.int64)
         motion.request_contents = np.ones(2, dtype=np.int64)
         motion.request_rsus = np.zeros(2, dtype=np.int32)
         trace = harness.ProtocolTrace(
-            versions=np.zeros((0, K), dtype=np.float32),
+            lists=np.zeros((0, cfg.cache.list_m), dtype=np.int64),
             entries=[harness.EntryRecord(5.0, 0, 0, 0.0, 25.0, -1)],
             messages=[], completed_visits=0, aborted_visits=0, losses=[])
         curve, _ = harness.evaluate_caching(cfg, data, motion, trace, "proposed", [1, K, 2 * K])
         assert [(m.hits, m.misses) for m in curve] == [(1, 1)] * 3
+
+    def test_mis_sized_message_fails_the_replay(self, tiny_stack):
+        cfg, data, motion, trace = tiny_stack
+        first = trace.messages[0]
+        bad = replace(trace, messages=[replace(first, nbytes=first.nbytes + 1),
+                                       *trace.messages[1:]])
+        harness.evaluate_caching(cfg, data, motion, trace, "proposed", [10])
+        with pytest.raises(InvariantError, match="message ledger"):
+            harness.evaluate_caching(cfg, data, motion, bad, "proposed", [10])
 
 
 class TestCacheDump:
@@ -534,6 +540,13 @@ class TestCli:
         proc = roadcache_cli("sweep", "--grid", str(grid), "--out", str(tmp_path / "o"))
         assert proc.returncode == 2
 
+    def test_unreadable_grid_exits_2(self, tiny_cfg_path, tmp_path, capsys):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text(f"config = {tiny_cfg_path}\n# seeds only\n\nseeds 0\n")
+        for path, where in ((grid, f"{grid}:4:"), (tmp_path / "missing.cfg", "missing.cfg")):
+            assert cli.main(["sweep", "--grid", str(path), "--out", str(tmp_path / "o")]) == 2
+            assert where in capsys.readouterr().err
+
     @pytest.mark.parametrize("overrides", [
         # a catalog smaller than the codec's latent width
         ["data.path=synth://users=30,contents=12,seed=7", "cache.list_m=12",
@@ -570,7 +583,7 @@ class TestBatchedProtocol:
         rng = substream(0, "batches")
         visits = [pending_visit(int(rng.integers(0, 6)), int(rng.choice([9, 10])))
                   for _ in range(60)]
-        batches = harness.visit_batches(visits)
+        batches = fed_distill.visit_batches(visits)
         assert sorted(i for batch in batches for i in batch) == list(range(60))
         assert max(len(batch) for batch in batches) > 1
         batch_of = {i: b for b, batch in enumerate(batches) for i in batch}
@@ -584,13 +597,13 @@ class TestBatchedProtocol:
 
     def test_one_visit_per_call_gives_identical_trace(self, monkeypatch, tiny_stack):
         cfg, data, motion, batched = tiny_stack
-        real_train, real_sample, real_batches = (harness.train_and_predict, ldpm.sample,
-                                                 harness.visit_batches)
+        real_train, real_sample, real_batches = (ldpm.local_train, ldpm.sample,
+                                                 fed_distill.visit_batches)
         sizes = {"train": [], "sample": []}
 
-        def train(visits, cfg, schedule):
-            sizes["train"].append(len(visits))
-            return real_train(visits, cfg, schedule)
+        def train(params, latents, *args, **kwargs):
+            sizes["train"].append(len(latents))   # one (rows, dim) block per stacked visit
+            return real_train(params, latents, *args, **kwargs)
 
         def sample(params, sched, count, rng):
             sizes["sample"].append(len(rng))
@@ -599,21 +612,21 @@ class TestBatchedProtocol:
         def singletons(visits):
             return [[i] for batch in real_batches(visits) for i in batch]
 
-        monkeypatch.setattr(harness, "train_and_predict", train)
+        monkeypatch.setattr(ldpm, "local_train", train)
         monkeypatch.setattr(ldpm, "sample", sample)
         largest = []
         # As configured; sampling two visits per call; one visit per call throughout.
         for sample_rows, split in ((fed_distill.SAMPLE_ROWS, real_batches),
                                    (2 * cfg.ldpm.sample_count, real_batches), (1, singletons)):
             monkeypatch.setattr(fed_distill, "SAMPLE_ROWS", sample_rows)
-            monkeypatch.setattr(harness, "visit_batches", split)
+            monkeypatch.setattr(fed_distill, "visit_batches", split)
             sizes["train"].clear()
             sizes["sample"].clear()
             trace = harness.simulate_protocol(cfg, data, motion)
             largest.append((max(sizes["train"]), max(sizes["sample"])))
             assert (harness.format_message_trace(trace.messages)
                     == harness.format_message_trace(batched.messages))
-            assert trace.versions.tobytes() == batched.versions.tobytes()
+            assert trace.lists.tobytes() == batched.lists.tobytes()
             assert np.array_equal(trace.losses, batched.losses, equal_nan=True)
             assert (trace.completed_visits, trace.aborted_visits) == (
                 batched.completed_visits, batched.aborted_visits)
