@@ -455,3 +455,14 @@ class TestTrainAndPredict:
         assert distilled != plain
         assert run(distill_weight=2.0) != distilled
         assert run(temperature=3.0) != distilled
+
+    def test_mismatched_visits_rejected(self):
+        """Visits of different latent shapes never share a stack."""
+        shapes = ((0, 5), (1, 4), (2, 5))
+        batch, alone = self.visits(shapes), self.visits(shapes)
+        assert fd.visit_batches(batch) == [[0, 2], [1]]
+        cfg = make_cfg()
+        together = fd.train_and_predict(batch, cfg, SCHEDULE)
+        for visit, (scores, _, _) in zip(alone, together):
+            [(own_scores, _, _)] = fd.train_and_predict([visit], cfg, SCHEDULE)
+            assert scores.tobytes() == own_scores.tobytes()
