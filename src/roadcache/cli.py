@@ -14,8 +14,7 @@ import os
 import sys
 
 from .config import known_keys, load_config, read_assignments, SCHEMES
-from .errors import (ConfigError, DataFormatError, InvariantError, ProtocolError,
-                     TrainingError, ZeroNormError)
+from .errors import ConfigError, DataFormatError, InvariantError, ProtocolError, TrainingError
 from .harness import run_simulation, run_sweep, validate_suite
 from .report import emit_report, parse_report
 
@@ -174,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, DataFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InvariantError, ProtocolError, TrainingError, ZeroNormError) as exc:
+    except (InvariantError, ProtocolError, TrainingError) as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 3
 

@@ -23,9 +23,5 @@ class ProtocolError(RuntimeError):
     """Knowledge-cache protocol misuse (e.g. querying an unknown vehicle)."""
 
 
-class ZeroNormError(ValueError):
-    """Cosine similarity is undefined for a zero-norm vector."""
-
-
 class InvariantError(Exception):
     """A runtime self-check failed. CLI exit 3."""

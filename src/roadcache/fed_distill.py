@@ -22,7 +22,7 @@ import numpy as np
 
 from . import latent_codec, ldpm
 from .config import SimConfig
-from .errors import ProtocolError, ZeroNormError
+from .errors import ProtocolError
 
 ID_BYTES = 4
 VALUE_BYTES = 4
@@ -131,17 +131,6 @@ def upsert_ki(kc: KnowledgeCache, pair: KIPair) -> KnowledgeCache:
     return kc
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch {a.shape} vs {b.shape}")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ZeroNormError("cosine similarity undefined for a zero vector")
-    return float(a @ b / (na * nb))
-
-
 def find_neighbors(kc: KnowledgeCache, vehicle_id: int, count: int, gamma: float) -> list[int]:
     """Ids of the most similar other vehicles clearing the gamma floor.
 
@@ -157,7 +146,7 @@ def find_neighbors(kc: KnowledgeCache, vehicle_id: int, count: int, gamma: float
     for vid, pair in kc.hi.items():
         if vid == vehicle_id or pair.norm == 0.0:
             continue
-        # cosine_similarity's expression, with both norms read from the pairs
+        # cosine similarity, with both norms read from the pairs
         sim = float(own.hash @ pair.hash / (own.norm * pair.norm))
         if sim >= gamma:
             scored.append((sim, vid))

@@ -11,13 +11,13 @@ visit to ``fed_distill.train_and_predict``, which stacks them itself.
 Messages, lists and losses are still published at each visit's own
 completion event, bit-identical to computing the visits one at a time.
 
-The evaluation phase replays list uploads and requests against one
-caching scheme.  Its rankings never depend on the cache capacity, so
-one replay records where each request's content sits in its RSU's
-ranking and yields the hits at every capacity.  It is cheap, so capacity
-sweeps and baseline comparisons reuse one protocol phase.  Everything
-draws from named substreams of the run seed, making whole reports
-byte-reproducible.
+The evaluation phase turns one caching scheme into cache refreshes, and
+one replay serves each request from its RSU's latest ranking.  Rankings
+never depend on the cache capacity, so the replay records where each
+request's content sits and yields the hits at every capacity.  It is
+cheap, so capacity sweeps and baseline comparisons reuse one protocol
+phase.  Everything draws from named substreams of the run seed, making
+whole reports byte-reproducible.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import heapq
 from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -390,27 +391,26 @@ def random_policy(num_contents: int, rng: np.random.Generator) -> tuple[np.ndarr
 # ---------------------------------------------------------------------------
 # evaluation phase
 #
-# A replay records, per served request, the position of its content in its
-# RSU's current ranking; the request hits a capacity-N cache exactly when
-# that position is below N.
+# Each scheme is a source of cache refreshes (time, rsu, every content id in
+# cache order, the scores it was sorted by), in time order.  Window schemes
+# re-rank every RSU at each window's start.  Trigger schemes re-rank the zone
+# a vehicle enters, then the zone it left, by a vote over the lists entries
+# carry.  One replay records, per request, the position of its content in its
+# RSU's current ranking; it hits a capacity-N cache exactly when that is below N.
 
 
-def _window_scheme_eval(cfg: SimConfig, data: DataEnv, motion: MotionEnv, scheme: str,
-                        dump=None) -> np.ndarray:
+def _window_refreshes(cfg: SimConfig, data: DataEnv, motion: MotionEnv, scheme: str):
+    """One refresh per (window, RSU) at the window's start, ranked by a policy."""
     seed = cfg.sim.seed
     K = data.num_contents
-    tick = cfg.kc.sync_period
-    times = motion.request_times
-    windows = (times // tick).astype(np.int64) if len(times) else np.zeros(0, dtype=np.int64)
-    duration = cfg.sim.duration
     num_rsus = cfg.topology.num_rsus
-    n_windows = int(np.ceil(duration / tick)) if duration > 0 else 0
+    tick = cfg.kc.sync_period
+    starts = np.arange(int(np.ceil(cfg.sim.duration / tick))) * tick
+    # A request belongs to the window whose refresh serves it.
+    windows = np.searchsorted(starts, motion.request_times, side="right") - 1
     past_counts = [np.zeros(K) for _ in range(num_rsus)]
-    slots = np.arange(K)
-    position = np.empty(K + 1, dtype=np.int64)
-    served = [np.zeros(0, dtype=np.int64)]
 
-    for w in range(n_windows):
+    for w, start in enumerate(starts):
         for rsu in range(num_rsus):
             requested = motion.request_contents[(windows == w) & (motion.request_rsus == rsu)]
             if scheme == "oracle":
@@ -420,87 +420,85 @@ def _window_scheme_eval(cfg: SimConfig, data: DataEnv, motion: MotionEnv, scheme
                                                       substream(seed, "greedy", rsu, w))
             else:
                 ranking, scores = random_policy(K, substream(seed, "randomcache", rsu, w))
-            if dump is not None:
-                dump(w, rsu, ranking, scores)
-            position[ranking] = slots
-            served.append(position[requested])
+            yield start, rsu, ranking, scores
+            # The greedy scores just yielded are these counts: update only on resume.
             np.add.at(past_counts[rsu], requested - 1, 1.0)
-    return np.concatenate(served)
 
 
-def _trigger_scheme_eval(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
-                         trace: ProtocolTrace, scheme: str, dump=None) -> tuple[np.ndarray, list[Message]]:
-    seed = cfg.sim.seed
-    K = data.num_contents
-    B = cfg.topology.coverage_length
-    eta = cfg.cache.eta
-    num_rsus = cfg.topology.num_rsus
+def _entry_lists(cfg: SimConfig, data: DataEnv, motion: MotionEnv, trace: ProtocolTrace,
+                 scheme: str) -> tuple[list[np.ndarray | None], list[Message]]:
+    """The list each entry carries into its zone (None for none), and the scheme's messages.
 
+    proposed carries the list its last completed visit left; an FL baseline carries it
+    with probability equal to the vehicle's completed share of rounds, else the prior.
+    """
+    carried = [trace.lists[e.list_version] if e.list_version >= 0 else None
+               for e in trace.entries]
     if scheme == "proposed":
-        messages = list(trace.messages)
-    else:
-        fl = parameter_exchange_baseline(scheme, cfg, motion)
-        messages = list(fl.messages)
-        prior_list = top_m(data.prior_scores, cfg.cache.list_m)
-
-    members: list[dict[int, tuple[float, float, float, np.ndarray | None]]] = [
-        {} for _ in range(num_rsus)
-    ]
-    where: list[int] = [-1] * data.num_vehicles
-    # Position K stands for "not cached": an RSU holds nothing before its first refresh.
-    positions = np.full((num_rsus, K + 1), K, dtype=np.int64)
-    rankings = [np.zeros(0, dtype=np.int64) for _ in range(num_rsus)]
-    votes = [np.zeros(K) for _ in range(num_rsus)]
-    slots = np.arange(K)
-
-    def refresh(rsu: int, now: float) -> None:
-        votes[rsu] = replacement_scores(
-            [(ids, pos0 + (now - entry_t) * speed, speed)
-             for entry_t, pos0, speed, ids in members[rsu].values()],
-            eta, B, K)
-        rankings[rsu] = rank_contents(votes[rsu])
-        positions[rsu, rankings[rsu]] = slots
-
-    entry_counter = [0] * data.num_vehicles
-
-    # Requests strictly before an entry are served with the rankings it finds.
-    served = 0
-    request_positions = np.empty(len(motion.request_times), dtype=np.int64)
-    ends = np.searchsorted(motion.request_times, [e.time for e in trace.entries], side="left")
-
-    def serve_until(end: int) -> None:
-        nonlocal served
-        rsus = motion.request_rsus[served:end]
-        request_positions[served:end] = positions[rsus, motion.request_contents[served:end]]
-        served = end
-
-    for e, end in zip(trace.entries, ends):
-        serve_until(end)
+        return carried, list(trace.messages)
+    fl = parameter_exchange_baseline(scheme, cfg, motion)
+    messages = list(fl.messages)
+    prior_list = top_m(data.prior_scores, cfg.cache.list_m)
+    entry_counter, lists = Counter(), []
+    for e, own in zip(trace.entries, carried):
         vid = e.vehicle_id
-        prev = where[vid]
-        if prev >= 0:
-            del members[prev][vid]
-        if scheme == "proposed":
-            ids = trace.lists[e.list_version] if e.list_version >= 0 else None
-        else:
-            q = fl.completion_fraction(vid, e.time, cfg.fl.rounds_required)
-            pick = substream(seed, "flpick", scheme, vid, entry_counter[vid]).random()
-            personalized = pick < q and e.list_version >= 0
-            ids = trace.lists[e.list_version] if personalized else prior_list
-            messages.append(Message(e.time, f"veh:{vid}", f"rsu:{e.rsu}",
-                                    MSG_REC_LIST, rec_list_bytes(len(ids))))
+        q = fl.completion_fraction(vid, e.time, cfg.fl.rounds_required)
+        pick = substream(cfg.sim.seed, "flpick", scheme, vid, entry_counter[vid]).random()
         entry_counter[vid] += 1
-        members[e.rsu][vid] = (e.time, e.entry_position, e.speed, ids)
-        where[vid] = e.rsu
-        refresh(e.rsu, e.time)
-        if prev >= 0 and prev != e.rsu:
-            refresh(prev, e.time)
-        if dump is not None:
-            dump(e.time, e.rsu, rankings[e.rsu], votes[e.rsu])
-    serve_until(len(motion.request_times))
+        ids = own if pick < q and own is not None else prior_list
+        lists.append(ids)
+        messages.append(Message(e.time, f"veh:{vid}", f"rsu:{e.rsu}",
+                                MSG_REC_LIST, rec_list_bytes(len(ids))))
+    return lists, messages
 
-    messages.sort(key=lambda m: (m.time, m.src, m.dst, m.kind))
-    return request_positions, messages
+
+def _vote_refreshes(cfg: SimConfig, data: DataEnv, entries: list[EntryRecord],
+                    lists: list[np.ndarray | None]):
+    """At each entry, re-rank the entered zone, then the zone left, by a dwell-weighted vote."""
+    # vehicle -> (its latest entry, the list it carried); re-inserted at each
+    # entry, so each zone's members stay in entry order, the order the votes sum in.
+    members: dict[int, tuple[EntryRecord, np.ndarray | None]] = {}
+
+    def refresh(rsu: int, now: float):
+        votes = replacement_scores(
+            [(ids, e.entry_position + (now - e.time) * e.speed, e.speed)
+             for e, ids in members.values() if e.rsu == rsu],
+            cfg.cache.eta, cfg.topology.coverage_length, data.num_contents)
+        return now, rsu, rank_contents(votes), votes
+
+    for e, ids in zip(entries, lists):
+        left = members.pop(e.vehicle_id, None)
+        members[e.vehicle_id] = (e, ids)
+        yield refresh(e.rsu, e.time)
+        if left is not None and left[0].rsu != e.rsu:
+            yield refresh(left[0].rsu, e.time)
+
+
+def _replay(motion: MotionEnv, refreshes, num_contents: int, num_rsus: int,
+            dump=None) -> np.ndarray:
+    """Each request's content position in its RSU's ranking as of the request.
+
+    A refresh at time t serves the requests at t and later.  Refreshes are
+    consumed one at a time, and each is dumped before the next is drawn.
+    """
+    times = motion.request_times
+    # Position K stands for "not cached": an RSU holds nothing before its first refresh.
+    positions = np.full((num_rsus, num_contents + 1), num_contents, dtype=np.int64)
+    slots = np.arange(num_contents)
+    request_positions = np.empty(len(times), dtype=np.int64)
+    served = 0
+    # The closing refresh at infinity serves the requests after the last real one.
+    for when, rsu, ranking, scores in chain(refreshes, [(np.inf, None, None, None)]):
+        end = int(np.searchsorted(times, when, side="left"))
+        request_positions[served:end] = positions[motion.request_rsus[served:end],
+                                                  motion.request_contents[served:end]]
+        served = end
+        if ranking is None:
+            break
+        positions[rsu, ranking] = slots
+        if dump is not None:
+            dump(when, rsu, ranking, scores)
+    return request_positions
 
 
 def evaluate_caching(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
@@ -512,15 +510,18 @@ def evaluate_caching(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
     recount from the size formulas.  dump, if given, is called at each
     cache refresh with (time, rsu, full ranking, its scores).
     """
-    base = Metrics()
     if scheme in WINDOW_SCHEMES:
-        positions, messages = _window_scheme_eval(cfg, data, motion, scheme, dump=dump), []
+        refreshes, messages = _window_refreshes(cfg, data, motion, scheme), []
     elif scheme in TRIGGER_SCHEMES:
         if trace is None:
             raise InvariantError(f"scheme {scheme} needs a protocol trace")
-        positions, messages = _trigger_scheme_eval(cfg, data, motion, trace, scheme, dump=dump)
+        lists, messages = _entry_lists(cfg, data, motion, trace, scheme)
+        messages.sort(key=lambda m: (m.time, m.src, m.dst, m.kind))
+        refreshes = _vote_refreshes(cfg, data, trace.entries, lists)
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")
+    positions = _replay(motion, refreshes, data.num_contents, cfg.topology.num_rsus, dump)
+    base = Metrics()
     for m in messages:
         if m.kind in UPLINK_KINDS:
             base.uplink_bytes += m.nbytes
@@ -775,9 +776,7 @@ def run_sweep(base: SimConfig, schemes: list[str], capacities: list[int],
                 note(f"seed={seed} speed={speed:g}: protocol phase")
                 trace = simulate_protocol(cfg, data, motion)
             for scheme in schemes:
-                curve, _ = evaluate_caching(cfg, data, motion,
-                                            trace if scheme in TRIGGER_SCHEMES else None,
-                                            scheme, capacities)
+                curve, _ = evaluate_caching(cfg, data, motion, trace, scheme, capacities)
                 for capacity, metrics in zip(capacities, curve):
                     rows.append(ReportRow.build(scheme, capacity, speed, seed, metrics))
                     note(f"seed={seed} speed={speed:g} {scheme} N={capacity}: "

@@ -139,14 +139,6 @@ def _kl_rows(g: np.ndarray, target: np.ndarray, temperature: float) -> tuple:
     return (p * diff).sum(axis=-1), p, diff
 
 
-def kl_tempered(g: np.ndarray, target: np.ndarray, temperature: float) -> float:
-    """KL between the tempered softmaxes of a prediction and a fixed target."""
-    if temperature <= 0:
-        raise ConfigError("temperature must be > 0")
-    kl, _, _ = _kl_rows(np.asarray(g, dtype=float), np.asarray(target, dtype=float), temperature)
-    return float(kl.mean())
-
-
 def objective(params: DenoiserParams, x0: np.ndarray, target: np.ndarray | None | list,
               sched: NoiseSchedule, rng: np.random.Generator | list, *, weight: float,
               temperature: float) -> float | np.ndarray:

