@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvariantError
 
 
 @dataclass
@@ -48,10 +48,26 @@ class Metrics:
 
 
 def rank_contents(scores: np.ndarray) -> np.ndarray:
-    """All content ids by descending score, ascending id on ties."""
+    """All content ids by descending score, ascending id on ties.
+
+    An unstable sort finds the groups of equal scores; one integer sort of
+    (group, slot) keys then orders each group by slot.  -0.0 ties with 0.0.
+    NaN equals nothing, so it would leave ties to the unstable sort: scores
+    must be finite.
+    """
     scores = np.asarray(scores, dtype=float)
-    ids = np.arange(1, len(scores) + 1)
-    return ids[np.lexsort((ids, -scores))]
+    if not np.all(np.isfinite(scores)):
+        raise InvariantError("cannot rank non-finite scores")
+    k = len(scores)
+    order = np.argsort(-scores)
+    ranked = scores[order]
+    group = np.zeros(k, dtype=np.int64)
+    np.cumsum(ranked[1:] != ranked[:-1], out=group[1:])
+    keys = group * k + order
+    keys.sort()
+    keys %= k
+    keys += 1
+    return keys
 
 
 def top_m(scores: np.ndarray, m: int) -> np.ndarray:
@@ -73,13 +89,18 @@ def replacement_scores(
     adds eta * (remaining distance / speed) to every content it lists, so
     freshly arrived, slow vehicles weigh most; contents on no list stay 0.
     """
-    votes = np.zeros(num_contents)
+    lists, weights = [], []
     for contents, position, speed in members:
         if contents is None or len(contents) == 0:
             continue
-        weight = eta * (coverage_length - position) / speed
-        votes[np.asarray(contents) - 1] += weight
-    return votes
+        lists.append(np.asarray(contents))
+        weights.append(eta * (coverage_length - position) / speed)
+    if not lists:
+        return np.zeros(num_contents)
+    # bincount adds each content's weights in member order, as a loop over members would.
+    ids = np.concatenate(lists) - 1
+    return np.bincount(ids, weights=np.repeat(weights, [len(c) for c in lists]),
+                       minlength=num_contents)
 
 
 def serve(metrics: Metrics, hit: np.ndarray, latency: LatencyModel) -> None:

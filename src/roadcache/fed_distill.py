@@ -290,6 +290,8 @@ def train_and_predict(visits: list[VisitInputs], cfg: SimConfig,
     neighbor target is mapped into the vehicle's standardized latent
     coordinates for training, and draws are mapped back before decoding,
     so knowledge exchanged over the air always lives in raw latent space.
+    A visit's scores, the mean of its decoded draws, come from
+    ``latent_codec.decode_mean``, which never holds the decoded rows.
     """
     settings = cfg.ldpm
     per_call = max(1, SAMPLE_ROWS // settings.sample_count)
@@ -317,8 +319,8 @@ def train_and_predict(visits: list[VisitInputs], cfg: SimConfig,
                                      [visit.rng_sample for visit in chunk]))
         for i, (mu, sd), own_draws, own_losses in zip(batch, standardizers, draws, losses):
             own_draws = own_draws * sd + mu
-            reconstructions = latent_codec.decode(visits[i].codec, own_draws)
-            results[i] = (reconstructions.mean(axis=0), own_draws.mean(axis=0), own_losses)
+            results[i] = (latent_codec.decode_mean(visits[i].codec, own_draws),
+                          own_draws.mean(axis=0), own_losses)
     return results
 
 

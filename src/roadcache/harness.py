@@ -689,12 +689,15 @@ def validate_suite() -> list[tuple[str, bool, str]]:
                                             shapes.ldpm.time_embed, rng) for _ in range(3)])
     x = rng.normal(size=(3, 32, shapes.codec.latent_dim))
     emb = sched.embedding_table(shapes.ldpm.time_embed)[rng.integers(0, 50, size=(3, 32))]
+    tall = rng.normal(size=(100, shapes.codec.latent_dim))   # several decode_mean blocks
     pairs = [(latent_codec.encode(codec, profiles), codec.encoder.forward(profiles)),
              (latent_codec.decode(codec, draws), codec.decoder.forward(draws)),
+             (latent_codec.decode_mean(codec, tall), codec.decoder.forward(tall).mean(axis=0)),
              (ldpm.predict_noise(stacked, x, emb), ldpm.predict_noise(stacked, x, emb, train=True))]
     same = all(inferred.tobytes() == trained.tobytes() for inferred, trained in pairs)
     checks.append(("inference-parity", same,
-                   "predict == forward on a desk-shaped codec and a 3-visit denoiser stack"))
+                   "predict == forward and decode_mean == mean of forward, on a "
+                   "desk-shaped codec and a 3-visit denoiser stack"))
 
     metrics = Metrics(hits=321, misses=79, latency_ms_sum=321 * 20.0 + 79 * 100.0,
                       uplink_bytes=123456, downlink_bytes=6543)

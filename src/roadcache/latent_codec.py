@@ -64,7 +64,7 @@ def _train_batch(codec: CodecParams, batch: np.ndarray, lr: float,
     loss = float((w * (recon - batch) ** 2).sum(axis=1).mean())
     grad = 2.0 * w * (recon - batch) / len(batch)
     grad_z = codec.decoder.backward(grad)
-    codec.encoder.backward(grad_z)
+    codec.encoder.backward(grad_z, input_grad=False)
     codec.decoder.step(lr, MOMENTUM)
     codec.encoder.step(lr, MOMENTUM)
     return loss
@@ -156,3 +156,15 @@ def decode(codec: CodecParams, z: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected length-{codec.latent_dim} latent, got {z.shape}")
     out = codec.decoder.predict(np.atleast_2d(z))
     return out[0] if z.ndim == 1 else out
+
+
+def decode_mean(codec: CodecParams, z: np.ndarray) -> np.ndarray:
+    """``decode(codec, z).mean(axis=0)`` byte for byte, for (rows, latent) z.
+
+    Holds one (rows, K) array instead of the decoded rows plus the
+    activation's temporaries; see ``Mlp.predict_mean``.
+    """
+    z = np.asarray(z, dtype=float)
+    if z.shape[-1] != codec.latent_dim:
+        raise ValueError(f"expected length-{codec.latent_dim} latents, got {z.shape}")
+    return codec.decoder.predict_mean(z)

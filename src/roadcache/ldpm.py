@@ -191,7 +191,7 @@ def objective(params: DenoiserParams, x0: np.ndarray, target: np.ndarray | None 
 
     if not np.all(np.isfinite(loss)):
         raise TrainingError("diffusion objective became non-finite")
-    params.net.backward(grad_eps_hat)
+    params.net.backward(grad_eps_hat, input_grad=False)
     return loss
 
 

@@ -1,14 +1,21 @@
 """Tiny fully connected networks with hand-written backprop.
 
 Everything is float64 numpy.  Each layer writes its arithmetic once, in
-``apply``, which stores nothing.  ``forward`` is the training pass: it
-keeps what backward needs on the layer and then calls ``apply``; backward
-leaves parameter gradients on the layer, and step applies SGD with
-optional momentum.  ``Mlp.predict`` chains the ``apply`` calls, so encoding,
-decoding and sampling hold no activations once they return, and give
-byte for byte what ``forward`` gives.  Keeping the gradients explicit is
-what lets the test suite compare every analytic derivative against
-central finite differences.
+``apply``, which stores nothing and makes one new array: Dense adds its
+bias into the matmul's output, and Sigmoid clips into a new array (or a
+given ``out``) and finishes there in place.  Relu is ``max(x, 0)``: it
+gives +0.0 where ``x * (x > 0)`` gives -0.0, and the next Dense's sums
+come out the same either way (the tests compare the two).  ``forward`` is
+the training pass: it keeps what backward needs on the layer and then
+calls ``apply``; backward leaves parameter gradients on the layer (the
+first layer's input gradient only on request), and step applies SGD with
+optional momentum.
+``Mlp.predict`` chains the ``apply`` calls, so encoding, decoding and
+sampling hold no activations once they return, and give byte for byte
+what ``forward`` gives; ``Mlp.predict_mean`` gives its row mean byte for
+byte while holding one output-sized array.  Keeping the gradients
+explicit is what lets the test suite compare every analytic derivative
+against central finite differences.
 
 A Dense layer works on (rows, in) inputs with (in, out) weights, or on a
 stack of V such networks: (V, rows, in) inputs with (V, in, out) weights.
@@ -24,6 +31,10 @@ import numpy as np
 # Per-layer arrays that travel with a network when it is stacked.
 _DENSE_STATE = ("w", "b", "dw", "db", "_vw", "_vb")
 
+# Rows per block in ``Mlp.predict_mean``: a block of a 3952-wide output
+# (about 1 MB) stays in cache across the bias, activation and sum passes.
+MEAN_BLOCK = 32
+
 
 class Dense:
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
@@ -37,16 +48,18 @@ class Dense:
         self._x: np.ndarray | None = None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.w + self.b[..., None, :]
+        y = x @ self.w
+        y += self.b[..., None, :]
+        return y
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
         return self.apply(x)
 
-    def backward(self, grad_y: np.ndarray) -> np.ndarray:
+    def backward(self, grad_y: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         self.dw = np.swapaxes(self._x, -1, -2) @ grad_y
         self.db = grad_y.sum(axis=-2)
-        return grad_y @ np.swapaxes(self.w, -1, -2)
+        return grad_y @ np.swapaxes(self.w, -1, -2) if input_grad else None
 
     def step(self, lr: float, momentum: float = 0.0) -> None:
         self._vw *= momentum
@@ -68,7 +81,7 @@ class Relu:
         self._mask = None
 
     def apply(self, x):
-        return x * (x > 0)
+        return np.maximum(x, 0.0)
 
     def forward(self, x):
         self._mask = x > 0
@@ -91,8 +104,13 @@ class Sigmoid:
     def __init__(self):
         self._y = None
 
-    def apply(self, x):
-        return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
+    def apply(self, x, out=None):
+        """1 / (1 + exp(-clip(x))), computed in the one array ``clip`` writes (``out`` if given)."""
+        y = np.clip(x, -500.0, 500.0, out=out)
+        np.negative(y, out=y)
+        np.exp(y, out=y)
+        y += 1.0
+        return np.divide(1.0, y, out=y)
 
     def forward(self, x):
         self._y = self.apply(x)
@@ -126,10 +144,48 @@ class Mlp:
             x = layer.apply(x)
         return x
 
-    def backward(self, grad_y: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def predict_mean(self, x: np.ndarray) -> np.ndarray:
+        """``predict(x).mean(axis=0)`` byte for byte, for (rows, in) inputs.
+
+        The layers before the last Dense run as in ``predict``; the last
+        matmul runs on all rows at once, because splitting it into row
+        blocks can change its bits.  Its bias and the layers after it then
+        run on blocks of ``MEAN_BLOCK`` rows in one reused buffer, whose row
+        0 holds the running sum: each block's sum starts from that row and
+        adds the block's rows in order, the order an axis-0 mean adds them.
+        So only one (rows, out) array is ever held.  The layers after the
+        last Dense must take ``out=``.
+        """
+        if x.ndim != 2 or len(x) == 0:
+            raise ValueError(f"expected a non-empty (rows, in) input, got {x.shape}")
+        last = max(i for i, layer in enumerate(self.layers) if isinstance(layer, Dense))
+        for layer in self.layers[:last]:
+            x = layer.apply(x)
+        dense, tail = self.layers[last], self.layers[last + 1:]
+        y = x @ dense.w
+        rows = len(y)
+        buf = np.empty((min(rows, MEAN_BLOCK) + 1, y.shape[1]))
+        first = 1   # the first block has no running sum yet
+        for lo in range(0, rows, MEAN_BLOCK):
+            n = min(MEAN_BLOCK, rows - lo)
+            block = buf[1:n + 1]
+            np.add(y[lo:lo + n], dense.b, out=block)
+            for layer in tail:
+                layer.apply(block, out=block)
+            buf[0] = buf[first:n + 1].sum(axis=0)
+            first = 0
+        return buf[0] / rows
+
+    def backward(self, grad_y: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Leave gradients on every layer; return the input gradient (None without ``input_grad``).
+
+        The first layer is a Dense in every network ``mlp`` builds; without
+        ``input_grad`` it skips the product only a caller upstream would read.
+        """
+        *later, first = reversed(self.layers)
+        for layer in later:
             grad_y = layer.backward(grad_y)
-        return grad_y
+        return first.backward(grad_y, input_grad=input_grad)
 
     def step(self, lr: float, momentum: float = 0.0) -> None:
         for layer in self.layers:

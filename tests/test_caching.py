@@ -1,11 +1,12 @@
 """Ranked lists, dwell-weighted replacement, cache update, serving."""
 
 import numpy as np
+import oracles
 import pytest
 
 from roadcache import caching
 from roadcache.dataset import load_ratings
-from roadcache.errors import ConfigError, DataFormatError
+from roadcache.errors import ConfigError, DataFormatError, InvariantError
 from roadcache.rng import substream
 
 
@@ -16,6 +17,23 @@ class TestRanking:
 
     def test_all_equal_is_ascending_ids(self):
         assert caching.rank_contents(np.full(6, 0.7)).tolist() == [1, 2, 3, 4, 5, 6]
+
+    def test_matches_lexsort_oracle(self):
+        rng = substream(5, "rank")
+        cases = [np.zeros(7), np.array([0.0, -0.0, 0.5, -0.0, 0.0, 0.5]),
+                 np.array([-0.0] * 4), np.array([3.0])]
+        for trial in range(50):
+            scores = np.round(rng.normal(size=int(rng.integers(1, 400))), 1)
+            scores[rng.random(len(scores)) < 0.3] = 0.0
+            scores[rng.random(len(scores)) < 0.2] = -0.0
+            cases.append(scores)
+        for scores in cases:
+            assert caching.rank_contents(scores).tolist() == oracles.rank_contents(scores).tolist()
+
+    def test_non_finite_scores_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvariantError):
+                caching.rank_contents(np.array([0.5, bad, 0.5]))
 
     def test_top_m_truncates(self):
         scores = np.array([0.1, 0.9, 0.5])
@@ -61,20 +79,23 @@ class TestReplacementScores:
         assert votes == pytest.approx(np.zeros(3))
 
     def test_matches_enumeration(self):
+        # byte for byte against a loop over members and contents, with
+        # missing lists, equal weights (ties) and zero weights (exits)
         rng = substream(1, "votes")
-        for trial in range(20):
+        for trial in range(30):
             members = []
-            for _ in range(5):
-                contents = rng.choice(30, size=rng.integers(1, 10), replace=False) + 1
-                members.append((contents, float(rng.uniform(0, 500)),
-                                float(rng.uniform(15, 35))))
+            for _ in range(int(rng.integers(0, 8))):
+                if rng.random() < 0.2:
+                    contents = None if rng.random() < 0.5 else np.array([], dtype=np.int64)
+                else:
+                    contents = rng.choice(30, size=rng.integers(1, 10), replace=False) + 1
+                position = float(rng.choice([0.0, 250.0, 500.0, rng.uniform(0, 500)]))
+                members.append((contents, position, float(rng.choice([20.0, 25.0]))))
             got = caching.replacement_scores(members, eta=0.1,
                                              coverage_length=500.0, num_contents=30)
-            want = np.zeros(30)
-            for contents, pos, speed in members:
-                for k in contents:
-                    want[k - 1] += 0.1 * (500.0 - pos) / speed
-            assert got == pytest.approx(want)
+            want = oracles.replacement_scores(members, 0.1, 500.0, 30)
+            assert got.tobytes() == want.tobytes()
+            assert caching.rank_contents(got).tolist() == oracles.rank_contents(want).tolist()
 
     def test_eta_scales_linearly(self):
         rng = substream(2, "votes")

@@ -1,5 +1,7 @@
 """Autoencoder codec: reconstruction loss, training, hashes, gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,12 @@ class TestShapes:
             latent_codec.encode(codec, np.zeros(9))
         with pytest.raises(ValueError):
             latent_codec.decode(codec, np.zeros(5))
+
+    def test_decode_mean_rejects_bad_shapes(self):
+        codec = latent_codec.new_codec(10, 6, 4, substream(3, "shapes"))
+        for z in (np.zeros(4), np.zeros((3, 5)), np.zeros((0, 4)), np.zeros((2, 3, 4))):
+            with pytest.raises(ValueError):
+                latent_codec.decode_mean(codec, z)
 
     def test_encode_deterministic(self):
         codec = latent_codec.new_codec(15, 8, 4, substream(4, "shapes"))
@@ -187,6 +195,39 @@ class TestFineTune:
                     assert getattr(layer, name, None) is None
 
 
+def biased_codec(seed):
+    """A desk-shaped codec whose biases are all non-zero."""
+    rng = substream(seed, "decode-mean")
+    codec = latent_codec.new_codec(3952, 100, 16, rng)
+    for net in (codec.encoder, codec.decoder):
+        for layer in net.layers[::2]:
+            layer.b = rng.normal(size=layer.b.shape)
+    return codec, rng
+
+
+class TestDecodeMean:
+    @pytest.mark.parametrize("rows", [1, 9, 32, 33, 500, 513])
+    def test_equals_mean_of_decode(self, rows):
+        codec, rng = biased_codec(rows)
+        z = rng.normal(scale=3.0, size=(rows, 16))
+        want = latent_codec.decode(codec, z).mean(axis=0)
+        assert latent_codec.decode_mean(codec, z).tobytes() == want.tobytes()
+
+    def test_peak_memory_is_one_output(self):
+        codec, rng = biased_codec(0)
+        z = rng.normal(size=(500, 16))
+        output = 500 * 3952 * 8
+        tracemalloc.start()
+        try:
+            latent_codec.decode_mean(codec, z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # decode(...).mean(axis=0) peaks at two: the last matmul's output and
+        # the clipped copy the Sigmoid works in
+        assert peak < 1.25 * output
+
+
 class TestHashes:
     def test_similar_histories_have_similar_hashes(self):
         # Two users sharing 19 of 20 rated items should stand out among
@@ -245,7 +286,7 @@ class TestGradients:
         w = np.where(batch > 0, 1.0, nw)
         grad = 2.0 * w * (recon - batch) / len(batch)
         grad_z = codec.decoder.backward(grad)
-        codec.encoder.backward(grad_z)
+        codec.encoder.backward(grad_z, input_grad=False)
         analytic = np.concatenate([codec.encoder.flat_grads(),
                                    codec.decoder.flat_grads()])
 

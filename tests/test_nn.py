@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import mlp_predict
 
 from roadcache import nn
 from roadcache.rng import substream
@@ -18,10 +19,15 @@ def cached(net):
 def net_and_input(stacked):
     rng = substream(0, "nn", "parity", stacked)
     nets = [nn.mlp([6, 9, 5], rng, out_act=nn.Sigmoid) for _ in range(3)]
+    for net in nets:
+        for layer in net.layers[::2]:
+            layer.b = rng.normal(size=layer.b.shape)
     x = rng.normal(scale=3.0, size=(3, 7, 6))
-    # exact zeros for Relu's boundary, and inputs big enough to hit Sigmoid's clip
+    # exact zeros for Relu's boundary, negative values, and inputs big
+    # enough to hit Sigmoid's clip
     x[:, 0] = 0.0
     x[:, 1] *= 400.0
+    assert np.any(x < 0)
     if stacked:
         return nn.stack(nets), x
     return nets[0], x[0]
@@ -47,6 +53,43 @@ class TestPredict:
         assert inferred.shape == trained.shape
         assert inferred.tobytes() == trained.tobytes()
         assert sorted(set(cached(net))) == ["_mask", "_x", "_y"]
+
+    def test_predict_and_forward_equal_first_formulas(self, stacked):
+        # One zero-bias net too: a Relu zero reaches the next Dense unbiased.
+        net, x = net_and_input(stacked)
+        bare = net.copy()
+        for layer in bare.layers[::2]:
+            layer.b[...] = 0.0
+        for each in (net, bare):
+            want = mlp_predict(each, x).tobytes()
+            assert each.predict(x).tobytes() == want
+            assert each.forward(x).tobytes() == want
+
+
+def test_predict_mean_equals_mean_of_predict():
+    # 70 rows: two full blocks and a part block; the desk-shaped sizes are in
+    # test_latent_codec.TestDecodeMean
+    rng = substream(0, "nn", "mean")
+    net = nn.mlp([4, 12, 200], rng, out_act=nn.Sigmoid)
+    for layer in net.layers[::2]:
+        layer.b = rng.normal(size=layer.b.shape)
+    x = rng.normal(scale=3.0, size=(70, 4))
+    x[0] *= 400.0
+    assert net.predict_mean(x).tobytes() == net.predict(x).mean(axis=0).tobytes()
+    assert cached(net) == []
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["2d", "stacked"])
+def test_backward_without_input_grad(stacked):
+    """Skipping the input gradient leaves every parameter gradient as it was."""
+    net, x = net_and_input(stacked)
+    grad = substream(3, "nn", "grad").normal(size=net.forward(x).shape)
+    full = net.backward(grad)
+    want = net.flat_grads().tobytes()
+    assert full.shape == x.shape
+    net.forward(x)
+    assert net.backward(grad, input_grad=False) is None
+    assert net.flat_grads().tobytes() == want
 
 
 class TestCopyAndRelease:
