@@ -121,6 +121,10 @@ class SimConfig:
     greedy: GreedyGroup = field(default_factory=GreedyGroup)
 
     def validate(self) -> None:
+        for key, (gname, fname) in _key_table(self).items():
+            value = getattr(getattr(self, gname), fname)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         s, m, t = self.sim, self.mobility, self.topology
         if s.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {s.scheme!r}; choose from {', '.join(SCHEMES)}")
@@ -154,8 +158,8 @@ class SimConfig:
             if value < 0:
                 raise ConfigError(f"{key} must be >= 0")
         for key, value in (("codec.lr", self.codec.lr), ("ldpm.lr", self.ldpm.lr)):
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{key} must be finite and > 0")
+            if value <= 0:
+                raise ConfigError(f"{key} must be > 0")
         if self.ldpm.time_embed < 2 or self.ldpm.time_embed % 2:
             raise ConfigError("ldpm.time_embed must be even and >= 2")
         if self.ldpm.steps < 1:

@@ -23,6 +23,7 @@ import numpy as np
 from . import latent_codec, ldpm
 from .config import SimConfig
 from .errors import ProtocolError
+from .nn import Mlp
 
 ID_BYTES = 4
 VALUE_BYTES = 4
@@ -190,7 +191,7 @@ def merge_kc(rsu_kcs: list[KnowledgeCache]) -> KnowledgeCache:
 class VisitInputs:
     """A proceeding visit's compute inputs, all fixed when the vehicle enters the zone.
 
-    The vehicle's latents, denoiser and codec, the knowledge its peers
+    The vehicle's latents, denoiser and codec decoder, the knowledge its peers
     sent down (None when none had any), and the visit's train and sample
     substreams.
     """
@@ -198,7 +199,7 @@ class VisitInputs:
     vehicle_id: int
     latents: np.ndarray
     denoiser: ldpm.DenoiserParams
-    codec: latent_codec.CodecParams
+    decoder: Mlp
     integrated: np.ndarray | None
     rng_train: np.random.Generator
     rng_sample: np.random.Generator
@@ -319,7 +320,7 @@ def train_and_predict(visits: list[VisitInputs], cfg: SimConfig,
                                      [visit.rng_sample for visit in chunk]))
         for i, (mu, sd), own_draws, own_losses in zip(batch, standardizers, draws, losses):
             own_draws = own_draws * sd + mu
-            results[i] = (latent_codec.decode_mean(visits[i].codec, own_draws),
+            results[i] = (latent_codec.decode_mean(visits[i].decoder, own_draws),
                           own_draws.mean(axis=0), own_losses)
     return results
 

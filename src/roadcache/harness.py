@@ -42,6 +42,7 @@ from .fed_distill import (MSG_FL_MODEL_DOWN, MSG_FL_MODEL_UP, MSG_HI, MSG_KI,
                           knowledge_bytes, merge_kc, model_bytes, rec_list_bytes,
                           train_and_predict)
 from .mobility import HighwayTopology, SpeedDistribution, VehicleTimeline, residence_time, rollout
+from .nn import Mlp
 from .report import Report, ReportRow
 from .rng import substream
 
@@ -57,7 +58,7 @@ WINDOW_SCHEMES = ("oracle", "n_tau_greedy", "random")
 class DataEnv:
     matrix: RatingMatrix
     locals_: list[LocalDataset]
-    codecs: list[latent_codec.CodecParams]
+    decoders: list[Mlp]            # each vehicle's fine-tuned decoder
     hashes: np.ndarray
     latents: list[np.ndarray]
     prior_scores: np.ndarray
@@ -108,20 +109,22 @@ def build_data_env(cfg: SimConfig) -> DataEnv:
         cfg.codec.epochs, cfg.codec.batch, substream(seed, "codec"),
         negative_weight=cfg.codec.negative_weight,
     )
-    codecs, hashes, latents = [], [], []
+    # A vehicle's encoder is read only for its fingerprint and latents, so
+    # only its decoder outlives the iteration.
+    decoders, hashes, latents = [], [], []
     for loc in locals_:
         tuned = latent_codec.fine_tune(
             base, loc.user_train_vectors, cfg.codec.finetune_epochs,
             cfg.codec.lr, cfg.codec.batch, substream(seed, "finetune", loc.vehicle_id),
             negative_weight=cfg.codec.negative_weight,
         )
-        codecs.append(tuned)
         hashes.append(latent_codec.encode(tuned, loc.train_vector))
         latents.append(latent_codec.encode(tuned, loc.user_train_vectors))
+        decoders.append(tuned.decoder)
     prior = np.zeros(matrix.num_contents)
     for loc in locals_:
         prior += loc.user_train_vectors.sum(axis=0)
-    return DataEnv(matrix, locals_, codecs, np.vstack(hashes), latents, prior)
+    return DataEnv(matrix, locals_, decoders, np.vstack(hashes), latents, prior)
 
 
 def build_motion_env(cfg: SimConfig, locals_: list[LocalDataset]) -> MotionEnv:
@@ -235,7 +238,7 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv) -> Proto
                 aborted += 1
                 continue
             pending.append(VisitInputs(
-                vid, data.latents[vid], denoisers[vid], data.codecs[vid], begun.integrated,
+                vid, data.latents[vid], denoisers[vid], data.decoders[vid], begun.integrated,
                 substream(seed, "train", vid, visit_index[vid]),
                 substream(seed, "sample", vid, visit_index[vid]),
             ))
@@ -692,7 +695,8 @@ def validate_suite() -> list[tuple[str, bool, str]]:
     tall = rng.normal(size=(100, shapes.codec.latent_dim))   # several decode_mean blocks
     pairs = [(latent_codec.encode(codec, profiles), codec.encoder.forward(profiles)),
              (latent_codec.decode(codec, draws), codec.decoder.forward(draws)),
-             (latent_codec.decode_mean(codec, tall), codec.decoder.forward(tall).mean(axis=0)),
+             (latent_codec.decode_mean(codec.decoder, tall),
+              codec.decoder.forward(tall).mean(axis=0)),
              (ldpm.predict_noise(stacked, x, emb), ldpm.predict_noise(stacked, x, emb, train=True))]
     same = all(inferred.tobytes() == trained.tobytes() for inferred, trained in pairs)
     checks.append(("inference-parity", same,
@@ -755,8 +759,10 @@ def run_sweep(base: SimConfig, schemes: list[str], capacities: list[int],
               speeds: list[float], seeds: list[int], progress=None) -> Report:
     """Grid evaluation that shares environments and protocol traces.
 
-    The protocol phase depends only on (seed, speed), so each such pair
-    is simulated once; each scheme replays it once for every capacity.
+    The data environment depends only on the seed, so it is built once
+    for all of that seed's speeds.  The protocol phase depends only on
+    (seed, speed), so each such pair is simulated once; each scheme
+    replays it once for every capacity.
     """
     import copy
 
@@ -766,13 +772,15 @@ def run_sweep(base: SimConfig, schemes: list[str], capacities: list[int],
 
     rows: list[ReportRow] = []
     for seed in seeds:
+        data = None
         for speed in speeds:
             cfg = copy.deepcopy(base)
             cfg.sim.seed = seed
             cfg.mobility.mu = speed
             cfg.validate()
-            note(f"seed={seed} speed={speed:g}: building environment")
-            data = build_data_env(cfg)
+            if data is None:
+                note(f"seed={seed}: building data environment")
+                data = build_data_env(cfg)
             motion = build_motion_env(cfg, data.locals_)
             trace = None
             if any(s in TRIGGER_SCHEMES for s in schemes):

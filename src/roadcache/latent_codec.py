@@ -158,13 +158,16 @@ def decode(codec: CodecParams, z: np.ndarray) -> np.ndarray:
     return out[0] if z.ndim == 1 else out
 
 
-def decode_mean(codec: CodecParams, z: np.ndarray) -> np.ndarray:
+def decode_mean(decoder: Mlp, z: np.ndarray) -> np.ndarray:
     """``decode(codec, z).mean(axis=0)`` byte for byte, for (rows, latent) z.
 
-    Holds one (rows, K) array instead of the decoded rows plus the
-    activation's temporaries; see ``Mlp.predict_mean``.
+    Takes the codec's decoder alone, which is all a vehicle keeps after
+    set-up; the latent width is its first Dense's input width.  Holds one
+    (rows, K) array instead of the decoded rows plus the activation's
+    temporaries; see ``Mlp.predict_mean``.
     """
     z = np.asarray(z, dtype=float)
-    if z.shape[-1] != codec.latent_dim:
-        raise ValueError(f"expected length-{codec.latent_dim} latents, got {z.shape}")
-    return codec.decoder.predict_mean(z)
+    latent_dim = decoder.layers[0].w.shape[0]
+    if z.shape[-1] != latent_dim:
+        raise ValueError(f"expected length-{latent_dim} latents, got {z.shape}")
+    return decoder.predict_mean(z)

@@ -87,7 +87,7 @@ class EnvStore:
             motion = harness.build_motion_env(cfg, data.locals_)
             trace = harness.simulate_protocol(cfg, data, motion)
             slim = dataclasses.replace(
-                data, codecs=[], hashes=np.zeros(0), latents=[])
+                data, decoders=[], hashes=np.zeros(0), latents=[])
             self._traces[key] = (cfg, slim, motion, trace)
         return self._traces[key]
 

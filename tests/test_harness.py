@@ -1,5 +1,6 @@
 """Policies, exchange baselines, reports, and the command-line surface."""
 
+import re
 import subprocess
 import sys
 from collections import Counter, defaultdict
@@ -9,9 +10,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from roadcache import cli, fed_distill, harness, ldpm, report
+from roadcache import cli, fed_distill, harness, latent_codec, ldpm, nn, report
 from roadcache.caching import Metrics
-from roadcache.config import SCHEMES, load_config
+from roadcache.config import SCHEMES, SimConfig, _key_table, load_config
 from roadcache.errors import ConfigError, DataFormatError, InvariantError
 from roadcache.fed_distill import (MSG_HI, MSG_KI, MSG_KNOWLEDGE_DOWN, MSG_REC_LIST,
                                    UPLINK_KINDS)
@@ -477,6 +478,23 @@ class TestSweepMatchesRuns:
                                               f"cache.capacity_n={row.capacity}"])
             assert harness.run_simulation(cfg).rows == [row]
 
+    def test_data_env_built_once_per_seed(self, tiny_cfg_path, monkeypatch):
+        base = load_config(tiny_cfg_path, [])
+        schemes, capacities, speeds = ["proposed", "oracle"], [10, 40], [20.0, 30.0]
+        apart = [harness.run_sweep(base, schemes, capacities, [speed], [0]).rows
+                 for speed in speeds]
+        calls = []
+        real = harness.build_data_env
+
+        def counted(cfg):
+            calls.append(cfg.mobility.mu)
+            return real(cfg)
+
+        monkeypatch.setattr(harness, "build_data_env", counted)
+        together = harness.run_sweep(base, schemes, capacities, speeds, [0]).rows
+        assert len(calls) == 1
+        assert together == apart[0] + apart[1]
+
 
 class TestCli:
     def test_run_writes_csv(self, tiny_cfg_path, tmp_path):
@@ -509,10 +527,24 @@ class TestCli:
                         "ldpm.time_embed=3", "ldpm.time_embed=0", "ldpm.lr=nan",
                         "codec.lr=inf", "codec.lr=0", "codec.epochs=-1",
                         "codec.finetune_epochs=-1", "ldpm.episodes=-1", "ldpm.delta=0",
-                        "ldpm.delta=-1", "ldpm.lambda=-0.5"):
+                        "ldpm.delta=-1", "ldpm.lambda=-0.5", "cache.eta=nan", "cache.eta=inf",
+                        "compute.visit_seconds=nan", "topology.coverage_length=inf",
+                        "mobility.sigma=nan", "mobility.mu=nan"):
             proc = roadcache_cli("run", "--config", tiny_cfg_path, "--set", setting)
             assert proc.returncode == 2
             assert setting.split("=")[0] in proc.stderr
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_floats_rejected(self, value):
+        # Checked through load_config alone: sim.duration=inf never ends a run
+        # that gets past validation.
+        defaults = SimConfig()
+        floats = [key for key, (group, name) in _key_table(defaults).items()
+                  if isinstance(getattr(getattr(defaults, group), name), float)]
+        assert {"sim.duration", "mobility.mu", "cache.eta", "ldpm.lambda"} <= set(floats)
+        for key in floats:
+            with pytest.raises(ConfigError, match=f"{re.escape(key)} must be finite"):
+                load_config(None, [f"{key}={value}"])
 
     def test_unknown_scheme_exits_2(self, tiny_cfg_path):
         proc = roadcache_cli("run", "--config", tiny_cfg_path,
@@ -699,10 +731,73 @@ class TestInferenceCachesNothing:
         trace = harness.simulate_protocol(cfg, data, motion)
         assert trace.completed_visits > 0 and sampled
         assert len(denoisers) == data.num_vehicles
-        codec_nets = [net for codec in data.codecs for net in (codec.encoder, codec.decoder)]
-        assert self.held(codec_nets) == []
+        assert self.held(data.decoders) == []
         assert self.held([d.net for d in denoisers + sampled]) == []
-        for codec in data.codecs:
-            for layer in codec.encoder.layers + codec.decoder.layers:
-                if hasattr(layer, "w"):
-                    assert layer.dw is layer.db is layer._vw is layer._vb is None
+
+
+def reachable_dense(root):
+    """Every nn.Dense reachable from root through attributes, lists, tuples and dicts."""
+    found, seen, todo = [], set(), [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (np.ndarray, str, bytes, int, float)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, nn.Dense):
+            found.append(obj)
+        if isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            todo.extend(vars(obj).values())
+    return found
+
+
+class TestDataEnvKeepsDecoders:
+    """After set-up a vehicle keeps only its fine-tuned decoder."""
+
+    @pytest.fixture(scope="class")
+    def built(self, tiny_cfg_path):
+        cfg = load_config(tiny_cfg_path, [])
+        real_pretrain = latent_codec.pretrain_codec
+        bases = []
+
+        def pretrain(*args, **kwargs):
+            result = real_pretrain(*args, **kwargs)
+            bases.append(result[0])   # fine_tune copies it, so it stays as pretrained
+            return result
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(latent_codec, "pretrain_codec", pretrain)
+            data = harness.build_data_env(cfg)
+        return cfg, bases[0], data
+
+    def test_no_encoder_reachable(self, built):
+        cfg, _, data = built
+        dense = reachable_dense(data)
+        assert len(data.decoders) == data.num_vehicles
+        assert {id(d) for d in dense} == {id(layer) for net in data.decoders
+                                          for layer in net.layers if isinstance(layer, nn.Dense)}
+        assert all(layer.w.shape[0] != data.num_contents for layer in dense)
+        assert data.decoders[0].layers[0].w.shape[0] == cfg.codec.latent_dim
+        for net in data.decoders:
+            for layer in net.layers:
+                assert all(getattr(layer, name, None) is None
+                           for name in ("dw", "db", "_vw", "_vb", "_x", "_mask", "_y"))
+
+    def test_equals_direct_fine_tune(self, built):
+        cfg, base, data = built
+        z = substream(5, "decoders-only").normal(size=(7, cfg.codec.latent_dim))
+        for loc, decoder, fingerprint, latents in zip(data.locals_, data.decoders,
+                                                      data.hashes, data.latents):
+            tuned = latent_codec.fine_tune(
+                base, loc.user_train_vectors, cfg.codec.finetune_epochs, cfg.codec.lr,
+                cfg.codec.batch, substream(cfg.sim.seed, "finetune", loc.vehicle_id),
+                negative_weight=cfg.codec.negative_weight)
+            assert fingerprint.tobytes() == latent_codec.encode(tuned, loc.train_vector).tobytes()
+            assert latents.tobytes() == latent_codec.encode(
+                tuned, loc.user_train_vectors).tobytes()
+            want = latent_codec.decode(tuned, z).mean(axis=0)
+            assert latent_codec.decode_mean(decoder, z).tobytes() == want.tobytes()
+            assert latent_codec.decode_mean(tuned.decoder, z).tobytes() == want.tobytes()
