@@ -733,6 +733,10 @@ class TestInferenceCachesNothing:
         assert len(denoisers) == data.num_vehicles
         assert self.held(data.decoders) == []
         assert self.held([d.net for d in denoisers + sampled]) == []
+        for net in data.decoders:
+            for layer in net.layers:
+                if hasattr(layer, "w"):
+                    assert layer.dw is layer.db is layer._vw is layer._vb is None
 
 
 def reachable_dense(root):
