@@ -2,7 +2,9 @@
 
 Content ids are 1-based; a length-K score vector's slot k-1 belongs to
 content k.  Ranking ties always break toward the smaller content id, so
-every cache decision is deterministic.
+every cache decision is deterministic.  Served requests are priced by
+the flat latencies of the config's ``LatencyGroup``, which
+``SimConfig.validate`` checks.
 """
 
 from __future__ import annotations
@@ -11,19 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvariantError
-
-
-@dataclass
-class LatencyModel:
-    """Flat per-request latencies in milliseconds."""
-
-    hit_ms: float = 20.0
-    miss_ms: float = 100.0
-
-    def __post_init__(self):
-        if not (0 < self.hit_ms < self.miss_ms):
-            raise ConfigError("need 0 < hit latency < miss latency")
+from .config import LatencyGroup
+from .errors import InvariantError
 
 
 @dataclass
@@ -103,7 +94,7 @@ def replacement_scores(
                        minlength=num_contents)
 
 
-def serve(metrics: Metrics, hit: np.ndarray, latency: LatencyModel) -> None:
+def serve(metrics: Metrics, hit: np.ndarray, latency: LatencyGroup) -> None:
     """Account a batch of served requests; hit[i] tells whether request i hit."""
     hits = int(np.count_nonzero(hit))
     misses = len(hit) - hits

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
+from .mobility import truncation_mass
 
 SCHEMES = ("proposed", "oracle", "n_tau_greedy", "fedavg", "asyfed", "random")
 
@@ -34,6 +35,10 @@ class MobilityGroup:
 class TopologyGroup:
     num_rsus: int = 2
     coverage_length: float = 500.0
+
+    @property
+    def road_length(self) -> float:
+        return self.num_rsus * self.coverage_length
 
 
 @dataclass
@@ -128,12 +133,20 @@ class SimConfig:
         s, m, t = self.sim, self.mobility, self.topology
         if s.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {s.scheme!r}; choose from {', '.join(SCHEMES)}")
+        if s.seed < 0:
+            raise ConfigError("sim.seed must be >= 0")
         if s.duration < 0:
             raise ConfigError("sim.duration must be >= 0")
         if m.sigma <= 0:
             raise ConfigError("mobility.sigma must be > 0")
         if not (0 < m.v_min < m.v_max):
             raise ConfigError("need 0 < mobility.v_min < mobility.v_max")
+        # Float64 loses the tail mass once the window sits many sigmas from
+        # mu; dividing densities by that underflowed mass yields NaN.
+        if truncation_mass(m) < 1e-12:
+            raise ConfigError(
+                "mobility window [v_min, v_max] carries vanishing probability mass; "
+                "move mobility.mu/sigma and the bounds closer together")
         if t.num_rsus < 1:
             raise ConfigError("topology.num_rsus must be >= 1")
         if t.coverage_length <= 0:

@@ -31,7 +31,7 @@ from itertools import chain
 import numpy as np
 
 from . import fed_distill, latent_codec, ldpm
-from .caching import LatencyModel, Metrics, rank_contents, replacement_scores, serve, top_m
+from .caching import Metrics, rank_contents, replacement_scores, serve, top_m
 from .config import SimConfig
 from .dataset import (LocalDataset, RatingMatrix, generate_requests, load_ratings,
                       partition_users, split_public_users, user_rows, user_train_vector)
@@ -41,7 +41,8 @@ from .fed_distill import (MSG_FL_MODEL_DOWN, MSG_FL_MODEL_UP, MSG_HI, MSG_KI,
                           Message, VisitInputs, hi_bytes, ki_bytes,
                           knowledge_bytes, merge_kc, model_bytes, rec_list_bytes,
                           train_and_predict)
-from .mobility import HighwayTopology, SpeedDistribution, VehicleTimeline, residence_time, rollout
+from .mobility import (VehicleTimeline, residence_time, rollout, sample_speed,
+                       truncated_gaussian_pdf)
 from .nn import Mlp
 from .report import Report, ReportRow
 from .rng import substream
@@ -129,14 +130,12 @@ def build_data_env(cfg: SimConfig) -> DataEnv:
 
 def build_motion_env(cfg: SimConfig, locals_: list[LocalDataset]) -> MotionEnv:
     seed = cfg.sim.seed
-    dist = SpeedDistribution(cfg.mobility.mu, cfg.mobility.sigma, cfg.mobility.v_min, cfg.mobility.v_max)
-    topo = HighwayTopology(cfg.topology.num_rsus, cfg.topology.coverage_length)
     timelines = []
     for loc in locals_:
         vid = loc.vehicle_id
-        offset = substream(seed, "mobility", "init", vid).uniform(0.0, topo.road_length)
+        offset = substream(seed, "mobility", "init", vid).uniform(0.0, cfg.topology.road_length)
         timelines.append(rollout(
-            vid, dist, topo, cfg.sim.duration, substream(seed, "mobility", "speed", vid),
+            vid, cfg.mobility, cfg.topology, cfg.sim.duration, substream(seed, "mobility", "speed", vid),
             initial_offset=offset,
         ))
     trace = generate_requests(locals_, cfg.sim.duration,
@@ -536,12 +535,11 @@ def evaluate_caching(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
         raise InvariantError(
             f"byte counters ({total}) disagree with the message ledger ({ledger_total})")
 
-    latency = LatencyModel(cfg.latency.hit_ms, cfg.latency.miss_ms)
     curve = []
     for capacity in capacities:
         metrics = replace(base)
         # Real positions are below K, so capping N at K keeps position K a miss.
-        serve(metrics, positions < min(capacity, data.num_contents), latency)
+        serve(metrics, positions < min(capacity, data.num_contents), cfg.latency)
         curve.append(metrics)
     return curve, messages
 
@@ -601,18 +599,16 @@ def validate_suite() -> list[tuple[str, bool, str]]:
     Returns one (name, passed, detail) row per check.  Every check is
     cheap; the whole suite is meant to finish in a few seconds.
     """
-    from .mobility import truncated_gaussian_pdf
     from .report import emit_report, parse_report
 
     checks: list[tuple[str, bool, str]] = []
 
-    dist = SpeedDistribution(25.0, 5.0, 15.0, 35.0)
+    dist = SimConfig().mobility
     grid = np.linspace(dist.v_min, dist.v_max, 200001)
     area = float(np.trapezoid(truncated_gaussian_pdf(grid, dist), grid))
     checks.append(("speed-pdf-normalization", abs(area - 1.0) < 1e-6,
                    f"quadrature mass {area:.9f}"))
 
-    from .mobility import sample_speed
     rng = substream(7, "validate", "speeds")
     draws = np.array([sample_speed(dist, rng) for _ in range(20000)])
     in_range = bool(draws.min() >= dist.v_min and draws.max() <= dist.v_max)

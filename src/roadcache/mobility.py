@@ -1,5 +1,11 @@
 """Highway mobility: truncated-Gaussian speeds, RSU zones, handoffs.
 
+The speed law and the road are the config groups themselves
+(``MobilityGroup``: mu, sigma, v_min, v_max in m/s; ``TopologyGroup``:
+num_rsus, coverage_length in m).  ``SimConfig.validate`` checks them,
+the speed window's probability mass included, so every function here
+assumes a validated group.
+
 The road is a ring of contiguous RSU coverage zones of equal length, so
 the fleet stays on it for the whole run and leaves a zone only by
 handing off to the next one (the last zone hands off to the first).
@@ -12,68 +18,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError
+if TYPE_CHECKING:
+    from .config import MobilityGroup, TopologyGroup
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class SpeedDistribution:
-    """Gaussian speed law truncated to [v_min, v_max], in m/s."""
-
-    mu: float
-    sigma: float
-    v_min: float
-    v_max: float
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ConfigError("speed sigma must be > 0")
-        if not (0 < self.v_min < self.v_max):
-            raise ConfigError("need 0 < v_min < v_max for speeds")
-        # Float64 loses the tail mass once the window sits many sigmas from
-        # mu; dividing densities by that underflowed mass yields NaN, so
-        # reject such configurations outright.
-        if _truncation_mass(self) < 1e-12:
-            raise ConfigError(
-                "speed window [v_min, v_max] carries vanishing probability "
-                "mass; move mu/sigma and the bounds closer together"
-            )
-
-
-@dataclass(frozen=True)
-class HighwayTopology:
-    num_rsus: int
-    coverage_length: float
-
-    def __post_init__(self):
-        if self.num_rsus < 1:
-            raise ConfigError("need at least one RSU")
-        if self.coverage_length <= 0:
-            raise ConfigError("coverage_length must be > 0")
-
-    @property
-    def road_length(self) -> float:
-        return self.num_rsus * self.coverage_length
 
 
 def _phi(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z / _SQRT2))
 
 
-def _truncation_mass(dist: SpeedDistribution) -> float:
+def truncation_mass(dist: MobilityGroup) -> float:
+    """Probability mass of the untruncated Gaussian inside [v_min, v_max]."""
     a = (dist.v_min - dist.mu) / dist.sigma
     b = (dist.v_max - dist.mu) / dist.sigma
     return _phi(b) - _phi(a)
 
 
-def truncated_gaussian_pdf(v, dist: SpeedDistribution):
+def truncated_gaussian_pdf(v, dist: MobilityGroup):
     """Density of the truncated speed law; zero outside the support."""
-    mass = _truncation_mass(dist)
+    mass = truncation_mass(dist)
     v_arr = np.asarray(v, dtype=float)
     core = np.exp(-((v_arr - dist.mu) ** 2) / (2.0 * dist.sigma**2))
     core /= dist.sigma * _SQRT2PI * mass
@@ -83,20 +52,20 @@ def truncated_gaussian_pdf(v, dist: SpeedDistribution):
     return out
 
 
-def truncated_gaussian_cdf(v: float, dist: SpeedDistribution) -> float:
+def truncated_gaussian_cdf(v: float, dist: MobilityGroup) -> float:
     """Closed-form CDF companion, used by the inverse-transform fallback."""
     if v < dist.v_min:
         return 0.0
     if v > dist.v_max:
         return 1.0
     a = _phi((dist.v_min - dist.mu) / dist.sigma)
-    return (_phi((v - dist.mu) / dist.sigma) - a) / _truncation_mass(dist)
+    return (_phi((v - dist.mu) / dist.sigma) - a) / truncation_mass(dist)
 
 
 _REJECTION_CAP = 1000
 
 
-def sample_speed(dist: SpeedDistribution, rng: np.random.Generator) -> float:
+def sample_speed(dist: MobilityGroup, rng: np.random.Generator) -> float:
     """Draw one speed by rejection against the untruncated Gaussian.
 
     The interval is wide enough at default settings that rejection nearly
@@ -150,8 +119,8 @@ class VehicleTimeline:
 
 def rollout(
     vehicle_id: int,
-    dist: SpeedDistribution,
-    topo: HighwayTopology,
+    dist: MobilityGroup,
+    topo: TopologyGroup,
     duration: float,
     rng: np.random.Generator,
     *,

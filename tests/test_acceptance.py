@@ -12,7 +12,7 @@ import numpy as np
 from roadcache import fed_distill as fd
 from roadcache import harness, ldpm, mobility
 from roadcache.caching import rank_contents, replacement_scores, top_m
-from roadcache.config import load_config
+from roadcache.config import MobilityGroup, load_config
 from roadcache.report import emit_report
 from roadcache.rng import substream
 
@@ -323,7 +323,7 @@ def test_criterion_7_determinism(tmp_path, record_criterion):
 
 def test_criterion_8_speed_sampler(record_criterion):
     t0 = time.perf_counter()
-    dist = mobility.SpeedDistribution(25.0, 5.0, 15.0, 35.0)
+    dist = MobilityGroup(25.0, 5.0, 15.0, 35.0)
 
     grid = np.linspace(dist.v_min, dist.v_max, 200_001)
     pdf = mobility.truncated_gaussian_pdf(grid, dist)

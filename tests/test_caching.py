@@ -5,6 +5,7 @@ import oracles
 import pytest
 
 from roadcache import caching
+from roadcache.config import LatencyGroup, SimConfig
 from roadcache.dataset import load_ratings
 from roadcache.errors import ConfigError, DataFormatError, InvariantError
 from roadcache.rng import substream
@@ -139,7 +140,7 @@ class TestUpdateCache:
 
 class TestServeRequest:
     def test_hit_and_miss(self):
-        latency = caching.LatencyModel()
+        latency = SimConfig().latency
         metrics = caching.Metrics()
         mask = np.zeros(10, dtype=bool)
         mask[[1, 5]] = True
@@ -153,7 +154,7 @@ class TestServeRequest:
         rng = substream(4, "serve")
         mask = np.zeros(100, dtype=bool)
         mask[1:40] = True
-        latency = caching.LatencyModel()
+        latency = SimConfig().latency
         metrics = caching.Metrics()
         for _ in range(50):
             caching.serve(metrics, mask[rng.integers(1, 100, size=10)], latency)
@@ -173,13 +174,15 @@ class TestServeRequest:
                 load_ratings(lines, fmt=fmt)
 
 
-class TestLatencyModel:
+class TestLatencyGroup:
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            caching.LatencyModel(hit_ms=100.0, miss_ms=20.0)
-        with pytest.raises(ConfigError):
-            caching.LatencyModel(hit_ms=0.0, miss_ms=50.0)
-        assert caching.LatencyModel(hit_ms=1.0, miss_ms=2.0).miss_ms == 2.0
+        for hit_ms, miss_ms in ((100.0, 20.0), (0.0, 50.0)):
+            cfg = SimConfig(latency=LatencyGroup(hit_ms=hit_ms, miss_ms=miss_ms))
+            with pytest.raises(ConfigError, match="latency.hit_ms"):
+                cfg.validate()
+        cfg = SimConfig(latency=LatencyGroup(hit_ms=1.0, miss_ms=2.0))
+        cfg.validate()
+        assert cfg.latency.miss_ms == 2.0
 
 
 class TestMetrics:

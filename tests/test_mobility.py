@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from roadcache.config import MobilityGroup, SimConfig, TopologyGroup
 from roadcache.errors import ConfigError
 from roadcache.mobility import (
-    HighwayTopology,
     Segment,
-    SpeedDistribution,
     residence_time,
     rollout,
     sample_speed,
@@ -18,8 +17,15 @@ from roadcache.mobility import (
 )
 from roadcache.rng import substream
 
-DIST = SpeedDistribution(mu=25.0, sigma=5.0, v_min=15.0, v_max=35.0)
-TOPO = HighwayTopology(num_rsus=4, coverage_length=500.0)
+DIST = MobilityGroup(mu=25.0, sigma=5.0, v_min=15.0, v_max=35.0)
+TOPO = TopologyGroup(num_rsus=4, coverage_length=500.0)
+
+
+def validated(**speeds) -> MobilityGroup:
+    """The speed law after SimConfig.validate has accepted it."""
+    cfg = SimConfig(mobility=MobilityGroup(**speeds))
+    cfg.validate()
+    return cfg.mobility
 
 
 def _normal_pdf(z):
@@ -46,7 +52,7 @@ def test_pdf_nonnegative_and_peaks_at_mu():
     grid = np.linspace(10.0, 40.0, 4001)
     vals = truncated_gaussian_pdf(grid, DIST)
     assert np.all(vals >= 0.0)
-    sym = SpeedDistribution(mu=25.0, sigma=5.0, v_min=20.0, v_max=30.0)
+    sym = MobilityGroup(mu=25.0, sigma=5.0, v_min=20.0, v_max=30.0)
     sgrid = np.linspace(20.0, 30.0, 10001)
     assert sgrid[np.argmax(truncated_gaussian_pdf(sgrid, sym))] == pytest.approx(25.0)
 
@@ -69,25 +75,25 @@ def test_pdf_matches_untruncated_shape_inside_support():
 
 
 def test_invalid_distribution_rejected():
-    with pytest.raises(ConfigError):
-        SpeedDistribution(mu=25.0, sigma=0.0, v_min=15.0, v_max=35.0)
-    with pytest.raises(ConfigError):
-        SpeedDistribution(mu=25.0, sigma=5.0, v_min=35.0, v_max=15.0)
+    with pytest.raises(ConfigError, match="mobility.sigma"):
+        validated(mu=25.0, sigma=0.0, v_min=15.0, v_max=35.0)
+    with pytest.raises(ConfigError, match="mobility.v_min"):
+        validated(mu=25.0, sigma=5.0, v_min=35.0, v_max=15.0)
 
 
 def test_window_with_vanishing_mass_rejected():
     # mu sits 20+ sigmas below the window: the Gaussian mass inside
     # [15, 35] underflows to zero, which would turn every density into
-    # NaN downstream. The constructor must refuse instead.
-    with pytest.raises(ConfigError):
-        SpeedDistribution(mu=5.0, sigma=0.5, v_min=15.0, v_max=35.0)
+    # NaN downstream. Config validation must refuse instead.
+    with pytest.raises(ConfigError, match="vanishing probability mass"):
+        validated(mu=5.0, sigma=0.5, v_min=15.0, v_max=35.0)
     # A merely far-off mean with workable overlap is still accepted.
-    ok = SpeedDistribution(mu=45.0, sigma=5.0, v_min=15.0, v_max=35.0)
+    ok = validated(mu=45.0, sigma=5.0, v_min=15.0, v_max=35.0)
     assert truncated_gaussian_pdf(25.0, ok) > 0.0
 
 
 def test_degenerate_support_pins_samples():
-    tight = SpeedDistribution(mu=25.0, sigma=5.0, v_min=24.999999, v_max=25.000001)
+    tight = validated(mu=25.0, sigma=5.0, v_min=24.999999, v_max=25.000001)
     rng = substream(7, "tight")
     draws = [sample_speed(tight, rng) for _ in range(200)]
     assert np.allclose(draws, 25.0, atol=1e-5)
@@ -101,7 +107,7 @@ def test_samples_stay_inside_support():
 
 
 def test_sample_mean_matches_analytic_truncated_mean():
-    skew = SpeedDistribution(mu=25.0, sigma=5.0, v_min=22.0, v_max=40.0)
+    skew = MobilityGroup(mu=25.0, sigma=5.0, v_min=22.0, v_max=40.0)
     rng = substream(11, "mean")
     draws = np.array([sample_speed(skew, rng) for _ in range(100000)])
     assert abs(draws.mean() - truncated_mean(skew)) < 0.1
@@ -147,7 +153,7 @@ def test_residence_time_monotonicity():
 
 
 def test_rollout_entries_chain_by_residence_time():
-    big = HighwayTopology(num_rsus=40, coverage_length=500.0)
+    big = TopologyGroup(num_rsus=40, coverage_length=500.0)
     timeline = rollout(0, DIST, big, 500.0, substream(1, "chain"), initial_offset=490.0)
     segs = timeline.segments
     assert len(segs) > 10

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from roadcache import caching, ldpm, report
 from roadcache import fed_distill as fd
+from roadcache.config import MobilityGroup, SimConfig
 from roadcache.errors import ConfigError
-from roadcache.mobility import SpeedDistribution, truncated_gaussian_pdf
+from roadcache.mobility import truncated_gaussian_pdf
 
 from oracles import kl_tempered
 
@@ -64,12 +65,14 @@ def test_replacement_votes_are_finite_and_nonnegative(members):
 @given(st.floats(min_value=5.0, max_value=45.0),
        st.floats(min_value=0.5, max_value=10.0))
 def test_speed_pdf_support(mu, sigma):
+    cfg = SimConfig(mobility=MobilityGroup(mu, sigma, 15.0, 35.0))
     try:
-        dist = SpeedDistribution(mu, sigma, 15.0, 35.0)
+        cfg.validate()
     except ConfigError:
-        # The window holds no representable mass for this mu/sigma; the
-        # constructor must refuse it rather than hand out NaN densities.
+        # The window holds no representable mass for this mu/sigma; config
+        # validation must refuse it rather than hand out NaN densities.
         return
+    dist = cfg.mobility
     v = np.linspace(0.0, 50.0, 501)
     pdf = truncated_gaussian_pdf(v, dist)
     assert np.all(np.isfinite(pdf))
