@@ -219,8 +219,8 @@ def begin_visit(kc: KnowledgeCache, vehicle_id: int, vehicle_hash: np.ndarray,
 
     The list goes up only when the vehicle carries one from a completed
     visit.  Aborts (no knowledge exchange) when the vehicle will leave
-    before the local compute budget elapses; the fingerprint is stored
-    either way.
+    before the local compute budget elapses, or when the budget would run
+    to the end of the run or past it; the fingerprint is stored either way.
     """
     veh, rsu = f"veh:{vehicle_id}", f"rsu:{kc.rsu_id}"
     latent_dim = len(vehicle_hash)
@@ -229,7 +229,8 @@ def begin_visit(kc: KnowledgeCache, vehicle_id: int, vehicle_hash: np.ndarray,
         messages.append(Message(now, veh, rsu, MSG_REC_LIST, rec_list_bytes(cfg.cache.list_m)))
     upsert_hi(kc, HIPair(hash=vehicle_hash, vehicle_id=vehicle_id, upload_time=now))
     messages.append(Message(now, veh, rsu, MSG_HI, hi_bytes(latent_dim)))
-    if residence < cfg.compute.visit_seconds:
+    budget = cfg.compute.visit_seconds
+    if residence < budget or now + budget >= cfg.sim.duration:
         return VisitBegin(messages=messages, integrated=None, proceed=False)
     neighbors = find_neighbors(kc, vehicle_id, count=cfg.kc.neighbor_count, gamma=cfg.kc.gamma)
     integrated = integrate_knowledge(kc, neighbors)

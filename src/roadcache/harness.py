@@ -232,8 +232,7 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv) -> Proto
             begun = fed_distill.begin_visit(kc, vid, data.hashes[vid], version >= 0,
                                             now, residence, cfg)
             messages.extend(begun.messages)
-            finish = now + cfg.compute.visit_seconds
-            if not begun.proceed or finish >= duration:
+            if not begun.proceed:
                 aborted += 1
                 continue
             pending.append(VisitInputs(
@@ -242,6 +241,7 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv) -> Proto
                 substream(seed, "sample", vid, visit_index[vid]),
             ))
             visit_index[vid] += 1
+            finish = now + cfg.compute.visit_seconds
             heapq.heappush(heap, (finish, 2, seq, ("complete", (vid, seg.rsu_index))))
             seq += 1
             continue

@@ -380,6 +380,23 @@ class TestVisit:
                                    residence=residence, cfg=make_cfg(visit_seconds=budget))
             assert begun.proceed == proceed
 
+    def test_abort_at_the_horizon(self, monkeypatch):
+        # The 600 s run leaves room for a 5 s visit entered before 595 s only,
+        # and an aborted visit neither searches neighbours nor gets knowledge.
+        rng = substream(13, "visit")
+        kc = seeded_kc(rng, vehicles=[1, 2, 3, 4])
+        own_hash = rng.normal(size=LATENT_DIM)
+        cfg = make_cfg()
+        cfg.kc.gamma = -1.0
+        searches = []
+        real = fd.find_neighbors
+        monkeypatch.setattr(fd, "find_neighbors", lambda *a, **k: searches.append(a) or real(*a, **k))
+        for now, proceed in ((594.0, True), (595.0, False), (599.0, False)):
+            begun = fd.begin_visit(kc, 0, own_hash, False, now=now, residence=30.0, cfg=cfg)
+            assert begun.proceed == proceed and len(searches) == 1
+            assert (begun.integrated is not None) == proceed
+            assert [m.kind for m in begun.messages][1:] == [fd.MSG_KNOWLEDGE_DOWN] * proceed
+
     def test_abort_on_short_residence(self):
         kc = seeded_kc(substream(9, "visit"), vehicles=[1])
         own_hash = kc.hi[1].hash + 0.01

@@ -307,10 +307,10 @@ def test_protocol_ledger_follows_each_entry(tiny_stack):
     """Every simulated zone entry's messages obey the visit rules.
 
     At entry the vehicle sends its list (when it carries one) and its
-    fingerprint, and gets knowledge down only if it stays for the compute
-    budget.  Its one KI goes up at entry + budget when it stays that long
-    and that instant falls inside the run.  Each message is claimed by
-    exactly one entry.
+    fingerprint.  The visit proceeds only if the vehicle stays for the
+    compute budget and entry + budget falls inside the run; only then does
+    knowledge come down at entry and one KI go up at entry + budget.  Each
+    message is claimed by exactly one entry.
     """
     cfg, _, _, trace = tiny_stack
     budget, L = cfg.compute.visit_seconds, cfg.codec.latent_dim
@@ -333,12 +333,12 @@ def test_protocol_ledger_follows_each_entry(tiny_stack):
         head = [(MSG_REC_LIST, rsu)] * (e.list_version >= 0) + [(MSG_HI, rsu)]
         assert at_entry[:len(head)] == head, (e, at_entry)
         del at_entry[:len(head)]
-        if at_entry[:1] == [(MSG_KNOWLEDGE_DOWN, rsu)]:
-            assert stays, e
-            del at_entry[0]
-            outcomes["knowledge down"] += 1
         finish = e.time + budget
         completes = stays and finish < cfg.sim.duration
+        if at_entry[:1] == [(MSG_KNOWLEDGE_DOWN, rsu)]:
+            assert completes, e
+            del at_entry[0]
+            outcomes["knowledge down"] += 1
         at_finish = sent[veh, finish]
         assert at_finish.count((MSG_KI, rsu)) == completes, (e, at_finish)
         if completes:
