@@ -79,6 +79,8 @@ def _parse_grid(path: str):
     seeds = _expand_values(axes["seeds"], int) if "seeds" in axes else [base.sim.seed]
     if not (schemes and capacities and speeds and seeds):
         raise ConfigError("every grid axis needs at least one value")
+    if min(capacities) < 1:
+        raise ConfigError(f"grid capacities must be >= 1, got {min(capacities)}")
     return base, schemes, capacities, speeds, seeds
 
 

@@ -755,9 +755,10 @@ def run_sweep(base: SimConfig, schemes: list[str], capacities: list[int],
               speeds: list[float], seeds: list[int], progress=None) -> Report:
     """Grid evaluation that shares environments and protocol traces.
 
-    The data environment depends only on the seed, so it is built once
-    for all of that seed's speeds.  The protocol phase depends only on
-    (seed, speed), so each such pair is simulated once; each scheme
+    Every (seed, speed) cell's config is validated before anything is
+    built.  The data environment depends only on the seed, so it is built
+    once for all of that seed's speeds.  The protocol phase depends only
+    on (seed, speed), so each such pair is simulated once; each scheme
     replays it once for every capacity.
     """
     import copy
@@ -766,14 +767,18 @@ def run_sweep(base: SimConfig, schemes: list[str], capacities: list[int],
         if progress is not None:
             progress(text)
 
+    def cell(seed: int, speed: float) -> SimConfig:
+        cfg = copy.deepcopy(base)
+        cfg.sim.seed = seed
+        cfg.mobility.mu = speed
+        cfg.validate()
+        return cfg
+
+    grid = [[cell(seed, speed) for speed in speeds] for seed in seeds]
     rows: list[ReportRow] = []
-    for seed in seeds:
+    for seed, cells in zip(seeds, grid):
         data = None
-        for speed in speeds:
-            cfg = copy.deepcopy(base)
-            cfg.sim.seed = seed
-            cfg.mobility.mu = speed
-            cfg.validate()
+        for speed, cfg in zip(speeds, cells):
             if data is None:
                 note(f"seed={seed}: building data environment")
                 data = build_data_env(cfg)

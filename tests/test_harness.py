@@ -529,7 +529,7 @@ class TestCli:
                         "codec.finetune_epochs=-1", "ldpm.episodes=-1", "ldpm.delta=0",
                         "ldpm.delta=-1", "ldpm.lambda=-0.5", "cache.eta=nan", "cache.eta=inf",
                         "compute.visit_seconds=nan", "topology.coverage_length=inf",
-                        "mobility.sigma=nan", "mobility.mu=nan"):
+                        "mobility.sigma=nan", "mobility.mu=nan", "sim.seed=-1"):
             proc = roadcache_cli("run", "--config", tiny_cfg_path, "--set", setting)
             assert proc.returncode == 2
             assert setting.split("=")[0] in proc.stderr
@@ -607,6 +607,36 @@ class TestCli:
         grid.write_text(f"config = {tiny_cfg_path}\nschemes = warp\n")
         proc = roadcache_cli("sweep", "--grid", str(grid), "--out", str(tmp_path / "o"))
         assert proc.returncode == 2
+
+    def test_sweep_capacity_below_one_exits_2(self, tiny_cfg_path, tmp_path, capsys):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text(f"config = {tiny_cfg_path}\nschemes = random\ncapacities = -5, 0, 10\n")
+        outdir = tmp_path / "o"
+        assert cli.main(["sweep", "--grid", str(grid), "--out", str(outdir)]) == 2
+        assert "capacities must be >= 1" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("verb, settings, message", [
+        ("run", ["mobility.mu=5", "mobility.sigma=0.5"], "vanishing probability mass"),
+        ("sweep", ["seeds = 0, -1"], "sim.seed must be >= 0"),
+        ("sweep", ["speeds = 25, 5", "mobility.sigma = 0.5"], "vanishing probability mass"),
+    ], ids=["run-massless-window", "sweep-negative-seed", "sweep-massless-speed"])
+    def test_bad_cell_exits_2_before_building(self, tiny_cfg_path, tmp_path, capsys, monkeypatch,
+                                              verb, settings, message):
+        """A bad setting fails at config load, before any data environment is built."""
+        built = []
+        monkeypatch.setattr(harness, "build_data_env", built.append)
+        if verb == "run":
+            argv = ["run", "--config", tiny_cfg_path]
+            for setting in settings:
+                argv += ["--set", setting]
+        else:
+            grid = tmp_path / "grid.cfg"
+            grid.write_text("\n".join([f"config = {tiny_cfg_path}", "schemes = random", *settings]))
+            argv = ["sweep", "--grid", str(grid), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert built == []
 
     def test_unreadable_grid_exits_2(self, tiny_cfg_path, tmp_path, capsys):
         grid = tmp_path / "grid.cfg"
