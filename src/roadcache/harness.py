@@ -135,8 +135,8 @@ def build_motion_env(cfg: SimConfig, locals_: list[LocalDataset]) -> MotionEnv:
         vid = loc.vehicle_id
         offset = substream(seed, "mobility", "init", vid).uniform(0.0, cfg.topology.road_length)
         timelines.append(rollout(
-            vid, cfg.mobility, cfg.topology, cfg.sim.duration, substream(seed, "mobility", "speed", vid),
-            initial_offset=offset,
+            vid, cfg.mobility, cfg.topology, cfg.sim.duration,
+            substream(seed, "mobility", "speed", vid), initial_offset=offset,
         ))
     trace = generate_requests(locals_, cfg.sim.duration,
                               lambda vid: substream(seed, "requests", vid))
