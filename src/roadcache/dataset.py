@@ -2,8 +2,9 @@
 
 Ratings arrive as ``UserID::MovieID::Rating::Timestamp`` lines (the 1M
 MovieLens layout) or a CSV equivalent with header
-``user_id,content_id,rating,timestamp``.  A ``synth://`` path routes
-through the synthetic generator and then the very same parser.
+``user_id,content_id,rating,timestamp``.  A ``synth://`` path takes its
+columns straight from the synthetic generator, with the dtypes and row
+order the parser would give for the same ratings written as lines.
 
 Each user's rated items are split chronologically: the earlier share
 becomes the training vector, the remainder becomes that user's future
@@ -126,19 +127,9 @@ def _parse_csv(lines):
         yield lineno, row, row
 
 
-def load_ratings(source, fmt: str | None = None, num_contents: int | None = None) -> RatingMatrix:
-    """Parse ratings from a path, byte stream, or iterable of lines.
-
-    A ``synth://`` path generates data and feeds it through the same
-    parser.  num_contents overrides the catalog size when the tail of the
-    id range happens to be unrated.
-    """
-    if isinstance(source, str) and source.startswith("synth://"):
-        params = synth.parse_synth_uri(source)
-        lines = synth.generate_lines(params["users"], params["contents"], params["seed"])
-        num_contents = params["contents"]
-        fmt = "dat"
-    elif isinstance(source, str):
+def _parse_rows(source, fmt):
+    """The (line number, fields, source) rows of a path, byte stream or iterable of lines."""
+    if isinstance(source, str):
         if not os.path.exists(source):
             raise ConfigError(f"rating file not found: {source}")
         if fmt is None:
@@ -155,12 +146,26 @@ def load_ratings(source, fmt: str | None = None, num_contents: int | None = None
         probe = next((ln for ln in lines if ln.strip()), "")
         fmt = "dat" if "::" in probe else "csv"
     if fmt == "dat":
-        rows = _parse_dat(lines)
-    elif fmt == "csv":
-        rows = _parse_csv(lines)
+        return _parse_dat(lines)
+    if fmt == "csv":
+        return _parse_csv(lines)
+    raise ConfigError(f"unknown rating format {fmt!r}")
+
+
+def load_ratings(source, fmt: str | None = None, num_contents: int | None = None) -> RatingMatrix:
+    """Parse ratings from a path, byte stream, or iterable of lines.
+
+    A ``synth://`` path generates the columns instead; its catalog size is
+    the URI's ``contents``.  num_contents overrides the catalog size when
+    the tail of the id range happens to be unrated.
+    """
+    if isinstance(source, str) and source.startswith("synth://"):
+        params = synth.parse_synth_uri(source)
+        users, contents, ratings, stamps = synth.generate(
+            params["users"], params["contents"], params["seed"])
+        num_contents = params["contents"]
     else:
-        raise ConfigError(f"unknown rating format {fmt!r}")
-    users, contents, ratings, stamps = _rating_columns(rows)
+        users, contents, ratings, stamps = _rating_columns(_parse_rows(source, fmt))
 
     contents_arr = np.asarray(contents, dtype=np.int32)
     max_seen = int(contents_arr.max()) if len(contents_arr) else 0

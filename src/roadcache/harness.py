@@ -110,18 +110,21 @@ def build_data_env(cfg: SimConfig) -> DataEnv:
         cfg.codec.epochs, cfg.codec.batch, substream(seed, "codec"),
         negative_weight=cfg.codec.negative_weight,
     )
-    # A vehicle's encoder is read only for its fingerprint and latents, so
-    # only its decoder outlives the iteration.
+    # Every vehicle fine-tunes in one reused training codec, which fine_tune
+    # reloads from base each time.  A vehicle's encoder is read only for its
+    # fingerprint and latents, so only its decoder's weights and biases
+    # outlive the iteration.
+    tuned = None
     decoders, hashes, latents = [], [], []
     for loc in locals_:
         tuned = latent_codec.fine_tune(
             base, loc.user_train_vectors, cfg.codec.finetune_epochs,
             cfg.codec.lr, cfg.codec.batch, substream(seed, "finetune", loc.vehicle_id),
-            negative_weight=cfg.codec.negative_weight,
+            negative_weight=cfg.codec.negative_weight, into=tuned,
         )
         hashes.append(latent_codec.encode(tuned, loc.train_vector))
         latents.append(latent_codec.encode(tuned, loc.user_train_vectors))
-        decoders.append(tuned.decoder)
+        decoders.append(tuned.decoder.copy(training=False))
     prior = np.zeros(matrix.num_contents)
     for loc in locals_:
         prior += loc.user_train_vectors.sum(axis=0)

@@ -29,9 +29,6 @@ class CodecParams:
     latent_dim: int
     num_contents: int
 
-    def copy(self) -> "CodecParams":
-        return CodecParams(self.encoder.copy(), self.decoder.copy(), self.latent_dim, self.num_contents)
-
 
 def new_codec(num_contents: int, hidden: int, latent_dim: int, rng: np.random.Generator) -> CodecParams:
     encoder = mlp([num_contents, hidden, latent_dim], rng)
@@ -53,16 +50,22 @@ def reconstruction_error(pred: np.ndarray, target: np.ndarray,
     pred = np.atleast_2d(pred)
     target = np.atleast_2d(target)
     w = np.where(target > 0, 1.0, negative_weight)
-    return float((w * (pred - target) ** 2).sum(axis=1).mean())
+    return _weighted_error(w, pred - target)
+
+
+def _weighted_error(w: np.ndarray, residual: np.ndarray) -> float:
+    """``reconstruction_error`` from its weights and ``pred - target``."""
+    return float((w * residual ** 2).sum(axis=1).mean())
 
 
 def _train_batch(codec: CodecParams, batch: np.ndarray, lr: float,
                  negative_weight: float) -> float:
     z = codec.encoder.forward(batch)
     recon = codec.decoder.forward(z)
+    residual = recon - batch
     w = np.where(batch > 0, 1.0, negative_weight)
-    loss = float((w * (recon - batch) ** 2).sum(axis=1).mean())
-    grad = 2.0 * w * (recon - batch) / len(batch)
+    loss = _weighted_error(w, residual)
+    grad = 2.0 * w * residual / len(batch)
     grad_z = codec.decoder.backward(grad)
     codec.encoder.backward(grad_z, input_grad=False)
     codec.decoder.step(lr, MOMENTUM)
@@ -127,19 +130,25 @@ def fine_tune(
     batch_size: int,
     rng: np.random.Generator,
     negative_weight: float = 0.05,
+    into: CodecParams | None = None,
 ) -> CodecParams:
-    """Adapt a private copy of the codec to one vehicle's vectors.
+    """Adapt the codec to one vehicle's vectors in a training codec, and return that.
 
-    The copy starts from the codec's weights and momentum.  It only
-    encodes and decodes afterwards, so its gradients, momentum and cached
-    activations are released and it keeps only its weights.
+    The training codec is ``into`` when given, else a new copy; it starts
+    from the codec's weights and momentum, which are copied over whatever
+    ``into`` held, and the codec itself is left untouched.  A caller that
+    tunes many vehicles passes the same ``into`` each time, which saves
+    allocating a codec per vehicle and gives the same result.
     """
-    tuned = codec.copy()
+    if into is None:
+        into = CodecParams(codec.encoder.copy(), codec.decoder.copy(),
+                           codec.latent_dim, codec.num_contents)
+    else:
+        into.encoder.load(codec.encoder)
+        into.decoder.load(codec.decoder)
     if epochs > 0 and len(local_vectors) > 0:
-        _run_epochs(tuned, local_vectors, epochs, lr, batch_size, rng, negative_weight)
-    tuned.encoder.release_training_state()
-    tuned.decoder.release_training_state()
-    return tuned
+        _run_epochs(into, local_vectors, epochs, lr, batch_size, rng, negative_weight)
+    return into
 
 
 def encode(codec: CodecParams, v: np.ndarray) -> np.ndarray:

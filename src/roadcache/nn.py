@@ -217,37 +217,42 @@ class Mlp:
     def flat_grads(self) -> np.ndarray:
         return np.concatenate([g.ravel() for g in self.grads()])
 
-    def copy(self) -> "Mlp":
-        """An independent network with the same weights, biases and momentum.
+    def copy(self, training: bool = True) -> "Mlp":
+        """An independent network with the same weights and biases.
 
-        Gradients start at zero and no activations are carried over, so a
-        copy costs the parameters, not the last batch the source saw.
+        With ``training`` it carries the momentum too and its gradients
+        start at zero; without, it holds nothing else, so it predicts but
+        cannot train.  No activations are carried over, so a copy costs the
+        parameters, not the last batch the source saw.
         """
         layers: list = []
         for layer in self.layers:
             if isinstance(layer, Dense):
                 twin = Dense.__new__(Dense)
                 twin.w, twin.b = layer.w.copy(), layer.b.copy()
-                twin.dw, twin.db = np.zeros_like(twin.w), np.zeros_like(twin.b)
-                twin._vw, twin._vb = layer._vw.copy(), layer._vb.copy()
-                twin._x = None
+                twin.dw = twin.db = twin._vw = twin._vb = twin._x = None
+                if training:
+                    twin.dw, twin.db = np.zeros_like(twin.w), np.zeros_like(twin.b)
+                    twin._vw, twin._vb = layer._vw.copy(), layer._vb.copy()
             else:
                 twin = type(layer)()
             layers.append(twin)
         return Mlp(layers)
 
+    def load(self, source: "Mlp") -> None:
+        """Overwrite this network's weights, biases and momentum with source's, in place.
+
+        Both networks must have the same shapes.  Gradients and activations
+        are left as they are: the next training step's forward and backward
+        replace them before anything reads them.
+        """
+        for mine, theirs in zip(self.layers, source.layers, strict=True):
+            if isinstance(mine, Dense):
+                for name in ("w", "b", "_vw", "_vb"):
+                    np.copyto(getattr(mine, name), getattr(theirs, name))
+
     def param_count(self) -> int:
         return int(sum(p.size for p in self.params()))
-
-    def release_training_state(self) -> None:
-        """Drop gradients, momentum and cached activations; ``predict`` still runs."""
-        for layer in self.layers:
-            if isinstance(layer, Dense):
-                layer.dw = layer.db = layer._vw = layer._vb = layer._x = None
-            elif isinstance(layer, Relu):
-                layer._mask = None
-            elif isinstance(layer, Sigmoid):
-                layer._y = None
 
 
 def stack(nets: list[Mlp]) -> Mlp:

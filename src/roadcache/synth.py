@@ -1,4 +1,4 @@
-"""Synthetic rating data in the same line format the loader parses.
+"""Synthetic rating data as the loader's columns.
 
 Used when no real rating file is on disk.  Contents belong to genres,
 genre popularity follows a power law over a shuffled id assignment, and
@@ -43,8 +43,13 @@ def parse_synth_uri(uri: str) -> dict[str, int]:
     return params
 
 
-def generate_lines(users: int, contents: int, seed: int) -> list[str]:
-    """Produce ``UserID::MovieID::Rating::Timestamp`` lines, one per rating."""
+def generate(users: int, contents: int, seed: int) -> tuple[np.ndarray, ...]:
+    """Return the user, content, rating and timestamp columns, one row per rating.
+
+    Dtypes are int32, int32, int8 and int64, as the text parser gives.  Each
+    user's rows draw from that user's own substream and appear in a shuffled
+    order, users in id order.
+    """
     base = substream(seed, "synth")
     genre_of = base.integers(0, NUM_GENRES, size=contents)
     # Popularity rank is assigned within each genre so every genre has a
@@ -55,7 +60,7 @@ def generate_lines(users: int, contents: int, seed: int) -> list[str]:
         ranks = base.permutation(len(members))
         weight[members] = (ranks + 1.0) ** (-POPULARITY_EXPONENT)
 
-    lines: list[str] = []
+    user_col, content_col, rating_col, stamp_col = [], [], [], []
     for user in range(1, users + 1):
         rng = substream(seed, "synth", "user", user)
         mixture = rng.dirichlet(np.full(NUM_GENRES, GENRE_CONCENTRATION))
@@ -68,9 +73,12 @@ def generate_lines(users: int, contents: int, seed: int) -> list[str]:
         items = np.argpartition(-keys, count - 1)[:count]
         affinity = mixture[genre_of[items]] / mixture.max()
         noise = rng.normal(0.0, 0.7, size=count)
-        ratings = np.clip(np.rint(3.2 + 1.5 * affinity + noise), 1, 5).astype(int)
+        ratings = np.clip(np.rint(3.2 + 1.5 * affinity + noise), 1, 5)
         stamps = np.sort(rng.integers(0, TIME_SPAN, size=count))
         order = rng.permutation(count)
-        for idx in order:
-            lines.append(f"{user}::{items[idx] + 1}::{ratings[idx]}::{stamps[idx]}")
-    return lines
+        user_col.append(np.full(count, user, dtype=np.int32))
+        content_col.append((items[order] + 1).astype(np.int32))
+        rating_col.append(ratings[order].astype(np.int8))
+        stamp_col.append(stamps[order].astype(np.int64))
+    return (np.concatenate(user_col), np.concatenate(content_col),
+            np.concatenate(rating_col), np.concatenate(stamp_col))

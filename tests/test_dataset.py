@@ -15,7 +15,7 @@ from roadcache.dataset import (
 )
 from roadcache.errors import ConfigError, DataFormatError
 from roadcache.rng import substream
-from roadcache.synth import generate_lines, parse_synth_uri
+from roadcache.synth import generate, parse_synth_uri
 
 THREE_LINES = [
     "1::10::5::100\n",
@@ -239,11 +239,27 @@ def test_synth_uri_parsing():
 
 
 def test_synth_lines_parse_and_reproduce():
-    lines = generate_lines(25, 80, seed=3)
-    again = generate_lines(25, 80, seed=3)
-    assert lines == again
+    columns = generate(25, 80, seed=3)
+    again = generate(25, 80, seed=3)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(columns, again))
     m = load_ratings("synth://users=25,contents=80,seed=3")
     assert m.num_users == 25
     assert m.num_contents == 80
     assert int(m.contents.max()) <= 80
     assert np.all((m.ratings >= 1) & (m.ratings <= 5))
+
+
+@pytest.mark.parametrize("uri", ["synth://users=25,contents=80,seed=3",
+                                 "synth://users=600,contents=3952,seed=1"])
+def test_synth_matrix_equals_parsed_lines(uri):
+    """The synth columns give the matrix their ``::`` lines parse to."""
+    params = parse_synth_uri(uri)
+    columns = generate(params["users"], params["contents"], params["seed"])
+    lines = [f"{u}::{c}::{r}::{t}\n" for u, c, r, t in zip(*(col.tolist() for col in columns))]
+    parsed = load_ratings(lines, num_contents=params["contents"])
+    direct = load_ratings(uri)
+    assert (direct.num_users, direct.num_contents) == (parsed.num_users, parsed.num_contents)
+    for name in ("users", "contents", "ratings", "timestamps"):
+        got, want = getattr(direct, name), getattr(parsed, name)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from test_latent_codec import codec_state
 
 from roadcache import cli, fed_distill, harness, latent_codec, ldpm, nn, report
 from roadcache.caching import Metrics
@@ -835,3 +836,46 @@ class TestDataEnvKeepsDecoders:
             want = latent_codec.decode(tuned, z).mean(axis=0)
             assert latent_codec.decode_mean(decoder, z).tobytes() == want.tobytes()
             assert latent_codec.decode_mean(tuned.decoder, z).tobytes() == want.tobytes()
+
+
+class TestFineTunesShareOneCodec:
+    """The one training codec all vehicles fine-tune in carries nothing between them."""
+
+    @staticmethod
+    def build(cfg, reverse):
+        real_pretrain, real_partition = latent_codec.pretrain_codec, harness.partition_users
+        bases = []
+
+        def pretrain(*args, **kwargs):
+            result = real_pretrain(*args, **kwargs)
+            bases.append((result[0], codec_state(result[0])))
+            return result
+
+        def partition(*args, **kwargs):
+            locals_ = real_partition(*args, **kwargs)
+            return locals_[::-1] if reverse else locals_
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(latent_codec, "pretrain_codec", pretrain)
+            mp.setattr(harness, "partition_users", partition)
+            data = harness.build_data_env(cfg)
+        return bases[0], data
+
+    def test_pretrained_codec_untouched(self, tiny_cfg_path):
+        (base, pretrained), _ = self.build(load_config(tiny_cfg_path, []), reverse=False)
+        assert codec_state(base) == pretrained
+
+    def test_reverse_order_gives_same_vehicles(self, tiny_cfg_path):
+        cfg = load_config(tiny_cfg_path, [])
+
+        def by_vehicle(data):
+            return {loc.vehicle_id: (fingerprint.tobytes(), latents.tobytes(),
+                                     [p.tobytes() for p in decoder.params()])
+                    for loc, fingerprint, latents, decoder
+                    in zip(data.locals_, data.hashes, data.latents, data.decoders)}
+
+        _, forward = self.build(cfg, reverse=False)
+        _, backward = self.build(cfg, reverse=True)
+        order = [loc.vehicle_id for loc in backward.locals_]
+        assert order == sorted(order, reverse=True)
+        assert by_vehicle(forward) == by_vehicle(backward)

@@ -15,6 +15,13 @@ def flat_params(codec):
     return np.concatenate([codec.encoder.flat_params(), codec.decoder.flat_params()])
 
 
+def codec_state(codec):
+    """The bytes of every Dense's weights, biases and momentum in a codec."""
+    return [getattr(layer, name).tobytes() for net in (codec.encoder, codec.decoder)
+            for layer in net.layers if hasattr(layer, "w")
+            for name in ("w", "b", "_vw", "_vb")]
+
+
 def synth_ratings(rng, users, contents, rated):
     """Sparse rating rows with `rated` nonzero entries per user."""
     vecs = np.zeros((users, contents))
@@ -174,20 +181,21 @@ class TestFineTune:
 
         assert err(tuned) < err(self.codec)
 
-    def test_training_buffers_released(self):
-        tuned = latent_codec.fine_tune(self.codec, self.data[:5], epochs=2,
+    def test_reused_training_codec_matches_fresh(self):
+        """Tuning in a codec another vehicle trained in gives a fresh tune's codec."""
+        state = codec_state(self.codec)
+        work = latent_codec.fine_tune(self.codec, self.data[5:], epochs=3,
+                                      lr=0.03, batch_size=2, rng=substream(8, "tune"))
+        fresh = latent_codec.fine_tune(self.codec, self.data[:5], epochs=2,
                                        lr=0.03, batch_size=2, rng=substream(6, "tune"))
-        for net in (tuned.encoder, tuned.decoder):
-            for layer in net.layers:
-                if hasattr(layer, "w"):
-                    assert layer.dw is layer.db is layer._vw is layer._vb is None
-        assert self.codec.encoder.layers[0]._vw is not None
-        recon = latent_codec.decode(tuned, latent_codec.encode(tuned, self.data[:5]))
-        assert recon.shape == (5, self.data.shape[1]) and np.all(np.isfinite(recon))
+        reused = latent_codec.fine_tune(self.codec, self.data[:5], epochs=2, lr=0.03,
+                                        batch_size=2, rng=substream(6, "tune"), into=work)
+        assert reused is work
+        assert codec_state(reused) == codec_state(fresh)
+        assert codec_state(self.codec) == state
 
     def test_encode_and_decode_cache_nothing(self):
-        tuned = latent_codec.fine_tune(self.codec, self.data[:5], epochs=2,
-                                       lr=0.03, batch_size=2, rng=substream(7, "tune"))
+        tuned = latent_codec.new_codec(self.data.shape[1], 16, 5, substream(7, "tune"))
         latent_codec.decode(tuned, latent_codec.encode(tuned, self.data[:5]))
         for net in (tuned.encoder, tuned.decoder):
             for layer in net.layers:
