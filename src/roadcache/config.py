@@ -14,6 +14,8 @@ from .errors import ConfigError
 from .mobility import truncation_mass
 
 SCHEMES = ("proposed", "oracle", "n_tau_greedy", "fedavg", "asyfed", "random")
+# Most sync periods or FL rounds a run's duration may hold.
+MAX_PERIODS = 10_000
 
 
 @dataclass
@@ -185,8 +187,15 @@ class SimConfig:
             raise ConfigError("ldpm.F must be >= 1")
         if self.kc.neighbor_count < 0:
             raise ConfigError("kc.neighbor_c must be >= 0")
-        if self.kc.sync_period <= 0:
-            raise ConfigError("kc.sync_period must be > 0")
+        # One backhaul merge per sync period and two messages per vehicle per
+        # FL round: a tiny period would fill memory before the run ends.
+        for key, period in (("kc.sync_period", self.kc.sync_period),
+                            ("fl.round_seconds", self.fl.round_seconds)):
+            if period <= 0:
+                raise ConfigError(f"{key} must be > 0")
+            if s.duration > MAX_PERIODS * period:
+                raise ConfigError(f"{key} = {period:g} fits more than {MAX_PERIODS} periods into "
+                                  f"sim.duration = {s.duration:g}")
         if self.compute.visit_seconds < 0:
             raise ConfigError("compute.visit_seconds must be >= 0")
         if self.cache.capacity_n < 1:
@@ -199,8 +208,6 @@ class SimConfig:
             raise ConfigError("need 0 < latency.hit_ms < latency.miss_ms")
         if self.fl.param_count < 1 or self.fl.rounds_required < 1:
             raise ConfigError("fl.param_count and fl.rounds_required must be >= 1")
-        if self.fl.round_seconds <= 0:
-            raise ConfigError("fl.round_seconds must be > 0")
         if not (0 <= self.greedy.tau <= 1):
             raise ConfigError("greedy.tau must be in [0, 1]")
 

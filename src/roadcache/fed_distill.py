@@ -16,12 +16,12 @@ Every over-the-air payload is metered: 4 bytes per real value or id,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import latent_codec, ldpm
-from .config import SimConfig
+from .config import LdpmGroup, SimConfig
 from .errors import ProtocolError
 from .nn import Mlp
 
@@ -42,6 +42,10 @@ UPLINK_KINDS = frozenset({MSG_HI, MSG_KI, MSG_REC_LIST, MSG_FL_MODEL_UP})
 # Bigger stacks ran slower: at 500 draws per visit, sampling 20 visits at
 # once made the protocol phase slower than sampling one at a time.
 SAMPLE_ROWS = 512
+# Most visits whose denoisers train as one stack.  The stack is the one
+# copy of their state a visit batch makes, so this bounds its memory; 16
+# is desk's sampling chunk (SAMPLE_ROWS // 32 draws).
+STACK_VISITS = 16
 
 
 def hi_bytes(latent_dim: int) -> int:
@@ -285,45 +289,60 @@ def train_and_predict(visits: list[VisitInputs], cfg: SimConfig,
 
     Takes visits in entry order and returns one (scores, knowledge,
     losses) per visit, in that order; pure vehicle-side work under the
-    run's ``cfg.ldpm`` settings.  The visits run in the stacks that
-    ``visit_batches`` picks: a stack's denoisers train as one computation
-    and sample in chunks of at most ``SAMPLE_ROWS`` draw rows, and each
-    result is bit-identical to computing the visits one at a time.  The
-    neighbor target is mapped into the vehicle's standardized latent
-    coordinates for training, and draws are mapped back before decoding,
-    so knowledge exchanged over the air always lives in raw latent space.
-    A visit's scores, the mean of its decoded draws, come from
-    ``latent_codec.decode_mean``, which never holds the decoded rows.
+    run's ``cfg.ldpm`` settings.  The visits run in the batches that
+    ``visit_batches`` picks, each cut into stacks of at most
+    ``STACK_VISITS`` visits (``_train_and_sample``), and each result is
+    bit-identical to computing the visits one at a time.  The neighbor
+    target is mapped into the vehicle's standardized latent coordinates
+    for training, and draws are mapped back before decoding, so knowledge
+    exchanged over the air always lives in raw latent space.  A visit's
+    scores, the mean of its decoded draws, come from
+    ``latent_codec.decode_mean``, which never holds the decoded rows; a
+    stack is gone before its visits decode.
     """
-    settings = cfg.ldpm
-    per_call = max(1, SAMPLE_ROWS // settings.sample_count)
     results: list[tuple] = [()] * len(visits)
     for batch in visit_batches(visits):
-        stack = [visits[i] for i in batch]
-        standardizers = [latent_standardizer(visit.latents) for visit in stack]
-        targets = [None if visit.integrated is None else (visit.integrated - mu) / sd
-                   for visit, (mu, sd) in zip(stack, standardizers)]
-        denoisers = [visit.denoiser for visit in stack]
-        stacked = ldpm.stack(denoisers)
-        latents = np.stack([(visit.latents - mu) / sd
-                            for visit, (mu, sd) in zip(stack, standardizers)])
-        _, losses = ldpm.local_train(
-            stacked, latents, targets, schedule, settings.episodes, settings.lr, settings.batch,
-            [visit.rng_train for visit in stack],
-            weight=settings.distill_weight, temperature=settings.temperature,
-        )
-        ldpm.unstack(stacked, denoisers)
-        draws = []
-        for lo in range(0, len(stack), per_call):
-            chunk = stack[lo:lo + per_call]
-            draws.extend(ldpm.sample(ldpm.stack([visit.denoiser for visit in chunk]),
-                                     schedule, settings.sample_count,
-                                     [visit.rng_sample for visit in chunk]))
-        for i, (mu, sd), own_draws, own_losses in zip(batch, standardizers, draws, losses):
-            own_draws = own_draws * sd + mu
-            results[i] = (latent_codec.decode_mean(visits[i].decoder, own_draws),
-                          own_draws.mean(axis=0), own_losses)
+        for lo in range(0, len(batch), STACK_VISITS):
+            group = batch[lo:lo + STACK_VISITS]
+            stack = [visits[i] for i in group]
+            standardizers = [latent_standardizer(visit.latents) for visit in stack]
+            draws, losses = _train_and_sample(stack, standardizers, cfg.ldpm, schedule)
+            for i, (mu, sd), own_draws, own_losses in zip(group, standardizers, draws, losses):
+                own_draws = own_draws * sd + mu
+                results[i] = (latent_codec.decode_mean(visits[i].decoder, own_draws),
+                              own_draws.mean(axis=0), own_losses)
     return results
+
+
+def _train_and_sample(stack: list[VisitInputs], standardizers: list[tuple], settings: LdpmGroup,
+                      schedule: ldpm.NoiseSchedule) -> tuple[list, list]:
+    """Train one stack of visits' denoisers, then sample it in place.
+
+    Returns each visit's draws, in its standardized coordinates, and its
+    loss trajectory.  ``ldpm.stack`` makes the one copy of the denoisers'
+    state; after training it goes back to the denoisers, the stack drops
+    its gradients and activations, and sampling reads views of its slices,
+    at most ``SAMPLE_ROWS`` draw rows per call.  The stack goes on return.
+    """
+    denoisers = [visit.denoiser for visit in stack]
+    stacked = ldpm.stack(denoisers)
+    latents = np.stack([(visit.latents - mu) / sd for visit, (mu, sd) in zip(stack, standardizers)])
+    targets = [None if visit.integrated is None else (visit.integrated - mu) / sd
+               for visit, (mu, sd) in zip(stack, standardizers)]
+    _, losses = ldpm.local_train(
+        stacked, latents, targets, schedule, settings.episodes, settings.lr, settings.batch,
+        [visit.rng_train for visit in stack],
+        weight=settings.distill_weight, temperature=settings.temperature,
+    )
+    ldpm.unstack(stacked, denoisers)
+    stacked.net.clear()
+    per_call = max(1, SAMPLE_ROWS // settings.sample_count)
+    draws = []
+    for lo in range(0, len(stack), per_call):
+        part = replace(stacked, net=stacked.net.slice(lo, lo + per_call))
+        draws.extend(ldpm.sample(part, schedule, settings.sample_count,
+                                 [visit.rng_sample for visit in stack[lo:lo + per_call]]))
+    return draws, losses
 
 
 def complete_visit(kc: KnowledgeCache, vehicle_id: int, knowledge: np.ndarray,

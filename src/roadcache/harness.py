@@ -200,7 +200,6 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv) -> Proto
     visit_index = [0] * n_vehicles
     pending: list[VisitInputs] = []               # proceeding visits not yet computed
     ready: deque[tuple[VisitInputs, tuple]] = deque()   # computed, with their results
-    lists: list[np.ndarray] = []
     entries: list[EntryRecord] = []
     messages: list[Message] = []
     losses: list[float] = []
@@ -214,11 +213,15 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv) -> Proto
         heapq.heappush(heap, (k * tick, 0, seq, ("merge", None)))
         seq += 1
         k += 1
+    n_entries = 0
     for timeline in motion.timelines:
         for seg in timeline.segments:
             if seg.entry_time < duration:
                 heapq.heappush(heap, (seg.entry_time, 1, seq, ("entry", (timeline.vehicle_id, seg))))
                 seq += 1
+                n_entries += 1
+    # One row per completed visit; no more visits complete than vehicles enter zones.
+    lists = np.empty((n_entries, min(cfg.cache.list_m, data.num_contents)), dtype=np.int64)
 
     while heap:
         now, _, _, (kind, payload) = heapq.heappop(heap)
@@ -260,13 +263,12 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv) -> Proto
         if visit.vehicle_id != vid:
             raise InvariantError(f"vehicle {vid} completed vehicle {visit.vehicle_id}'s visit")
         messages.extend(fed_distill.complete_visit(kcs[rsu], vid, knowledge, now))
-        lists.append(top_m(scores.astype(np.float32), cfg.cache.list_m))
-        current_version[vid] = len(lists) - 1
+        lists[completed] = top_m(scores.astype(np.float32), cfg.cache.list_m)
+        current_version[vid] = completed
         losses.append(float(np.mean(visit_losses)) if visit_losses else float("nan"))
         completed += 1
 
-    uploaded = np.vstack(lists) if lists else np.zeros((0, cfg.cache.list_m), dtype=np.int64)
-    return ProtocolTrace(uploaded, entries, messages, completed, aborted, losses)
+    return ProtocolTrace(lists[:completed], entries, messages, completed, aborted, losses)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,12 @@ only through the local prediction.
 
 Training and sampling run on a stack of V denoisers at once (``stack``),
 one visit per slice, each with its own latents, generator and target
-(None for a visit without neighbor knowledge).  The distillation weight
-and temperature are run-wide settings, one per call.  Every slice sees
-the same arithmetic and the same draws, in the same order, as that visit
-computed alone; a single denoiser is the V=1 case.
+(None for a visit without neighbor knowledge).  A stack can be sampled
+in parts through views of its slices (``nn.Mlp.slice``).  The
+distillation weight and temperature are run-wide settings, one per call.
+Every slice sees the same arithmetic and the same draws, in the same
+order, as that visit computed alone; a single denoiser is the V=1 case,
+and it is left holding the gradients its one-slice stack made.
 """
 
 from __future__ import annotations
@@ -80,9 +82,10 @@ def stack(denoisers: list[DenoiserParams]) -> DenoiserParams:
                           first.time_embed_dim)
 
 
-def unstack(stacked: DenoiserParams, denoisers: list[DenoiserParams]) -> None:
-    """Write each slice's weights, gradients and momentum back to its denoiser."""
-    nn.unstack(stacked.net, [d.net for d in denoisers])
+def unstack(stacked: DenoiserParams, denoisers: list[DenoiserParams], *,
+            grads: bool = False) -> None:
+    """Write each slice's weights and momentum back to its denoiser (``nn.unstack``)."""
+    nn.unstack(stacked.net, [d.net for d in denoisers], grads=grads)
 
 
 def new_denoiser(latent_dim: int, hidden: int, time_embed_dim: int, rng: np.random.Generator) -> DenoiserParams:
@@ -159,7 +162,7 @@ def objective(params: DenoiserParams, x0: np.ndarray, target: np.ndarray | None 
         one = stack([params])
         loss = objective(one, np.atleast_2d(np.asarray(x0, dtype=float))[None], [target], sched,
                          [rng], weight=weight, temperature=temperature)
-        unstack(one, [params])
+        unstack(one, [params], grads=True)
         return float(loss[0])
     x0 = np.asarray(x0, dtype=float)
     batch = x0.shape[1]
@@ -211,7 +214,7 @@ def local_train(params: DenoiserParams, latents: np.ndarray, target: np.ndarray 
         one = stack([params])
         _, losses = local_train(one, np.atleast_2d(latents)[None], [target], sched, epochs, lr,
                                 batch_size, [rng], weight=weight, temperature=temperature)
-        unstack(one, [params])
+        unstack(one, [params], grads=True)
         return params, losses[0]
     latents = np.asarray(latents, dtype=float)
     n_visits, n = latents.shape[:2]

@@ -9,7 +9,8 @@ come out the same either way (the tests compare the two).  ``forward`` is
 the training pass: it keeps what backward needs on the layer and then
 calls ``apply``; backward leaves parameter gradients on the layer (the
 first layer's input gradient only on request), and step applies SGD with
-optional momentum.
+optional momentum.  A new layer holds no gradients: the first backward
+makes them.
 ``Mlp.predict`` chains the ``apply`` calls, so encoding, decoding and
 sampling hold no activations once they return, and give byte for byte
 what ``forward`` gives; ``Mlp.predict_mean`` gives its row mean byte for
@@ -21,7 +22,10 @@ A Dense layer works on (rows, in) inputs with (in, out) weights, or on a
 stack of V such networks: (V, rows, in) inputs with (V, in, out) weights.
 Each slice of a stacked product is computed exactly as the 2-D product
 of that slice, so ``stack``/``unstack`` let V independent networks train
-in one call with the same arithmetic as V separate calls.
+in one call with the same arithmetic as V separate calls.  A network's
+state is its weights, biases and momentum; only that state moves in and
+out of a stack.  Gradients and activations live on the stack alone, and
+``Mlp.slice`` views a run of its slices without copying them.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 # Per-layer arrays that travel with a network when it is stacked.
-_DENSE_STATE = ("w", "b", "dw", "db", "_vw", "_vb")
+_DENSE_STATE = ("w", "b", "_vw", "_vb")
 
 # Rows per block in ``Mlp.predict_mean``: a block of a 3952-wide output
 # (about 1 MB) stays in cache across the bias, activation and sum passes.
@@ -41,8 +45,8 @@ class Dense:
         limit = np.sqrt(6.0 / (n_in + n_out))
         self.w = rng.uniform(-limit, limit, size=(n_in, n_out))
         self.b = np.zeros(n_out)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
+        self.dw: np.ndarray | None = None   # set by backward
+        self.db: np.ndarray | None = None
         self._vw = np.zeros_like(self.w)
         self._vb = np.zeros_like(self.b)
         self._x: np.ndarray | None = None
@@ -220,24 +224,44 @@ class Mlp:
     def copy(self, training: bool = True) -> "Mlp":
         """An independent network with the same weights and biases.
 
-        With ``training`` it carries the momentum too and its gradients
-        start at zero; without, it holds nothing else, so it predicts but
-        cannot train.  No activations are carried over, so a copy costs the
-        parameters, not the last batch the source saw.
+        With ``training`` it carries the momentum too; without, it holds
+        nothing else, so it predicts but cannot train.  No gradients or
+        activations are carried over, so a copy costs the parameters, not
+        the last batch the source saw.
         """
+        names = _DENSE_STATE if training else ("w", "b")
+        return self._remake(lambda name, array: array.copy() if name in names else None)
+
+    def slice(self, lo: int, hi: int) -> "Mlp":
+        """Slices ``lo:hi`` of a stacked network, as a stacked network that shares their state.
+
+        Training or predicting with the view reads and writes the stack's
+        own weights, biases and momentum; it starts with no gradients or
+        activations.
+        """
+        return self._remake(lambda name, array: array[lo:hi])
+
+    def _remake(self, state) -> "Mlp":
+        """A network of fresh layers whose Dense state arrays are ``state(name, array)``."""
         layers: list = []
         for layer in self.layers:
             if isinstance(layer, Dense):
                 twin = Dense.__new__(Dense)
-                twin.w, twin.b = layer.w.copy(), layer.b.copy()
-                twin.dw = twin.db = twin._vw = twin._vb = twin._x = None
-                if training:
-                    twin.dw, twin.db = np.zeros_like(twin.w), np.zeros_like(twin.b)
-                    twin._vw, twin._vb = layer._vw.copy(), layer._vb.copy()
+                for name in _DENSE_STATE:
+                    array = getattr(layer, name)
+                    setattr(twin, name, None if array is None else state(name, array))
+                twin.dw = twin.db = twin._x = None
             else:
                 twin = type(layer)()
             layers.append(twin)
         return Mlp(layers)
+
+    def clear(self) -> None:
+        """Drop the gradients and activations the last forward and backward left."""
+        for layer in self.layers:
+            for name in ("dw", "db", "_x", "_mask", "_y"):
+                if hasattr(layer, name):
+                    setattr(layer, name, None)
 
     def load(self, source: "Mlp") -> None:
         """Overwrite this network's weights, biases and momentum with source's, in place.
@@ -248,7 +272,7 @@ class Mlp:
         """
         for mine, theirs in zip(self.layers, source.layers, strict=True):
             if isinstance(mine, Dense):
-                for name in ("w", "b", "_vw", "_vb"):
+                for name in _DENSE_STATE:
                     np.copyto(getattr(mine, name), getattr(theirs, name))
 
     def param_count(self) -> int:
@@ -258,9 +282,10 @@ class Mlp:
 def stack(nets: list[Mlp]) -> Mlp:
     """One network holding V same-shaped networks along a leading axis.
 
-    Weights, biases, gradients and momentum are all stacked, so training
-    the stack and then calling ``unstack`` leaves each network exactly as
-    training it alone would.
+    Weights, biases and momentum are stacked, so training the stack and
+    then calling ``unstack`` leaves each network's state exactly as
+    training it alone would.  The stack starts with no gradients; its
+    backward makes them, and they go with it.
     """
     layers: list = []
     for parts in zip(*(net.layers for net in nets)):
@@ -268,21 +293,27 @@ def stack(nets: list[Mlp]) -> Mlp:
             layer = Dense.__new__(Dense)
             for name in _DENSE_STATE:
                 setattr(layer, name, np.stack([getattr(p, name) for p in parts]))
-            layer._x = None
+            layer.dw = layer.db = layer._x = None
         else:
             layer = type(parts[0])()
         layers.append(layer)
     return Mlp(layers)
 
 
-def unstack(stacked: Mlp, nets: list[Mlp]) -> None:
-    """Copy each slice of a stacked network back into its own network."""
+def unstack(stacked: Mlp, nets: list[Mlp], *, grads: bool = False) -> None:
+    """Copy each slice's weights, biases and momentum back into its own network, in place.
+
+    With ``grads`` each network also takes (as a view) its slice of the
+    gradients the stack's last backward left, if it ran one.
+    """
     for i, layer in enumerate(stacked.layers):
         if isinstance(layer, Dense):
-            for name in _DENSE_STATE:
-                full = getattr(layer, name)
-                for v, net in enumerate(nets):
-                    setattr(net.layers[i], name, full[v].copy())
+            for v, net in enumerate(nets):
+                mine = net.layers[i]
+                for name in _DENSE_STATE:
+                    np.copyto(getattr(mine, name), getattr(layer, name)[v])
+                if grads and layer.dw is not None:
+                    mine.dw, mine.db = layer.dw[v], layer.db[v]
 
 
 def mlp(sizes: list[int], rng: np.random.Generator, *, hidden_act=Relu, out_act=None) -> Mlp:

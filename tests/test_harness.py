@@ -3,6 +3,7 @@
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter, defaultdict
 from dataclasses import replace
 from types import SimpleNamespace
@@ -621,7 +622,12 @@ class TestCli:
         ("run", ["mobility.mu=5", "mobility.sigma=0.5"], "vanishing probability mass"),
         ("sweep", ["seeds = 0, -1"], "sim.seed must be >= 0"),
         ("sweep", ["speeds = 25, 5", "mobility.sigma = 0.5"], "vanishing probability mass"),
-    ], ids=["run-massless-window", "sweep-negative-seed", "sweep-massless-speed"])
+        # the tiny run lasts 120 s: 12 000 periods of 0.01 s
+        ("run", ["kc.sync_period=0.01"], "kc.sync_period = 0.01 fits more than 10000 periods"),
+        ("run", ["fl.round_seconds=0.01"], "fl.round_seconds = 0.01 fits more than 10000"),
+        ("sweep", ["fl.round_seconds = 0.01"], "fl.round_seconds = 0.01 fits more than 10000"),
+    ], ids=["run-massless-window", "sweep-negative-seed", "sweep-massless-speed",
+            "run-tiny-sync-period", "run-tiny-fl-round", "sweep-tiny-fl-round"])
     def test_bad_cell_exits_2_before_building(self, tiny_cfg_path, tmp_path, capsys, monkeypatch,
                                               verb, settings, message):
         """A bad setting fails at config load, before any data environment is built."""
@@ -695,34 +701,52 @@ class TestBatchedProtocol:
             assert order == sorted(order) and len(set(order)) == len(order)
 
     def test_one_visit_per_call_gives_identical_trace(self, monkeypatch, tiny_stack):
+        """Stack and sampling-call sizes change no byte; sampling reads the trained stack."""
         cfg, data, motion, batched = tiny_stack
         real_train, real_sample, real_batches = (ldpm.local_train, ldpm.sample,
                                                  fed_distill.visit_batches)
-        sizes = {"train": [], "sample": []}
+        calls = {"train": [], "sample": []}
 
         def train(params, latents, *args, **kwargs):
-            sizes["train"].append(len(latents))   # one (rows, dim) block per stacked visit
+            calls["train"].append(params)
             return real_train(params, latents, *args, **kwargs)
 
         def sample(params, sched, count, rng):
-            sizes["sample"].append(len(rng))
+            calls["sample"].append(params)
             return real_sample(params, sched, count, rng)
 
         def singletons(visits):
             return [[i] for batch in real_batches(visits) for i in batch]
 
+        def dense(params):
+            return [layer for layer in params.net.layers if isinstance(layer, nn.Dense)]
+
+        def views(part, whole):
+            return all(np.shares_memory(a.w, b.w) and np.shares_memory(a.b, b.b)
+                       for a, b in zip(dense(part), dense(whole)))
+
         monkeypatch.setattr(ldpm, "local_train", train)
         monkeypatch.setattr(ldpm, "sample", sample)
         largest = []
-        # As configured; sampling two visits per call; one visit per call throughout.
-        for sample_rows, split in ((fed_distill.SAMPLE_ROWS, real_batches),
-                                   (2 * cfg.ldpm.sample_count, real_batches), (1, singletons)):
+        # As configured; sampling two visits per call; training two, then one,
+        # visit per stack; one visit per call throughout.
+        for sample_rows, cap, split in (
+                (fed_distill.SAMPLE_ROWS, fed_distill.STACK_VISITS, real_batches),
+                (2 * cfg.ldpm.sample_count, fed_distill.STACK_VISITS, real_batches),
+                (fed_distill.SAMPLE_ROWS, 2, real_batches),
+                (fed_distill.SAMPLE_ROWS, 1, real_batches),
+                (1, fed_distill.STACK_VISITS, singletons)):
             monkeypatch.setattr(fed_distill, "SAMPLE_ROWS", sample_rows)
+            monkeypatch.setattr(fed_distill, "STACK_VISITS", cap)
             monkeypatch.setattr(fed_distill, "visit_batches", split)
-            sizes["train"].clear()
-            sizes["sample"].clear()
+            calls["train"].clear()
+            calls["sample"].clear()
             trace = harness.simulate_protocol(cfg, data, motion)
-            largest.append((max(sizes["train"]), max(sizes["sample"])))
+            largest.append(tuple(max(len(dense(params)[0].w) for params in calls[kind])
+                                 for kind in ("train", "sample")))
+            assert largest[-1][0] <= cap
+            assert all(any(views(part, whole) for whole in calls["train"])
+                       for part in calls["sample"])
             assert (harness.format_message_trace(trace.messages)
                     == harness.format_message_trace(batched.messages))
             assert trace.lists.tobytes() == batched.lists.tobytes()
@@ -731,7 +755,34 @@ class TestBatchedProtocol:
                 batched.completed_visits, batched.aborted_visits)
         assert largest[0][0] > 2 and largest[0][1] == largest[0][0]
         assert largest[1] == (largest[0][0], 2)
-        assert largest[2] == (1, 1)
+        assert largest[2:] == [(2, 2), (1, 1), (1, 1)]
+
+    def test_call_allocates_under_two_stacked_copies(self, monkeypatch, tiny_stack):
+        """A call's stacks hold the one copy of its denoisers' weights and momentum."""
+        cfg, data, motion, batched = tiny_stack
+        real = harness.train_and_predict
+        calls = []   # (visits, peak bytes allocated, bytes of one stacked copy)
+
+        def measured(visits, *args):
+            copy = sum(getattr(layer, name).nbytes for visit in visits
+                       for layer in visit.denoiser.net.layers if isinstance(layer, nn.Dense)
+                       for name in ("w", "b", "_vw", "_vb"))
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            results = real(visits, *args)
+            calls.append((len(visits), tracemalloc.get_traced_memory()[1] - start, copy))
+            return results
+
+        monkeypatch.setattr(harness, "train_and_predict", measured)
+        tracemalloc.start()
+        try:
+            trace = harness.simulate_protocol(cfg, data, motion)
+        finally:
+            tracemalloc.stop()
+        assert trace.lists.tobytes() == batched.lists.tobytes()
+        assert max(n for n, _, _ in calls) > 2
+        for n, peak, copy in calls:
+            assert peak < 2 * copy, (n, peak, copy)
 
 
 class TestInferenceCachesNothing:
@@ -764,6 +815,10 @@ class TestInferenceCachesNothing:
         assert len(denoisers) == data.num_vehicles
         assert self.held(data.decoders) == []
         assert self.held([d.net for d in denoisers + sampled]) == []
+        for denoiser in denoisers:
+            for layer in denoiser.net.layers:
+                if hasattr(layer, "w"):
+                    assert layer.dw is layer.db is None
         for net in data.decoders:
             for layer in net.layers:
                 if hasattr(layer, "w"):

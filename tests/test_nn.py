@@ -66,6 +66,15 @@ class TestPredict:
             assert each.forward(x).tobytes() == want
 
 
+def test_slice_is_a_view_that_predicts_its_rows():
+    net, x = net_and_input(stacked=True)
+    part = net.slice(1, 3)
+    assert part.predict(x[1:3]).tobytes() == net.predict(x)[1:3].tobytes()
+    for mine, whole in zip(part.layers[::2], net.layers[::2]):
+        assert mine.w.shape[0] == 2 and mine.dw is None
+        assert np.shares_memory(mine.w, whole.w) and np.shares_memory(mine._vw, whole._vw)
+
+
 def test_predict_mean_equals_mean_of_predict():
     # 70 rows: two full blocks and a part block; the desk-shaped sizes are in
     # test_latent_codec.TestDecodeMean
