@@ -158,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--out", default=None)
     rep.set_defaults(func=_cmd_report)
 
-    parser.add_argument("--keys", action="store_true", help=argparse.SUPPRESS)
     return parser
 
 

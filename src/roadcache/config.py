@@ -14,7 +14,8 @@ from .errors import ConfigError
 from .mobility import truncation_mass
 
 SCHEMES = ("proposed", "oracle", "n_tau_greedy", "fedavg", "asyfed", "random")
-# Most sync periods or FL rounds a run's duration may hold.
+# Most sync periods or FL rounds a run's duration may hold, and most zones
+# a vehicle at top speed may cross in it.
 MAX_PERIODS = 10_000
 
 
@@ -153,6 +154,12 @@ class SimConfig:
             raise ConfigError("topology.num_rsus must be >= 1")
         if t.coverage_length <= 0:
             raise ConfigError("topology.coverage_length must be > 0")
+        # Each zone crossing is one mobility segment, made before any protocol
+        # work: a tiny zone or a huge top speed would fill memory first.
+        if s.duration * m.v_max > MAX_PERIODS * t.coverage_length:
+            raise ConfigError(f"sim.duration * mobility.v_max = {s.duration * m.v_max:g} m crosses "
+                              f"more than {MAX_PERIODS} zones of topology.coverage_length = "
+                              f"{t.coverage_length:g} m")
         if self.data.num_vehicles < 1:
             raise ConfigError("data.num_vehicles must be >= 1")
         if not (0 < self.data.split_ratio < 1):

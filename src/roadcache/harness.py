@@ -650,38 +650,35 @@ def validate_suite() -> list[tuple[str, bool, str]]:
     small.ldpm.episodes = 2
     small.ldpm.lr = 1e-2
     small.ldpm.batch = 2
-    small.ldpm.sample_count = 3
+    small.ldpm.sample_count = 200   # SAMPLE_ROWS // 200: the stack samples as 2 + 1 visits
     small.validate()
 
     rng = substream(7, "validate", "stack")
     sched = ldpm.build_schedule(10)
-    nets = [ldpm.new_denoiser(4, 8, 4, rng) for _ in range(3)]
-    latents = rng.normal(size=(3, 5, 4))
-    targets = [None, rng.normal(size=4), None]
-    p = small.ldpm
-    settings = dict(weight=p.distill_weight, temperature=p.temperature)
+    decoder = latent_codec.new_codec(12, 8, 4, rng).decoder
+    denoisers = [ldpm.new_denoiser(4, 8, 4, rng) for _ in range(3)]
+    latents = rng.normal(loc=2.0, scale=3.0, size=(3, 5, 4))
+    knowledge = [rng.normal(size=4), None, rng.normal(size=4)]
 
-    def streams(kind):
-        return [substream(7, "validate", kind, v) for v in range(3)]
+    def visit(v, denoiser):
+        return VisitInputs(v, latents[v], denoiser, decoder, knowledge[v],
+                           substream(7, "validate", "train", v),
+                           substream(7, "validate", "sample", v))
 
-    alone = []
-    for net, x, target, rng_train, rng_sample in zip(nets, latents, targets, streams("train"),
-                                                     streams("sample")):
-        own = net.copy()
-        _, own_losses = ldpm.local_train(own, x, target, sched, p.episodes, p.lr, p.batch,
-                                         rng_train, **settings)
-        alone.append((own.net.flat_params(), own_losses,
-                      ldpm.sample(own, sched, p.sample_count, rng_sample)))
-    stacked = ldpm.stack(nets)
-    _, losses = ldpm.local_train(stacked, latents, targets, sched, p.episodes, p.lr, p.batch,
-                                 streams("train"), **settings)
-    draws = ldpm.sample(stacked, sched, p.sample_count, streams("sample"))
-    ldpm.unstack(stacked, nets)
-    same = all(np.array_equal(nets[v].net.flat_params(), alone[v][0])
-               and losses[v] == alone[v][1] and np.array_equal(draws[v], alone[v][2])
-               for v in range(3))
+    def outcome(result, denoiser):
+        scores, own_knowledge, losses = result
+        return [scores.tobytes(), own_knowledge.tobytes(), np.array(losses).tobytes(),
+                *(getattr(layer, name).tobytes() for layer in denoiser.net.dense
+                  for name in ("w", "b", "_vw", "_vb"))]
+
+    copies = [denoiser.copy() for denoiser in denoisers]
+    alone = [outcome(train_and_predict([visit(v, copies[v])], small, sched)[0], copies[v])
+             for v in range(3)]
+    together = train_and_predict([visit(v, denoisers[v]) for v in range(3)], small, sched)
+    same = all(outcome(together[v], denoisers[v]) == alone[v] for v in range(3))
     checks.append(("stacked-visit-parity", same,
-                   "3 denoisers trained and sampled as one stack == one at a time"))
+                   "3 visits (2 with knowledge) trained, sampled in 2 slices and decoded as one "
+                   "stack == one at a time: scores, knowledge, losses, weights and momentum"))
 
     rng = substream(7, "validate", "inference")
     shapes = SimConfig()

@@ -23,9 +23,12 @@ stack of V such networks: (V, rows, in) inputs with (V, in, out) weights.
 Each slice of a stacked product is computed exactly as the 2-D product
 of that slice, so ``stack``/``unstack`` let V independent networks train
 in one call with the same arithmetic as V separate calls.  A network's
-state is its weights, biases and momentum; only that state moves in and
-out of a stack.  Gradients and activations live on the stack alone, and
-``Mlp.slice`` views a run of its slices without copying them.
+state is its Dense layers' weights, biases and momentum (``Mlp.dense``;
+activations hold no parameters).  Only that state moves in and out of a
+stack: gradients and activations live on the stack alone.  Copies, stacks
+and ``Mlp.slice`` views (which share a run of a stack's slices) all come
+from one builder, ``_build``, which differs between them only in where
+each Dense's state comes from.
 """
 
 from __future__ import annotations
@@ -73,12 +76,6 @@ class Dense:
         self.w -= lr * self._vw
         self.b -= lr * self._vb
 
-    def params(self):
-        return [self.w, self.b]
-
-    def grads(self):
-        return [self.dw, self.db]
-
 
 class Relu:
     def __init__(self):
@@ -93,15 +90,6 @@ class Relu:
 
     def backward(self, grad_y):
         return grad_y * self._mask
-
-    def step(self, lr, momentum=0.0):
-        pass
-
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
 
 
 class Sigmoid:
@@ -123,19 +111,11 @@ class Sigmoid:
     def backward(self, grad_y):
         return grad_y * self._y * (1.0 - self._y)
 
-    def step(self, lr, momentum=0.0):
-        pass
-
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
-
 
 class Mlp:
     def __init__(self, layers: list):
         self.layers = layers
+        self.dense = [layer for layer in layers if isinstance(layer, Dense)]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:
@@ -162,10 +142,11 @@ class Mlp:
         """
         if x.ndim != 2 or len(x) == 0:
             raise ValueError(f"expected a non-empty (rows, in) input, got {x.shape}")
-        last = max(i for i, layer in enumerate(self.layers) if isinstance(layer, Dense))
+        dense = self.dense[-1]
+        last = self.layers.index(dense)
         for layer in self.layers[:last]:
             x = layer.apply(x)
-        dense, tail = self.layers[last], self.layers[last + 1:]
+        tail = self.layers[last + 1:]
         y = x @ dense.w
         rows = len(y)
         buf = np.empty((min(rows, MEAN_BLOCK) + 1, y.shape[1]))
@@ -192,20 +173,15 @@ class Mlp:
         return first.backward(grad_y, input_grad=input_grad)
 
     def step(self, lr: float, momentum: float = 0.0) -> None:
-        for layer in self.layers:
+        for layer in self.dense:
             layer.step(lr, momentum)
 
     def params(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
+        """Every Dense's weights and bias, in layer order: [w0, b0, w1, b1, ...]."""
+        return [array for layer in self.dense for array in (layer.w, layer.b)]
 
     def grads(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.grads())
-        return out
+        return [array for layer in self.dense for array in (layer.dw, layer.db)]
 
     def flat_params(self) -> np.ndarray:
         return np.concatenate([p.ravel() for p in self.params()])
@@ -230,7 +206,8 @@ class Mlp:
         the last batch the source saw.
         """
         names = _DENSE_STATE if training else ("w", "b")
-        return self._remake(lambda name, array: array.copy() if name in names else None)
+        return _build(self, lambda i, name: getattr(self.dense[i], name).copy()
+                      if name in names else None)
 
     def slice(self, lo: int, hi: int) -> "Mlp":
         """Slices ``lo:hi`` of a stacked network, as a stacked network that shares their state.
@@ -239,22 +216,7 @@ class Mlp:
         own weights, biases and momentum; it starts with no gradients or
         activations.
         """
-        return self._remake(lambda name, array: array[lo:hi])
-
-    def _remake(self, state) -> "Mlp":
-        """A network of fresh layers whose Dense state arrays are ``state(name, array)``."""
-        layers: list = []
-        for layer in self.layers:
-            if isinstance(layer, Dense):
-                twin = Dense.__new__(Dense)
-                for name in _DENSE_STATE:
-                    array = getattr(layer, name)
-                    setattr(twin, name, None if array is None else state(name, array))
-                twin.dw = twin.db = twin._x = None
-            else:
-                twin = type(layer)()
-            layers.append(twin)
-        return Mlp(layers)
+        return _build(self, lambda i, name: getattr(self.dense[i], name)[lo:hi])
 
     def clear(self) -> None:
         """Drop the gradients and activations the last forward and backward left."""
@@ -270,10 +232,9 @@ class Mlp:
         are left as they are: the next training step's forward and backward
         replace them before anything reads them.
         """
-        for mine, theirs in zip(self.layers, source.layers, strict=True):
-            if isinstance(mine, Dense):
-                for name in _DENSE_STATE:
-                    np.copyto(getattr(mine, name), getattr(theirs, name))
+        for mine, theirs in zip(self.dense, source.dense, strict=True):
+            for name in _DENSE_STATE:
+                np.copyto(getattr(mine, name), getattr(theirs, name))
 
     def param_count(self) -> int:
         return int(sum(p.size for p in self.params()))
@@ -287,17 +248,7 @@ def stack(nets: list[Mlp]) -> Mlp:
     training it alone would.  The stack starts with no gradients; its
     backward makes them, and they go with it.
     """
-    layers: list = []
-    for parts in zip(*(net.layers for net in nets)):
-        if isinstance(parts[0], Dense):
-            layer = Dense.__new__(Dense)
-            for name in _DENSE_STATE:
-                setattr(layer, name, np.stack([getattr(p, name) for p in parts]))
-            layer.dw = layer.db = layer._x = None
-        else:
-            layer = type(parts[0])()
-        layers.append(layer)
-    return Mlp(layers)
+    return _build(nets[0], lambda i, name: np.stack([getattr(net.dense[i], name) for net in nets]))
 
 
 def unstack(stacked: Mlp, nets: list[Mlp], *, grads: bool = False) -> None:
@@ -306,14 +257,33 @@ def unstack(stacked: Mlp, nets: list[Mlp], *, grads: bool = False) -> None:
     With ``grads`` each network also takes (as a view) its slice of the
     gradients the stack's last backward left, if it ran one.
     """
-    for i, layer in enumerate(stacked.layers):
+    for i, layer in enumerate(stacked.dense):
+        for v, net in enumerate(nets):
+            mine = net.dense[i]
+            for name in _DENSE_STATE:
+                np.copyto(getattr(mine, name), getattr(layer, name)[v])
+            if grads and layer.dw is not None:
+                mine.dw, mine.db = layer.dw[v], layer.db[v]
+
+
+def _build(like: Mlp, state) -> Mlp:
+    """Fresh layers shaped like ``like``; the one place a Dense is made without ``__init__``.
+
+    Dense ``i`` holds ``state(i, name)`` for each name in ``_DENSE_STATE``
+    (None where ``like``'s is None) and no gradients or activations.
+    """
+    layers: list = []
+    for layer in like.layers:
         if isinstance(layer, Dense):
-            for v, net in enumerate(nets):
-                mine = net.layers[i]
-                for name in _DENSE_STATE:
-                    np.copyto(getattr(mine, name), getattr(layer, name)[v])
-                if grads and layer.dw is not None:
-                    mine.dw, mine.db = layer.dw[v], layer.db[v]
+            i = like.dense.index(layer)
+            twin = Dense.__new__(Dense)
+            for name in _DENSE_STATE:
+                setattr(twin, name, None if getattr(layer, name) is None else state(i, name))
+            twin.dw = twin.db = twin._x = None
+        else:
+            twin = type(layer)()
+        layers.append(twin)
+    return Mlp(layers)
 
 
 def mlp(sizes: list[int], rng: np.random.Generator, *, hidden_act=Relu, out_act=None) -> Mlp:

@@ -626,8 +626,13 @@ class TestCli:
         ("run", ["kc.sync_period=0.01"], "kc.sync_period = 0.01 fits more than 10000 periods"),
         ("run", ["fl.round_seconds=0.01"], "fl.round_seconds = 0.01 fits more than 10000"),
         ("sweep", ["fl.round_seconds = 0.01"], "fl.round_seconds = 0.01 fits more than 10000"),
+        # 120 s at 35 m/s is 4200 m: 420 000 zones of 0.01 m
+        ("run", ["topology.coverage_length=0.01"], "crosses more than 10000 zones"),
+        ("run", ["mobility.v_max=1e6"], "sim.duration * mobility.v_max = 1.2e+08 m crosses"),
+        ("sweep", ["topology.coverage_length = 0.01"], "topology.coverage_length = 0.01 m"),
     ], ids=["run-massless-window", "sweep-negative-seed", "sweep-massless-speed",
-            "run-tiny-sync-period", "run-tiny-fl-round", "sweep-tiny-fl-round"])
+            "run-tiny-sync-period", "run-tiny-fl-round", "sweep-tiny-fl-round",
+            "run-tiny-zone", "run-huge-top-speed", "sweep-tiny-zone"])
     def test_bad_cell_exits_2_before_building(self, tiny_cfg_path, tmp_path, capsys, monkeypatch,
                                               verb, settings, message):
         """A bad setting fails at config load, before any data environment is built."""

@@ -164,3 +164,20 @@ class TestCopyAndRelease:
         assert target.flat_params().tobytes() == fresh.flat_params().tobytes()
         with pytest.raises(ValueError):
             target.load(nn.mlp([4, 7, 3], rng, out_act=nn.Sigmoid))
+
+
+def test_built_dense_layers_match_init():
+    """copy, slice and stack make Dense layers with exactly __init__'s fields, and no gradients."""
+    rng = substream(0, "nn", "builder")
+    fields = set(vars(nn.Dense(2, 3, rng)))
+    nets = [nn.mlp([4, 6, 3], rng, out_act=nn.Sigmoid) for _ in range(2)]
+    for net in nets:
+        net.forward(rng.normal(size=(5, 4)))
+        net.backward(np.ones((5, 3)))
+    stacked = nn.stack(nets)
+    built = [nets[0].copy(), nets[0].copy(training=False), stacked, stacked.slice(0, 1)]
+    for net in built:
+        assert len(net.dense) == 2
+        for layer in net.dense:
+            assert set(vars(layer)) == fields
+            assert layer.dw is None and layer.db is None and layer._x is None
