@@ -6,7 +6,8 @@ which the protocol phase (``harness.simulate_protocol``) calls on its
 own clock.  At entry the vehicle uploads its current recommendation
 list and fingerprint and receives the averaged knowledge of its most
 similar peers (``begin_visit``).  It then trains its local model
-against that knowledge (``train_and_predict``) and uploads fresh
+against that knowledge (``train_and_predict``, which the fleet workers
+of ``roadcache.fleet`` run, vehicle-side) and uploads fresh
 knowledge before leaving (``complete_visit``).  A backhaul merge
 periodically reconciles all RSU caches to the per-vehicle latest.
 

@@ -7,9 +7,15 @@ list each completed visit leaves the vehicle to upload.  A visit's
 compute inputs are fixed at entry and its output is first read at
 completion, so a visit that proceeds joins a pending list.  The first
 completion event that finds no computed result hands every pending
-visit to ``fed_distill.train_and_predict``, which stacks them itself.
-Messages, lists and losses are still published at each visit's own
-completion event, bit-identical to computing the visits one at a time.
+visit, as a round of jobs, to a ``fleet.Fleet`` of worker processes with
+one BLAS thread each.  Each worker runs its own vehicles' visits through
+``fed_distill.train_and_predict``, which stacks them itself, and returns
+each visit's list, knowledge and losses.  The main process keeps the
+events, the knowledge caches and the ledger.  Messages, lists and
+losses are still published at each visit's own completion event,
+bit-identical to computing the visits one at a time, whatever the
+number of workers.  Set-up still runs in the main process with the
+host's BLAS threads; its codec bytes depend on that thread count.
 
 The evaluation phase turns one caching scheme into cache refreshes, and
 one replay serves each request from its RSU's latest ranking.  Rankings
@@ -25,7 +31,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from collections import Counter, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain
 
 import numpy as np
@@ -41,6 +47,7 @@ from .fed_distill import (MSG_FL_MODEL_DOWN, MSG_FL_MODEL_UP, MSG_HI, MSG_KI,
                           Message, VisitInputs, hi_bytes, ki_bytes,
                           knowledge_bytes, merge_kc, model_bytes, rec_list_bytes,
                           train_and_predict)
+from .fleet import Fleet, Shard
 from .mobility import (VehicleTimeline, residence_time, rollout, sample_speed,
                        truncated_gaussian_pdf)
 from .nn import Mlp
@@ -181,25 +188,28 @@ class ProtocolTrace:
     completed_visits: int
     aborted_visits: int
     losses: list[float]            # per-visit mean objective, time order
+    # Per fleet worker: (visits computed, seconds spent computing them).  Not
+    # part of any report, message trace or cache dump.
+    worker_load: list[tuple[int, float]] = field(default_factory=list)
 
 
-def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv) -> ProtocolTrace:
-    seed = cfg.sim.seed
+def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv, *,
+                      workers: int | None = None, rounds: list | None = None) -> ProtocolTrace:
+    """Walk the run's events; every visit computes in a ``fleet.Fleet`` of worker processes.
+
+    ``workers`` overrides the fleet's size (``fleet.worker_count``), which no
+    byte of the trace depends on.  When ``rounds`` is a list, each round of
+    jobs sent to the fleet is appended to it with the results that came back.
+    """
     duration = cfg.sim.duration
     n_vehicles = data.num_vehicles
-    schedule = ldpm.build_schedule(cfg.ldpm.steps)
-    denoisers = [
-        ldpm.new_denoiser(cfg.codec.latent_dim, cfg.ldpm.hidden, cfg.ldpm.time_embed,
-                          substream(seed, "denoiser", vid))
-        for vid in range(n_vehicles)
-    ]
     num_rsus = cfg.topology.num_rsus
     kcs = [KnowledgeCache(rsu_id=r) for r in range(num_rsus)]
 
     current_version = [-1] * n_vehicles
     visit_index = [0] * n_vehicles
-    pending: list[VisitInputs] = []               # proceeding visits not yet computed
-    ready: deque[tuple[VisitInputs, tuple]] = deque()   # computed, with their results
+    pending: list[tuple] = []                     # jobs of proceeding visits not yet computed
+    ready: deque[tuple[int, tuple]] = deque()     # (vehicle id, result) of computed visits
     entries: list[EntryRecord] = []
     messages: list[Message] = []
     losses: list[float] = []
@@ -223,52 +233,54 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv) -> Proto
     # One row per completed visit; no more visits complete than vehicles enter zones.
     lists = np.empty((n_entries, min(cfg.cache.list_m, data.num_contents)), dtype=np.int64)
 
-    while heap:
-        now, _, _, (kind, payload) = heapq.heappop(heap)
-        if kind == "merge":
-            merged = merge_kc(kcs)
-            kcs = [merged.copy_with_rsu(r) for r in range(num_rsus)]
-            continue
-        if kind == "entry":
-            vid, seg = payload
-            kc = kcs[seg.rsu_index]
-            residence = residence_time(seg, cfg.topology.coverage_length)
-            version = current_version[vid]
-            entries.append(EntryRecord(now, vid, seg.rsu_index, seg.entry_position, seg.speed, version))
-            begun = fed_distill.begin_visit(kc, vid, data.hashes[vid], version >= 0,
-                                            now, residence, cfg)
-            messages.extend(begun.messages)
-            if not begun.proceed:
-                aborted += 1
+    with Fleet(cfg, data.latents, data.decoders, workers) as fleet:
+        while heap:
+            now, _, _, (kind, payload) = heapq.heappop(heap)
+            if kind == "merge":
+                merged = merge_kc(kcs)
+                kcs = [merged.copy_with_rsu(r) for r in range(num_rsus)]
                 continue
-            pending.append(VisitInputs(
-                vid, data.latents[vid], denoisers[vid], data.decoders[vid], begun.integrated,
-                substream(seed, "train", vid, visit_index[vid]),
-                substream(seed, "sample", vid, visit_index[vid]),
-            ))
-            visit_index[vid] += 1
-            finish = now + cfg.compute.visit_seconds
-            heapq.heappush(heap, (finish, 2, seq, ("complete", (vid, seg.rsu_index))))
-            seq += 1
-            continue
-        # Completion.  Every visit finishes the same visit_seconds after its
-        # entry, and equal times pop by seq, which grows with entry order, so
-        # visits complete in entry order, the order of ``ready`` then
-        # ``pending``: the head of ``ready`` is always this visit.
-        vid, rsu = payload
-        if not ready:
-            ready.extend(zip(pending, train_and_predict(pending, cfg, schedule)))
-            pending.clear()
-        visit, (scores, knowledge, visit_losses) = ready.popleft()
-        if visit.vehicle_id != vid:
-            raise InvariantError(f"vehicle {vid} completed vehicle {visit.vehicle_id}'s visit")
-        messages.extend(fed_distill.complete_visit(kcs[rsu], vid, knowledge, now))
-        lists[completed] = top_m(scores.astype(np.float32), cfg.cache.list_m)
-        current_version[vid] = completed
-        losses.append(float(np.mean(visit_losses)) if visit_losses else float("nan"))
-        completed += 1
+            if kind == "entry":
+                vid, seg = payload
+                kc = kcs[seg.rsu_index]
+                residence = residence_time(seg, cfg.topology.coverage_length)
+                version = current_version[vid]
+                entries.append(EntryRecord(now, vid, seg.rsu_index, seg.entry_position, seg.speed,
+                                           version))
+                begun = fed_distill.begin_visit(kc, vid, data.hashes[vid], version >= 0,
+                                                now, residence, cfg)
+                messages.extend(begun.messages)
+                if not begun.proceed:
+                    aborted += 1
+                    continue
+                pending.append((vid, visit_index[vid], begun.integrated))
+                visit_index[vid] += 1
+                finish = now + cfg.compute.visit_seconds
+                heapq.heappush(heap, (finish, 2, seq, ("complete", (vid, seg.rsu_index))))
+                seq += 1
+                continue
+            # Completion.  Every visit finishes the same visit_seconds after its
+            # entry, and equal times pop by seq, which grows with entry order, so
+            # visits complete in entry order, the order of ``ready`` then
+            # ``pending``: the head of ``ready`` is always this visit.
+            vid, rsu = payload
+            if not ready:
+                results = fleet.compute(pending)
+                if rounds is not None:
+                    rounds.append((list(pending), results))
+                ready.extend(zip((job[0] for job in pending), results))
+                pending.clear()
+            owner, (ids, knowledge, visit_losses) = ready.popleft()
+            if owner != vid:
+                raise InvariantError(f"vehicle {vid} completed vehicle {owner}'s visit")
+            messages.extend(fed_distill.complete_visit(kcs[rsu], vid, knowledge, now))
+            lists[completed] = ids
+            current_version[vid] = completed
+            losses.append(float(np.mean(visit_losses)) if visit_losses else float("nan"))
+            completed += 1
 
-    return ProtocolTrace(lists[:completed], entries, messages, completed, aborted, losses)
+    return ProtocolTrace(lists[:completed], entries, messages, completed, aborted, losses,
+                         [tuple(load) for load in fleet.load])
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +762,29 @@ def validate_suite() -> list[tuple[str, bool, str]]:
     checks.append(("visit-message-ledger", got == want and total == expected_total,
                    f"HI/REC_LIST/KI counts {got} (expected {want}), "
                    f"{total} bytes (expected {expected_total})"))
+
+    # The same run from 1 and 2 workers, and its rounds replayed through one
+    # in-process Shard: every byte the trace keeps, and every result, agree.
+    rounds = []
+    traces = [simulate_protocol(cfg, data, motion, workers=1, rounds=rounds),
+              simulate_protocol(cfg, data, motion, workers=2)]
+    shard = Shard(cfg)
+    for vid in range(data.num_vehicles):
+        shard.add(vid, data.latents[vid], data.decoders[vid])
+    replayed = all(_result_bytes(shard.compute(jobs)) == _result_bytes(results)
+                   for jobs, results in rounds)
+    views = [(format_message_trace(t.messages), t.lists.tobytes(), np.array(t.losses).tobytes(),
+              t.completed_visits, t.aborted_visits) for t in traces]
+    checks.append(("worker-parity", views[0] == views[1] and replayed and len(rounds) > 1,
+                   f"1 and 2 workers give the same messages, lists, losses and visit counts; "
+                   f"{len(rounds)} rounds replayed in-process give the same results"))
     return checks
+
+
+def _result_bytes(results: list[tuple]) -> list[tuple[bytes, bytes, bytes]]:
+    """Visit results (list ids, knowledge, losses) as bytes, for exact comparison."""
+    return [(ids.tobytes(), knowledge.tobytes(), np.array(losses).tobytes())
+            for ids, knowledge, losses in results]
 
 
 def run_sweep(base: SimConfig, schemes: list[str], capacities: list[int],

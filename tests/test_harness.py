@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from test_latent_codec import codec_state
 
-from roadcache import cli, fed_distill, harness, latent_codec, ldpm, nn, report
+from roadcache import cli, fed_distill, fleet, harness, latent_codec, ldpm, nn, report
 from roadcache.caching import Metrics
 from roadcache.config import SCHEMES, SimConfig, _key_table, load_config
-from roadcache.errors import ConfigError, DataFormatError, InvariantError
+from roadcache.errors import ConfigError, DataFormatError, InvariantError, TrainingError
 from roadcache.fed_distill import (MSG_HI, MSG_KI, MSG_KNOWLEDGE_DOWN, MSG_REC_LIST,
                                    UPLINK_KINDS)
 from roadcache.mobility import Segment, VehicleTimeline
@@ -241,7 +241,7 @@ class TestValidateSuite:
             "speed-pdf-normalization", "speed-sampler-support", "noise-schedule-monotone",
             "cache-merge-idempotent", "stacked-visit-parity", "inference-parity",
             "report-round-trip", "vote-eta-linearity", "protocol-determinism",
-            "visit-message-ledger",
+            "visit-message-ledger", "worker-parity",
         ]
         for name, ok, detail in results:
             assert ok, f"{name}: {detail}"
@@ -303,6 +303,53 @@ def tiny_stack(tiny_cfg_path):
     data = harness.build_data_env(cfg)
     motion = harness.build_motion_env(cfg, data.locals_)
     return cfg, data, motion, harness.simulate_protocol(cfg, data, motion)
+
+
+def record_rounds(cfg, data, motion):
+    """The rounds of jobs a real run sends its fleet workers, with their results."""
+    rounds = []
+    harness.simulate_protocol(cfg, data, motion, rounds=rounds)
+    return rounds
+
+
+@pytest.fixture(scope="module")
+def tiny_rounds(tiny_stack):
+    cfg, data, motion, _ = tiny_stack
+    return record_rounds(cfg, data, motion)
+
+
+def job_bytes(jobs):
+    return [(vid, index, None if integrated is None else integrated.tobytes())
+            for vid, index, integrated in jobs]
+
+
+def run_in_process(monkeypatch, rounds):
+    """Make simulate_protocol compute each round in-process through one fleet.Shard.
+
+    Each round it hands the stand-in fleet must be the recorded round a real
+    run sent its workers, so the in-process visits are the real run's.
+    """
+    recorded = iter(rounds)
+
+    class ShardFleet:
+        def __init__(self, cfg, latents, decoders, workers=None):
+            self.shard = fleet.Shard(cfg)
+            for vid, (own, decoder) in enumerate(zip(latents, decoders)):
+                self.shard.add(vid, own, decoder)
+            self.load = []
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            assert next(recorded, None) is None or exc[0] is not None
+
+        def compute(self, jobs):
+            sent, _ = next(recorded)
+            assert job_bytes(jobs) == job_bytes(sent)
+            return self.shard.compute(jobs)
+
+    monkeypatch.setattr(harness, "Fleet", ShardFleet)
 
 
 def test_protocol_ledger_follows_each_entry(tiny_stack):
@@ -705,8 +752,12 @@ class TestBatchedProtocol:
             order = [batch_of[i] for i, v in enumerate(visits) if v.vehicle_id == vid]
             assert order == sorted(order) and len(set(order)) == len(order)
 
-    def test_one_visit_per_call_gives_identical_trace(self, monkeypatch, tiny_stack):
-        """Stack and sampling-call sizes change no byte; sampling reads the trained stack."""
+    def test_one_visit_per_call_gives_identical_trace(self, monkeypatch, tiny_stack, tiny_rounds):
+        """Stack and sampling-call sizes change no byte; sampling reads the trained stack.
+
+        The visits compute in-process (``run_in_process``), on the rounds a
+        real run sent its workers, so the patched calls see them.
+        """
         cfg, data, motion, batched = tiny_stack
         real_train, real_sample, real_batches = (ldpm.local_train, ldpm.sample,
                                                  fed_distill.visit_batches)
@@ -746,6 +797,7 @@ class TestBatchedProtocol:
             monkeypatch.setattr(fed_distill, "visit_batches", split)
             calls["train"].clear()
             calls["sample"].clear()
+            run_in_process(monkeypatch, tiny_rounds)
             trace = harness.simulate_protocol(cfg, data, motion)
             largest.append(tuple(max(len(dense(params)[0].w) for params in calls[kind])
                                  for kind in ("train", "sample")))
@@ -762,10 +814,14 @@ class TestBatchedProtocol:
         assert largest[1] == (largest[0][0], 2)
         assert largest[2:] == [(2, 2), (1, 1), (1, 1)]
 
-    def test_call_allocates_under_two_stacked_copies(self, monkeypatch, tiny_stack):
-        """A call's stacks hold the one copy of its denoisers' weights and momentum."""
+    def test_call_allocates_under_two_stacked_copies(self, monkeypatch, tiny_stack, tiny_rounds):
+        """A call's stacks hold the one copy of its denoisers' weights and momentum.
+
+        Measured in-process (``run_in_process``), on the rounds a real run sent
+        its workers.
+        """
         cfg, data, motion, batched = tiny_stack
-        real = harness.train_and_predict
+        real = fed_distill.train_and_predict
         calls = []   # (visits, peak bytes allocated, bytes of one stacked copy)
 
         def measured(visits, *args):
@@ -778,7 +834,8 @@ class TestBatchedProtocol:
             calls.append((len(visits), tracemalloc.get_traced_memory()[1] - start, copy))
             return results
 
-        monkeypatch.setattr(harness, "train_and_predict", measured)
+        monkeypatch.setattr(fed_distill, "train_and_predict", measured)
+        run_in_process(monkeypatch, tiny_rounds)
         tracemalloc.start()
         try:
             trace = harness.simulate_protocol(cfg, data, motion)
@@ -799,6 +856,7 @@ class TestInferenceCachesNothing:
                 for name in ("_x", "_mask", "_y") if getattr(layer, name, None) is not None]
 
     def test_protocol_leaves_no_activations(self, monkeypatch, tiny_cfg_path):
+        """Checked in-process (``run_in_process``), on the rounds a real run sent its workers."""
         cfg = load_config(tiny_cfg_path, [])
         denoisers, sampled = [], []
         real_new, real_sample = ldpm.new_denoiser, ldpm.sample
@@ -815,6 +873,7 @@ class TestInferenceCachesNothing:
         monkeypatch.setattr(ldpm, "sample", sample)
         data = harness.build_data_env(cfg)
         motion = harness.build_motion_env(cfg, data.locals_)
+        run_in_process(monkeypatch, record_rounds(cfg, data, motion))
         trace = harness.simulate_protocol(cfg, data, motion)
         assert trace.completed_visits > 0 and sampled
         assert len(denoisers) == data.num_vehicles
@@ -828,6 +887,63 @@ class TestInferenceCachesNothing:
             for layer in net.layers:
                 if hasattr(layer, "w"):
                     assert layer.dw is layer.db is layer._vw is layer._vb is None
+
+
+class TestFleet:
+    """Visits compute in worker processes; no byte depends on how many."""
+
+    def test_trace_bytes_do_not_depend_on_worker_count(self, tiny_stack):
+        cfg, data, motion, default = tiny_stack
+        for workers in (1, 2, 3):
+            trace = harness.simulate_protocol(cfg, data, motion, workers=workers)
+            assert (harness.format_message_trace(trace.messages)
+                    == harness.format_message_trace(default.messages))
+            assert trace.lists.tobytes() == default.lists.tobytes()
+            assert np.array(trace.losses).tobytes() == np.array(default.losses).tobytes()
+            assert (trace.completed_visits, trace.aborted_visits) == (
+                default.completed_visits, default.aborted_visits)
+            assert len(trace.worker_load) == workers
+
+    def test_worker_visits_sum_to_completed(self, tiny_stack):
+        cfg, data, _, trace = tiny_stack
+        assert len(trace.worker_load) == fleet.worker_count(data.num_vehicles)
+        assert sum(visits for visits, _ in trace.worker_load) == trace.completed_visits > 0
+        assert all(seconds > 0 for visits, seconds in trace.worker_load if visits)
+
+    def test_worker_training_error_exits_3(self, tiny_cfg_path):
+        result = roadcache_cli("run", "--config", tiny_cfg_path, "--set", "ldpm.lr=1e300")
+        assert result.returncode == 3
+        assert "diffusion objective became non-finite" in result.stderr
+        assert result.stdout == ""
+
+    def test_no_worker_outlives_a_run(self, tiny_cfg_path, monkeypatch):
+        fleets = []
+        real_enter = fleet.Fleet.__enter__
+
+        def enter(self):
+            fleets.append(self)
+            return real_enter(self)
+
+        monkeypatch.setattr(fleet.Fleet, "__enter__", enter)
+        with pytest.raises(TrainingError, match="diffusion objective became non-finite"):
+            harness.run_simulation(load_config(tiny_cfg_path, ["ldpm.lr=1e300"]))
+        harness.run_simulation(load_config(tiny_cfg_path, []))
+        assert len(fleets) == 2
+        for each in fleets:
+            assert each.procs and [proc.poll() for proc in each.procs] == [0] * len(each.procs)
+
+    def test_dead_worker_is_named(self, tiny_stack, monkeypatch):
+        cfg, data, motion, _ = tiny_stack
+        real_compute = fleet.Fleet.compute
+
+        def compute(self, jobs):
+            self.procs[0].kill()
+            self.procs[0].wait()
+            return real_compute(self, jobs)
+
+        monkeypatch.setattr(fleet.Fleet, "compute", compute)
+        with pytest.raises(InvariantError, match=r"fleet worker 0 \(pid \d+\) died with exit status -9"):
+            harness.simulate_protocol(cfg, data, motion, workers=1)
 
 
 def reachable_dense(root):

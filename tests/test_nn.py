@@ -181,3 +181,28 @@ def test_built_dense_layers_match_init():
         for layer in net.dense:
             assert set(vars(layer)) == fields
             assert layer.dw is None and layer.db is None and layer._x is None
+
+
+def test_unstack_equals_networks_trained_alone():
+    """A trained stack, unstacked, leaves each network as training it alone would.
+
+    The reference never goes through a stack: each network trains on its
+    own 2-D inputs with ``Mlp.forward``, ``backward`` and ``step``.
+    """
+    rng = substream(0, "nn", "unstack")
+    nets = [nn.mlp([5, 7, 3], rng, out_act=nn.Sigmoid) for _ in range(3)]
+    alone = [net.copy() for net in nets]
+    x = rng.normal(size=(3, 6, 5))
+    target = rng.uniform(size=(3, 6, 3))
+    stacked = nn.stack(nets)
+    for _ in range(4):
+        stacked.backward(stacked.forward(x) - target, input_grad=False)
+        stacked.step(0.5, momentum=0.9)
+    nn.unstack(stacked, nets)
+    for net, ref, own_x, own_target in zip(nets, alone, x, target):
+        for _ in range(4):
+            ref.backward(ref.forward(own_x) - own_target, input_grad=False)
+            ref.step(0.5, momentum=0.9)
+        for mine, theirs in zip(net.dense, ref.dense, strict=True):
+            for name in ("w", "b", "_vw", "_vb"):
+                assert getattr(mine, name).tobytes() == getattr(theirs, name).tobytes(), name
