@@ -1,38 +1,50 @@
-"""Worker processes that run the vehicles' visit compute.
+"""Worker processes that hold the vehicles' models and run their visit compute.
 
 Each vehicle trains and samples its own denoiser, independently of the
-others, so the protocol phase (``harness.simulate_protocol``) hands that
-work to W worker processes.  Worker ``w`` owns the vehicles with
-``vehicle_id % W == w``: it holds their latents, decoders and denoisers
-(a ``Shard``) and runs every visit of theirs.  The main process keeps
-the event loop, the knowledge caches and the ledger.
+others, so its model lives in a worker process, never in the main one.
+Worker ``w`` of W owns the vehicles with ``vehicle_id % W == w``: it
+holds their latents, decoders and denoisers (a ``Shard``) and runs every
+visit of theirs.  The main process keeps the event loop, the knowledge
+caches and the ledger.
+
+The run's entry points open the ``Fleet`` before set-up.  Set-up
+(``harness.build_data_env``) fills it: right after a vehicle's
+fine-tune, ``Fleet.add`` hands its latents and weights-only decoder to
+the owning worker as raw array buffers (pickle protocol 5 out of band),
+so the main process never holds more than the one decoder it trains in,
+nor a pickled copy of it.  The buffers go into a file the worker shares,
+memory-backed (``os.memfd_create``) where the platform has one and a
+temporary file elsewhere, which the worker maps: one copy, and main
+never waits for the worker to read them.  ``Fleet.reset`` then
+starts each protocol phase: every worker remakes its denoisers from
+their ``"denoiser"`` substreams, so one fleet serves several protocol
+phases as fresh as a new one would.
 
 A job is ``(vehicle_id, visit_index, integrated knowledge or None)``.
 ``Fleet.compute`` sends each worker its share of a round of jobs, in
 entry order, and returns one ``(list ids, knowledge, losses)`` per job
-in job order.  A worker makes each denoiser from the vehicle's
-``"denoiser"`` substream, and a vehicle's latents and decoder travel
-with its first job as raw array buffers (pickle protocol 5 out-of-band),
-so the main process never holds a pickled copy of a decoder.  Each
-visit's result depends only on its own inputs and substreams, so the
-bytes do not depend on W.
+in job order.  Each visit's result depends only on its own inputs and
+substreams, so the bytes do not depend on W.
 
 Workers are ``python -m roadcache.fleet`` processes talking over their
 stdin and stdout pipes, with one BLAS thread each
 (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``).  A
 worker checks that it imported the caller's package, and writes nothing
-else to its stdout; its stderr is the caller's.  An exception a worker
-raises is re-raised in the caller; a worker that dies (or raises what it
-cannot pickle) is reported as an ``InvariantError`` naming it.
+else to its stdout; its stderr is the caller's.  Only ``compute`` is
+answered.  An exception a worker raises there is re-raised in the
+caller; a worker that dies (or raises what it cannot pickle) is reported
+as an ``InvariantError`` naming it, at the first round it owns a job in.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import pickle
 import struct
 import subprocess
 import sys
+import tempfile
 import time
 import traceback
 from pathlib import Path
@@ -52,6 +64,7 @@ EXIT_SECONDS = 5.0
 _HEADER = struct.Struct("<QI")   # pickle length, out-of-band buffer count
 _LENGTH = struct.Struct("<Q")
 _PACKAGE = Path(__file__).resolve().parent
+_ALIGN = 64   # each array handed over in a shared file starts at a multiple of this many bytes
 
 
 def worker_count(vehicles: int) -> int:
@@ -66,13 +79,19 @@ class Shard:
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
         self.schedule = ldpm.build_schedule(cfg.ldpm.steps)
-        self.vehicles: dict[int, tuple[np.ndarray, Mlp, ldpm.DenoiserParams]] = {}
+        self.vehicles: dict[int, tuple[np.ndarray, Mlp]] = {}
+        self.denoisers: dict[int, ldpm.DenoiserParams] = {}
 
     def add(self, vehicle_id: int, latents: np.ndarray, decoder: Mlp) -> None:
+        self.vehicles[vehicle_id] = (latents, decoder)
+
+    def reset(self) -> None:
+        """Give every vehicle a new denoiser, made from its ``"denoiser"`` substream."""
         cfg = self.cfg
-        denoiser = ldpm.new_denoiser(cfg.codec.latent_dim, cfg.ldpm.hidden, cfg.ldpm.time_embed,
-                                     substream(cfg.sim.seed, "denoiser", vehicle_id))
-        self.vehicles[vehicle_id] = (latents, decoder, denoiser)
+        self.denoisers = {vid: ldpm.new_denoiser(cfg.codec.latent_dim, cfg.ldpm.hidden,
+                                                 cfg.ldpm.time_embed,
+                                                 substream(cfg.sim.seed, "denoiser", vid))
+                          for vid in self.vehicles}
 
     def compute(self, jobs: list[tuple]) -> list[tuple]:
         """Run the jobs (in entry order) through ``fed_distill.train_and_predict``.
@@ -82,9 +101,9 @@ class Shard:
         seed = self.cfg.sim.seed
         visits = []
         for vid, index, integrated in jobs:
-            latents, decoder, denoiser = self.vehicles[vid]
+            latents, decoder = self.vehicles[vid]
             visits.append(fed_distill.VisitInputs(
-                vid, latents, denoiser, decoder, integrated,
+                vid, latents, self.denoisers[vid], decoder, integrated,
                 substream(seed, "train", vid, index), substream(seed, "sample", vid, index)))
         results = fed_distill.train_and_predict(visits, self.cfg, self.schedule)
         return [(top_m(scores.astype(np.float32), self.cfg.cache.list_m), knowledge, losses)
@@ -95,18 +114,18 @@ class Fleet:
     """The main process's handle on the workers; a context manager.
 
     ``load`` holds, per worker, the visits it computed and the seconds it
-    spent computing them.
+    spent computing them since the last ``reset``, and its peak resident
+    memory in MB (``VmHWM``) as of its last reply: None before one, or
+    where the worker cannot read ``/proc/self/status``.
     """
 
-    def __init__(self, cfg: SimConfig, latents: list[np.ndarray], decoders: list[Mlp],
-                 workers: int | None = None):
+    def __init__(self, cfg: SimConfig, workers: int | None = None):
         self.cfg = cfg
-        self.latents = latents
-        self.decoders = decoders
-        self.count = worker_count(len(latents)) if workers is None else workers
+        self.count = worker_count(cfg.data.num_vehicles) if workers is None else workers
         self.procs: list[subprocess.Popen] = []
-        self.shipped: list[set[int]] = [set() for _ in range(self.count)]
-        self.load = [[0, 0.0] for _ in range(self.count)]
+        self.load = [[0, 0.0, None] for _ in range(self.count)]
+        self.shared: list[int] = []   # per worker: the file it is handed arrays through
+        self.ends: list[int] = []     # per worker: bytes of that file in use
 
     def __enter__(self) -> "Fleet":
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
@@ -115,10 +134,14 @@ class Fleet:
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         try:
             for _ in range(self.count):
+                shared = _shared_memory()
+                self.shared.append(shared)
+                self.ends.append(0)
                 self.procs.append(subprocess.Popen(
                     [sys.executable, "-m", "roadcache.fleet"], cwd=src, env=env,
-                    stdin=subprocess.PIPE, stdout=subprocess.PIPE))
-                self._post(len(self.procs) - 1, (str(_PACKAGE), self.cfg))
+                    stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                    pass_fds=(shared,)))
+                self._post(len(self.procs) - 1, (str(_PACKAGE), self.cfg, shared))
         except BaseException:
             self.close()
             raise
@@ -127,21 +150,45 @@ class Fleet:
     def __exit__(self, *exc) -> None:
         self.close()
 
+    def add(self, vehicle_id: int, latents: np.ndarray, decoder: Mlp) -> None:
+        """Hand a vehicle's latents and decoder to the worker that owns it.
+
+        The arrays are copied out straight from their own memory before this
+        returns, into the worker's shared file, so the caller may then
+        overwrite them.  The worker sends no reply.
+        """
+        w = vehicle_id % self.count
+        shared = self.shared[w]
+        buffers: list[pickle.PickleBuffer] = []
+        blob = pickle.dumps((vehicle_id, latents, decoder), protocol=5,
+                            buffer_callback=buffers.append)
+        start, spans, size = self.ends[w], [], 0
+        for buf in buffers:
+            view = buf.raw()
+            written = 0
+            while written < view.nbytes:
+                written += os.pwrite(shared, view[written:], start + size + written)
+            spans.append((size, view.nbytes))
+            size += -(-view.nbytes // _ALIGN) * _ALIGN
+        # The next hand-over maps from a page boundary, and no mapping outruns the file.
+        self.ends[w] = start + -(-size // mmap.ALLOCATIONGRANULARITY) * mmap.ALLOCATIONGRANULARITY
+        os.ftruncate(shared, self.ends[w])
+        self._post(w, ("map", start, size, spans, blob))
+
+    def reset(self) -> None:
+        """Start a protocol phase: every worker remakes its denoisers, and ``load`` restarts."""
+        for w in range(self.count):
+            self._post(w, ("reset",))
+        self.load = [[0, 0.0, None] for _ in range(self.count)]
+
     def compute(self, jobs: list[tuple]) -> list[tuple]:
         """Every job's (list ids, knowledge, losses), in job order."""
         owned: list[list[int]] = [[] for _ in self.procs]
         for i, job in enumerate(jobs):
             owned[job[0] % self.count].append(i)
         for w, mine in enumerate(owned):
-            if not mine:
-                continue
-            part = [jobs[i] for i in mine]
-            new = []
-            for vid, _, _ in part:
-                if vid not in self.shipped[w]:
-                    self.shipped[w].add(vid)
-                    new.append((vid, self.latents[vid], self.decoders[vid]))
-            self._post(w, (new, part))
+            if mine:
+                self._post(w, ("compute", [jobs[i] for i in mine]))
         results: list[tuple] = [()] * len(jobs)
         failure = None
         for w, mine in enumerate(owned):
@@ -151,11 +198,12 @@ class Fleet:
             if reply[0] == "error":
                 failure = failure or reply[1]
                 continue
-            _, computed, seconds = reply
+            _, computed, seconds, peak_mb = reply
             for i, result in zip(mine, computed):
                 results[i] = result
             self.load[w][0] += len(mine)
             self.load[w][1] += seconds
+            self.load[w][2] = peak_mb
         if failure is not None:
             raise failure
         return results
@@ -183,6 +231,9 @@ class Fleet:
         A worker exits when its stdin closes, or when a reply it is still
         writing finds its stdout closed.
         """
+        for shared in self.shared:
+            os.close(shared)   # the workers' mappings keep what they were handed
+        self.shared = []
         for proc in self.procs:
             for pipe in (proc.stdin, proc.stdout):
                 try:
@@ -230,27 +281,54 @@ def _receive(stream):
     return pickle.loads(blob, buffers=buffers)
 
 
+def _shared_memory() -> int:
+    """A new file to hand a worker arrays through: memory-backed where the platform has one."""
+    if hasattr(os, "memfd_create"):
+        return os.memfd_create("roadcache-fleet")
+    with tempfile.TemporaryFile() as fh:   # the duplicate descriptor keeps it
+        return os.dup(fh.fileno())
+
+
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident memory (``VmHWM``) in MB; None where it cannot be read."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return None
+
+
 def _serve() -> int:
-    """Worker loop: take the start frame, then answer each round of jobs until stdin closes."""
+    """Worker loop: take the start frame, then follow each frame until stdin closes."""
     requests = sys.stdin.buffer
     replies = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)   # nothing but replies may reach the caller's pipe
     start = _receive(requests)
     if start is None:
         return 0
-    package, cfg = start
+    package, cfg, shared = start
     if Path(package) != _PACKAGE:
         _send(replies, ("error", InvariantError(
             f"fleet worker imported roadcache from {_PACKAGE}, not {package}")))
         return 1
     shard = Shard(cfg)
     while (frame := _receive(requests)) is not None:
-        new, jobs = frame
-        for vid, latents, decoder in new:
-            shard.add(vid, latents, decoder)
+        kind, *args = frame
+        if kind == "map":
+            begin, size, spans, blob = args
+            region = memoryview(mmap.mmap(shared, size, offset=begin))
+            shard.add(*pickle.loads(blob, buffers=[region[at:at + n] for at, n in spans]))
+            continue
+        if kind == "reset":
+            shard.reset()
+            continue
         began = time.perf_counter()
         try:
-            reply = ("ok", shard.compute(jobs), time.perf_counter() - began)
+            computed = shard.compute(*args)
+            reply = ("ok", computed, time.perf_counter() - began, _peak_rss_mb())
         except Exception as exc:   # re-raised in the main process
             if not isinstance(exc, TrainingError):
                 traceback.print_exc()   # a fault, not bad training: show where it happened

@@ -1,21 +1,28 @@
 """Simulation driver: environments, protocol replay, schemes, reports.
 
-A run has two phases.  The protocol phase walks entry, completion, and
-cache-merge events in time order, training each vehicle's model on its
-visits and recording every over-the-air message plus the recommendation
-list each completed visit leaves the vehicle to upload.  A visit's
-compute inputs are fixed at entry and its output is first read at
-completion, so a visit that proceeds joins a pending list.  The first
-completion event that finds no computed result hands every pending
-visit, as a round of jobs, to a ``fleet.Fleet`` of worker processes with
-one BLAS thread each.  Each worker runs its own vehicles' visits through
+A run has a set-up and two phases.  A run whose schemes replay the
+protocol first opens a ``fleet.Fleet`` of worker processes with one BLAS
+thread each, and set-up fills it: each vehicle's codec is fine-tuned in
+the main process, with the host's BLAS threads (its bytes depend on that
+thread count), and its latents and decoder go straight to the worker
+that owns the vehicle.  Vehicles' decoders never live in the main
+process, which holds only the one codec they are all tuned in.
+
+The protocol phase walks entry, completion, and cache-merge events in
+time order, training each vehicle's model on its visits and recording
+every over-the-air message plus the recommendation list each completed
+visit leaves the vehicle to upload.  It starts by having every worker
+remake its vehicles' denoisers.  A visit's compute inputs are fixed at
+entry and its output is first read at completion, so a visit that
+proceeds joins a pending list.  The first completion event that finds no
+computed result hands every pending visit, as a round of jobs, to the
+fleet.  Each worker runs its own vehicles' visits through
 ``fed_distill.train_and_predict``, which stacks them itself, and returns
 each visit's list, knowledge and losses.  The main process keeps the
 events, the knowledge caches and the ledger.  Messages, lists and
 losses are still published at each visit's own completion event,
 bit-identical to computing the visits one at a time, whatever the
-number of workers.  Set-up still runs in the main process with the
-host's BLAS threads; its codec bytes depend on that thread count.
+number of workers.
 
 The evaluation phase turns one caching scheme into cache refreshes, and
 one replay serves each request from its RSU's latest ranking.  Rankings
@@ -31,6 +38,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from collections import Counter, deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import chain
 
@@ -66,7 +74,6 @@ WINDOW_SCHEMES = ("oracle", "n_tau_greedy", "random")
 class DataEnv:
     matrix: RatingMatrix
     locals_: list[LocalDataset]
-    decoders: list[Mlp]            # each vehicle's fine-tuned decoder
     hashes: np.ndarray
     latents: list[np.ndarray]
     prior_scores: np.ndarray
@@ -90,7 +97,15 @@ class MotionEnv:
     dropped_requests: int
 
 
-def build_data_env(cfg: SimConfig) -> DataEnv:
+def build_data_env(cfg: SimConfig, fleet: Fleet | None = None) -> DataEnv:
+    """Load, split and encode the run's data, handing each vehicle's model to ``fleet``.
+
+    Right after a vehicle's fine-tune, ``fleet.add(vehicle_id, latents,
+    decoder)`` gets its latents and a weights-only view of the training
+    codec's decoder, which the next fine-tune overwrites: whatever ``add``
+    keeps, it must copy (``Fleet.add`` writes it to the worker).  Without a
+    fleet, the decoders are dropped.
+    """
     seed = cfg.sim.seed
     matrix = load_ratings(cfg.data.path)
     if cfg.cache.list_m > matrix.num_contents:
@@ -120,9 +135,9 @@ def build_data_env(cfg: SimConfig) -> DataEnv:
     # Every vehicle fine-tunes in one reused training codec, which fine_tune
     # reloads from base each time.  A vehicle's encoder is read only for its
     # fingerprint and latents, so only its decoder's weights and biases
-    # outlive the iteration.
+    # outlive the iteration, in the fleet.
     tuned = None
-    decoders, hashes, latents = [], [], []
+    hashes, latents = [], []
     for loc in locals_:
         tuned = latent_codec.fine_tune(
             base, loc.user_train_vectors, cfg.codec.finetune_epochs,
@@ -131,11 +146,12 @@ def build_data_env(cfg: SimConfig) -> DataEnv:
         )
         hashes.append(latent_codec.encode(tuned, loc.train_vector))
         latents.append(latent_codec.encode(tuned, loc.user_train_vectors))
-        decoders.append(tuned.decoder.copy(training=False))
+        if fleet is not None:
+            fleet.add(loc.vehicle_id, latents[-1], tuned.decoder.weights_view())
     prior = np.zeros(matrix.num_contents)
     for loc in locals_:
         prior += loc.user_train_vectors.sum(axis=0)
-    return DataEnv(matrix, locals_, decoders, np.vstack(hashes), latents, prior)
+    return DataEnv(matrix, locals_, np.vstack(hashes), latents, prior)
 
 
 def build_motion_env(cfg: SimConfig, locals_: list[LocalDataset]) -> MotionEnv:
@@ -188,18 +204,19 @@ class ProtocolTrace:
     completed_visits: int
     aborted_visits: int
     losses: list[float]            # per-visit mean objective, time order
-    # Per fleet worker: (visits computed, seconds spent computing them).  Not
-    # part of any report, message trace or cache dump.
-    worker_load: list[tuple[int, float]] = field(default_factory=list)
+    # Per fleet worker: (visits computed, seconds spent computing them, its
+    # peak resident MB or None; see ``Fleet.load``).  Not part of any report,
+    # message trace or cache dump.
+    worker_load: list[tuple[int, float, float | None]] = field(default_factory=list)
 
 
-def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv, *,
-                      workers: int | None = None, rounds: list | None = None) -> ProtocolTrace:
-    """Walk the run's events; every visit computes in a ``fleet.Fleet`` of worker processes.
+def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv, fleet: Fleet, *,
+                      rounds: list | None = None) -> ProtocolTrace:
+    """Walk the run's events; every visit computes in ``fleet``, which set-up filled.
 
-    ``workers`` overrides the fleet's size (``fleet.worker_count``), which no
-    byte of the trace depends on.  When ``rounds`` is a list, each round of
-    jobs sent to the fleet is appended to it with the results that came back.
+    No byte of the trace depends on the fleet's size.  When ``rounds`` is a
+    list, each round of jobs sent to the fleet is appended to it with the
+    results that came back.
     """
     duration = cfg.sim.duration
     n_vehicles = data.num_vehicles
@@ -233,51 +250,51 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv, *,
     # One row per completed visit; no more visits complete than vehicles enter zones.
     lists = np.empty((n_entries, min(cfg.cache.list_m, data.num_contents)), dtype=np.int64)
 
-    with Fleet(cfg, data.latents, data.decoders, workers) as fleet:
-        while heap:
-            now, _, _, (kind, payload) = heapq.heappop(heap)
-            if kind == "merge":
-                merged = merge_kc(kcs)
-                kcs = [merged.copy_with_rsu(r) for r in range(num_rsus)]
+    fleet.reset()
+    while heap:
+        now, _, _, (kind, payload) = heapq.heappop(heap)
+        if kind == "merge":
+            merged = merge_kc(kcs)
+            kcs = [merged.copy_with_rsu(r) for r in range(num_rsus)]
+            continue
+        if kind == "entry":
+            vid, seg = payload
+            kc = kcs[seg.rsu_index]
+            residence = residence_time(seg, cfg.topology.coverage_length)
+            version = current_version[vid]
+            entries.append(EntryRecord(now, vid, seg.rsu_index, seg.entry_position, seg.speed,
+                                       version))
+            begun = fed_distill.begin_visit(kc, vid, data.hashes[vid], version >= 0,
+                                            now, residence, cfg)
+            messages.extend(begun.messages)
+            if not begun.proceed:
+                aborted += 1
                 continue
-            if kind == "entry":
-                vid, seg = payload
-                kc = kcs[seg.rsu_index]
-                residence = residence_time(seg, cfg.topology.coverage_length)
-                version = current_version[vid]
-                entries.append(EntryRecord(now, vid, seg.rsu_index, seg.entry_position, seg.speed,
-                                           version))
-                begun = fed_distill.begin_visit(kc, vid, data.hashes[vid], version >= 0,
-                                                now, residence, cfg)
-                messages.extend(begun.messages)
-                if not begun.proceed:
-                    aborted += 1
-                    continue
-                pending.append((vid, visit_index[vid], begun.integrated))
-                visit_index[vid] += 1
-                finish = now + cfg.compute.visit_seconds
-                heapq.heappush(heap, (finish, 2, seq, ("complete", (vid, seg.rsu_index))))
-                seq += 1
-                continue
-            # Completion.  Every visit finishes the same visit_seconds after its
-            # entry, and equal times pop by seq, which grows with entry order, so
-            # visits complete in entry order, the order of ``ready`` then
-            # ``pending``: the head of ``ready`` is always this visit.
-            vid, rsu = payload
-            if not ready:
-                results = fleet.compute(pending)
-                if rounds is not None:
-                    rounds.append((list(pending), results))
-                ready.extend(zip((job[0] for job in pending), results))
-                pending.clear()
-            owner, (ids, knowledge, visit_losses) = ready.popleft()
-            if owner != vid:
-                raise InvariantError(f"vehicle {vid} completed vehicle {owner}'s visit")
-            messages.extend(fed_distill.complete_visit(kcs[rsu], vid, knowledge, now))
-            lists[completed] = ids
-            current_version[vid] = completed
-            losses.append(float(np.mean(visit_losses)) if visit_losses else float("nan"))
-            completed += 1
+            pending.append((vid, visit_index[vid], begun.integrated))
+            visit_index[vid] += 1
+            finish = now + cfg.compute.visit_seconds
+            heapq.heappush(heap, (finish, 2, seq, ("complete", (vid, seg.rsu_index))))
+            seq += 1
+            continue
+        # Completion.  Every visit finishes the same visit_seconds after its
+        # entry, and equal times pop by seq, which grows with entry order, so
+        # visits complete in entry order, the order of ``ready`` then
+        # ``pending``: the head of ``ready`` is always this visit.
+        vid, rsu = payload
+        if not ready:
+            results = fleet.compute(pending)
+            if rounds is not None:
+                rounds.append((list(pending), results))
+            ready.extend(zip((job[0] for job in pending), results))
+            pending.clear()
+        owner, (ids, knowledge, visit_losses) = ready.popleft()
+        if owner != vid:
+            raise InvariantError(f"vehicle {vid} completed vehicle {owner}'s visit")
+        messages.extend(fed_distill.complete_visit(kcs[rsu], vid, knowledge, now))
+        lists[completed] = ids
+        current_version[vid] = completed
+        losses.append(float(np.mean(visit_losses)) if visit_losses else float("nan"))
+        completed += 1
 
     return ProtocolTrace(lists[:completed], entries, messages, completed, aborted, losses,
                          [tuple(load) for load in fleet.load])
@@ -570,14 +587,23 @@ def format_message_trace(messages: list[Message]) -> bytes:
     return ("\n".join(lines) + ("\n" if lines else "")).encode()
 
 
+def _open_fleet(cfg: SimConfig, schemes: list[str]):
+    """A ``Fleet`` for a run whose schemes replay the protocol; else a context giving None.
+
+    Window-only runs start no workers.
+    """
+    return Fleet(cfg) if any(s in TRIGGER_SCHEMES for s in schemes) else nullcontext()
+
+
 def run_simulation(cfg: SimConfig, trace_path: str | None = None,
                    cache_dump_path: str | None = None) -> Report:
     cfg.validate()
-    data = build_data_env(cfg)
-    motion = build_motion_env(cfg, data.locals_)
     scheme = cfg.sim.scheme
     capacity = cfg.cache.capacity_n
-    trace = simulate_protocol(cfg, data, motion) if scheme in TRIGGER_SCHEMES else None
+    with _open_fleet(cfg, [scheme]) as fleet:
+        data = build_data_env(cfg, fleet)
+        motion = build_motion_env(cfg, data.locals_)
+        trace = simulate_protocol(cfg, data, motion, fleet) if fleet is not None else None
 
     dump_lines: list[str] = []
     dump = None
@@ -742,12 +768,19 @@ def validate_suite() -> list[tuple[str, bool, str]]:
     cfg.cache.capacity_n = 20
     cfg.cache.list_m = 20
     cfg.validate()
+    # Two runs: one whose set-up fills its fleet, and one whose set-up keeps
+    # copies of the vehicles, which then fill this and the worker-parity fleets.
     logs = []
-    for _ in range(2):
-        data = build_data_env(cfg)
+    with Fleet(cfg) as fleet:
+        data = build_data_env(cfg, fleet)
         motion = build_motion_env(cfg, data.locals_)
-        trace = simulate_protocol(cfg, data, motion)
-        logs.append(format_message_trace(trace.messages))
+        logs.append(format_message_trace(simulate_protocol(cfg, data, motion, fleet).messages))
+    copies = _Copies()
+    data = build_data_env(cfg, copies)
+    with Fleet(cfg) as fleet:
+        copies.fill(fleet)
+        trace = simulate_protocol(cfg, data, motion, fleet)
+    logs.append(format_message_trace(trace.messages))
     checks.append(("protocol-determinism", logs[0] == logs[1] and len(logs[0]) > 0,
                    f"two runs, {len(logs[0])} identical bytes"))
 
@@ -764,13 +797,17 @@ def validate_suite() -> list[tuple[str, bool, str]]:
                    f"{total} bytes (expected {expected_total})"))
 
     # The same run from 1 and 2 workers, and its rounds replayed through one
-    # in-process Shard: every byte the trace keeps, and every result, agree.
-    rounds = []
-    traces = [simulate_protocol(cfg, data, motion, workers=1, rounds=rounds),
-              simulate_protocol(cfg, data, motion, workers=2)]
+    # in-process Shard, all filled from the copies: every byte the trace
+    # keeps, and every result, agree.
+    rounds, traces = [], []
+    for workers in (1, 2):
+        with Fleet(cfg, workers=workers) as fleet:
+            copies.fill(fleet)
+            traces.append(simulate_protocol(cfg, data, motion, fleet,
+                                            rounds=rounds if workers == 1 else None))
     shard = Shard(cfg)
-    for vid in range(data.num_vehicles):
-        shard.add(vid, data.latents[vid], data.decoders[vid])
+    copies.fill(shard)
+    shard.reset()
     replayed = all(_result_bytes(shard.compute(jobs)) == _result_bytes(results)
                    for jobs, results in rounds)
     views = [(format_message_trace(t.messages), t.lists.tobytes(), np.array(t.losses).tobytes(),
@@ -779,6 +816,20 @@ def validate_suite() -> list[tuple[str, bool, str]]:
                    f"1 and 2 workers give the same messages, lists, losses and visit counts; "
                    f"{len(rounds)} rounds replayed in-process give the same results"))
     return checks
+
+
+class _Copies:
+    """A stand-in fleet for set-up: keeps a copy of each vehicle's latents and decoder."""
+
+    def __init__(self):
+        self.vehicles: dict[int, tuple] = {}
+
+    def add(self, vehicle_id: int, latents: np.ndarray, decoder: Mlp) -> None:
+        self.vehicles[vehicle_id] = (latents, decoder.copy(training=False))
+
+    def fill(self, target: Fleet | Shard) -> None:
+        for vid, (latents, decoder) in self.vehicles.items():
+            target.add(vid, latents, decoder)
 
 
 def _result_bytes(results: list[tuple]) -> list[tuple[bytes, bytes, bytes]]:
@@ -793,9 +844,10 @@ def run_sweep(base: SimConfig, schemes: list[str], capacities: list[int],
 
     Every (seed, speed) cell's config is validated before anything is
     built.  The data environment depends only on the seed, so it is built
-    once for all of that seed's speeds.  The protocol phase depends only
-    on (seed, speed), so each such pair is simulated once; each scheme
-    replays it once for every capacity.
+    once for all of that seed's speeds, into one fleet that serves their
+    protocol phases.  The protocol phase depends only on (seed, speed), so
+    each such pair is simulated once; each scheme replays it once for
+    every capacity.
     """
     import copy
 
@@ -813,20 +865,19 @@ def run_sweep(base: SimConfig, schemes: list[str], capacities: list[int],
     grid = [[cell(seed, speed) for speed in speeds] for seed in seeds]
     rows: list[ReportRow] = []
     for seed, cells in zip(seeds, grid):
-        data = None
-        for speed, cfg in zip(speeds, cells):
-            if data is None:
-                note(f"seed={seed}: building data environment")
-                data = build_data_env(cfg)
-            motion = build_motion_env(cfg, data.locals_)
-            trace = None
-            if any(s in TRIGGER_SCHEMES for s in schemes):
-                note(f"seed={seed} speed={speed:g}: protocol phase")
-                trace = simulate_protocol(cfg, data, motion)
-            for scheme in schemes:
-                curve, _ = evaluate_caching(cfg, data, motion, trace, scheme, capacities)
-                for capacity, metrics in zip(capacities, curve):
-                    rows.append(ReportRow.build(scheme, capacity, speed, seed, metrics))
-                    note(f"seed={seed} speed={speed:g} {scheme} N={capacity}: "
-                         f"hit {rows[-1].hit_pct:.2f}%")
+        with _open_fleet(cells[0], schemes) as fleet:
+            note(f"seed={seed}: building data environment")
+            data = build_data_env(cells[0], fleet)
+            for speed, cfg in zip(speeds, cells):
+                motion = build_motion_env(cfg, data.locals_)
+                trace = None
+                if fleet is not None:
+                    note(f"seed={seed} speed={speed:g}: protocol phase")
+                    trace = simulate_protocol(cfg, data, motion, fleet)
+                for scheme in schemes:
+                    curve, _ = evaluate_caching(cfg, data, motion, trace, scheme, capacities)
+                    for capacity, metrics in zip(capacities, curve):
+                        rows.append(ReportRow.build(scheme, capacity, speed, seed, metrics))
+                        note(f"seed={seed} speed={speed:g} {scheme} N={capacity}: "
+                             f"hit {rows[-1].hit_pct:.2f}%")
     return Report(rows=rows)

@@ -25,10 +25,10 @@ of that slice, so ``stack``/``unstack`` let V independent networks train
 in one call with the same arithmetic as V separate calls.  A network's
 state is its Dense layers' weights, biases and momentum (``Mlp.dense``;
 activations hold no parameters).  Only that state moves in and out of a
-stack: gradients and activations live on the stack alone.  Copies, stacks
-and ``Mlp.slice`` views (which share a run of a stack's slices) all come
-from one builder, ``_build``, which differs between them only in where
-each Dense's state comes from.
+stack: gradients and activations live on the stack alone.  Copies,
+stacks, ``Mlp.slice`` views (which share a run of a stack's slices) and
+``Mlp.weights_view`` views all come from one builder, ``_build``, which
+differs between them only in where each Dense's state comes from.
 """
 
 from __future__ import annotations
@@ -208,6 +208,15 @@ class Mlp:
         names = _DENSE_STATE if training else ("w", "b")
         return _build(self, lambda i, name: getattr(self.dense[i], name).copy()
                       if name in names else None)
+
+    def weights_view(self) -> "Mlp":
+        """A network sharing this one's weights and biases, and holding nothing else.
+
+        It predicts with them, and pickles as just those arrays, so handing
+        it on copies nothing; it reads whatever this network is trained to.
+        """
+        return _build(self, lambda i, name: getattr(self.dense[i], name)
+                      if name in ("w", "b") else None)
 
     def slice(self, lo: int, hi: int) -> "Mlp":
         """Slices ``lo:hi`` of a stacked network, as a stacked network that shares their state.

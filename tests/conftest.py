@@ -2,9 +2,10 @@
 
 Protocol simulation is the expensive step, so traces are built once per
 (seed, mean speed) pair and shared across every test that replays them.
-Only one full data environment is kept alive at a time; cached traces
-carry a slimmed copy with the big trained models dropped, which is all
-the evaluation phase needs.
+Only one full data environment, and the fleet of workers holding its
+vehicles' models, is kept alive at a time; cached traces carry a slimmed
+copy with the per-vehicle arrays dropped, which is all the evaluation
+phase needs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from roadcache import harness
+from roadcache import fleet, harness
 from roadcache.config import SimConfig, load_config
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -53,15 +54,17 @@ def desk_cfg() -> SimConfig:
 class EnvStore:
     """Session cache of desk-scale simulation stages.
 
-    data_env(seed) keeps at most one full environment in memory; traces
-    are cached per (seed, speed) with the heavyweight model fields
-    stripped, since cache evaluation never reads them.
+    data_env(seed) keeps at most one full environment, and the fleet set-up
+    filled for it, alive; traces are cached per (seed, speed) with the
+    per-vehicle arrays stripped, since cache evaluation never reads them.
+    ``close`` stops the fleet.
     """
 
     def __init__(self, base: SimConfig):
         self.base = base
         self._data_seed: int | None = None
         self._data_env: harness.DataEnv | None = None
+        self._fleet: fleet.Fleet | None = None
         self._traces: dict[tuple[int, float], tuple] = {}
 
     def config_for(self, seed: int, speed: float) -> SimConfig:
@@ -73,10 +76,17 @@ class EnvStore:
 
     def data_env(self, seed: int) -> harness.DataEnv:
         if self._data_seed != seed:
+            self.close()
             cfg = self.config_for(seed, self.base.mobility.mu)
-            self._data_env = harness.build_data_env(cfg)
+            self._fleet = fleet.Fleet(cfg).__enter__()
+            self._data_env = harness.build_data_env(cfg, self._fleet)
             self._data_seed = seed
         return self._data_env
+
+    def close(self) -> None:
+        if self._fleet is not None:
+            self._fleet.close()
+        self._fleet = self._data_env = self._data_seed = None
 
     def stack(self, seed: int, speed: float):
         """(cfg, slim data env, motion env, protocol trace) for one cell."""
@@ -85,9 +95,8 @@ class EnvStore:
             cfg = self.config_for(seed, speed)
             data = self.data_env(seed)
             motion = harness.build_motion_env(cfg, data.locals_)
-            trace = harness.simulate_protocol(cfg, data, motion)
-            slim = dataclasses.replace(
-                data, decoders=[], hashes=np.zeros(0), latents=[])
+            trace = harness.simulate_protocol(cfg, data, motion, self._fleet)
+            slim = dataclasses.replace(data, hashes=np.zeros(0), latents=[])
             self._traces[key] = (cfg, slim, motion, trace)
         return self._traces[key]
 
@@ -99,8 +108,10 @@ class EnvStore:
 
 
 @pytest.fixture(scope="session")
-def env_store(desk_cfg) -> EnvStore:
-    return EnvStore(desk_cfg)
+def env_store(desk_cfg):
+    store = EnvStore(desk_cfg)
+    yield store
+    store.close()
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,15 @@
 """Policies, exchange baselines, reports, and the command-line surface."""
 
+import os
+import pickle
 import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from collections import Counter, defaultdict
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -297,25 +301,61 @@ class TestRunSimulation:
         assert row.uplink_mb == 0.0
 
 
+class Received:
+    """A stand-in fleet for set-up: keeps what each vehicle's worker unpickles."""
+
+    def __init__(self):
+        self.vehicles: dict[int, tuple[np.ndarray, nn.Mlp]] = {}
+
+    def add(self, vehicle_id, latents, decoder):
+        # The decoder shares the training codec's arrays, which the next
+        # fine-tune overwrites, so keep the copy a worker would get.
+        self.vehicles[vehicle_id] = pickle.loads(pickle.dumps((latents, decoder), protocol=5))
+
+
+def received(cfg):
+    """(data env, each vehicle's (latents, decoder) as set-up handed them over)."""
+    sink = Received()
+    return harness.build_data_env(cfg, sink), sink.vehicles
+
+
+def protocol(cfg, data, motion, vehicles, workers=None, rounds=None):
+    """simulate_protocol in a new fleet of ``workers`` holding the vehicles set-up handed over."""
+    with fleet.Fleet(cfg, workers=workers) as pool:
+        for vid, (latents, decoder) in vehicles.items():
+            pool.add(vid, latents, decoder)
+        return harness.simulate_protocol(cfg, data, motion, pool, rounds=rounds)
+
+
 @pytest.fixture(scope="module")
 def tiny_stack(tiny_cfg_path):
     cfg = load_config(tiny_cfg_path, [])
-    data = harness.build_data_env(cfg)
-    motion = harness.build_motion_env(cfg, data.locals_)
-    return cfg, data, motion, harness.simulate_protocol(cfg, data, motion)
+    with fleet.Fleet(cfg) as pool:
+        data = harness.build_data_env(cfg, pool)
+        motion = harness.build_motion_env(cfg, data.locals_)
+        return cfg, data, motion, harness.simulate_protocol(cfg, data, motion, pool)
 
 
-def record_rounds(cfg, data, motion):
+@pytest.fixture(scope="module")
+def tiny_vehicles(tiny_stack):
+    """The tiny run's vehicles, as set-up hands them to the fleet."""
+    cfg, data, _, _ = tiny_stack
+    rebuilt, vehicles = received(cfg)
+    assert rebuilt.hashes.tobytes() == data.hashes.tobytes()
+    return vehicles
+
+
+def record_rounds(cfg, data, motion, vehicles):
     """The rounds of jobs a real run sends its fleet workers, with their results."""
     rounds = []
-    harness.simulate_protocol(cfg, data, motion, rounds=rounds)
+    protocol(cfg, data, motion, vehicles, rounds=rounds)
     return rounds
 
 
 @pytest.fixture(scope="module")
-def tiny_rounds(tiny_stack):
+def tiny_rounds(tiny_stack, tiny_vehicles):
     cfg, data, motion, _ = tiny_stack
-    return record_rounds(cfg, data, motion)
+    return record_rounds(cfg, data, motion, tiny_vehicles)
 
 
 def job_bytes(jobs):
@@ -323,33 +363,26 @@ def job_bytes(jobs):
             for vid, index, integrated in jobs]
 
 
-def run_in_process(monkeypatch, rounds):
-    """Make simulate_protocol compute each round in-process through one fleet.Shard.
+def run_in_process(cfg, data, motion, vehicles, rounds):
+    """simulate_protocol computing each round in-process through one fleet.Shard.
 
     Each round it hands the stand-in fleet must be the recorded round a real
     run sent its workers, so the in-process visits are the real run's.
     """
     recorded = iter(rounds)
+    shard = fleet.Shard(cfg)
+    for vid, (latents, decoder) in vehicles.items():
+        shard.add(vid, latents, decoder)
 
-    class ShardFleet:
-        def __init__(self, cfg, latents, decoders, workers=None):
-            self.shard = fleet.Shard(cfg)
-            for vid, (own, decoder) in enumerate(zip(latents, decoders)):
-                self.shard.add(vid, own, decoder)
-            self.load = []
+    def compute(jobs):
+        sent, _ = next(recorded)
+        assert job_bytes(jobs) == job_bytes(sent)
+        return shard.compute(jobs)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            assert next(recorded, None) is None or exc[0] is not None
-
-        def compute(self, jobs):
-            sent, _ = next(recorded)
-            assert job_bytes(jobs) == job_bytes(sent)
-            return self.shard.compute(jobs)
-
-    monkeypatch.setattr(harness, "Fleet", ShardFleet)
+    trace = harness.simulate_protocol(cfg, data, motion,
+                                      SimpleNamespace(reset=shard.reset, compute=compute, load=[]))
+    assert next(recorded, None) is None
+    return trace
 
 
 def test_protocol_ledger_follows_each_entry(tiny_stack):
@@ -528,21 +561,36 @@ class TestSweepMatchesRuns:
             assert harness.run_simulation(cfg).rows == [row]
 
     def test_data_env_built_once_per_seed(self, tiny_cfg_path, monkeypatch):
+        """One data env and one fleet serve a seed's speeds, as fresh as a new one per speed."""
         base = load_config(tiny_cfg_path, [])
         schemes, capacities, speeds = ["proposed", "oracle"], [10, 40], [20.0, 30.0]
+        traces = []   # (speed, messages, lists, losses) per protocol phase
+        real_protocol = harness.simulate_protocol
+
+        def recorded(cfg, *args, **kwargs):
+            trace = real_protocol(cfg, *args, **kwargs)
+            traces.append((cfg.mobility.mu, harness.format_message_trace(trace.messages),
+                           trace.lists.tobytes(), np.array(trace.losses).tobytes()))
+            return trace
+
+        monkeypatch.setattr(harness, "simulate_protocol", recorded)
         apart = [harness.run_sweep(base, schemes, capacities, [speed], [0]).rows
                  for speed in speeds]
+        standalone = traces[:]
+        traces.clear()
         calls = []
         real = harness.build_data_env
 
-        def counted(cfg):
+        def counted(cfg, *args):
             calls.append(cfg.mobility.mu)
-            return real(cfg)
+            return real(cfg, *args)
 
         monkeypatch.setattr(harness, "build_data_env", counted)
         together = harness.run_sweep(base, schemes, capacities, speeds, [0]).rows
         assert len(calls) == 1
         assert together == apart[0] + apart[1]
+        assert [speed for speed, *_ in traces] == speeds
+        assert traces == standalone
 
 
 class TestCli:
@@ -752,7 +800,8 @@ class TestBatchedProtocol:
             order = [batch_of[i] for i, v in enumerate(visits) if v.vehicle_id == vid]
             assert order == sorted(order) and len(set(order)) == len(order)
 
-    def test_one_visit_per_call_gives_identical_trace(self, monkeypatch, tiny_stack, tiny_rounds):
+    def test_one_visit_per_call_gives_identical_trace(self, monkeypatch, tiny_stack,
+                                                       tiny_vehicles, tiny_rounds):
         """Stack and sampling-call sizes change no byte; sampling reads the trained stack.
 
         The visits compute in-process (``run_in_process``), on the rounds a
@@ -797,8 +846,7 @@ class TestBatchedProtocol:
             monkeypatch.setattr(fed_distill, "visit_batches", split)
             calls["train"].clear()
             calls["sample"].clear()
-            run_in_process(monkeypatch, tiny_rounds)
-            trace = harness.simulate_protocol(cfg, data, motion)
+            trace = run_in_process(cfg, data, motion, tiny_vehicles, tiny_rounds)
             largest.append(tuple(max(len(dense(params)[0].w) for params in calls[kind])
                                  for kind in ("train", "sample")))
             assert largest[-1][0] <= cap
@@ -814,7 +862,8 @@ class TestBatchedProtocol:
         assert largest[1] == (largest[0][0], 2)
         assert largest[2:] == [(2, 2), (1, 1), (1, 1)]
 
-    def test_call_allocates_under_two_stacked_copies(self, monkeypatch, tiny_stack, tiny_rounds):
+    def test_call_allocates_under_two_stacked_copies(self, monkeypatch, tiny_stack,
+                                                     tiny_vehicles, tiny_rounds):
         """A call's stacks hold the one copy of its denoisers' weights and momentum.
 
         Measured in-process (``run_in_process``), on the rounds a real run sent
@@ -835,10 +884,9 @@ class TestBatchedProtocol:
             return results
 
         monkeypatch.setattr(fed_distill, "train_and_predict", measured)
-        run_in_process(monkeypatch, tiny_rounds)
         tracemalloc.start()
         try:
-            trace = harness.simulate_protocol(cfg, data, motion)
+            trace = run_in_process(cfg, data, motion, tiny_vehicles, tiny_rounds)
         finally:
             tracemalloc.stop()
         assert trace.lists.tobytes() == batched.lists.tobytes()
@@ -871,19 +919,20 @@ class TestInferenceCachesNothing:
 
         monkeypatch.setattr(ldpm, "new_denoiser", new_denoiser)
         monkeypatch.setattr(ldpm, "sample", sample)
-        data = harness.build_data_env(cfg)
+        data, vehicles = received(cfg)
         motion = harness.build_motion_env(cfg, data.locals_)
-        run_in_process(monkeypatch, record_rounds(cfg, data, motion))
-        trace = harness.simulate_protocol(cfg, data, motion)
+        trace = run_in_process(cfg, data, motion, vehicles,
+                               record_rounds(cfg, data, motion, vehicles))
+        decoders = [decoder for _, decoder in vehicles.values()]
         assert trace.completed_visits > 0 and sampled
-        assert len(denoisers) == data.num_vehicles
-        assert self.held(data.decoders) == []
+        assert len(denoisers) == len(decoders) == data.num_vehicles
+        assert self.held(decoders) == []
         assert self.held([d.net for d in denoisers + sampled]) == []
         for denoiser in denoisers:
             for layer in denoiser.net.layers:
                 if hasattr(layer, "w"):
                     assert layer.dw is layer.db is None
-        for net in data.decoders:
+        for net in decoders:
             for layer in net.layers:
                 if hasattr(layer, "w"):
                     assert layer.dw is layer.db is layer._vw is layer._vb is None
@@ -892,10 +941,14 @@ class TestInferenceCachesNothing:
 class TestFleet:
     """Visits compute in worker processes; no byte depends on how many."""
 
-    def test_trace_bytes_do_not_depend_on_worker_count(self, tiny_stack):
+    def test_trace_bytes_do_not_depend_on_worker_count(self, tiny_stack, tiny_vehicles,
+                                                       monkeypatch):
+        """Nor on whether set-up hands the vehicles over in a memory-backed or a temporary file."""
         cfg, data, motion, default = tiny_stack
-        for workers in (1, 2, 3):
-            trace = harness.simulate_protocol(cfg, data, motion, workers=workers)
+        for workers, shared in ((1, True), (2, True), (3, True), (2, False)):
+            if not shared:
+                monkeypatch.delattr(os, "memfd_create", raising=False)
+            trace = protocol(cfg, data, motion, tiny_vehicles, workers=workers)
             assert (harness.format_message_trace(trace.messages)
                     == harness.format_message_trace(default.messages))
             assert trace.lists.tobytes() == default.lists.tobytes()
@@ -907,8 +960,12 @@ class TestFleet:
     def test_worker_visits_sum_to_completed(self, tiny_stack):
         cfg, data, _, trace = tiny_stack
         assert len(trace.worker_load) == fleet.worker_count(data.num_vehicles)
-        assert sum(visits for visits, _ in trace.worker_load) == trace.completed_visits > 0
-        assert all(seconds > 0 for visits, seconds in trace.worker_load if visits)
+        assert sum(visits for visits, _, _ in trace.worker_load) == trace.completed_visits > 0
+        assert all(seconds > 0 for visits, seconds, _ in trace.worker_load if visits)
+        # Each worker that replied reports its own peak memory, where it can read it.
+        readable = Path("/proc/self/status").is_file()
+        assert all((peak_mb > 10) if readable else (peak_mb is None)
+                   for visits, _, peak_mb in trace.worker_load if visits)
 
     def test_worker_training_error_exits_3(self, tiny_cfg_path):
         result = roadcache_cli("run", "--config", tiny_cfg_path, "--set", "ldpm.lr=1e300")
@@ -916,7 +973,7 @@ class TestFleet:
         assert "diffusion objective became non-finite" in result.stderr
         assert result.stdout == ""
 
-    def test_no_worker_outlives_a_run(self, tiny_cfg_path, monkeypatch):
+    def test_no_worker_outlives_a_run(self, tiny_cfg_path, monkeypatch, capsys):
         fleets = []
         real_enter = fleet.Fleet.__enter__
 
@@ -927,23 +984,45 @@ class TestFleet:
         monkeypatch.setattr(fleet.Fleet, "__enter__", enter)
         with pytest.raises(TrainingError, match="diffusion objective became non-finite"):
             harness.run_simulation(load_config(tiny_cfg_path, ["ldpm.lr=1e300"]))
+        # Set-up fails after the fleet opened: the codec's training, whose
+        # overflow warnings the command line only prints, then the catalog check.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert cli.main(["run", "--config", tiny_cfg_path, "--set", "codec.lr=1e300"]) == 3
+        assert "codec loss became non-finite" in capsys.readouterr().err
+        assert cli.main(["run", "--config", tiny_cfg_path, "--set", "cache.list_m=100"]) == 2
+        assert "exceeds the catalog" in capsys.readouterr().err
         harness.run_simulation(load_config(tiny_cfg_path, []))
-        assert len(fleets) == 2
+        assert len(fleets) == 4
         for each in fleets:
             assert each.procs and [proc.poll() for proc in each.procs] == [0] * len(each.procs)
 
-    def test_dead_worker_is_named(self, tiny_stack, monkeypatch):
+    def test_dead_worker_is_named(self, tiny_stack, tiny_vehicles, monkeypatch):
+        """A worker that died is named, whether it died in a round or before the first."""
         cfg, data, motion, _ = tiny_stack
+        died = r"fleet worker 0 \(pid \d+\) died with exit status -9"
+
+        def kill(pool):
+            pool.procs[0].kill()
+            pool.procs[0].wait()
+
         real_compute = fleet.Fleet.compute
 
         def compute(self, jobs):
-            self.procs[0].kill()
-            self.procs[0].wait()
+            kill(self)
             return real_compute(self, jobs)
 
-        monkeypatch.setattr(fleet.Fleet, "compute", compute)
-        with pytest.raises(InvariantError, match=r"fleet worker 0 \(pid \d+\) died with exit status -9"):
-            harness.simulate_protocol(cfg, data, motion, workers=1)
+        with monkeypatch.context() as mp:
+            mp.setattr(fleet.Fleet, "compute", compute)
+            with pytest.raises(InvariantError, match=died):
+                protocol(cfg, data, motion, tiny_vehicles, workers=1)
+        # Set-up hands over the decoders with no reply, so a worker killed
+        # after that and before the first round must not go unnoticed.
+        with fleet.Fleet(cfg, workers=1) as pool:
+            data = harness.build_data_env(cfg, pool)
+            kill(pool)
+            with pytest.raises(InvariantError, match=died):
+                harness.simulate_protocol(cfg, data, motion, pool)
 
 
 def reachable_dense(root):
@@ -966,7 +1045,7 @@ def reachable_dense(root):
 
 
 class TestDataEnvKeepsDecoders:
-    """After set-up a vehicle keeps only its fine-tuned decoder."""
+    """After set-up a vehicle's worker keeps only its fine-tuned decoder; main keeps none."""
 
     @pytest.fixture(scope="class")
     def built(self, tiny_cfg_path):
@@ -981,37 +1060,79 @@ class TestDataEnvKeepsDecoders:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(latent_codec, "pretrain_codec", pretrain)
-            data = harness.build_data_env(cfg)
-        return cfg, bases[0], data
+            data, vehicles = received(cfg)
+        return cfg, bases[0], data, vehicles
 
     def test_no_encoder_reachable(self, built):
-        cfg, _, data = built
-        dense = reachable_dense(data)
-        assert len(data.decoders) == data.num_vehicles
-        assert {id(d) for d in dense} == {id(layer) for net in data.decoders
-                                          for layer in net.layers if isinstance(layer, nn.Dense)}
-        assert all(layer.w.shape[0] != data.num_contents for layer in dense)
-        assert data.decoders[0].layers[0].w.shape[0] == cfg.codec.latent_dim
-        for net in data.decoders:
+        cfg, _, data, vehicles = built
+        assert reachable_dense(data) == []
+        assert sorted(vehicles) == list(range(data.num_vehicles))
+        for handed in vehicles.values():
+            _, net = handed
+            dense = reachable_dense(handed)
+            assert {id(d) for d in dense} == {id(layer) for layer in net.layers
+                                              if isinstance(layer, nn.Dense)}
+            assert all(layer.w.shape[0] != data.num_contents for layer in dense)
+            assert net.layers[0].w.shape[0] == cfg.codec.latent_dim
             for layer in net.layers:
                 assert all(getattr(layer, name, None) is None
                            for name in ("dw", "db", "_vw", "_vb", "_x", "_mask", "_y"))
 
     def test_equals_direct_fine_tune(self, built):
-        cfg, base, data = built
+        cfg, base, data, vehicles = built
         z = substream(5, "decoders-only").normal(size=(7, cfg.codec.latent_dim))
-        for loc, decoder, fingerprint, latents in zip(data.locals_, data.decoders,
-                                                      data.hashes, data.latents):
+        for loc, fingerprint, latents in zip(data.locals_, data.hashes, data.latents):
+            handed_latents, decoder = vehicles[loc.vehicle_id]
             tuned = latent_codec.fine_tune(
                 base, loc.user_train_vectors, cfg.codec.finetune_epochs, cfg.codec.lr,
                 cfg.codec.batch, substream(cfg.sim.seed, "finetune", loc.vehicle_id),
                 negative_weight=cfg.codec.negative_weight)
             assert fingerprint.tobytes() == latent_codec.encode(tuned, loc.train_vector).tobytes()
-            assert latents.tobytes() == latent_codec.encode(
-                tuned, loc.user_train_vectors).tobytes()
+            want_latents = latent_codec.encode(tuned, loc.user_train_vectors).tobytes()
+            assert latents.tobytes() == handed_latents.tobytes() == want_latents
             want = latent_codec.decode(tuned, z).mean(axis=0)
             assert latent_codec.decode_mean(decoder, z).tobytes() == want.tobytes()
             assert latent_codec.decode_mean(tuned.decoder, z).tobytes() == want.tobytes()
+
+    def test_set_up_holds_one_decoder_at_a_time(self, monkeypatch):
+        """Set-up hands each decoder to its worker, so none piles up in the main process.
+
+        Under tracemalloc, main's allocations in ``build_data_env`` after the
+        first fine-tune (when the codec every vehicle tunes in exists) peak
+        less than three decoders' bytes above what it held then.  Keeping
+        the other 11 vehicles' decoders would take 11.
+        """
+        cfg = load_config(None, ["sim.duration=20", "data.num_vehicles=12",
+                                 "data.path=synth://users=60,contents=2000,seed=7",
+                                 "codec.hidden=128", "codec.latent_dim=8", "codec.epochs=2",
+                                 "codec.finetune_epochs=2", "codec.batch=8", "ldpm.T=5",
+                                 "ldpm.F=8", "ldpm.episodes=1", "cache.capacity_n=10",
+                                 "cache.list_m=20"])
+        real_build, real_tune = harness.build_data_env, latent_codec.fine_tune
+        decoder_bytes, held, rises = [], [], []
+
+        def fine_tune(*args, **kwargs):
+            tuned = real_tune(*args, **kwargs)
+            if not decoder_bytes:
+                decoder_bytes.append(sum(p.nbytes for p in tuned.decoder.params()))
+                held.append(tracemalloc.get_traced_memory()[0])
+                tracemalloc.reset_peak()
+            return tuned
+
+        def build(*args, **kwargs):
+            tracemalloc.start()
+            try:
+                data = real_build(*args, **kwargs)
+                rises.append(tracemalloc.get_traced_memory()[1] - held[0])
+            finally:
+                tracemalloc.stop()
+            return data
+
+        monkeypatch.setattr(latent_codec, "fine_tune", fine_tune)
+        monkeypatch.setattr(harness, "build_data_env", build)
+        harness.run_simulation(cfg)
+        assert len(rises) == len(decoder_bytes) == 1
+        assert rises[0] < 3 * decoder_bytes[0], (rises[0], decoder_bytes[0])
 
 
 class TestFineTunesShareOneCodec:
@@ -1034,24 +1155,25 @@ class TestFineTunesShareOneCodec:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(latent_codec, "pretrain_codec", pretrain)
             mp.setattr(harness, "partition_users", partition)
-            data = harness.build_data_env(cfg)
-        return bases[0], data
+            data, vehicles = received(cfg)
+        return bases[0], data, vehicles
 
     def test_pretrained_codec_untouched(self, tiny_cfg_path):
-        (base, pretrained), _ = self.build(load_config(tiny_cfg_path, []), reverse=False)
+        (base, pretrained), _, _ = self.build(load_config(tiny_cfg_path, []), reverse=False)
         assert codec_state(base) == pretrained
 
     def test_reverse_order_gives_same_vehicles(self, tiny_cfg_path):
         cfg = load_config(tiny_cfg_path, [])
 
-        def by_vehicle(data):
+        def by_vehicle(data, vehicles):
             return {loc.vehicle_id: (fingerprint.tobytes(), latents.tobytes(),
-                                     [p.tobytes() for p in decoder.params()])
-                    for loc, fingerprint, latents, decoder
-                    in zip(data.locals_, data.hashes, data.latents, data.decoders)}
+                                     vehicles[loc.vehicle_id][0].tobytes(),
+                                     [p.tobytes() for p in vehicles[loc.vehicle_id][1].params()])
+                    for loc, fingerprint, latents
+                    in zip(data.locals_, data.hashes, data.latents)}
 
-        _, forward = self.build(cfg, reverse=False)
-        _, backward = self.build(cfg, reverse=True)
+        _, forward, forward_vehicles = self.build(cfg, reverse=False)
+        _, backward, backward_vehicles = self.build(cfg, reverse=True)
         order = [loc.vehicle_id for loc in backward.locals_]
         assert order == sorted(order, reverse=True)
-        assert by_vehicle(forward) == by_vehicle(backward)
+        assert by_vehicle(forward, forward_vehicles) == by_vehicle(backward, backward_vehicles)

@@ -143,6 +143,21 @@ class TestCopyAndRelease:
                 assert mine.w is not theirs.w and theirs._vw is not None
         assert twin.predict(x).tobytes() == want.tobytes()
 
+    def test_weights_view_shares_only_weights(self):
+        rng = substream(0, "nn", "view")
+        net = nn.mlp([4, 6, 3], rng, out_act=nn.Sigmoid)
+        x = rng.normal(size=(5, 4))
+        net.forward(x)
+        net.backward(np.ones((5, 3)))
+        net.step(0.1, momentum=0.9)
+        view = net.weights_view()
+        assert cached(view) == []
+        for mine, theirs in zip(view.layers, net.layers):
+            if isinstance(mine, nn.Dense):
+                assert mine.dw is mine.db is mine._vw is mine._vb is None
+                assert mine.w is theirs.w and mine.b is theirs.b
+        assert view.predict(x).tobytes() == net.predict(x).tobytes()
+
     def test_load_overwrites_in_place(self):
         rng = substream(0, "nn", "load")
         source, target = (nn.mlp([4, 6, 3], rng, out_act=nn.Sigmoid) for _ in range(2))
@@ -167,7 +182,7 @@ class TestCopyAndRelease:
 
 
 def test_built_dense_layers_match_init():
-    """copy, slice and stack make Dense layers with exactly __init__'s fields, and no gradients."""
+    """copy, views and stack make Dense layers with exactly __init__'s fields, and no gradients."""
     rng = substream(0, "nn", "builder")
     fields = set(vars(nn.Dense(2, 3, rng)))
     nets = [nn.mlp([4, 6, 3], rng, out_act=nn.Sigmoid) for _ in range(2)]
@@ -175,7 +190,8 @@ def test_built_dense_layers_match_init():
         net.forward(rng.normal(size=(5, 4)))
         net.backward(np.ones((5, 3)))
     stacked = nn.stack(nets)
-    built = [nets[0].copy(), nets[0].copy(training=False), stacked, stacked.slice(0, 1)]
+    built = [nets[0].copy(), nets[0].copy(training=False), nets[0].weights_view(), stacked,
+             stacked.slice(0, 1)]
     for net in built:
         assert len(net.dense) == 2
         for layer in net.dense:
