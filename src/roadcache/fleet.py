@@ -3,9 +3,11 @@
 Each vehicle trains and samples its own denoiser, independently of the
 others, so its model lives in a worker process, never in the main one.
 Worker ``w`` of W owns the vehicles with ``vehicle_id % W == w``: it
-holds their latents, decoders and denoisers (a ``Shard``) and runs every
+holds their latents, decoders and denoisers in a ``Shard`` and runs every
 visit of theirs.  The main process keeps the event loop, the knowledge
-caches and the ledger.
+caches and the ledger.  A ``Shard`` is also a fleet of its own, run
+in-process: ``Fleet`` and ``Shard`` share ``add``, ``reset``, ``compute``
+and ``load``, all that ``harness.simulate_protocol`` uses.
 
 The run's entry points open the ``Fleet`` before set-up.  Set-up
 (``harness.build_data_env``) fills it: right after a vehicle's
@@ -28,9 +30,11 @@ substreams, so the bytes do not depend on W.
 
 Workers are ``python -m roadcache.fleet`` processes talking over their
 stdin and stdout pipes, with one BLAS thread each
-(``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``).  A
-worker checks that it imported the caller's package, and writes nothing
-else to its stdout; its stderr is the caller's.  Only ``compute`` is
+(``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``).
+Each message on a pipe is one plain pickle (protocol 5, no out-of-band
+buffers); a message cut short reads as the end of the stream.  A worker
+checks that it imported the caller's package, and writes nothing else
+to its stdout; its stderr is the caller's.  Only ``compute`` is
 answered.  An exception a worker raises there is re-raised in the
 caller; a worker that dies (or raises what it cannot pickle) is reported
 as an ``InvariantError`` naming it, at the first round it owns a job in.
@@ -41,7 +45,6 @@ from __future__ import annotations
 import mmap
 import os
 import pickle
-import struct
 import subprocess
 import sys
 import tempfile
@@ -61,8 +64,6 @@ from .rng import substream
 # Seconds a closing worker gets to exit after its stdin closes, before it is killed.
 EXIT_SECONDS = 5.0
 
-_HEADER = struct.Struct("<QI")   # pickle length, out-of-band buffer count
-_LENGTH = struct.Struct("<Q")
 _PACKAGE = Path(__file__).resolve().parent
 _ALIGN = 64   # each array handed over in a shared file starts at a multiple of this many bytes
 
@@ -74,13 +75,19 @@ def worker_count(vehicles: int) -> int:
 
 
 class Shard:
-    """One worker's vehicles: their latents, decoders and denoisers."""
+    """One worker's vehicles: their latents, decoders and denoisers.
+
+    Also an in-process fleet of one worker: ``load`` is its one
+    ``[visits, seconds computing them, None]`` entry since the last
+    ``reset`` (see ``Fleet.load``).
+    """
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
         self.schedule = ldpm.build_schedule(cfg.ldpm.steps)
         self.vehicles: dict[int, tuple[np.ndarray, Mlp]] = {}
         self.denoisers: dict[int, ldpm.DenoiserParams] = {}
+        self.load = [[0, 0.0, None]]
 
     def add(self, vehicle_id: int, latents: np.ndarray, decoder: Mlp) -> None:
         self.vehicles[vehicle_id] = (latents, decoder)
@@ -88,6 +95,7 @@ class Shard:
     def reset(self) -> None:
         """Give every vehicle a new denoiser, made from its ``"denoiser"`` substream."""
         cfg = self.cfg
+        self.load = [[0, 0.0, None]]
         self.denoisers = {vid: ldpm.new_denoiser(cfg.codec.latent_dim, cfg.ldpm.hidden,
                                                  cfg.ldpm.time_embed,
                                                  substream(cfg.sim.seed, "denoiser", vid))
@@ -98,6 +106,7 @@ class Shard:
 
         Returns one (top-``list_m`` ids, knowledge, losses) per job, in job order.
         """
+        began = time.perf_counter()
         seed = self.cfg.sim.seed
         visits = []
         for vid, index, integrated in jobs:
@@ -105,18 +114,22 @@ class Shard:
             visits.append(fed_distill.VisitInputs(
                 vid, latents, self.denoisers[vid], decoder, integrated,
                 substream(seed, "train", vid, index), substream(seed, "sample", vid, index)))
-        results = fed_distill.train_and_predict(visits, self.cfg, self.schedule)
-        return [(top_m(scores.astype(np.float32), self.cfg.cache.list_m), knowledge, losses)
-                for scores, knowledge, losses in results]
+        results = [(top_m(scores.astype(np.float32), self.cfg.cache.list_m), knowledge, losses)
+                   for scores, knowledge, losses
+                   in fed_distill.train_and_predict(visits, self.cfg, self.schedule)]
+        self.load[0][0] += len(jobs)
+        self.load[0][1] += time.perf_counter() - began
+        return results
 
 
 class Fleet:
     """The main process's handle on the workers; a context manager.
 
-    ``load`` holds, per worker, the visits it computed and the seconds it
-    spent computing them since the last ``reset``, and its peak resident
-    memory in MB (``VmHWM``) as of its last reply: None before one, or
-    where the worker cannot read ``/proc/self/status``.
+    ``load`` holds, per worker, its shard's ``load`` entry as of its last
+    reply: the visits it computed and the seconds it spent computing them
+    since the last ``reset``, and its peak resident memory in MB
+    (``VmHWM``), None before a reply or where the worker cannot read
+    ``/proc/self/status``.
     """
 
     def __init__(self, cfg: SimConfig, workers: int | None = None):
@@ -198,12 +211,9 @@ class Fleet:
             if reply[0] == "error":
                 failure = failure or reply[1]
                 continue
-            _, computed, seconds, peak_mb = reply
+            _, computed, self.load[w] = reply
             for i, result in zip(mine, computed):
                 results[i] = result
-            self.load[w][0] += len(mine)
-            self.load[w][1] += seconds
-            self.load[w][2] = peak_mb
         if failure is not None:
             raise failure
         return results
@@ -250,35 +260,16 @@ class Fleet:
 
 
 def _send(stream, obj) -> None:
-    """One frame: header, buffer lengths, the pickle, then each array's raw bytes."""
-    buffers: list[pickle.PickleBuffer] = []
-    blob = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
-    views = [buf.raw() for buf in buffers]
-    stream.write(_HEADER.pack(len(blob), len(views)))
-    stream.write(b"".join(_LENGTH.pack(view.nbytes) for view in views))
-    stream.write(blob)
-    for view in views:
-        stream.write(view)
+    pickle.dump(obj, stream, protocol=5)
     stream.flush()
 
 
 def _receive(stream):
-    """The next frame's object; None when the stream ends first."""
-    head = stream.read(_HEADER.size)
-    if len(head) < _HEADER.size:
+    """The next message; None when the stream ends before a whole one."""
+    try:
+        return pickle.load(stream)
+    except (EOFError, pickle.UnpicklingError):
         return None
-    size, count = _HEADER.unpack(head)
-    lengths = stream.read(_LENGTH.size * count)
-    blob = stream.read(size)
-    if len(lengths) < _LENGTH.size * count or len(blob) < size:
-        return None
-    buffers = []
-    for (length,) in _LENGTH.iter_unpack(lengths):
-        buf = bytearray(length)
-        if stream.readinto(buf) < length:
-            return None
-        buffers.append(buf)
-    return pickle.loads(blob, buffers=buffers)
 
 
 def _shared_memory() -> int:
@@ -302,7 +293,7 @@ def _peak_rss_mb() -> float | None:
 
 
 def _serve() -> int:
-    """Worker loop: take the start frame, then follow each frame until stdin closes."""
+    """Worker loop: take the start message, then follow each message until stdin closes."""
     requests = sys.stdin.buffer
     replies = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)   # nothing but replies may reach the caller's pipe
@@ -315,8 +306,8 @@ def _serve() -> int:
             f"fleet worker imported roadcache from {_PACKAGE}, not {package}")))
         return 1
     shard = Shard(cfg)
-    while (frame := _receive(requests)) is not None:
-        kind, *args = frame
+    while (message := _receive(requests)) is not None:
+        kind, *args = message
         if kind == "map":
             begin, size, spans, blob = args
             region = memoryview(mmap.mmap(shared, size, offset=begin))
@@ -325,10 +316,10 @@ def _serve() -> int:
         if kind == "reset":
             shard.reset()
             continue
-        began = time.perf_counter()
         try:
             computed = shard.compute(*args)
-            reply = ("ok", computed, time.perf_counter() - began, _peak_rss_mb())
+            visits, seconds, _ = shard.load[0]
+            reply = ("ok", computed, [visits, seconds, _peak_rss_mb()])
         except Exception as exc:   # re-raised in the main process
             if not isinstance(exc, TrainingError):
                 traceback.print_exc()   # a fault, not bad training: show where it happened

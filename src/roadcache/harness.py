@@ -6,7 +6,9 @@ thread each, and set-up fills it: each vehicle's codec is fine-tuned in
 the main process, with the host's BLAS threads (its bytes depend on that
 thread count), and its latents and decoder go straight to the worker
 that owns the vehicle.  Vehicles' decoders never live in the main
-process, which holds only the one codec they are all tuned in.
+process, which holds only the one codec they are all tuned in.  A
+window-only run opens no fleet and trains no codec: its schemes read no
+model.
 
 The protocol phase walks entry, completion, and cache-merge events in
 time order, training each vehicle's model on its visits and recording
@@ -22,7 +24,8 @@ each visit's list, knowledge and losses.  The main process keeps the
 events, the knowledge caches and the ledger.  Messages, lists and
 losses are still published at each visit's own completion event,
 bit-identical to computing the visits one at a time, whatever the
-number of workers.
+number of workers.  The fleet may also be one in-process
+``fleet.Shard`` holding every vehicle, with the same bytes.
 
 The evaluation phase turns one caching scheme into cache refreshes, and
 one replay serves each request from its RSU's latest ranking.  Rankings
@@ -104,7 +107,8 @@ def build_data_env(cfg: SimConfig, fleet: Fleet | None = None) -> DataEnv:
     decoder)`` gets its latents and a weights-only view of the training
     codec's decoder, which the next fine-tune overwrites: whatever ``add``
     keeps, it must copy (``Fleet.add`` writes it to the worker).  Without a
-    fleet, the decoders are dropped.
+    fleet (a window-only run, which reads no model), no codec is trained
+    and ``hashes`` and ``latents`` are empty.
     """
     seed = cfg.sim.seed
     matrix = load_ratings(cfg.data.path)
@@ -117,13 +121,17 @@ def build_data_env(cfg: SimConfig, fleet: Fleet | None = None) -> DataEnv:
             f"{cfg.data.num_vehicles} vehicles need at least that many riders, "
             f"only {len(rider_ids)} users remain after the public holdout"
         )
+    riders = matrix.select_users(rider_ids)
+    locals_ = partition_users(riders, cfg.data.num_vehicles, cfg.data.split_ratio, substream(seed, "partition"))
+    prior = np.zeros(matrix.num_contents)
+    for loc in locals_:
+        prior += loc.user_train_vectors.sum(axis=0)
+    if fleet is None:
+        return DataEnv(matrix, locals_, np.zeros((0, cfg.codec.latent_dim)), [], prior)
+
     rows = user_rows(matrix)
     public = (np.vstack([user_train_vector(matrix, rows[int(uid)]) for uid in public_ids])
               if len(public_ids) else np.zeros((0, matrix.num_contents)))
-
-    riders = matrix.select_users(rider_ids)
-    locals_ = partition_users(riders, cfg.data.num_vehicles, cfg.data.split_ratio, substream(seed, "partition"))
-
     if len(public) == 0:
         # No public holdout configured: fall back to the riders' vectors.
         public = np.vstack([loc.user_train_vectors for loc in locals_])
@@ -146,11 +154,7 @@ def build_data_env(cfg: SimConfig, fleet: Fleet | None = None) -> DataEnv:
         )
         hashes.append(latent_codec.encode(tuned, loc.train_vector))
         latents.append(latent_codec.encode(tuned, loc.user_train_vectors))
-        if fleet is not None:
-            fleet.add(loc.vehicle_id, latents[-1], tuned.decoder.weights_view())
-    prior = np.zeros(matrix.num_contents)
-    for loc in locals_:
-        prior += loc.user_train_vectors.sum(axis=0)
+        fleet.add(loc.vehicle_id, latents[-1], tuned.decoder.weights_view())
     return DataEnv(matrix, locals_, np.vstack(hashes), latents, prior)
 
 
@@ -210,13 +214,13 @@ class ProtocolTrace:
     worker_load: list[tuple[int, float, float | None]] = field(default_factory=list)
 
 
-def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv, fleet: Fleet, *,
-                      rounds: list | None = None) -> ProtocolTrace:
+def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
+                      fleet: Fleet | Shard) -> ProtocolTrace:
     """Walk the run's events; every visit computes in ``fleet``, which set-up filled.
 
-    No byte of the trace depends on the fleet's size.  When ``rounds`` is a
-    list, each round of jobs sent to the fleet is appended to it with the
-    results that came back.
+    ``fleet`` is a ``Fleet`` of worker processes, or a ``Shard`` holding
+    every vehicle, which computes the visits in this process.  No byte of
+    the trace depends on which, nor on the fleet's size.
     """
     duration = cfg.sim.duration
     n_vehicles = data.num_vehicles
@@ -283,8 +287,6 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv, fleet: F
         vid, rsu = payload
         if not ready:
             results = fleet.compute(pending)
-            if rounds is not None:
-                rounds.append((list(pending), results))
             ready.extend(zip((job[0] for job in pending), results))
             pending.clear()
         owner, (ids, knowledge, visit_losses) = ready.popleft()
@@ -796,25 +798,22 @@ def validate_suite() -> list[tuple[str, bool, str]]:
                    f"HI/REC_LIST/KI counts {got} (expected {want}), "
                    f"{total} bytes (expected {expected_total})"))
 
-    # The same run from 1 and 2 workers, and its rounds replayed through one
-    # in-process Shard, all filled from the copies: every byte the trace
-    # keeps, and every result, agree.
-    rounds, traces = [], []
+    # The same run from 1 and 2 workers and from one in-process Shard, all
+    # filled from the copies: every byte the trace keeps agrees.
+    traces = []
     for workers in (1, 2):
         with Fleet(cfg, workers=workers) as fleet:
             copies.fill(fleet)
-            traces.append(simulate_protocol(cfg, data, motion, fleet,
-                                            rounds=rounds if workers == 1 else None))
+            traces.append(simulate_protocol(cfg, data, motion, fleet))
     shard = Shard(cfg)
     copies.fill(shard)
-    shard.reset()
-    replayed = all(_result_bytes(shard.compute(jobs)) == _result_bytes(results)
-                   for jobs, results in rounds)
+    traces.append(simulate_protocol(cfg, data, motion, shard))
     views = [(format_message_trace(t.messages), t.lists.tobytes(), np.array(t.losses).tobytes(),
               t.completed_visits, t.aborted_visits) for t in traces]
-    checks.append(("worker-parity", views[0] == views[1] and replayed and len(rounds) > 1,
-                   f"1 and 2 workers give the same messages, lists, losses and visit counts; "
-                   f"{len(rounds)} rounds replayed in-process give the same results"))
+    checks.append(("worker-parity",
+                   views[0] == views[1] == views[2] and traces[0].completed_visits > 0,
+                   f"1 and 2 workers and an in-process Shard give the same messages, lists, "
+                   f"losses and visit counts ({traces[0].completed_visits} visits computed)"))
     return checks
 
 
@@ -830,12 +829,6 @@ class _Copies:
     def fill(self, target: Fleet | Shard) -> None:
         for vid, (latents, decoder) in self.vehicles.items():
             target.add(vid, latents, decoder)
-
-
-def _result_bytes(results: list[tuple]) -> list[tuple[bytes, bytes, bytes]]:
-    """Visit results (list ids, knowledge, losses) as bytes, for exact comparison."""
-    return [(ids.tobytes(), knowledge.tobytes(), np.array(losses).tobytes())
-            for ids, knowledge, losses in results]
 
 
 def run_sweep(base: SimConfig, schemes: list[str], capacities: list[int],

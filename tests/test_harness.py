@@ -1,5 +1,6 @@
 """Policies, exchange baselines, reports, and the command-line surface."""
 
+import io
 import os
 import pickle
 import re
@@ -300,6 +301,20 @@ class TestRunSimulation:
         assert row.mean_latency_ms == 0.0
         assert row.uplink_mb == 0.0
 
+    def test_window_only_runs_train_no_codec(self, tiny_cfg_path, monkeypatch):
+        """Window schemes read no model, so neither a run nor a sweep of them trains one."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a window-only run trained a codec")
+
+        monkeypatch.setattr(latent_codec, "pretrain_codec", refuse)
+        monkeypatch.setattr(latent_codec, "fine_tune", refuse)
+        cfg = load_config(tiny_cfg_path, ["sim.scheme=oracle"])
+        assert harness.run_simulation(cfg).rows[0].hit_pct > 0
+        swept = harness.run_sweep(cfg, list(harness.WINDOW_SCHEMES), [10, 40], [20.0, 30.0],
+                                  [0, 1])
+        assert len(swept.rows) == 3 * 2 * 2 * 2
+
 
 class Received:
     """A stand-in fleet for set-up: keeps what each vehicle's worker unpickles."""
@@ -319,12 +334,12 @@ def received(cfg):
     return harness.build_data_env(cfg, sink), sink.vehicles
 
 
-def protocol(cfg, data, motion, vehicles, workers=None, rounds=None):
+def protocol(cfg, data, motion, vehicles, workers=None):
     """simulate_protocol in a new fleet of ``workers`` holding the vehicles set-up handed over."""
     with fleet.Fleet(cfg, workers=workers) as pool:
         for vid, (latents, decoder) in vehicles.items():
             pool.add(vid, latents, decoder)
-        return harness.simulate_protocol(cfg, data, motion, pool, rounds=rounds)
+        return harness.simulate_protocol(cfg, data, motion, pool)
 
 
 @pytest.fixture(scope="module")
@@ -345,44 +360,12 @@ def tiny_vehicles(tiny_stack):
     return vehicles
 
 
-def record_rounds(cfg, data, motion, vehicles):
-    """The rounds of jobs a real run sends its fleet workers, with their results."""
-    rounds = []
-    protocol(cfg, data, motion, vehicles, rounds=rounds)
-    return rounds
-
-
-@pytest.fixture(scope="module")
-def tiny_rounds(tiny_stack, tiny_vehicles):
-    cfg, data, motion, _ = tiny_stack
-    return record_rounds(cfg, data, motion, tiny_vehicles)
-
-
-def job_bytes(jobs):
-    return [(vid, index, None if integrated is None else integrated.tobytes())
-            for vid, index, integrated in jobs]
-
-
-def run_in_process(cfg, data, motion, vehicles, rounds):
-    """simulate_protocol computing each round in-process through one fleet.Shard.
-
-    Each round it hands the stand-in fleet must be the recorded round a real
-    run sent its workers, so the in-process visits are the real run's.
-    """
-    recorded = iter(rounds)
+def run_in_process(cfg, data, motion, vehicles):
+    """simulate_protocol computing every visit in this process, in one fleet.Shard."""
     shard = fleet.Shard(cfg)
     for vid, (latents, decoder) in vehicles.items():
         shard.add(vid, latents, decoder)
-
-    def compute(jobs):
-        sent, _ = next(recorded)
-        assert job_bytes(jobs) == job_bytes(sent)
-        return shard.compute(jobs)
-
-    trace = harness.simulate_protocol(cfg, data, motion,
-                                      SimpleNamespace(reset=shard.reset, compute=compute, load=[]))
-    assert next(recorded, None) is None
-    return trace
+    return harness.simulate_protocol(cfg, data, motion, shard)
 
 
 def test_protocol_ledger_follows_each_entry(tiny_stack):
@@ -801,11 +784,11 @@ class TestBatchedProtocol:
             assert order == sorted(order) and len(set(order)) == len(order)
 
     def test_one_visit_per_call_gives_identical_trace(self, monkeypatch, tiny_stack,
-                                                       tiny_vehicles, tiny_rounds):
+                                                       tiny_vehicles):
         """Stack and sampling-call sizes change no byte; sampling reads the trained stack.
 
-        The visits compute in-process (``run_in_process``), on the rounds a
-        real run sent its workers, so the patched calls see them.
+        The visits compute in-process (``run_in_process``), so the patched
+        calls see them.
         """
         cfg, data, motion, batched = tiny_stack
         real_train, real_sample, real_batches = (ldpm.local_train, ldpm.sample,
@@ -846,7 +829,7 @@ class TestBatchedProtocol:
             monkeypatch.setattr(fed_distill, "visit_batches", split)
             calls["train"].clear()
             calls["sample"].clear()
-            trace = run_in_process(cfg, data, motion, tiny_vehicles, tiny_rounds)
+            trace = run_in_process(cfg, data, motion, tiny_vehicles)
             largest.append(tuple(max(len(dense(params)[0].w) for params in calls[kind])
                                  for kind in ("train", "sample")))
             assert largest[-1][0] <= cap
@@ -863,11 +846,10 @@ class TestBatchedProtocol:
         assert largest[2:] == [(2, 2), (1, 1), (1, 1)]
 
     def test_call_allocates_under_two_stacked_copies(self, monkeypatch, tiny_stack,
-                                                     tiny_vehicles, tiny_rounds):
+                                                     tiny_vehicles):
         """A call's stacks hold the one copy of its denoisers' weights and momentum.
 
-        Measured in-process (``run_in_process``), on the rounds a real run sent
-        its workers.
+        Measured in-process (``run_in_process``).
         """
         cfg, data, motion, batched = tiny_stack
         real = fed_distill.train_and_predict
@@ -886,7 +868,7 @@ class TestBatchedProtocol:
         monkeypatch.setattr(fed_distill, "train_and_predict", measured)
         tracemalloc.start()
         try:
-            trace = run_in_process(cfg, data, motion, tiny_vehicles, tiny_rounds)
+            trace = run_in_process(cfg, data, motion, tiny_vehicles)
         finally:
             tracemalloc.stop()
         assert trace.lists.tobytes() == batched.lists.tobytes()
@@ -904,7 +886,7 @@ class TestInferenceCachesNothing:
                 for name in ("_x", "_mask", "_y") if getattr(layer, name, None) is not None]
 
     def test_protocol_leaves_no_activations(self, monkeypatch, tiny_cfg_path):
-        """Checked in-process (``run_in_process``), on the rounds a real run sent its workers."""
+        """Checked in-process (``run_in_process``), whose trace is a worker run's, byte for byte."""
         cfg = load_config(tiny_cfg_path, [])
         denoisers, sampled = [], []
         real_new, real_sample = ldpm.new_denoiser, ldpm.sample
@@ -921,8 +903,12 @@ class TestInferenceCachesNothing:
         monkeypatch.setattr(ldpm, "sample", sample)
         data, vehicles = received(cfg)
         motion = harness.build_motion_env(cfg, data.locals_)
-        trace = run_in_process(cfg, data, motion, vehicles,
-                               record_rounds(cfg, data, motion, vehicles))
+        trace = run_in_process(cfg, data, motion, vehicles)
+        in_workers = protocol(cfg, data, motion, vehicles)
+        assert (harness.format_message_trace(trace.messages)
+                == harness.format_message_trace(in_workers.messages))
+        assert trace.lists.tobytes() == in_workers.lists.tobytes()
+        assert np.array(trace.losses).tobytes() == np.array(in_workers.losses).tobytes()
         decoders = [decoder for _, decoder in vehicles.values()]
         assert trace.completed_visits > 0 and sampled
         assert len(denoisers) == len(decoders) == data.num_vehicles
@@ -943,19 +929,24 @@ class TestFleet:
 
     def test_trace_bytes_do_not_depend_on_worker_count(self, tiny_stack, tiny_vehicles,
                                                        monkeypatch):
-        """Nor on whether set-up hands the vehicles over in a memory-backed or a temporary file."""
+        """Nor on whether set-up hands the vehicles over in a memory-backed or a temporary file,
+        nor on whether the visits compute in workers or in-process in one ``Shard``."""
         cfg, data, motion, default = tiny_stack
-        for workers, shared in ((1, True), (2, True), (3, True), (2, False)):
+        for workers, shared in ((1, True), (2, True), (3, True), (None, True), (2, False)):
             if not shared:
                 monkeypatch.delattr(os, "memfd_create", raising=False)
-            trace = protocol(cfg, data, motion, tiny_vehicles, workers=workers)
+            if workers is None:
+                trace = run_in_process(cfg, data, motion, tiny_vehicles)
+            else:
+                trace = protocol(cfg, data, motion, tiny_vehicles, workers=workers)
             assert (harness.format_message_trace(trace.messages)
                     == harness.format_message_trace(default.messages))
             assert trace.lists.tobytes() == default.lists.tobytes()
             assert np.array(trace.losses).tobytes() == np.array(default.losses).tobytes()
             assert (trace.completed_visits, trace.aborted_visits) == (
                 default.completed_visits, default.aborted_visits)
-            assert len(trace.worker_load) == workers
+            assert len(trace.worker_load) == (workers or 1)
+            assert sum(visits for visits, _, _ in trace.worker_load) == trace.completed_visits
 
     def test_worker_visits_sum_to_completed(self, tiny_stack):
         cfg, data, _, trace = tiny_stack
@@ -966,6 +957,28 @@ class TestFleet:
         readable = Path("/proc/self/status").is_file()
         assert all((peak_mb > 10) if readable else (peak_mb is None)
                    for visits, _, peak_mb in trace.worker_load if visits)
+
+    def test_truncated_message_reads_as_none(self):
+        """A message cut short anywhere reads as the end of the stream; whole ones read in order."""
+        ok = ("ok", [(np.arange(500, dtype=np.int64), np.linspace(0.0, 1.0, 8), [0.5, 0.25])],
+              [1, 0.125, 150.0])
+        error = ("error", TrainingError("diffusion objective became non-finite"))
+        assert fleet._receive(io.BytesIO()) is None
+        blobs = []
+        for message in (ok, error):
+            sent = io.BytesIO()
+            fleet._send(sent, message)
+            blobs.append(sent.getvalue())
+            for cut in range(len(blobs[-1])):
+                assert fleet._receive(io.BytesIO(blobs[-1][:cut])) is None, (message[0], cut)
+        stream = io.BufferedReader(io.BytesIO(b"".join(blobs)))
+        kind, [(ids, knowledge, losses)], load = fleet._receive(stream)
+        assert (kind, losses, load) == ("ok", [0.5, 0.25], [1, 0.125, 150.0])
+        assert ids.tobytes() == ok[1][0][0].tobytes()
+        assert knowledge.tobytes() == ok[1][0][1].tobytes()
+        kind, exc = fleet._receive(stream)
+        assert kind == "error" and type(exc) is TrainingError and exc.args == error[1].args
+        assert fleet._receive(stream) is None
 
     def test_worker_training_error_exits_3(self, tiny_cfg_path):
         result = roadcache_cli("run", "--config", tiny_cfg_path, "--set", "ldpm.lr=1e300")
