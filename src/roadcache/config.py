@@ -55,12 +55,9 @@ class DataGroup:
 @dataclass
 class CodecGroup:
     latent_dim: int = 16
-    hidden: int = 100
-    lr: float = 0.03
+    # Read by nothing; kept only because the benchmark's light model still sets them.
     epochs: int = 120
     finetune_epochs: int = 15
-    batch: int = 32
-    negative_weight: float = 0.05   # pull on unrated entries during training
 
 
 @dataclass
@@ -166,12 +163,9 @@ class SimConfig:
             raise ConfigError("data.split_ratio must be in (0, 1)")
         if not (0 <= self.data.public_fraction < 1):
             raise ConfigError("data.public_fraction must be in [0, 1)")
-        if self.codec.latent_dim < 1 or self.codec.hidden < 1:
-            raise ConfigError("codec.latent_dim and codec.hidden must be >= 1")
-        if self.codec.negative_weight < 0:
-            raise ConfigError("codec.negative_weight must be >= 0")
-        for key, value in (("codec.batch", self.codec.batch), ("ldpm.batch", self.ldpm.batch),
-                           ("ldpm.hidden", self.ldpm.hidden)):
+        if self.codec.latent_dim < 1:
+            raise ConfigError("codec.latent_dim must be >= 1")
+        for key, value in (("ldpm.batch", self.ldpm.batch), ("ldpm.hidden", self.ldpm.hidden)):
             if value < 1:
                 raise ConfigError(f"{key} must be >= 1")
         for key, value in (("codec.epochs", self.codec.epochs),
@@ -179,9 +173,8 @@ class SimConfig:
                            ("ldpm.episodes", self.ldpm.episodes)):
             if value < 0:
                 raise ConfigError(f"{key} must be >= 0")
-        for key, value in (("codec.lr", self.codec.lr), ("ldpm.lr", self.ldpm.lr)):
-            if value <= 0:
-                raise ConfigError(f"{key} must be > 0")
+        if self.ldpm.lr <= 0:
+            raise ConfigError("ldpm.lr must be > 0")
         if self.ldpm.time_embed < 2 or self.ldpm.time_embed % 2:
             raise ConfigError("ldpm.time_embed must be even and >= 2")
         if self.ldpm.steps < 1:

@@ -24,7 +24,6 @@ import numpy as np
 from . import latent_codec, ldpm
 from .config import LdpmGroup, SimConfig
 from .errors import ProtocolError
-from .nn import Mlp
 
 ID_BYTES = 4
 VALUE_BYTES = 4
@@ -196,7 +195,7 @@ def merge_kc(rsu_kcs: list[KnowledgeCache]) -> KnowledgeCache:
 class VisitInputs:
     """A proceeding visit's compute inputs, all fixed when the vehicle enters the zone.
 
-    The vehicle's latents, denoiser and codec decoder, the knowledge its peers
+    The vehicle's latents, denoiser and codec, the knowledge its peers
     sent down (None when none had any), and the visit's train and sample
     substreams.
     """
@@ -204,7 +203,7 @@ class VisitInputs:
     vehicle_id: int
     latents: np.ndarray
     denoiser: ldpm.DenoiserParams
-    decoder: Mlp
+    codec: latent_codec.CodecParams
     integrated: np.ndarray | None
     rng_train: np.random.Generator
     rng_sample: np.random.Generator
@@ -297,9 +296,10 @@ def train_and_predict(visits: list[VisitInputs], cfg: SimConfig,
     target is mapped into the vehicle's standardized latent coordinates
     for training, and draws are mapped back before decoding, so knowledge
     exchanged over the air always lives in raw latent space.  A visit's
-    scores, the mean of its decoded draws, come from
-    ``latent_codec.decode_mean``, which never holds the decoded rows; a
-    stack is gone before its visits decode.
+    knowledge is the mean of its draws, and its scores are that mean
+    decoded: the codec is linear, so this is the mean of the decoded draws
+    (in exact arithmetic), and no decoded draw is ever held.  A stack is
+    gone before its visits decode.
     """
     results: list[tuple] = [()] * len(visits)
     for batch in visit_batches(visits):
@@ -309,9 +309,9 @@ def train_and_predict(visits: list[VisitInputs], cfg: SimConfig,
             standardizers = [latent_standardizer(visit.latents) for visit in stack]
             draws, losses = _train_and_sample(stack, standardizers, cfg.ldpm, schedule)
             for i, (mu, sd), own_draws, own_losses in zip(group, standardizers, draws, losses):
-                own_draws = own_draws * sd + mu
-                results[i] = (latent_codec.decode_mean(visits[i].decoder, own_draws),
-                              own_draws.mean(axis=0), own_losses)
+                knowledge = (own_draws * sd + mu).mean(axis=0)
+                results[i] = (latent_codec.decode(visits[i].codec, knowledge), knowledge,
+                              own_losses)
     return results
 
 

@@ -3,24 +3,23 @@
 Each vehicle trains and samples its own denoiser, independently of the
 others, so its model lives in a worker process, never in the main one.
 Worker ``w`` of W owns the vehicles with ``vehicle_id % W == w``: it
-holds their latents, decoders and denoisers in a ``Shard`` and runs every
+holds their latents, codecs and denoisers in a ``Shard`` and runs every
 visit of theirs.  The main process keeps the event loop, the knowledge
 caches and the ledger.  A ``Shard`` is also a fleet of its own, run
 in-process: ``Fleet`` and ``Shard`` share ``add``, ``reset``, ``compute``
 and ``load``, all that ``harness.simulate_protocol`` uses.
 
 The run's entry points open the ``Fleet`` before set-up.  Set-up
-(``harness.build_data_env``) fills it: right after a vehicle's
-fine-tune, ``Fleet.add`` hands its latents and weights-only decoder to
-the owning worker as raw array buffers (pickle protocol 5 out of band),
-so the main process never holds more than the one decoder it trains in,
-nor a pickled copy of it.  The buffers go into a file the worker shares,
-memory-backed (``os.memfd_create``) where the platform has one and a
-temporary file elsewhere, which the worker maps: one copy, and main
-never waits for the worker to read them.  ``Fleet.reset`` then
-starts each protocol phase: every worker remakes its denoisers from
-their ``"denoiser"`` substreams, so one fleet serves several protocol
-phases as fresh as a new one would.
+(``harness.build_data_env``) fills it: right after a vehicle's latents
+are encoded, ``Fleet.add`` hands them and the codec to the owning worker
+as raw array buffers (pickle protocol 5 out of band), so the main
+process never holds a pickled copy of them.  The buffers go into a file
+the worker shares, memory-backed (``os.memfd_create``) where the
+platform has one and a temporary file elsewhere, which the worker maps:
+one copy, and main never waits for the worker to read them.
+``Fleet.reset`` then starts each protocol phase: every worker remakes
+its denoisers from their ``"denoiser"`` substreams, so one fleet serves
+several protocol phases as fresh as a new one would.
 
 A job is ``(vehicle_id, visit_index, integrated knowledge or None)``.
 ``Fleet.compute`` sends each worker its share of a round of jobs, in
@@ -58,7 +57,7 @@ from . import fed_distill, ldpm
 from .caching import top_m
 from .config import SimConfig
 from .errors import InvariantError, TrainingError
-from .nn import Mlp
+from .latent_codec import CodecParams
 from .rng import substream
 
 # Seconds a closing worker gets to exit after its stdin closes, before it is killed.
@@ -75,7 +74,7 @@ def worker_count(vehicles: int) -> int:
 
 
 class Shard:
-    """One worker's vehicles: their latents, decoders and denoisers.
+    """One worker's vehicles: their latents, codecs and denoisers.
 
     Also an in-process fleet of one worker: ``load`` is its one
     ``[visits, seconds computing them, None]`` entry since the last
@@ -85,12 +84,12 @@ class Shard:
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
         self.schedule = ldpm.build_schedule(cfg.ldpm.steps)
-        self.vehicles: dict[int, tuple[np.ndarray, Mlp]] = {}
+        self.vehicles: dict[int, tuple[np.ndarray, CodecParams]] = {}
         self.denoisers: dict[int, ldpm.DenoiserParams] = {}
         self.load = [[0, 0.0, None]]
 
-    def add(self, vehicle_id: int, latents: np.ndarray, decoder: Mlp) -> None:
-        self.vehicles[vehicle_id] = (latents, decoder)
+    def add(self, vehicle_id: int, latents: np.ndarray, codec: CodecParams) -> None:
+        self.vehicles[vehicle_id] = (latents, codec)
 
     def reset(self) -> None:
         """Give every vehicle a new denoiser, made from its ``"denoiser"`` substream."""
@@ -110,9 +109,9 @@ class Shard:
         seed = self.cfg.sim.seed
         visits = []
         for vid, index, integrated in jobs:
-            latents, decoder = self.vehicles[vid]
+            latents, codec = self.vehicles[vid]
             visits.append(fed_distill.VisitInputs(
-                vid, latents, self.denoisers[vid], decoder, integrated,
+                vid, latents, self.denoisers[vid], codec, integrated,
                 substream(seed, "train", vid, index), substream(seed, "sample", vid, index)))
         results = [(top_m(scores.astype(np.float32), self.cfg.cache.list_m), knowledge, losses)
                    for scores, knowledge, losses
@@ -163,8 +162,8 @@ class Fleet:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def add(self, vehicle_id: int, latents: np.ndarray, decoder: Mlp) -> None:
-        """Hand a vehicle's latents and decoder to the worker that owns it.
+    def add(self, vehicle_id: int, latents: np.ndarray, codec: CodecParams) -> None:
+        """Hand a vehicle's latents and codec to the worker that owns it.
 
         The arrays are copied out straight from their own memory before this
         returns, into the worker's shared file, so the caller may then
@@ -173,7 +172,7 @@ class Fleet:
         w = vehicle_id % self.count
         shared = self.shared[w]
         buffers: list[pickle.PickleBuffer] = []
-        blob = pickle.dumps((vehicle_id, latents, decoder), protocol=5,
+        blob = pickle.dumps((vehicle_id, latents, codec), protocol=5,
                             buffer_callback=buffers.append)
         start, spans, size = self.ends[w], [], 0
         for buf in buffers:

@@ -2,21 +2,18 @@
 
 Everything is float64 numpy.  Each layer writes its arithmetic once, in
 ``apply``, which stores nothing and makes one new array: Dense adds its
-bias into the matmul's output, and Sigmoid clips into a new array (or a
-given ``out``) and finishes there in place.  Relu is ``max(x, 0)``: it
-gives +0.0 where ``x * (x > 0)`` gives -0.0, and the next Dense's sums
-come out the same either way (the tests compare the two).  ``forward`` is
-the training pass: it keeps what backward needs on the layer and then
-calls ``apply``; backward leaves parameter gradients on the layer (the
-first layer's input gradient only on request), and step applies SGD with
+bias into the matmul's output.  Relu is ``max(x, 0)``: it gives +0.0
+where ``x * (x > 0)`` gives -0.0, and the next Dense's sums come out the
+same either way (the tests compare the two).  ``forward`` is the training
+pass: it keeps what backward needs on the layer and then calls
+``apply``; backward leaves parameter gradients on the layer (the first
+layer's input gradient only on request), and step applies SGD with
 optional momentum.  A new layer holds no gradients: the first backward
 makes them.
-``Mlp.predict`` chains the ``apply`` calls, so encoding, decoding and
-sampling hold no activations once they return, and give byte for byte
-what ``forward`` gives; ``Mlp.predict_mean`` gives its row mean byte for
-byte while holding one output-sized array.  Keeping the gradients
-explicit is what lets the test suite compare every analytic derivative
-against central finite differences.
+``Mlp.predict`` chains the ``apply`` calls, so sampling holds no
+activations once it returns, and gives byte for byte what ``forward``
+gives.  Keeping the gradients explicit is what lets the test suite
+compare every analytic derivative against central finite differences.
 
 A Dense layer works on (rows, in) inputs with (in, out) weights, or on a
 stack of V such networks: (V, rows, in) inputs with (V, in, out) weights.
@@ -26,9 +23,9 @@ in one call with the same arithmetic as V separate calls.  A network's
 state is its Dense layers' weights, biases and momentum (``Mlp.dense``;
 activations hold no parameters).  Only that state moves in and out of a
 stack: gradients and activations live on the stack alone.  Copies,
-stacks, ``Mlp.slice`` views (which share a run of a stack's slices) and
-``Mlp.weights_view`` views all come from one builder, ``_build``, which
-differs between them only in where each Dense's state comes from.
+stacks and ``Mlp.slice`` views (which share a run of a stack's slices)
+all come from one builder, ``_build``, which differs between them only
+in where each Dense's state comes from.
 """
 
 from __future__ import annotations
@@ -37,10 +34,6 @@ import numpy as np
 
 # Per-layer arrays that travel with a network when it is stacked.
 _DENSE_STATE = ("w", "b", "_vw", "_vb")
-
-# Rows per block in ``Mlp.predict_mean``: a block of a 3952-wide output
-# (about 1 MB) stays in cache across the bias, activation and sum passes.
-MEAN_BLOCK = 32
 
 
 class Dense:
@@ -92,26 +85,6 @@ class Relu:
         return grad_y * self._mask
 
 
-class Sigmoid:
-    def __init__(self):
-        self._y = None
-
-    def apply(self, x, out=None):
-        """1 / (1 + exp(-clip(x))), computed in the one array ``clip`` writes (``out`` if given)."""
-        y = np.clip(x, -500.0, 500.0, out=out)
-        np.negative(y, out=y)
-        np.exp(y, out=y)
-        y += 1.0
-        return np.divide(1.0, y, out=y)
-
-    def forward(self, x):
-        self._y = self.apply(x)
-        return self._y
-
-    def backward(self, grad_y):
-        return grad_y * self._y * (1.0 - self._y)
-
-
 class Mlp:
     def __init__(self, layers: list):
         self.layers = layers
@@ -127,39 +100,6 @@ class Mlp:
         for layer in self.layers:
             x = layer.apply(x)
         return x
-
-    def predict_mean(self, x: np.ndarray) -> np.ndarray:
-        """``predict(x).mean(axis=0)`` byte for byte, for (rows, in) inputs.
-
-        The layers before the last Dense run as in ``predict``; the last
-        matmul runs on all rows at once, because splitting it into row
-        blocks can change its bits.  Its bias and the layers after it then
-        run on blocks of ``MEAN_BLOCK`` rows in one reused buffer, whose row
-        0 holds the running sum: each block's sum starts from that row and
-        adds the block's rows in order, the order an axis-0 mean adds them.
-        So only one (rows, out) array is ever held.  The layers after the
-        last Dense must take ``out=``.
-        """
-        if x.ndim != 2 or len(x) == 0:
-            raise ValueError(f"expected a non-empty (rows, in) input, got {x.shape}")
-        dense = self.dense[-1]
-        last = self.layers.index(dense)
-        for layer in self.layers[:last]:
-            x = layer.apply(x)
-        tail = self.layers[last + 1:]
-        y = x @ dense.w
-        rows = len(y)
-        buf = np.empty((min(rows, MEAN_BLOCK) + 1, y.shape[1]))
-        first = 1   # the first block has no running sum yet
-        for lo in range(0, rows, MEAN_BLOCK):
-            n = min(MEAN_BLOCK, rows - lo)
-            block = buf[1:n + 1]
-            np.add(y[lo:lo + n], dense.b, out=block)
-            for layer in tail:
-                layer.apply(block, out=block)
-            buf[0] = buf[first:n + 1].sum(axis=0)
-            first = 0
-        return buf[0] / rows
 
     def backward(self, grad_y: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         """Leave gradients on every layer; return the input gradient (None without ``input_grad``).
@@ -209,15 +149,6 @@ class Mlp:
         return _build(self, lambda i, name: getattr(self.dense[i], name).copy()
                       if name in names else None)
 
-    def weights_view(self) -> "Mlp":
-        """A network sharing this one's weights and biases, and holding nothing else.
-
-        It predicts with them, and pickles as just those arrays, so handing
-        it on copies nothing; it reads whatever this network is trained to.
-        """
-        return _build(self, lambda i, name: getattr(self.dense[i], name)
-                      if name in ("w", "b") else None)
-
     def slice(self, lo: int, hi: int) -> "Mlp":
         """Slices ``lo:hi`` of a stacked network, as a stacked network that shares their state.
 
@@ -230,7 +161,7 @@ class Mlp:
     def clear(self) -> None:
         """Drop the gradients and activations the last forward and backward left."""
         for layer in self.layers:
-            for name in ("dw", "db", "_x", "_mask", "_y"):
+            for name in ("dw", "db", "_x", "_mask"):
                 if hasattr(layer, name):
                     setattr(layer, name, None)
 
@@ -295,13 +226,11 @@ def _build(like: Mlp, state) -> Mlp:
     return Mlp(layers)
 
 
-def mlp(sizes: list[int], rng: np.random.Generator, *, hidden_act=Relu, out_act=None) -> Mlp:
+def mlp(sizes: list[int], rng: np.random.Generator, *, hidden_act=Relu) -> Mlp:
     """Build Dense/activation stacks like [K, 100, 16] in one call."""
     layers: list = []
     for i in range(len(sizes) - 1):
         layers.append(Dense(sizes[i], sizes[i + 1], rng))
         if i < len(sizes) - 2:
             layers.append(hidden_act())
-        elif out_act is not None:
-            layers.append(out_act())
     return Mlp(layers)

@@ -26,8 +26,8 @@ def kl_tempered(g, target, temperature: float) -> float:
 def mlp_predict(net, x):
     """A network's output from the layer formulas as first written, one new array per step.
 
-    Dense is ``x @ w + b``, Relu ``x * (x > 0)`` (so -0.0 for negative inputs) and
-    Sigmoid ``1 / (1 + exp(-clip(x, -500, 500)))``; works on 2-D and stacked nets.
+    Dense is ``x @ w + b`` and Relu ``x * (x > 0)`` (so -0.0 for negative inputs);
+    works on 2-D and stacked nets.
     """
     from roadcache import nn
 
@@ -36,8 +36,6 @@ def mlp_predict(net, x):
             x = x @ layer.w + layer.b[..., None, :]
         elif isinstance(layer, nn.Relu):
             x = x * (x > 0)
-        elif isinstance(layer, nn.Sigmoid):
-            x = 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
         else:
             raise TypeError(f"no oracle for {type(layer).__name__}")
     return x

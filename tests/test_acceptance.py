@@ -290,9 +290,6 @@ SMALL_CFG = [
     "data.path=synth://users=30,contents=80,seed=7",
     "data.num_vehicles=6",
     "codec.latent_dim=8",
-    "codec.hidden=16",
-    "codec.epochs=10",
-    "codec.finetune_epochs=3",
     "ldpm.T=5",
     "ldpm.F=8",
     "ldpm.episodes=3",

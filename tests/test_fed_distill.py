@@ -51,7 +51,7 @@ def make_visit(vid, latents, integrated):
         vehicle_id=vid,
         latents=latents,
         denoiser=ldpm.new_denoiser(LATENT_DIM, 8, 4, rng),
-        decoder=latent_codec.new_codec(20, 8, LATENT_DIM, rng).decoder,
+        codec=latent_codec.pretrain_codec(rng.random((6, 20)), LATENT_DIM),
         integrated=integrated,
         rng_train=substream(1, "tap-train", vid),
         rng_sample=substream(1, "tap-sample", vid),

@@ -7,7 +7,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-import warnings
 from collections import Counter, defaultdict
 from dataclasses import replace
 from pathlib import Path
@@ -20,6 +19,7 @@ from test_latent_codec import codec_state
 from roadcache import cli, fed_distill, fleet, harness, latent_codec, ldpm, nn, report
 from roadcache.caching import Metrics
 from roadcache.config import SCHEMES, SimConfig, _key_table, load_config
+from roadcache.dataset import load_ratings, split_public_users, user_rows, user_train_vector
 from roadcache.errors import ConfigError, DataFormatError, InvariantError, TrainingError
 from roadcache.fed_distill import (MSG_HI, MSG_KI, MSG_KNOWLEDGE_DOWN, MSG_REC_LIST,
                                    UPLINK_KINDS)
@@ -263,9 +263,6 @@ data.public_fraction = 0.1
 topology.num_rsus = 2
 topology.coverage_length = 500
 codec.latent_dim = 8
-codec.hidden = 16
-codec.epochs = 10
-codec.finetune_epochs = 3
 ldpm.T = 5
 ldpm.F = 8
 ldpm.episodes = 3
@@ -291,10 +288,8 @@ class TestRunSimulation:
     def test_zero_duration_guarded(self):
         cfg = load_config(None, ["sim.duration=0", "sim.scheme=random",
                                  "data.path=synth://users=30,contents=80,seed=7",
-                                 "data.num_vehicles=6", "codec.epochs=2",
-                                 "codec.finetune_epochs=1", "codec.hidden=8",
-                                 "codec.latent_dim=4", "cache.capacity_n=10",
-                                 "cache.list_m=20"])
+                                 "data.num_vehicles=6", "codec.latent_dim=4",
+                                 "cache.capacity_n=10", "cache.list_m=20"])
         rep = harness.run_simulation(cfg)
         row = rep.rows[0]
         assert row.hit_pct == 0.0
@@ -302,13 +297,12 @@ class TestRunSimulation:
         assert row.uplink_mb == 0.0
 
     def test_window_only_runs_train_no_codec(self, tiny_cfg_path, monkeypatch):
-        """Window schemes read no model, so neither a run nor a sweep of them trains one."""
+        """Window schemes read no model, so neither a run nor a sweep of them fits one."""
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a window-only run trained a codec")
+            raise AssertionError("a window-only run fitted a codec")
 
         monkeypatch.setattr(latent_codec, "pretrain_codec", refuse)
-        monkeypatch.setattr(latent_codec, "fine_tune", refuse)
         cfg = load_config(tiny_cfg_path, ["sim.scheme=oracle"])
         assert harness.run_simulation(cfg).rows[0].hit_pct > 0
         swept = harness.run_sweep(cfg, list(harness.WINDOW_SCHEMES), [10, 40], [20.0, 30.0],
@@ -320,16 +314,14 @@ class Received:
     """A stand-in fleet for set-up: keeps what each vehicle's worker unpickles."""
 
     def __init__(self):
-        self.vehicles: dict[int, tuple[np.ndarray, nn.Mlp]] = {}
+        self.vehicles: dict[int, tuple[np.ndarray, latent_codec.CodecParams]] = {}
 
-    def add(self, vehicle_id, latents, decoder):
-        # The decoder shares the training codec's arrays, which the next
-        # fine-tune overwrites, so keep the copy a worker would get.
-        self.vehicles[vehicle_id] = pickle.loads(pickle.dumps((latents, decoder), protocol=5))
+    def add(self, vehicle_id, latents, codec):
+        self.vehicles[vehicle_id] = pickle.loads(pickle.dumps((latents, codec), protocol=5))
 
 
 def received(cfg):
-    """(data env, each vehicle's (latents, decoder) as set-up handed them over)."""
+    """(data env, each vehicle's (latents, codec) as set-up handed them over)."""
     sink = Received()
     return harness.build_data_env(cfg, sink), sink.vehicles
 
@@ -337,8 +329,8 @@ def received(cfg):
 def protocol(cfg, data, motion, vehicles, workers=None):
     """simulate_protocol in a new fleet of ``workers`` holding the vehicles set-up handed over."""
     with fleet.Fleet(cfg, workers=workers) as pool:
-        for vid, (latents, decoder) in vehicles.items():
-            pool.add(vid, latents, decoder)
+        for vid, (latents, codec) in vehicles.items():
+            pool.add(vid, latents, codec)
         return harness.simulate_protocol(cfg, data, motion, pool)
 
 
@@ -363,8 +355,8 @@ def tiny_vehicles(tiny_stack):
 def run_in_process(cfg, data, motion, vehicles):
     """simulate_protocol computing every visit in this process, in one fleet.Shard."""
     shard = fleet.Shard(cfg)
-    for vid, (latents, decoder) in vehicles.items():
-        shard.add(vid, latents, decoder)
+    for vid, (latents, codec) in vehicles.items():
+        shard.add(vid, latents, codec)
     return harness.simulate_protocol(cfg, data, motion, shard)
 
 
@@ -595,17 +587,17 @@ class TestCli:
 
     def test_unknown_key_exits_2(self, tiny_cfg_path):
         for setting in ("bogus.key=1", "sim.dt=0.1", "data.subsample_users=10",
-                        "sim.loop_road=false"):
+                        "sim.loop_road=false", "codec.hidden=16"):
             proc = roadcache_cli("run", "--config", tiny_cfg_path, "--set", setting)
             assert proc.returncode == 2
-            assert "error:" in proc.stderr
+            assert f"unknown config key {setting.split('=')[0]!r}" in proc.stderr
 
     def test_bad_value_exits_2(self, tiny_cfg_path):
         # list_m=81 exceeds the tiny config's 80-content catalog.
         for setting in ("cache.capacity_n=many", "ldpm.F=0", "cache.list_m=81", "cache.list_m=0",
-                        "codec.batch=0", "ldpm.batch=0", "ldpm.batch=-1", "ldpm.hidden=0",
+                        "ldpm.batch=0", "ldpm.batch=-1", "ldpm.hidden=0",
                         "ldpm.time_embed=3", "ldpm.time_embed=0", "ldpm.lr=nan",
-                        "codec.lr=inf", "codec.lr=0", "codec.epochs=-1",
+                        "ldpm.lr=0", "codec.latent_dim=0", "codec.epochs=-1",
                         "codec.finetune_epochs=-1", "ldpm.episodes=-1", "ldpm.delta=0",
                         "ldpm.delta=-1", "ldpm.lambda=-0.5", "cache.eta=nan", "cache.eta=inf",
                         "compute.visit_seconds=nan", "topology.coverage_length=inf",
@@ -672,7 +664,7 @@ class TestCli:
             "schemes = random, oracle\n"
             "capacities = 10:20:10\n"
             "seeds = 0\n"
-            "codec.epochs = 5\n")
+            "ldpm.episodes = 2\n")
         outdir = tmp_path / "sweep"
         proc = roadcache_cli("sweep", "--grid", str(grid), "--out", str(outdir))
         assert proc.returncode == 0, proc.stderr
@@ -753,6 +745,21 @@ class TestCli:
         assert cli.main(args) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == report.CSV_HEADER and len(lines) == 2
+
+    def test_one_rider_vehicles_in_four_zones_finish(self, tmp_path):
+        """Desk with one rider per vehicle and four zones runs to the end.
+
+        With a codec fine-tuned on each vehicle's one rider, the latents grew
+        to about 1e3 and the diffusion objective became non-finite (exit 3).
+        """
+        desk = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
+        out = tmp_path / "row.csv"
+        args = ["run", "--config", str(desk), "--out", str(out)]
+        for setting in ("data.path=synth://users=120,contents=3952,seed=1",
+                        "data.public_fraction=0.5", "topology.num_rsus=4", "sim.duration=360"):
+            args += ["--set", setting]
+        assert cli.main(args) == 0
+        assert len(out.read_text().splitlines()) == 2
 
     def test_keys_listing(self):
         proc = roadcache_cli("--keys")
@@ -883,7 +890,7 @@ class TestInferenceCachesNothing:
     @staticmethod
     def held(nets):
         return [(i, name) for i, net in enumerate(nets) for layer in net.layers
-                for name in ("_x", "_mask", "_y") if getattr(layer, name, None) is not None]
+                for name in ("_x", "_mask") if getattr(layer, name, None) is not None]
 
     def test_protocol_leaves_no_activations(self, monkeypatch, tiny_cfg_path):
         """Checked in-process (``run_in_process``), whose trace is a worker run's, byte for byte."""
@@ -909,19 +916,15 @@ class TestInferenceCachesNothing:
                 == harness.format_message_trace(in_workers.messages))
         assert trace.lists.tobytes() == in_workers.lists.tobytes()
         assert np.array(trace.losses).tobytes() == np.array(in_workers.losses).tobytes()
-        decoders = [decoder for _, decoder in vehicles.values()]
+        codecs = [codec for _, codec in vehicles.values()]
         assert trace.completed_visits > 0 and sampled
-        assert len(denoisers) == len(decoders) == data.num_vehicles
-        assert self.held(decoders) == []
+        assert len(denoisers) == len(codecs) == data.num_vehicles
+        assert all(list(vars(codec)) == ["basis"] for codec in codecs)
         assert self.held([d.net for d in denoisers + sampled]) == []
         for denoiser in denoisers:
             for layer in denoiser.net.layers:
                 if hasattr(layer, "w"):
                     assert layer.dw is layer.db is None
-        for net in decoders:
-            for layer in net.layers:
-                if hasattr(layer, "w"):
-                    assert layer.dw is layer.db is layer._vw is layer._vb is None
 
 
 class TestFleet:
@@ -997,12 +1000,10 @@ class TestFleet:
         monkeypatch.setattr(fleet.Fleet, "__enter__", enter)
         with pytest.raises(TrainingError, match="diffusion objective became non-finite"):
             harness.run_simulation(load_config(tiny_cfg_path, ["ldpm.lr=1e300"]))
-        # Set-up fails after the fleet opened: the codec's training, whose
-        # overflow warnings the command line only prints, then the catalog check.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert cli.main(["run", "--config", tiny_cfg_path, "--set", "codec.lr=1e300"]) == 3
-        assert "codec loss became non-finite" in capsys.readouterr().err
+        # A run fails after the fleet opened: the denoisers' training in the
+        # workers, then set-up's catalog check.
+        assert cli.main(["run", "--config", tiny_cfg_path, "--set", "ldpm.lr=1e300"]) == 3
+        assert "diffusion objective became non-finite" in capsys.readouterr().err
         assert cli.main(["run", "--config", tiny_cfg_path, "--set", "cache.list_m=100"]) == 2
         assert "exceeds the catalog" in capsys.readouterr().err
         harness.run_simulation(load_config(tiny_cfg_path, []))
@@ -1029,7 +1030,7 @@ class TestFleet:
             mp.setattr(fleet.Fleet, "compute", compute)
             with pytest.raises(InvariantError, match=died):
                 protocol(cfg, data, motion, tiny_vehicles, workers=1)
-        # Set-up hands over the decoders with no reply, so a worker killed
+        # Set-up hands over the vehicles with no reply, so a worker killed
         # after that and before the first round must not go unnoticed.
         with fleet.Fleet(cfg, workers=1) as pool:
             data = harness.build_data_env(cfg, pool)
@@ -1038,15 +1039,15 @@ class TestFleet:
                 harness.simulate_protocol(cfg, data, motion, pool)
 
 
-def reachable_dense(root):
-    """Every nn.Dense reachable from root through attributes, lists, tuples and dicts."""
+def reachable_codecs(root):
+    """Every codec reachable from root through attributes, lists, tuples and dicts."""
     found, seen, todo = [], set(), [root]
     while todo:
         obj = todo.pop()
         if id(obj) in seen or isinstance(obj, (np.ndarray, str, bytes, int, float)):
             continue
         seen.add(id(obj))
-        if isinstance(obj, nn.Dense):
+        if isinstance(obj, latent_codec.CodecParams):
             found.append(obj)
         if isinstance(obj, dict):
             todo.extend(obj.values())
@@ -1057,80 +1058,68 @@ def reachable_dense(root):
     return found
 
 
+def public_vectors(cfg):
+    """The run's public vectors, rebuilt from the dataset functions rather than set-up."""
+    matrix = load_ratings(cfg.data.path)
+    public_ids, _ = split_public_users(matrix, cfg.data.public_fraction,
+                                       substream(cfg.sim.seed, "public"))
+    rows = user_rows(matrix)
+    return np.vstack([user_train_vector(matrix, rows[int(uid)]) for uid in public_ids])
+
+
 class TestDataEnvKeepsDecoders:
-    """After set-up a vehicle's worker keeps only its fine-tuned decoder; main keeps none."""
+    """After set-up each vehicle's worker holds the one fitted codec; main's data env holds none."""
 
     @pytest.fixture(scope="class")
     def built(self, tiny_cfg_path):
         cfg = load_config(tiny_cfg_path, [])
-        real_pretrain = latent_codec.pretrain_codec
-        bases = []
-
-        def pretrain(*args, **kwargs):
-            result = real_pretrain(*args, **kwargs)
-            bases.append(result[0])   # fine_tune copies it, so it stays as pretrained
-            return result
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(latent_codec, "pretrain_codec", pretrain)
-            data, vehicles = received(cfg)
-        return cfg, bases[0], data, vehicles
+        data, vehicles = received(cfg)
+        return cfg, data, vehicles
 
     def test_no_encoder_reachable(self, built):
-        cfg, _, data, vehicles = built
-        assert reachable_dense(data) == []
+        cfg, data, vehicles = built
+        assert reachable_codecs(data) == []
         assert sorted(vehicles) == list(range(data.num_vehicles))
         for handed in vehicles.values():
-            _, net = handed
-            dense = reachable_dense(handed)
-            assert {id(d) for d in dense} == {id(layer) for layer in net.layers
-                                              if isinstance(layer, nn.Dense)}
-            assert all(layer.w.shape[0] != data.num_contents for layer in dense)
-            assert net.layers[0].w.shape[0] == cfg.codec.latent_dim
-            for layer in net.layers:
-                assert all(getattr(layer, name, None) is None
-                           for name in ("dw", "db", "_vw", "_vb", "_x", "_mask", "_y"))
+            _, codec = handed
+            assert reachable_codecs(handed) == [codec] and list(vars(codec)) == ["basis"]
+            assert codec.basis.shape == (data.num_contents, cfg.codec.latent_dim)
 
     def test_equals_direct_fine_tune(self, built):
-        cfg, base, data, vehicles = built
-        z = substream(5, "decoders-only").normal(size=(7, cfg.codec.latent_dim))
+        """Set-up's fingerprints, latents and codecs are the public-vector codec's, byte for byte.
+
+        The direct path is the fit on the public vectors and nothing more:
+        no vehicle fine-tunes the codec, so each encodes with that one basis.
+        """
+        cfg, data, vehicles = built
+        codec = latent_codec.pretrain_codec(public_vectors(cfg), cfg.codec.latent_dim)
         for loc, fingerprint, latents in zip(data.locals_, data.hashes, data.latents):
-            handed_latents, decoder = vehicles[loc.vehicle_id]
-            tuned = latent_codec.fine_tune(
-                base, loc.user_train_vectors, cfg.codec.finetune_epochs, cfg.codec.lr,
-                cfg.codec.batch, substream(cfg.sim.seed, "finetune", loc.vehicle_id),
-                negative_weight=cfg.codec.negative_weight)
-            assert fingerprint.tobytes() == latent_codec.encode(tuned, loc.train_vector).tobytes()
-            want_latents = latent_codec.encode(tuned, loc.user_train_vectors).tobytes()
+            handed_latents, handed_codec = vehicles[loc.vehicle_id]
+            assert fingerprint.tobytes() == latent_codec.encode(codec, loc.train_vector).tobytes()
+            want_latents = latent_codec.encode(codec, loc.user_train_vectors).tobytes()
             assert latents.tobytes() == handed_latents.tobytes() == want_latents
-            want = latent_codec.decode(tuned, z).mean(axis=0)
-            assert latent_codec.decode_mean(decoder, z).tobytes() == want.tobytes()
-            assert latent_codec.decode_mean(tuned.decoder, z).tobytes() == want.tobytes()
+            assert codec_state(handed_codec) == codec_state(codec)
 
     def test_set_up_holds_one_decoder_at_a_time(self, monkeypatch):
-        """Set-up hands each decoder to its worker, so none piles up in the main process.
+        """Set-up hands each vehicle to its worker, so no copies of the codec pile up in main.
 
         Under tracemalloc, main's allocations in ``build_data_env`` after the
-        first fine-tune (when the codec every vehicle tunes in exists) peak
-        less than three decoders' bytes above what it held then.  Keeping
-        the other 11 vehicles' decoders would take 11.
+        codec is fitted peak less than three codecs' bytes above what it held
+        then.  Keeping a copy for each of the 12 vehicles would take 12.
         """
         cfg = load_config(None, ["sim.duration=20", "data.num_vehicles=12",
                                  "data.path=synth://users=60,contents=2000,seed=7",
-                                 "codec.hidden=128", "codec.latent_dim=8", "codec.epochs=2",
-                                 "codec.finetune_epochs=2", "codec.batch=8", "ldpm.T=5",
-                                 "ldpm.F=8", "ldpm.episodes=1", "cache.capacity_n=10",
-                                 "cache.list_m=20"])
-        real_build, real_tune = harness.build_data_env, latent_codec.fine_tune
-        decoder_bytes, held, rises = [], [], []
+                                 "codec.latent_dim=8", "ldpm.T=5", "ldpm.F=8",
+                                 "ldpm.episodes=1", "cache.capacity_n=10", "cache.list_m=20"])
+        real_build, real_pretrain = harness.build_data_env, latent_codec.pretrain_codec
+        codec_bytes, held, rises = [], [], []
 
-        def fine_tune(*args, **kwargs):
-            tuned = real_tune(*args, **kwargs)
-            if not decoder_bytes:
-                decoder_bytes.append(sum(p.nbytes for p in tuned.decoder.params()))
-                held.append(tracemalloc.get_traced_memory()[0])
-                tracemalloc.reset_peak()
-            return tuned
+        def pretrain(*args, **kwargs):
+            codec = real_pretrain(*args, **kwargs)
+            codec_bytes.append(codec.basis.nbytes)
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return codec
 
         def build(*args, **kwargs):
             tracemalloc.start()
@@ -1141,28 +1130,30 @@ class TestDataEnvKeepsDecoders:
                 tracemalloc.stop()
             return data
 
-        monkeypatch.setattr(latent_codec, "fine_tune", fine_tune)
+        monkeypatch.setattr(latent_codec, "pretrain_codec", pretrain)
         monkeypatch.setattr(harness, "build_data_env", build)
         harness.run_simulation(cfg)
-        assert len(rises) == len(decoder_bytes) == 1
-        assert rises[0] < 3 * decoder_bytes[0], (rises[0], decoder_bytes[0])
+        assert len(rises) == len(codec_bytes) == 1
+        assert rises[0] < 3 * codec_bytes[0], (rises[0], codec_bytes[0])
 
 
 class TestFineTunesShareOneCodec:
-    """The one training codec all vehicles fine-tune in carries nothing between them."""
+    """Every vehicle encodes with the one codec, fitted on the public vectors alone."""
 
     @staticmethod
-    def build(cfg, reverse):
+    def build(cfg, reverse=False, edit=None):
         real_pretrain, real_partition = latent_codec.pretrain_codec, harness.partition_users
         bases = []
 
         def pretrain(*args, **kwargs):
             result = real_pretrain(*args, **kwargs)
-            bases.append((result[0], codec_state(result[0])))
+            bases.append((result, codec_state(result)))
             return result
 
         def partition(*args, **kwargs):
             locals_ = real_partition(*args, **kwargs)
+            if edit is not None:
+                edit(locals_)
             return locals_[::-1] if reverse else locals_
 
         with pytest.MonkeyPatch.context() as mp:
@@ -1172,7 +1163,7 @@ class TestFineTunesShareOneCodec:
         return bases[0], data, vehicles
 
     def test_pretrained_codec_untouched(self, tiny_cfg_path):
-        (base, pretrained), _, _ = self.build(load_config(tiny_cfg_path, []), reverse=False)
+        (base, pretrained), _, _ = self.build(load_config(tiny_cfg_path, []))
         assert codec_state(base) == pretrained
 
     def test_reverse_order_gives_same_vehicles(self, tiny_cfg_path):
@@ -1181,7 +1172,7 @@ class TestFineTunesShareOneCodec:
         def by_vehicle(data, vehicles):
             return {loc.vehicle_id: (fingerprint.tobytes(), latents.tobytes(),
                                      vehicles[loc.vehicle_id][0].tobytes(),
-                                     [p.tobytes() for p in vehicles[loc.vehicle_id][1].params()])
+                                     codec_state(vehicles[loc.vehicle_id][1]))
                     for loc, fingerprint, latents
                     in zip(data.locals_, data.hashes, data.latents)}
 
@@ -1190,3 +1181,19 @@ class TestFineTunesShareOneCodec:
         order = [loc.vehicle_id for loc in backward.locals_]
         assert order == sorted(order, reverse=True)
         assert by_vehicle(forward, forward_vehicles) == by_vehicle(backward, backward_vehicles)
+
+    def test_rider_vectors_do_not_move_the_codec(self, tiny_cfg_path):
+        """With a public holdout, changing one rider's training vector leaves the codec alone."""
+        cfg = load_config(tiny_cfg_path, [])
+        assert cfg.data.public_fraction > 0
+
+        def edit(locals_):
+            loc = locals_[0]
+            loc.user_train_vectors[0] = 1.0
+            loc.train_vector = loc.user_train_vectors.mean(axis=0)
+
+        (_, plain), plain_data, _ = self.build(cfg)
+        (_, edited), edited_data, _ = self.build(cfg, edit=edit)
+        assert edited == plain
+        assert edited_data.hashes[0].tobytes() != plain_data.hashes[0].tobytes()
+        assert edited_data.hashes[1:].tobytes() == plain_data.hashes[1:].tobytes()

@@ -7,7 +7,7 @@ from oracles import mlp_predict
 from roadcache import nn
 from roadcache.rng import substream
 
-CACHES = ("_x", "_mask", "_y")
+CACHES = ("_x", "_mask")
 
 
 def cached(net):
@@ -18,13 +18,12 @@ def cached(net):
 
 def net_and_input(stacked):
     rng = substream(0, "nn", "parity", stacked)
-    nets = [nn.mlp([6, 9, 5], rng, out_act=nn.Sigmoid) for _ in range(3)]
+    nets = [nn.mlp([6, 9, 5], rng) for _ in range(3)]
     for net in nets:
         for layer in net.layers[::2]:
             layer.b = rng.normal(size=layer.b.shape)
     x = rng.normal(scale=3.0, size=(3, 7, 6))
-    # exact zeros for Relu's boundary, negative values, and inputs big
-    # enough to hit Sigmoid's clip
+    # exact zeros for Relu's boundary, negative values, and large inputs
     x[:, 0] = 0.0
     x[:, 1] *= 400.0
     assert np.any(x < 0)
@@ -43,7 +42,7 @@ class TestPredict:
             y = layer.forward(x)
             assert layer.apply(x).tobytes() == y.tobytes()
             x = y
-        assert kinds == {nn.Dense, nn.Relu, nn.Sigmoid}
+        assert kinds == {nn.Dense, nn.Relu}
 
     def test_predict_equals_forward(self, stacked):
         net, x = net_and_input(stacked)
@@ -52,7 +51,7 @@ class TestPredict:
         trained = net.forward(x)
         assert inferred.shape == trained.shape
         assert inferred.tobytes() == trained.tobytes()
-        assert sorted(set(cached(net))) == ["_mask", "_x", "_y"]
+        assert sorted(set(cached(net))) == ["_mask", "_x"]
 
     def test_predict_and_forward_equal_first_formulas(self, stacked):
         # One zero-bias net too: a Relu zero reaches the next Dense unbiased.
@@ -75,19 +74,6 @@ def test_slice_is_a_view_that_predicts_its_rows():
         assert np.shares_memory(mine.w, whole.w) and np.shares_memory(mine._vw, whole._vw)
 
 
-def test_predict_mean_equals_mean_of_predict():
-    # 70 rows: two full blocks and a part block; the desk-shaped sizes are in
-    # test_latent_codec.TestDecodeMean
-    rng = substream(0, "nn", "mean")
-    net = nn.mlp([4, 12, 200], rng, out_act=nn.Sigmoid)
-    for layer in net.layers[::2]:
-        layer.b = rng.normal(size=layer.b.shape)
-    x = rng.normal(scale=3.0, size=(70, 4))
-    x[0] *= 400.0
-    assert net.predict_mean(x).tobytes() == net.predict(x).mean(axis=0).tobytes()
-    assert cached(net) == []
-
-
 @pytest.mark.parametrize("stacked", [False, True], ids=["2d", "stacked"])
 def test_backward_without_input_grad(stacked):
     """Skipping the input gradient leaves every parameter gradient as it was."""
@@ -104,7 +90,7 @@ def test_backward_without_input_grad(stacked):
 class TestCopyAndRelease:
     def test_copy_keeps_weights_and_momentum_only(self):
         rng = substream(0, "nn", "copy")
-        net = nn.mlp([4, 6, 3], rng, out_act=nn.Sigmoid)
+        net = nn.mlp([4, 6, 3], rng)
         x = rng.normal(size=(5, 4))
         net.forward(x)
         net.backward(np.ones((5, 3)))
@@ -129,7 +115,7 @@ class TestCopyAndRelease:
 
     def test_inference_copy_keeps_only_weights(self):
         rng = substream(0, "nn", "release")
-        net = nn.mlp([4, 6, 3], rng, out_act=nn.Sigmoid)
+        net = nn.mlp([4, 6, 3], rng)
         x = rng.normal(size=(5, 4))
         net.forward(x)
         net.backward(np.ones((5, 3)))
@@ -143,24 +129,9 @@ class TestCopyAndRelease:
                 assert mine.w is not theirs.w and theirs._vw is not None
         assert twin.predict(x).tobytes() == want.tobytes()
 
-    def test_weights_view_shares_only_weights(self):
-        rng = substream(0, "nn", "view")
-        net = nn.mlp([4, 6, 3], rng, out_act=nn.Sigmoid)
-        x = rng.normal(size=(5, 4))
-        net.forward(x)
-        net.backward(np.ones((5, 3)))
-        net.step(0.1, momentum=0.9)
-        view = net.weights_view()
-        assert cached(view) == []
-        for mine, theirs in zip(view.layers, net.layers):
-            if isinstance(mine, nn.Dense):
-                assert mine.dw is mine.db is mine._vw is mine._vb is None
-                assert mine.w is theirs.w and mine.b is theirs.b
-        assert view.predict(x).tobytes() == net.predict(x).tobytes()
-
     def test_load_overwrites_in_place(self):
         rng = substream(0, "nn", "load")
-        source, target = (nn.mlp([4, 6, 3], rng, out_act=nn.Sigmoid) for _ in range(2))
+        source, target = (nn.mlp([4, 6, 3], rng) for _ in range(2))
         x = rng.normal(size=(5, 4))
         for net in (source, target):
             net.forward(x)
@@ -178,19 +149,19 @@ class TestCopyAndRelease:
             net.step(0.1, momentum=0.9)
         assert target.flat_params().tobytes() == fresh.flat_params().tobytes()
         with pytest.raises(ValueError):
-            target.load(nn.mlp([4, 7, 3], rng, out_act=nn.Sigmoid))
+            target.load(nn.mlp([4, 7, 3], rng))
 
 
 def test_built_dense_layers_match_init():
     """copy, views and stack make Dense layers with exactly __init__'s fields, and no gradients."""
     rng = substream(0, "nn", "builder")
     fields = set(vars(nn.Dense(2, 3, rng)))
-    nets = [nn.mlp([4, 6, 3], rng, out_act=nn.Sigmoid) for _ in range(2)]
+    nets = [nn.mlp([4, 6, 3], rng) for _ in range(2)]
     for net in nets:
         net.forward(rng.normal(size=(5, 4)))
         net.backward(np.ones((5, 3)))
     stacked = nn.stack(nets)
-    built = [nets[0].copy(), nets[0].copy(training=False), nets[0].weights_view(), stacked,
+    built = [nets[0].copy(), nets[0].copy(training=False), stacked,
              stacked.slice(0, 1)]
     for net in built:
         assert len(net.dense) == 2
@@ -206,7 +177,7 @@ def test_unstack_equals_networks_trained_alone():
     own 2-D inputs with ``Mlp.forward``, ``backward`` and ``step``.
     """
     rng = substream(0, "nn", "unstack")
-    nets = [nn.mlp([5, 7, 3], rng, out_act=nn.Sigmoid) for _ in range(3)]
+    nets = [nn.mlp([5, 7, 3], rng) for _ in range(3)]
     alone = [net.copy() for net in nets]
     x = rng.normal(size=(3, 6, 5))
     target = rng.uniform(size=(3, 6, 3))
