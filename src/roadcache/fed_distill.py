@@ -195,15 +195,15 @@ def merge_kc(rsu_kcs: list[KnowledgeCache]) -> KnowledgeCache:
 class VisitInputs:
     """A proceeding visit's compute inputs, all fixed when the vehicle enters the zone.
 
-    The vehicle's latents, denoiser and codec, the knowledge its peers
-    sent down (None when none had any), and the visit's train and sample
-    substreams.
+    The vehicle's latents and denoiser, the knowledge its peers sent down
+    (None when none had any), and the visit's train and sample substreams.
+    The codec is not a visit's: every vehicle shares the one that
+    ``train_and_predict`` is given.
     """
 
     vehicle_id: int
     latents: np.ndarray
     denoiser: ldpm.DenoiserParams
-    codec: latent_codec.CodecParams
     integrated: np.ndarray | None
     rng_train: np.random.Generator
     rng_sample: np.random.Generator
@@ -283,8 +283,8 @@ def visit_batches(visits: list[VisitInputs]) -> list[list[int]]:
     return batches
 
 
-def train_and_predict(visits: list[VisitInputs], cfg: SimConfig,
-                      schedule: ldpm.NoiseSchedule) -> list[tuple]:
+def train_and_predict(visits: list[VisitInputs], codec: latent_codec.CodecParams,
+                      cfg: SimConfig, schedule: ldpm.NoiseSchedule) -> list[tuple]:
     """Compute half of visits: distillation training, sampling, decoding.
 
     Takes visits in entry order and returns one (scores, knowledge,
@@ -297,9 +297,10 @@ def train_and_predict(visits: list[VisitInputs], cfg: SimConfig,
     for training, and draws are mapped back before decoding, so knowledge
     exchanged over the air always lives in raw latent space.  A visit's
     knowledge is the mean of its draws, and its scores are that mean
-    decoded: the codec is linear, so this is the mean of the decoded draws
-    (in exact arithmetic), and no decoded draw is ever held.  A stack is
-    gone before its visits decode.
+    decoded with ``codec``, which every vehicle shares.  The codec is
+    linear, so this is the mean of the decoded draws (in exact
+    arithmetic), and no decoded draw is ever held.  A stack is gone
+    before its visits decode.
     """
     results: list[tuple] = [()] * len(visits)
     for batch in visit_batches(visits):
@@ -310,8 +311,7 @@ def train_and_predict(visits: list[VisitInputs], cfg: SimConfig,
             draws, losses = _train_and_sample(stack, standardizers, cfg.ldpm, schedule)
             for i, (mu, sd), own_draws, own_losses in zip(group, standardizers, draws, losses):
                 knowledge = (own_draws * sd + mu).mean(axis=0)
-                results[i] = (latent_codec.decode(visits[i].codec, knowledge), knowledge,
-                              own_losses)
+                results[i] = (latent_codec.decode(codec, knowledge), knowledge, own_losses)
     return results
 
 

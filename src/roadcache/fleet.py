@@ -3,20 +3,16 @@
 Each vehicle trains and samples its own denoiser, independently of the
 others, so its model lives in a worker process, never in the main one.
 Worker ``w`` of W owns the vehicles with ``vehicle_id % W == w``: it
-holds their latents, codecs and denoisers in a ``Shard`` and runs every
-visit of theirs.  The main process keeps the event loop, the knowledge
-caches and the ledger.  A ``Shard`` is also a fleet of its own, run
+holds the codec, their latents and their denoisers in a ``Shard`` and
+runs every visit of theirs.  The main process keeps the event loop, the
+knowledge caches and the ledger.  A ``Shard`` is also a fleet of its own, run
 in-process: ``Fleet`` and ``Shard`` share ``add``, ``reset``, ``compute``
 and ``load``, all that ``harness.simulate_protocol`` uses.
 
 The run's entry points open the ``Fleet`` before set-up.  Set-up
-(``harness.build_data_env``) fills it: right after a vehicle's latents
-are encoded, ``Fleet.add`` hands them and the codec to the owning worker
-as raw array buffers (pickle protocol 5 out of band), so the main
-process never holds a pickled copy of them.  The buffers go into a file
-the worker shares, memory-backed (``os.memfd_create``) where the
-platform has one and a temporary file elsewhere, which the worker maps:
-one copy, and main never waits for the worker to read them.
+(``harness.build_data_env``) fills it once every vehicle is encoded:
+``Fleet.add`` sends each worker one message holding the one codec every
+vehicle shares and the latents of the vehicles it owns.
 ``Fleet.reset`` then starts each protocol phase: every worker remakes
 its denoisers from their ``"denoiser"`` substreams, so one fleet serves
 several protocol phases as fresh as a new one would.
@@ -41,12 +37,10 @@ as an ``InvariantError`` naming it, at the first round it owns a job in.
 
 from __future__ import annotations
 
-import mmap
 import os
 import pickle
 import subprocess
 import sys
-import tempfile
 import time
 import traceback
 from pathlib import Path
@@ -64,7 +58,6 @@ from .rng import substream
 EXIT_SECONDS = 5.0
 
 _PACKAGE = Path(__file__).resolve().parent
-_ALIGN = 64   # each array handed over in a shared file starts at a multiple of this many bytes
 
 
 def worker_count(vehicles: int) -> int:
@@ -74,7 +67,7 @@ def worker_count(vehicles: int) -> int:
 
 
 class Shard:
-    """One worker's vehicles: their latents, codecs and denoisers.
+    """One worker's vehicles: the codec they share, their latents and their denoisers.
 
     Also an in-process fleet of one worker: ``load`` is its one
     ``[visits, seconds computing them, None]`` entry since the last
@@ -84,12 +77,15 @@ class Shard:
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
         self.schedule = ldpm.build_schedule(cfg.ldpm.steps)
-        self.vehicles: dict[int, tuple[np.ndarray, CodecParams]] = {}
+        self.codec: CodecParams | None = None
+        self.latents: dict[int, np.ndarray] = {}
         self.denoisers: dict[int, ldpm.DenoiserParams] = {}
         self.load = [[0, 0.0, None]]
 
-    def add(self, vehicle_id: int, latents: np.ndarray, codec: CodecParams) -> None:
-        self.vehicles[vehicle_id] = (latents, codec)
+    def add(self, codec: CodecParams, latents: list[np.ndarray] | dict[int, np.ndarray]) -> None:
+        """Keep the codec, and the latents of each vehicle ``latents`` holds by vehicle id."""
+        self.codec = codec
+        self.latents = dict(latents.items() if isinstance(latents, dict) else enumerate(latents))
 
     def reset(self) -> None:
         """Give every vehicle a new denoiser, made from its ``"denoiser"`` substream."""
@@ -98,7 +94,7 @@ class Shard:
         self.denoisers = {vid: ldpm.new_denoiser(cfg.codec.latent_dim, cfg.ldpm.hidden,
                                                  cfg.ldpm.time_embed,
                                                  substream(cfg.sim.seed, "denoiser", vid))
-                          for vid in self.vehicles}
+                          for vid in self.latents}
 
     def compute(self, jobs: list[tuple]) -> list[tuple]:
         """Run the jobs (in entry order) through ``fed_distill.train_and_predict``.
@@ -109,13 +105,12 @@ class Shard:
         seed = self.cfg.sim.seed
         visits = []
         for vid, index, integrated in jobs:
-            latents, codec = self.vehicles[vid]
             visits.append(fed_distill.VisitInputs(
-                vid, latents, self.denoisers[vid], codec, integrated,
+                vid, self.latents[vid], self.denoisers[vid], integrated,
                 substream(seed, "train", vid, index), substream(seed, "sample", vid, index)))
         results = [(top_m(scores.astype(np.float32), self.cfg.cache.list_m), knowledge, losses)
                    for scores, knowledge, losses
-                   in fed_distill.train_and_predict(visits, self.cfg, self.schedule)]
+                   in fed_distill.train_and_predict(visits, self.codec, self.cfg, self.schedule)]
         self.load[0][0] += len(jobs)
         self.load[0][1] += time.perf_counter() - began
         return results
@@ -136,8 +131,6 @@ class Fleet:
         self.count = worker_count(cfg.data.num_vehicles) if workers is None else workers
         self.procs: list[subprocess.Popen] = []
         self.load = [[0, 0.0, None] for _ in range(self.count)]
-        self.shared: list[int] = []   # per worker: the file it is handed arrays through
-        self.ends: list[int] = []     # per worker: bytes of that file in use
 
     def __enter__(self) -> "Fleet":
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
@@ -146,14 +139,10 @@ class Fleet:
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         try:
             for _ in range(self.count):
-                shared = _shared_memory()
-                self.shared.append(shared)
-                self.ends.append(0)
                 self.procs.append(subprocess.Popen(
                     [sys.executable, "-m", "roadcache.fleet"], cwd=src, env=env,
-                    stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                    pass_fds=(shared,)))
-                self._post(len(self.procs) - 1, (str(_PACKAGE), self.cfg, shared))
+                    stdin=subprocess.PIPE, stdout=subprocess.PIPE))
+                self._post(len(self.procs) - 1, (str(_PACKAGE), self.cfg))
         except BaseException:
             self.close()
             raise
@@ -162,30 +151,15 @@ class Fleet:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def add(self, vehicle_id: int, latents: np.ndarray, codec: CodecParams) -> None:
-        """Hand a vehicle's latents and codec to the worker that owns it.
+    def add(self, codec: CodecParams, latents: list[np.ndarray]) -> None:
+        """Send each worker the codec and the latents (indexed by vehicle id) of its vehicles.
 
-        The arrays are copied out straight from their own memory before this
-        returns, into the worker's shared file, so the caller may then
-        overwrite them.  The worker sends no reply.
+        One message per worker, written before this returns; the worker
+        sends no reply.
         """
-        w = vehicle_id % self.count
-        shared = self.shared[w]
-        buffers: list[pickle.PickleBuffer] = []
-        blob = pickle.dumps((vehicle_id, latents, codec), protocol=5,
-                            buffer_callback=buffers.append)
-        start, spans, size = self.ends[w], [], 0
-        for buf in buffers:
-            view = buf.raw()
-            written = 0
-            while written < view.nbytes:
-                written += os.pwrite(shared, view[written:], start + size + written)
-            spans.append((size, view.nbytes))
-            size += -(-view.nbytes // _ALIGN) * _ALIGN
-        # The next hand-over maps from a page boundary, and no mapping outruns the file.
-        self.ends[w] = start + -(-size // mmap.ALLOCATIONGRANULARITY) * mmap.ALLOCATIONGRANULARITY
-        os.ftruncate(shared, self.ends[w])
-        self._post(w, ("map", start, size, spans, blob))
+        for w in range(self.count):
+            self._post(w, ("add", codec, {vid: latents[vid]
+                                          for vid in range(w, len(latents), self.count)}))
 
     def reset(self) -> None:
         """Start a protocol phase: every worker remakes its denoisers, and ``load`` restarts."""
@@ -240,9 +214,6 @@ class Fleet:
         A worker exits when its stdin closes, or when a reply it is still
         writing finds its stdout closed.
         """
-        for shared in self.shared:
-            os.close(shared)   # the workers' mappings keep what they were handed
-        self.shared = []
         for proc in self.procs:
             for pipe in (proc.stdin, proc.stdout):
                 try:
@@ -271,14 +242,6 @@ def _receive(stream):
         return None
 
 
-def _shared_memory() -> int:
-    """A new file to hand a worker arrays through: memory-backed where the platform has one."""
-    if hasattr(os, "memfd_create"):
-        return os.memfd_create("roadcache-fleet")
-    with tempfile.TemporaryFile() as fh:   # the duplicate descriptor keeps it
-        return os.dup(fh.fileno())
-
-
 def _peak_rss_mb() -> float | None:
     """This process's peak resident memory (``VmHWM``) in MB; None where it cannot be read."""
     try:
@@ -299,7 +262,7 @@ def _serve() -> int:
     start = _receive(requests)
     if start is None:
         return 0
-    package, cfg, shared = start
+    package, cfg = start
     if Path(package) != _PACKAGE:
         _send(replies, ("error", InvariantError(
             f"fleet worker imported roadcache from {_PACKAGE}, not {package}")))
@@ -307,10 +270,8 @@ def _serve() -> int:
     shard = Shard(cfg)
     while (message := _receive(requests)) is not None:
         kind, *args = message
-        if kind == "map":
-            begin, size, spans, blob = args
-            region = memoryview(mmap.mmap(shared, size, offset=begin))
-            shard.add(*pickle.loads(blob, buffers=[region[at:at + n] for at, n in spans]))
+        if kind == "add":
+            shard.add(*args)
             continue
         if kind == "reset":
             shard.reset()

@@ -4,10 +4,10 @@ A run has a set-up and two phases.  A run whose schemes replay the
 protocol first opens a ``fleet.Fleet`` of worker processes with one BLAS
 thread each, and set-up fills it: the codec is fitted once on the
 public vectors in the main process, with the host's BLAS threads (its
-bytes may depend on that thread count), and each vehicle's latents and
-the codec go straight to the worker that owns the vehicle.  A
-window-only run opens no fleet and fits no codec: its schemes read no
-model.
+bytes may depend on that thread count), every vehicle is encoded with
+it, and each worker is sent the codec once and the latents of the
+vehicles it owns.  A window-only run opens no fleet and fits no codec:
+its schemes read no model.
 
 The protocol phase walks entry, completion, and cache-merge events in
 time order, training each vehicle's model on its visits and recording
@@ -74,8 +74,15 @@ WINDOW_SCHEMES = ("oracle", "n_tau_greedy", "random")
 
 @dataclass
 class DataEnv:
+    """The run's data; ``locals_``, ``hashes`` and ``latents`` are indexed by vehicle id.
+
+    ``codec`` is the one codec every vehicle shares: None, and ``hashes``
+    and ``latents`` empty, for a window-only run.
+    """
+
     matrix: RatingMatrix
     locals_: list[LocalDataset]
+    codec: CodecParams | None
     hashes: np.ndarray
     latents: list[np.ndarray]
     prior_scores: np.ndarray
@@ -100,13 +107,13 @@ class MotionEnv:
 
 
 def build_data_env(cfg: SimConfig, fleet: Fleet | None = None) -> DataEnv:
-    """Load, split and encode the run's data, handing each vehicle's model to ``fleet``.
+    """Load, split and encode the run's data, and fill ``fleet`` with it.
 
     The codec is fitted once, on the public vectors (the riders' vectors
-    when there are none).  Right after a vehicle's latents are encoded,
-    ``fleet.add(vehicle_id, latents, codec)`` gets them and the codec.
-    Without a fleet (a window-only run, which reads no model), no codec is
-    fitted and ``hashes`` and ``latents`` are empty.
+    when there are none).  Once every vehicle is encoded,
+    ``fleet.add(codec, latents)`` gets the codec and every vehicle's
+    latents.  Without a fleet (a window-only run, which reads no model),
+    no codec is fitted and ``hashes`` and ``latents`` are empty.
     """
     seed = cfg.sim.seed
     matrix = load_ratings(cfg.data.path)
@@ -125,7 +132,7 @@ def build_data_env(cfg: SimConfig, fleet: Fleet | None = None) -> DataEnv:
     for loc in locals_:
         prior += loc.user_train_vectors.sum(axis=0)
     if fleet is None:
-        return DataEnv(matrix, locals_, np.zeros((0, cfg.codec.latent_dim)), [], prior)
+        return DataEnv(matrix, locals_, None, np.zeros((0, cfg.codec.latent_dim)), [], prior)
 
     rows = user_rows(matrix)
     public = (np.vstack([user_train_vector(matrix, rows[int(uid)]) for uid in public_ids])
@@ -134,12 +141,10 @@ def build_data_env(cfg: SimConfig, fleet: Fleet | None = None) -> DataEnv:
         # No public holdout configured: fall back to the riders' vectors.
         public = np.vstack([loc.user_train_vectors for loc in locals_])
     codec = latent_codec.pretrain_codec(public, cfg.codec.latent_dim)
-    hashes, latents = [], []
-    for loc in locals_:
-        hashes.append(latent_codec.encode(codec, loc.train_vector))
-        latents.append(latent_codec.encode(codec, loc.user_train_vectors))
-        fleet.add(loc.vehicle_id, latents[-1], codec)
-    return DataEnv(matrix, locals_, np.vstack(hashes), latents, prior)
+    hashes = np.vstack([latent_codec.encode(codec, loc.train_vector) for loc in locals_])
+    latents = [latent_codec.encode(codec, loc.user_train_vectors) for loc in locals_]
+    fleet.add(codec, latents)
+    return DataEnv(matrix, locals_, codec, hashes, latents, prior)
 
 
 def build_motion_env(cfg: SimConfig, locals_: list[LocalDataset]) -> MotionEnv:
@@ -685,7 +690,7 @@ def validate_suite() -> list[tuple[str, bool, str]]:
     knowledge = [rng.normal(size=4), None, rng.normal(size=4)]
 
     def visit(v, denoiser):
-        return VisitInputs(v, latents[v], denoiser, codec, knowledge[v],
+        return VisitInputs(v, latents[v], denoiser, knowledge[v],
                            substream(7, "validate", "train", v),
                            substream(7, "validate", "sample", v))
 
@@ -696,9 +701,9 @@ def validate_suite() -> list[tuple[str, bool, str]]:
                   for name in ("w", "b", "_vw", "_vb"))]
 
     copies = [denoiser.copy() for denoiser in denoisers]
-    alone = [outcome(train_and_predict([visit(v, copies[v])], small, sched)[0], copies[v])
+    alone = [outcome(train_and_predict([visit(v, copies[v])], codec, small, sched)[0], copies[v])
              for v in range(3)]
-    together = train_and_predict([visit(v, denoisers[v]) for v in range(3)], small, sched)
+    together = train_and_predict([visit(v, denoisers[v]) for v in range(3)], codec, small, sched)
     same = all(outcome(together[v], denoisers[v]) == alone[v] for v in range(3))
     checks.append(("stacked-visit-parity", same,
                    "3 visits (2 with knowledge) trained, sampled in 2 slices and decoded as one "
@@ -750,17 +755,15 @@ def validate_suite() -> list[tuple[str, bool, str]]:
     cfg.cache.capacity_n = 20
     cfg.cache.list_m = 20
     cfg.validate()
-    # Two runs: one whose set-up fills its fleet, and one whose set-up keeps
-    # copies of the vehicles, which then fill this and the worker-parity fleets.
+    # Two runs: one whose set-up fills its fleet, and one in a fleet filled
+    # from that set-up's data env, as are the worker-parity fleets.
     logs = []
     with Fleet(cfg) as fleet:
         data = build_data_env(cfg, fleet)
         motion = build_motion_env(cfg, data.locals_)
         logs.append(format_message_trace(simulate_protocol(cfg, data, motion, fleet).messages))
-    copies = _Copies()
-    data = build_data_env(cfg, copies)
     with Fleet(cfg) as fleet:
-        copies.fill(fleet)
+        fleet.add(data.codec, data.latents)
         trace = simulate_protocol(cfg, data, motion, fleet)
     logs.append(format_message_trace(trace.messages))
     checks.append(("protocol-determinism", logs[0] == logs[1] and len(logs[0]) > 0,
@@ -779,14 +782,14 @@ def validate_suite() -> list[tuple[str, bool, str]]:
                    f"{total} bytes (expected {expected_total})"))
 
     # The same run from 1 and 2 workers and from one in-process Shard, all
-    # filled from the copies: every byte the trace keeps agrees.
+    # filled from the data env: every byte the trace keeps agrees.
     traces = []
     for workers in (1, 2):
         with Fleet(cfg, workers=workers) as fleet:
-            copies.fill(fleet)
+            fleet.add(data.codec, data.latents)
             traces.append(simulate_protocol(cfg, data, motion, fleet))
     shard = Shard(cfg)
-    copies.fill(shard)
+    shard.add(data.codec, data.latents)
     traces.append(simulate_protocol(cfg, data, motion, shard))
     views = [(format_message_trace(t.messages), t.lists.tobytes(), np.array(t.losses).tobytes(),
               t.completed_visits, t.aborted_visits) for t in traces]
@@ -795,20 +798,6 @@ def validate_suite() -> list[tuple[str, bool, str]]:
                    f"1 and 2 workers and an in-process Shard give the same messages, lists, "
                    f"losses and visit counts ({traces[0].completed_visits} visits computed)"))
     return checks
-
-
-class _Copies:
-    """A stand-in fleet for set-up: keeps each vehicle's latents and codec."""
-
-    def __init__(self):
-        self.vehicles: dict[int, tuple] = {}
-
-    def add(self, vehicle_id: int, latents: np.ndarray, codec: CodecParams) -> None:
-        self.vehicles[vehicle_id] = (latents, codec)
-
-    def fill(self, target: Fleet | Shard) -> None:
-        for vid, (latents, codec) in self.vehicles.items():
-            target.add(vid, latents, codec)
 
 
 def run_sweep(base: SimConfig, schemes: list[str], capacities: list[int],

@@ -137,17 +137,13 @@ class Mlp:
     def flat_grads(self) -> np.ndarray:
         return np.concatenate([g.ravel() for g in self.grads()])
 
-    def copy(self, training: bool = True) -> "Mlp":
-        """An independent network with the same weights and biases.
+    def copy(self) -> "Mlp":
+        """An independent network with the same weights, biases and momentum.
 
-        With ``training`` it carries the momentum too; without, it holds
-        nothing else, so it predicts but cannot train.  No gradients or
-        activations are carried over, so a copy costs the parameters, not
-        the last batch the source saw.
+        No gradients or activations are carried over, so a copy costs the
+        parameters, not the last batch the source saw.
         """
-        names = _DENSE_STATE if training else ("w", "b")
-        return _build(self, lambda i, name: getattr(self.dense[i], name).copy()
-                      if name in names else None)
+        return _build(self, lambda i, name: getattr(self.dense[i], name).copy())
 
     def slice(self, lo: int, hi: int) -> "Mlp":
         """Slices ``lo:hi`` of a stacked network, as a stacked network that shares their state.
@@ -164,17 +160,6 @@ class Mlp:
             for name in ("dw", "db", "_x", "_mask"):
                 if hasattr(layer, name):
                     setattr(layer, name, None)
-
-    def load(self, source: "Mlp") -> None:
-        """Overwrite this network's weights, biases and momentum with source's, in place.
-
-        Both networks must have the same shapes.  Gradients and activations
-        are left as they are: the next training step's forward and backward
-        replace them before anything reads them.
-        """
-        for mine, theirs in zip(self.dense, source.dense, strict=True):
-            for name in _DENSE_STATE:
-                np.copyto(getattr(mine, name), getattr(theirs, name))
 
     def param_count(self) -> int:
         return int(sum(p.size for p in self.params()))
@@ -210,7 +195,7 @@ def _build(like: Mlp, state) -> Mlp:
     """Fresh layers shaped like ``like``; the one place a Dense is made without ``__init__``.
 
     Dense ``i`` holds ``state(i, name)`` for each name in ``_DENSE_STATE``
-    (None where ``like``'s is None) and no gradients or activations.
+    and no gradients or activations.
     """
     layers: list = []
     for layer in like.layers:
@@ -218,7 +203,7 @@ def _build(like: Mlp, state) -> Mlp:
             i = like.dense.index(layer)
             twin = Dense.__new__(Dense)
             for name in _DENSE_STATE:
-                setattr(twin, name, None if getattr(layer, name) is None else state(i, name))
+                setattr(twin, name, state(i, name))
             twin.dw = twin.db = twin._x = None
         else:
             twin = type(layer)()

@@ -4,8 +4,8 @@ Protocol simulation is the expensive step, so traces are built once per
 (seed, mean speed) pair and shared across every test that replays them.
 Only one full data environment, and the fleet of workers holding its
 vehicles' models, is kept alive at a time; cached traces carry a slimmed
-copy with the per-vehicle arrays dropped, which is all the evaluation
-phase needs.
+copy with the codec and the per-vehicle arrays dropped, which is all the
+evaluation phase needs.  No fleet worker may outlive the session.
 """
 
 from __future__ import annotations
@@ -46,6 +46,25 @@ def record_criterion():
     return record
 
 
+@pytest.fixture(scope="session", autouse=True)
+def no_fleet_worker_left():
+    """Fail the session if a worker of any fleet a test opened is still running at its end."""
+    procs = []
+    real_enter = fleet.Fleet.__enter__
+
+    def enter(self):
+        try:
+            return real_enter(self)
+        finally:
+            procs.extend(self.procs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fleet.Fleet, "__enter__", enter)
+        yield
+    running = [proc.pid for proc in procs if proc.poll() is None]
+    assert running == [], f"fleet workers still running at session end: pids {running}"
+
+
 @pytest.fixture(scope="session")
 def desk_cfg() -> SimConfig:
     return load_config(str(DESK_CFG))
@@ -55,8 +74,9 @@ class EnvStore:
     """Session cache of desk-scale simulation stages.
 
     data_env(seed) keeps at most one full environment, and the fleet set-up
-    filled for it, alive; traces are cached per (seed, speed) with the
-    per-vehicle arrays stripped, since cache evaluation never reads them.
+    filled for it, alive; traces are cached per (seed, speed) with the codec
+    and the per-vehicle arrays stripped, since cache evaluation never reads
+    them.
     ``close`` stops the fleet.
     """
 
@@ -96,7 +116,7 @@ class EnvStore:
             data = self.data_env(seed)
             motion = harness.build_motion_env(cfg, data.locals_)
             trace = harness.simulate_protocol(cfg, data, motion, self._fleet)
-            slim = dataclasses.replace(data, hashes=np.zeros(0), latents=[])
+            slim = dataclasses.replace(data, codec=None, hashes=np.zeros(0), latents=[])
             self._traces[key] = (cfg, slim, motion, trace)
         return self._traces[key]
 

@@ -43,6 +43,8 @@ def make_cfg(visit_seconds=5.0):
 
 
 SCHEDULE = ldpm.build_schedule(5)
+# The one codec every visit decodes with, as in the simulator.
+CODEC = latent_codec.pretrain_codec(substream(99, "setup", "codec").random((6, 20)), LATENT_DIM)
 
 
 def make_visit(vid, latents, integrated):
@@ -51,7 +53,6 @@ def make_visit(vid, latents, integrated):
         vehicle_id=vid,
         latents=latents,
         denoiser=ldpm.new_denoiser(LATENT_DIM, 8, 4, rng),
-        codec=latent_codec.pretrain_codec(rng.random((6, 20)), LATENT_DIM),
         integrated=integrated,
         rng_train=substream(1, "tap-train", vid),
         rng_sample=substream(1, "tap-sample", vid),
@@ -316,7 +317,7 @@ def run_visit(kc, vid, own_hash, latents, carries_list, now, residence, cfg):
     if not begun.proceed:
         return begun.messages, None
     [(scores, knowledge, _)] = fd.train_and_predict(
-        [make_visit(vid, latents, begun.integrated)], cfg, SCHEDULE)
+        [make_visit(vid, latents, begun.integrated)], CODEC, cfg, SCHEDULE)
     finish = now + cfg.compute.visit_seconds
     return begun.messages + fd.complete_visit(kc, vid, knowledge, finish), scores
 
@@ -439,10 +440,11 @@ class TestTrainAndPredict:
         alone = self.visits()
         cfg = make_cfg()
         assert fd.visit_batches(batch) == [[0, 1, 2], [3], [4]]
-        together = fd.train_and_predict(batch, cfg, SCHEDULE)
+        together = fd.train_and_predict(batch, CODEC, cfg, SCHEDULE)
         assert len(together) == len(batch)
         for visit, (scores, knowledge, losses) in zip(alone, together):
-            [(own_scores, own_knowledge, own_losses)] = fd.train_and_predict([visit], cfg, SCHEDULE)
+            [(own_scores, own_knowledge, own_losses)] = fd.train_and_predict(
+                [visit], CODEC, cfg, SCHEDULE)
             assert scores.tobytes() == own_scores.tobytes()
             assert np.array_equal(top_m(scores, 5), top_m(own_scores, 5))
             assert knowledge.tobytes() == own_knowledge.tobytes()
@@ -461,7 +463,7 @@ class TestTrainAndPredict:
             assert visit.integrated is not None
             if not with_knowledge:
                 visit.integrated = None
-            [(scores, _, losses)] = fd.train_and_predict([visit], cfg, SCHEDULE)
+            [(scores, _, losses)] = fd.train_and_predict([visit], CODEC, cfg, SCHEDULE)
             return scores.tobytes(), losses
 
         plain = run(with_knowledge=False)
@@ -477,7 +479,7 @@ class TestTrainAndPredict:
         batch, alone = self.visits(shapes), self.visits(shapes)
         assert fd.visit_batches(batch) == [[0, 2], [1]]
         cfg = make_cfg()
-        together = fd.train_and_predict(batch, cfg, SCHEDULE)
+        together = fd.train_and_predict(batch, CODEC, cfg, SCHEDULE)
         for visit, (scores, _, _) in zip(alone, together):
-            [(own_scores, _, _)] = fd.train_and_predict([visit], cfg, SCHEDULE)
+            [(own_scores, _, _)] = fd.train_and_predict([visit], CODEC, cfg, SCHEDULE)
             assert scores.tobytes() == own_scores.tobytes()

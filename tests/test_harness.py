@@ -310,27 +310,10 @@ class TestRunSimulation:
         assert len(swept.rows) == 3 * 2 * 2 * 2
 
 
-class Received:
-    """A stand-in fleet for set-up: keeps what each vehicle's worker unpickles."""
-
-    def __init__(self):
-        self.vehicles: dict[int, tuple[np.ndarray, latent_codec.CodecParams]] = {}
-
-    def add(self, vehicle_id, latents, codec):
-        self.vehicles[vehicle_id] = pickle.loads(pickle.dumps((latents, codec), protocol=5))
-
-
-def received(cfg):
-    """(data env, each vehicle's (latents, codec) as set-up handed them over)."""
-    sink = Received()
-    return harness.build_data_env(cfg, sink), sink.vehicles
-
-
-def protocol(cfg, data, motion, vehicles, workers=None):
-    """simulate_protocol in a new fleet of ``workers`` holding the vehicles set-up handed over."""
+def protocol(cfg, data, motion, workers=None):
+    """simulate_protocol in a new fleet of ``workers``, filled from the data env."""
     with fleet.Fleet(cfg, workers=workers) as pool:
-        for vid, (latents, codec) in vehicles.items():
-            pool.add(vid, latents, codec)
+        pool.add(data.codec, data.latents)
         return harness.simulate_protocol(cfg, data, motion, pool)
 
 
@@ -343,20 +326,10 @@ def tiny_stack(tiny_cfg_path):
         return cfg, data, motion, harness.simulate_protocol(cfg, data, motion, pool)
 
 
-@pytest.fixture(scope="module")
-def tiny_vehicles(tiny_stack):
-    """The tiny run's vehicles, as set-up hands them to the fleet."""
-    cfg, data, _, _ = tiny_stack
-    rebuilt, vehicles = received(cfg)
-    assert rebuilt.hashes.tobytes() == data.hashes.tobytes()
-    return vehicles
-
-
-def run_in_process(cfg, data, motion, vehicles):
+def run_in_process(cfg, data, motion):
     """simulate_protocol computing every visit in this process, in one fleet.Shard."""
     shard = fleet.Shard(cfg)
-    for vid, (latents, codec) in vehicles.items():
-        shard.add(vid, latents, codec)
+    shard.add(data.codec, data.latents)
     return harness.simulate_protocol(cfg, data, motion, shard)
 
 
@@ -790,8 +763,7 @@ class TestBatchedProtocol:
             order = [batch_of[i] for i, v in enumerate(visits) if v.vehicle_id == vid]
             assert order == sorted(order) and len(set(order)) == len(order)
 
-    def test_one_visit_per_call_gives_identical_trace(self, monkeypatch, tiny_stack,
-                                                       tiny_vehicles):
+    def test_one_visit_per_call_gives_identical_trace(self, monkeypatch, tiny_stack):
         """Stack and sampling-call sizes change no byte; sampling reads the trained stack.
 
         The visits compute in-process (``run_in_process``), so the patched
@@ -836,7 +808,7 @@ class TestBatchedProtocol:
             monkeypatch.setattr(fed_distill, "visit_batches", split)
             calls["train"].clear()
             calls["sample"].clear()
-            trace = run_in_process(cfg, data, motion, tiny_vehicles)
+            trace = run_in_process(cfg, data, motion)
             largest.append(tuple(max(len(dense(params)[0].w) for params in calls[kind])
                                  for kind in ("train", "sample")))
             assert largest[-1][0] <= cap
@@ -852,8 +824,7 @@ class TestBatchedProtocol:
         assert largest[1] == (largest[0][0], 2)
         assert largest[2:] == [(2, 2), (1, 1), (1, 1)]
 
-    def test_call_allocates_under_two_stacked_copies(self, monkeypatch, tiny_stack,
-                                                     tiny_vehicles):
+    def test_call_allocates_under_two_stacked_copies(self, monkeypatch, tiny_stack):
         """A call's stacks hold the one copy of its denoisers' weights and momentum.
 
         Measured in-process (``run_in_process``).
@@ -875,7 +846,7 @@ class TestBatchedProtocol:
         monkeypatch.setattr(fed_distill, "train_and_predict", measured)
         tracemalloc.start()
         try:
-            trace = run_in_process(cfg, data, motion, tiny_vehicles)
+            trace = run_in_process(cfg, data, motion)
         finally:
             tracemalloc.stop()
         assert trace.lists.tobytes() == batched.lists.tobytes()
@@ -908,18 +879,17 @@ class TestInferenceCachesNothing:
 
         monkeypatch.setattr(ldpm, "new_denoiser", new_denoiser)
         monkeypatch.setattr(ldpm, "sample", sample)
-        data, vehicles = received(cfg)
+        data = harness.build_data_env(cfg, fleet.Shard(cfg))
         motion = harness.build_motion_env(cfg, data.locals_)
-        trace = run_in_process(cfg, data, motion, vehicles)
-        in_workers = protocol(cfg, data, motion, vehicles)
+        trace = run_in_process(cfg, data, motion)
+        in_workers = protocol(cfg, data, motion)
         assert (harness.format_message_trace(trace.messages)
                 == harness.format_message_trace(in_workers.messages))
         assert trace.lists.tobytes() == in_workers.lists.tobytes()
         assert np.array(trace.losses).tobytes() == np.array(in_workers.losses).tobytes()
-        codecs = [codec for _, codec in vehicles.values()]
         assert trace.completed_visits > 0 and sampled
-        assert len(denoisers) == len(codecs) == data.num_vehicles
-        assert all(list(vars(codec)) == ["basis"] for codec in codecs)
+        assert len(denoisers) == data.num_vehicles
+        assert list(vars(data.codec)) == ["basis"]
         assert self.held([d.net for d in denoisers + sampled]) == []
         for denoiser in denoisers:
             for layer in denoiser.net.layers:
@@ -930,18 +900,14 @@ class TestInferenceCachesNothing:
 class TestFleet:
     """Visits compute in worker processes; no byte depends on how many."""
 
-    def test_trace_bytes_do_not_depend_on_worker_count(self, tiny_stack, tiny_vehicles,
-                                                       monkeypatch):
-        """Nor on whether set-up hands the vehicles over in a memory-backed or a temporary file,
-        nor on whether the visits compute in workers or in-process in one ``Shard``."""
+    def test_trace_bytes_do_not_depend_on_worker_count(self, tiny_stack):
+        """Nor on whether the visits compute in workers or in-process in one ``Shard``."""
         cfg, data, motion, default = tiny_stack
-        for workers, shared in ((1, True), (2, True), (3, True), (None, True), (2, False)):
-            if not shared:
-                monkeypatch.delattr(os, "memfd_create", raising=False)
+        for workers in (1, 2, 3, None):
             if workers is None:
-                trace = run_in_process(cfg, data, motion, tiny_vehicles)
+                trace = run_in_process(cfg, data, motion)
             else:
-                trace = protocol(cfg, data, motion, tiny_vehicles, workers=workers)
+                trace = protocol(cfg, data, motion, workers=workers)
             assert (harness.format_message_trace(trace.messages)
                     == harness.format_message_trace(default.messages))
             assert trace.lists.tobytes() == default.lists.tobytes()
@@ -990,14 +956,27 @@ class TestFleet:
         assert result.stdout == ""
 
     def test_no_worker_outlives_a_run(self, tiny_cfg_path, monkeypatch, capsys):
+        """Every fleet's workers have exited, and its pipes are closed, when the run ends."""
         fleets = []
-        real_enter = fleet.Fleet.__enter__
+        # Main's open descriptors before each fleet opened and after it last closed.
+        descriptors: dict[int, list] = {}
+        fd_dir = Path("/proc/self/fd")
+        real_enter, real_close = fleet.Fleet.__enter__, fleet.Fleet.close
+
+        def open_descriptors():
+            return len(os.listdir(fd_dir)) if fd_dir.is_dir() else None
 
         def enter(self):
             fleets.append(self)
+            descriptors[id(self)] = [open_descriptors(), None]
             return real_enter(self)
 
+        def close(self):
+            real_close(self)
+            descriptors[id(self)][1] = open_descriptors()
+
         monkeypatch.setattr(fleet.Fleet, "__enter__", enter)
+        monkeypatch.setattr(fleet.Fleet, "close", close)
         with pytest.raises(TrainingError, match="diffusion objective became non-finite"):
             harness.run_simulation(load_config(tiny_cfg_path, ["ldpm.lr=1e300"]))
         # A run fails after the fleet opened: the denoisers' training in the
@@ -1010,8 +989,10 @@ class TestFleet:
         assert len(fleets) == 4
         for each in fleets:
             assert each.procs and [proc.poll() for proc in each.procs] == [0] * len(each.procs)
+            before, after = descriptors[id(each)]
+            assert before == after, (before, after)
 
-    def test_dead_worker_is_named(self, tiny_stack, tiny_vehicles, monkeypatch):
+    def test_dead_worker_is_named(self, tiny_stack, monkeypatch):
         """A worker that died is named, whether it died in a round or before the first."""
         cfg, data, motion, _ = tiny_stack
         died = r"fleet worker 0 \(pid \d+\) died with exit status -9"
@@ -1029,7 +1010,7 @@ class TestFleet:
         with monkeypatch.context() as mp:
             mp.setattr(fleet.Fleet, "compute", compute)
             with pytest.raises(InvariantError, match=died):
-                protocol(cfg, data, motion, tiny_vehicles, workers=1)
+                protocol(cfg, data, motion, workers=1)
         # Set-up hands over the vehicles with no reply, so a worker killed
         # after that and before the first round must not go unnoticed.
         with fleet.Fleet(cfg, workers=1) as pool:
@@ -1068,37 +1049,61 @@ def public_vectors(cfg):
 
 
 class TestDataEnvKeepsDecoders:
-    """After set-up each vehicle's worker holds the one fitted codec; main's data env holds none."""
+    """Set-up fits one codec: the data env and every fleet filled from it hold that one."""
 
     @pytest.fixture(scope="class")
     def built(self, tiny_cfg_path):
         cfg = load_config(tiny_cfg_path, [])
-        data, vehicles = received(cfg)
-        return cfg, data, vehicles
+        shard = fleet.Shard(cfg)
+        return cfg, harness.build_data_env(cfg, shard), shard
 
     def test_no_encoder_reachable(self, built):
-        cfg, data, vehicles = built
-        assert reachable_codecs(data) == []
-        assert sorted(vehicles) == list(range(data.num_vehicles))
-        for handed in vehicles.values():
-            _, codec = handed
-            assert reachable_codecs(handed) == [codec] and list(vars(codec)) == ["basis"]
-            assert codec.basis.shape == (data.num_contents, cfg.codec.latent_dim)
+        cfg, data, shard = built
+        assert reachable_codecs(data) == [data.codec] and list(vars(data.codec)) == ["basis"]
+        assert data.codec.basis.shape == (data.num_contents, cfg.codec.latent_dim)
+        # The filled shard's vehicles all share its one codec.
+        assert sorted(shard.latents) == list(range(data.num_vehicles))
+        assert reachable_codecs(shard) == [shard.codec]
+        window_only = harness.build_data_env(cfg)
+        assert window_only.codec is None and reachable_codecs(window_only) == []
 
     def test_equals_direct_fine_tune(self, built):
-        """Set-up's fingerprints, latents and codecs are the public-vector codec's, byte for byte.
+        """Set-up's fingerprints, latents and codec are the public-vector codec's, byte for byte.
 
         The direct path is the fit on the public vectors and nothing more:
         no vehicle fine-tunes the codec, so each encodes with that one basis.
         """
-        cfg, data, vehicles = built
+        cfg, data, shard = built
         codec = latent_codec.pretrain_codec(public_vectors(cfg), cfg.codec.latent_dim)
         for loc, fingerprint, latents in zip(data.locals_, data.hashes, data.latents):
-            handed_latents, handed_codec = vehicles[loc.vehicle_id]
             assert fingerprint.tobytes() == latent_codec.encode(codec, loc.train_vector).tobytes()
             want_latents = latent_codec.encode(codec, loc.user_train_vectors).tobytes()
-            assert latents.tobytes() == handed_latents.tobytes() == want_latents
-            assert codec_state(handed_codec) == codec_state(codec)
+            assert latents.tobytes() == shard.latents[loc.vehicle_id].tobytes() == want_latents
+        assert codec_state(data.codec) == codec_state(shard.codec) == codec_state(codec)
+
+    def test_each_worker_is_sent_one_codec_and_its_own_latents(self, tiny_cfg_path,
+                                                              monkeypatch):
+        """Set-up sends each of W workers one message: the codec, and the latents of the
+        vehicles with ``vehicle_id % W == w``."""
+        cfg = load_config(tiny_cfg_path, [])
+        real_send = fleet._send
+        with fleet.Fleet(cfg, workers=3) as pool:
+            sent = {pool.procs[w].stdin: [] for w in range(pool.count)}
+
+            def send(stream, obj):
+                sent[stream].append(pickle.dumps(obj, protocol=5))
+                real_send(stream, obj)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(fleet, "_send", send)
+                data = harness.build_data_env(cfg, pool)
+            received = [[pickle.loads(blob) for blob in sent[proc.stdin]] for proc in pool.procs]
+        for w, messages in enumerate(received):
+            [(kind, codec, latents)] = messages
+            assert kind == "add" and reachable_codecs(messages) == [codec]
+            assert codec.basis.tobytes() == data.codec.basis.tobytes()
+            assert sorted(latents) == list(range(w, data.num_vehicles, 3))
+            assert all(latents[vid].tobytes() == data.latents[vid].tobytes() for vid in latents)
 
     def test_set_up_holds_one_decoder_at_a_time(self, monkeypatch):
         """Set-up hands each vehicle to its worker, so no copies of the codec pile up in main.
@@ -1159,28 +1164,27 @@ class TestFineTunesShareOneCodec:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(latent_codec, "pretrain_codec", pretrain)
             mp.setattr(harness, "partition_users", partition)
-            data, vehicles = received(cfg)
-        return bases[0], data, vehicles
+            data = harness.build_data_env(cfg, fleet.Shard(cfg))
+        return bases[0], data
 
     def test_pretrained_codec_untouched(self, tiny_cfg_path):
-        (base, pretrained), _, _ = self.build(load_config(tiny_cfg_path, []))
-        assert codec_state(base) == pretrained
+        (base, pretrained), data = self.build(load_config(tiny_cfg_path, []))
+        assert codec_state(base) == pretrained and data.codec is base
 
     def test_reverse_order_gives_same_vehicles(self, tiny_cfg_path):
         cfg = load_config(tiny_cfg_path, [])
 
-        def by_vehicle(data, vehicles):
+        def by_vehicle(data):
             return {loc.vehicle_id: (fingerprint.tobytes(), latents.tobytes(),
-                                     vehicles[loc.vehicle_id][0].tobytes(),
-                                     codec_state(vehicles[loc.vehicle_id][1]))
+                                     codec_state(data.codec))
                     for loc, fingerprint, latents
                     in zip(data.locals_, data.hashes, data.latents)}
 
-        _, forward, forward_vehicles = self.build(cfg, reverse=False)
-        _, backward, backward_vehicles = self.build(cfg, reverse=True)
+        _, forward = self.build(cfg, reverse=False)
+        _, backward = self.build(cfg, reverse=True)
         order = [loc.vehicle_id for loc in backward.locals_]
         assert order == sorted(order, reverse=True)
-        assert by_vehicle(forward, forward_vehicles) == by_vehicle(backward, backward_vehicles)
+        assert by_vehicle(forward) == by_vehicle(backward)
 
     def test_rider_vectors_do_not_move_the_codec(self, tiny_cfg_path):
         """With a public holdout, changing one rider's training vector leaves the codec alone."""
@@ -1192,8 +1196,8 @@ class TestFineTunesShareOneCodec:
             loc.user_train_vectors[0] = 1.0
             loc.train_vector = loc.user_train_vectors.mean(axis=0)
 
-        (_, plain), plain_data, _ = self.build(cfg)
-        (_, edited), edited_data, _ = self.build(cfg, edit=edit)
+        (_, plain), plain_data = self.build(cfg)
+        (_, edited), edited_data = self.build(cfg, edit=edit)
         assert edited == plain
         assert edited_data.hashes[0].tobytes() != plain_data.hashes[0].tobytes()
         assert edited_data.hashes[1:].tobytes() == plain_data.hashes[1:].tobytes()

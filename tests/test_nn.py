@@ -113,44 +113,6 @@ class TestCopyAndRelease:
         assert twin.flat_params().tobytes() == net.flat_params().tobytes()
         assert not np.array_equal(before, net.flat_params())
 
-    def test_inference_copy_keeps_only_weights(self):
-        rng = substream(0, "nn", "release")
-        net = nn.mlp([4, 6, 3], rng)
-        x = rng.normal(size=(5, 4))
-        net.forward(x)
-        net.backward(np.ones((5, 3)))
-        net.step(0.1, momentum=0.9)
-        want = net.predict(x)
-        twin = net.copy(training=False)
-        assert cached(twin) == [] and cached(net) != []
-        for mine, theirs in zip(twin.layers, net.layers):
-            if isinstance(mine, nn.Dense):
-                assert mine.dw is mine.db is mine._vw is mine._vb is None
-                assert mine.w is not theirs.w and theirs._vw is not None
-        assert twin.predict(x).tobytes() == want.tobytes()
-
-    def test_load_overwrites_in_place(self):
-        rng = substream(0, "nn", "load")
-        source, target = (nn.mlp([4, 6, 3], rng) for _ in range(2))
-        x = rng.normal(size=(5, 4))
-        for net in (source, target):
-            net.forward(x)
-            net.backward(rng.normal(size=(5, 3)))
-            net.step(0.1, momentum=0.9)
-        arrays = [id(getattr(layer, name)) for layer in target.layers[::2]
-                  for name in ("w", "b", "_vw", "_vb")]
-        fresh = source.copy()
-        target.load(source)
-        assert arrays == [id(getattr(layer, name)) for layer in target.layers[::2]
-                          for name in ("w", "b", "_vw", "_vb")]
-        for net in (fresh, target):
-            net.forward(x)
-            net.backward(np.ones((5, 3)))
-            net.step(0.1, momentum=0.9)
-        assert target.flat_params().tobytes() == fresh.flat_params().tobytes()
-        with pytest.raises(ValueError):
-            target.load(nn.mlp([4, 7, 3], rng))
-
 
 def test_built_dense_layers_match_init():
     """copy, views and stack make Dense layers with exactly __init__'s fields, and no gradients."""
@@ -161,8 +123,7 @@ def test_built_dense_layers_match_init():
         net.forward(rng.normal(size=(5, 4)))
         net.backward(np.ones((5, 3)))
     stacked = nn.stack(nets)
-    built = [nets[0].copy(), nets[0].copy(training=False), stacked,
-             stacked.slice(0, 1)]
+    built = [nets[0].copy(), stacked, stacked.slice(0, 1)]
     for net in built:
         assert len(net.dense) == 2
         for layer in net.dense:
