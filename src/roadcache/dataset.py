@@ -7,9 +7,10 @@ columns straight from the synthetic generator, with the dtypes and row
 order the parser would give for the same ratings written as lines.
 
 Each user's rated items are split chronologically: the earlier share
-becomes the training vector, the remainder becomes that user's future
-requests.  Users ride vehicles; a vehicle's request stream is the union
-of its users' held-out items at uniform instants of the run.
+trains the vehicle's model and is kept sparse (content ids and
+normalized ratings), the remainder becomes that user's future requests.
+Users ride vehicles; a vehicle's request stream is the union of its
+users' held-out items at uniform instants of the run.
 """
 
 from __future__ import annotations
@@ -57,16 +58,26 @@ class RatingMatrix:
 class LocalDataset:
     """One vehicle's share of the data.
 
-    train_vector is the vehicle-level profile (mean of its users' train
-    vectors); user_train_vectors keeps the per-user rows for training the
-    local generative model; held_out_requests lists future content ids.
+    Per user, in ``user_ids`` order, train_contents holds the 1-based ids
+    of the training ratings (int32) and train_ratings their normalized
+    values, in the user's chronological order; ``train_rows`` makes the
+    dense K-wide rows from them on demand.  held_out_requests lists
+    future content ids.
     """
 
     vehicle_id: int
     user_ids: list[int]
-    train_vector: np.ndarray
-    user_train_vectors: np.ndarray
+    num_contents: int
+    train_contents: list[np.ndarray]
+    train_ratings: list[np.ndarray]
     held_out_requests: list[int] = field(default_factory=list)
+
+    def train_rows(self) -> np.ndarray:
+        """The (users, K) training rows, filled as ``user_train_vector`` fills one."""
+        rows = np.zeros((len(self.user_ids), self.num_contents))
+        for row, contents, ratings in zip(rows, self.train_contents, self.train_ratings):
+            row[contents - 1] = ratings
+        return rows
 
 
 @dataclass
@@ -240,22 +251,23 @@ def partition_users(
     for pos, user in enumerate(shuffled):
         assignment[pos % num_vehicles].append(int(user))
     for vid, user_list in enumerate(assignment):
-        vectors = []
+        contents, ratings = [], []
         held: list[int] = []
         for user in user_list:
             idx = rows[user]
             n = len(idx)
             n_train = n if n < 2 else max(1, int(n * split_ratio))
-            vectors.append(user_train_vector(matrix, idx[:n_train]))
+            train = idx[:n_train]
+            contents.append(matrix.contents[train])
+            ratings.append(normalize_rating(matrix.ratings[train]))
             if n >= 2:
                 held.extend(int(c) for c in matrix.contents[idx[n_train:]])
-        stack = np.vstack(vectors)
-        profile = stack.mean(axis=0)
         locals_.append(LocalDataset(
             vehicle_id=vid,
             user_ids=user_list,
-            train_vector=profile,
-            user_train_vectors=stack,
+            num_contents=matrix.num_contents,
+            train_contents=contents,
+            train_ratings=ratings,
             held_out_requests=held,
         ))
     return locals_

@@ -76,8 +76,10 @@ WINDOW_SCHEMES = ("oracle", "n_tau_greedy", "random")
 class DataEnv:
     """The run's data; ``locals_``, ``hashes`` and ``latents`` are indexed by vehicle id.
 
-    ``codec`` is the one codec every vehicle shares: None, and ``hashes``
-    and ``latents`` empty, for a window-only run.
+    ``locals_`` keeps each rider's training ratings sparse; no dense
+    per-rider row outlives set-up.  ``codec`` is the one codec every
+    vehicle shares: None, and ``hashes`` and ``latents`` empty, for a
+    window-only run.
     """
 
     matrix: RatingMatrix
@@ -110,7 +112,11 @@ def build_data_env(cfg: SimConfig, fleet: Fleet | None = None) -> DataEnv:
     """Load, split and encode the run's data, and fill ``fleet`` with it.
 
     The codec is fitted once, on the public vectors (the riders' vectors
-    when there are none).  Once every vehicle is encoded,
+    when there are none).  Then each vehicle, in list order, has its dense
+    training rows built once: their sum joins the prior, and their mean
+    (the fingerprint's profile) and the rows themselves are encoded.  The
+    rows are dropped before the next vehicle's are built, so the data env
+    keeps only the riders' sparse ratings.  Once every vehicle is encoded,
     ``fleet.add(codec, latents)`` gets the codec and every vehicle's
     latents.  Without a fleet (a window-only run, which reads no model),
     no codec is fitted and ``hashes`` and ``latents`` are empty.
@@ -128,23 +134,28 @@ def build_data_env(cfg: SimConfig, fleet: Fleet | None = None) -> DataEnv:
         )
     riders = matrix.select_users(rider_ids)
     locals_ = partition_users(riders, cfg.data.num_vehicles, cfg.data.split_ratio, substream(seed, "partition"))
+    codec = None
+    if fleet is not None:
+        if len(public_ids):
+            rows = user_rows(matrix)
+            public = np.vstack([user_train_vector(matrix, rows[int(uid)]) for uid in public_ids])
+        else:
+            # No public holdout configured: fall back to the riders' vectors.
+            public = np.vstack([loc.train_rows() for loc in locals_])
+        codec = latent_codec.pretrain_codec(public, cfg.codec.latent_dim)
+        del public
     prior = np.zeros(matrix.num_contents)
+    hashes, latents = [], []
     for loc in locals_:
-        prior += loc.user_train_vectors.sum(axis=0)
-    if fleet is None:
+        train = loc.train_rows()
+        prior += train.sum(axis=0)
+        if codec is not None:
+            hashes.append(latent_codec.encode(codec, train.mean(axis=0)))
+            latents.append(latent_codec.encode(codec, train))
+    if codec is None:
         return DataEnv(matrix, locals_, None, np.zeros((0, cfg.codec.latent_dim)), [], prior)
-
-    rows = user_rows(matrix)
-    public = (np.vstack([user_train_vector(matrix, rows[int(uid)]) for uid in public_ids])
-              if len(public_ids) else np.zeros((0, matrix.num_contents)))
-    if len(public) == 0:
-        # No public holdout configured: fall back to the riders' vectors.
-        public = np.vstack([loc.user_train_vectors for loc in locals_])
-    codec = latent_codec.pretrain_codec(public, cfg.codec.latent_dim)
-    hashes = np.vstack([latent_codec.encode(codec, loc.train_vector) for loc in locals_])
-    latents = [latent_codec.encode(codec, loc.user_train_vectors) for loc in locals_]
     fleet.add(codec, latents)
-    return DataEnv(matrix, locals_, codec, hashes, latents, prior)
+    return DataEnv(matrix, locals_, codec, np.vstack(hashes), latents, prior)
 
 
 def build_motion_env(cfg: SimConfig, locals_: list[LocalDataset]) -> MotionEnv:
@@ -241,7 +252,7 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
                 seq += 1
                 n_entries += 1
     # One row per completed visit; no more visits complete than vehicles enter zones.
-    lists = np.empty((n_entries, min(cfg.cache.list_m, data.num_contents)), dtype=np.int64)
+    lists = np.empty((n_entries, min(cfg.cache.list_m, data.num_contents)), dtype=np.int32)
 
     fleet.reset()
     while heap:

@@ -5,7 +5,9 @@ and then asserts it.  Tests run in an order that reuses the session's
 cached data environments: all seed-0 work first, other seeds after.
 """
 
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -13,7 +15,7 @@ from roadcache import fed_distill as fd
 from roadcache import harness, ldpm, mobility
 from roadcache.caching import rank_contents, replacement_scores, top_m
 from roadcache.config import MobilityGroup, load_config
-from roadcache.report import emit_report
+from roadcache.report import Report, ReportRow, emit_report
 from roadcache.rng import substream
 
 from oracles import cosine_similarity
@@ -57,6 +59,19 @@ def test_criterion_1_overhead(env_store, desk_stack, record_criterion):
         ok,
         f"proposed {prop_bytes} B == ledger recount {recount} B; "
         f"model exchange {base_bytes} B; ratio {ratio:.2e} < 0.02 [{elapsed(t0)}]")
+
+
+def test_readme_quick_start_row_is_the_desk_run(desk_stack):
+    """README's Quick start CSV is what ``roadcache run --config configs/desk.cfg`` prints."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    quick_start = readme.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    [shown] = [block for block in re.findall(r"```\n(.*?)```", quick_start, re.S)
+               if block.startswith("scheme,")]
+    cfg, data, motion, trace = desk_stack
+    capacity = cfg.cache.capacity_n
+    [metrics], _ = harness.evaluate_caching(cfg, data, motion, trace, cfg.sim.scheme, [capacity])
+    row = ReportRow.build(cfg.sim.scheme, capacity, cfg.mobility.mu, cfg.sim.seed, metrics)
+    assert shown == emit_report(Report(rows=[row])).decode()
 
 
 def test_criterion_2_capacity_monotonicity(env_store, record_criterion):

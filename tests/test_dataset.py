@@ -11,6 +11,7 @@ from roadcache.dataset import (
     normalize_rating,
     partition_users,
     split_public_users,
+    user_rows,
     user_train_vector,
 )
 from roadcache.errors import ConfigError, DataFormatError
@@ -116,7 +117,7 @@ def test_duplicate_rating_latest_timestamp_wins():
     assert vec[8] == pytest.approx(0.6)
 
 
-def _synthetic_matrix(users=30, contents=60, seed=0):
+def _synthetic_matrix(users=30, contents=60, seed=0, extra=()):
     rng = substream(seed, "fixture")
     lines = []
     t = 0
@@ -124,7 +125,7 @@ def _synthetic_matrix(users=30, contents=60, seed=0):
         for c in rng.choice(contents, size=rng.integers(3, 12), replace=False):
             t += 1
             lines.append(f"{u}::{int(c) + 1}::{int(rng.integers(1, 6))}::{t}\n")
-    return load_ratings(lines, num_contents=contents)
+    return load_ratings(lines + list(extra), num_contents=contents)
 
 
 def test_partition_covers_users_disjointly():
@@ -148,10 +149,31 @@ def test_partition_split_counts():
     m = load_ratings(lines)
     locals_ = partition_users(m, 1, 0.8, substream(3, "p"))
     assert len(locals_[0].held_out_requests) == 2
-    assert int((locals_[0].user_train_vectors[0] > 0).sum()) == 8
+    assert int((locals_[0].train_rows()[0] > 0).sum()) == 8
     # The split is chronological: the held-out items carry the two
     # largest timestamps, which here equal the content ids.
     assert sorted(locals_[0].held_out_requests) == [9, 10]
+
+
+def test_train_rows_are_the_dense_user_vectors():
+    """Each vehicle's on-demand rows equal, byte for byte, its users' dense train vectors."""
+    # User 31 has one rating and trains on it; user 32 rates content 4 twice in training.
+    extra = ["31::5::4::1000\n", "32::4::2::1001\n", "32::4::5::1002\n", "32::9::3::1003\n"]
+    m = _synthetic_matrix(extra=extra)
+    split = 0.8
+    locals_ = partition_users(m, 7, split, substream(8, "p"))
+    rows = user_rows(m)
+    for loc in locals_:
+        want = []
+        for user in loc.user_ids:
+            idx = rows[user]
+            n = len(idx)
+            n_train = n if n < 2 else max(1, int(n * split))
+            want.append(user_train_vector(m, idx[:n_train]))
+        assert loc.train_rows().tobytes() == np.vstack(want).tobytes()
+        assert all(ids.dtype == np.int32 for ids in loc.train_contents)
+    [one] = [loc for loc in locals_ if 31 in loc.user_ids]
+    assert np.count_nonzero(one.train_rows()[one.user_ids.index(31)]) == 1
 
 
 def test_single_rating_user_never_requests():

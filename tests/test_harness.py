@@ -1020,23 +1020,29 @@ class TestFleet:
                 harness.simulate_protocol(cfg, data, motion, pool)
 
 
-def reachable_codecs(root):
-    """Every codec reachable from root through attributes, lists, tuples and dicts."""
-    found, seen, todo = [], set(), [root]
+def reachable(root):
+    """Every object reachable from root through attributes, lists, tuples and dicts.
+
+    Arrays are leaves; strings and numbers are skipped.
+    """
+    seen, todo = set(), [root]
     while todo:
         obj = todo.pop()
-        if id(obj) in seen or isinstance(obj, (np.ndarray, str, bytes, int, float)):
+        if id(obj) in seen or isinstance(obj, (str, bytes, int, float)):
             continue
         seen.add(id(obj))
-        if isinstance(obj, latent_codec.CodecParams):
-            found.append(obj)
+        yield obj
         if isinstance(obj, dict):
             todo.extend(obj.values())
         elif isinstance(obj, (list, tuple)):
             todo.extend(obj)
         elif hasattr(obj, "__dict__"):
             todo.extend(vars(obj).values())
-    return found
+
+
+def reachable_codecs(root):
+    """Every codec reachable from root."""
+    return [obj for obj in reachable(root) if isinstance(obj, latent_codec.CodecParams)]
 
 
 def public_vectors(cfg):
@@ -1076,8 +1082,9 @@ class TestDataEnvKeepsDecoders:
         cfg, data, shard = built
         codec = latent_codec.pretrain_codec(public_vectors(cfg), cfg.codec.latent_dim)
         for loc, fingerprint, latents in zip(data.locals_, data.hashes, data.latents):
-            assert fingerprint.tobytes() == latent_codec.encode(codec, loc.train_vector).tobytes()
-            want_latents = latent_codec.encode(codec, loc.user_train_vectors).tobytes()
+            rows = loc.train_rows()
+            assert fingerprint.tobytes() == latent_codec.encode(codec, rows.mean(axis=0)).tobytes()
+            want_latents = latent_codec.encode(codec, rows).tobytes()
             assert latents.tobytes() == shard.latents[loc.vehicle_id].tobytes() == want_latents
         assert codec_state(data.codec) == codec_state(shard.codec) == codec_state(codec)
 
@@ -1142,6 +1149,37 @@ class TestDataEnvKeepsDecoders:
         assert rises[0] < 3 * codec_bytes[0], (rises[0], codec_bytes[0])
 
 
+class TestSetUpKeepsRatingsSparse:
+    """Main keeps the riders' training ratings sparse; only set-up builds dense rows."""
+
+    def test_desk_set_up_never_holds_every_riders_rows(self, desk_cfg):
+        """Under tracemalloc, a desk set-up peaks below one copy of all riders' dense rows,
+        and what ``data.locals_`` keeps is under a tenth of that.
+
+        A warm-up build first takes the one-off import and cache allocations.
+        """
+        harness.build_data_env(desk_cfg, fleet.Shard(desk_cfg))
+        shard = fleet.Shard(desk_cfg)
+        tracemalloc.start()
+        try:
+            data = harness.build_data_env(desk_cfg, shard)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        riders = sum(len(loc.user_ids) for loc in data.locals_)
+        all_rows = riders * data.num_contents * 8
+        assert peak < all_rows, (peak, all_rows)
+        kept = sum(obj.nbytes for obj in reachable(data.locals_) if isinstance(obj, np.ndarray))
+        assert kept < all_rows / 10, (kept, all_rows)
+        wide = [obj.shape for obj in reachable(data)
+                if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.shape[1] == data.num_contents]
+        assert wide == []
+
+    def test_trace_lists_are_int32(self, tiny_stack):
+        _, _, _, trace = tiny_stack
+        assert trace.completed_visits > 0 and trace.lists.dtype == np.int32
+
+
 class TestFineTunesShareOneCodec:
     """Every vehicle encodes with the one codec, fitted on the public vectors alone."""
 
@@ -1193,8 +1231,8 @@ class TestFineTunesShareOneCodec:
 
         def edit(locals_):
             loc = locals_[0]
-            loc.user_train_vectors[0] = 1.0
-            loc.train_vector = loc.user_train_vectors.mean(axis=0)
+            loc.train_contents[0] = np.arange(1, loc.num_contents + 1, dtype=np.int32)
+            loc.train_ratings[0] = np.ones(loc.num_contents)
 
         (_, plain), plain_data = self.build(cfg)
         (_, edited), edited_data = self.build(cfg, edit=edit)
