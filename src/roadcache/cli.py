@@ -1,10 +1,9 @@
 """Command-line front end.
 
 Verbs: ``run`` evaluates one configuration, ``sweep`` expands a grid file
-into a combined report, ``validate`` executes the invariant suite, and
-``report`` re-renders a saved report between formats.  Exit codes: 0 on
-success, 2 for configuration or input problems, 3 when an invariant or
-validation check fails.
+into a combined report, and ``report`` re-renders a saved report between
+formats.  Exit codes: 0 on success, 2 for configuration or input
+problems, 3 when a runtime invariant is violated.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import sys
 
 from .config import known_keys, load_config, read_assignments, SCHEMES
 from .errors import ConfigError, DataFormatError, InvariantError, ProtocolError, TrainingError
-from .harness import run_simulation, run_sweep, validate_suite
+from .harness import run_simulation, run_sweep
 from .report import emit_report, parse_report
 
 
@@ -100,18 +99,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_validate(_args) -> int:
-    failures = 0
-    for name, ok, detail in validate_suite():
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        failures += 0 if ok else 1
-    if failures:
-        print(f"{failures} check(s) failed")
-        return 3
-    print("all checks passed")
-    return 0
-
-
 def _cmd_report(args) -> int:
     try:
         with open(args.infile, "rb") as fh:
@@ -148,9 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", required=True, help="output directory")
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.set_defaults(func=_cmd_sweep)
-
-    val = sub.add_parser("validate", help="run the invariant suite")
-    val.set_defaults(func=_cmd_validate)
 
     rep = sub.add_parser("report", help="re-render a saved report")
     rep.add_argument("--in", dest="infile", required=True, help="saved csv or json report")

@@ -46,21 +46,19 @@ from itertools import chain
 
 import numpy as np
 
-from . import fed_distill, latent_codec, ldpm
+from . import fed_distill, latent_codec
 from .caching import Metrics, rank_contents, replacement_scores, serve, top_m
 from .config import SimConfig
-from .dataset import (LocalDataset, RatingMatrix, generate_requests, load_ratings,
-                      partition_users, split_public_users, user_rows, user_train_vector)
+from .dataset import (LocalDataset, generate_requests, load_ratings, partition_users,
+                      split_public_users, user_rows, user_train_vector)
 from .errors import ConfigError, InvariantError
 from .fed_distill import (MSG_FL_MODEL_DOWN, MSG_FL_MODEL_UP, MSG_HI, MSG_KI,
                           MSG_KNOWLEDGE_DOWN, MSG_REC_LIST, UPLINK_KINDS, KnowledgeCache,
-                          Message, VisitInputs, hi_bytes, ki_bytes,
-                          knowledge_bytes, merge_kc, model_bytes, rec_list_bytes,
-                          train_and_predict)
+                          Message, hi_bytes, ki_bytes, knowledge_bytes, merge_kc,
+                          model_bytes, rec_list_bytes)
 from .fleet import Fleet, Shard
 from .latent_codec import CodecParams
-from .mobility import (VehicleTimeline, residence_time, rollout, sample_speed,
-                       truncated_gaussian_pdf)
+from .mobility import VehicleTimeline, residence_time, rollout
 from .report import Report, ReportRow
 from .rng import substream
 
@@ -76,22 +74,18 @@ WINDOW_SCHEMES = ("oracle", "n_tau_greedy", "random")
 class DataEnv:
     """The run's data; ``locals_``, ``hashes`` and ``latents`` are indexed by vehicle id.
 
-    ``locals_`` keeps each rider's training ratings sparse; no dense
-    per-rider row outlives set-up.  ``codec`` is the one codec every
-    vehicle shares: None, and ``hashes`` and ``latents`` empty, for a
-    window-only run.
+    ``locals_`` keeps each rider's training ratings sparse; neither a dense
+    per-rider row nor the loaded rating matrix outlives set-up.  ``codec``
+    is the one codec every vehicle shares: None, and ``hashes`` and
+    ``latents`` empty, for a window-only run.
     """
 
-    matrix: RatingMatrix
+    num_contents: int
     locals_: list[LocalDataset]
     codec: CodecParams | None
     hashes: np.ndarray
     latents: list[np.ndarray]
     prior_scores: np.ndarray
-
-    @property
-    def num_contents(self) -> int:
-        return self.matrix.num_contents
 
     @property
     def num_vehicles(self) -> int:
@@ -153,9 +147,10 @@ def build_data_env(cfg: SimConfig, fleet: Fleet | None = None) -> DataEnv:
             hashes.append(latent_codec.encode(codec, train.mean(axis=0)))
             latents.append(latent_codec.encode(codec, train))
     if codec is None:
-        return DataEnv(matrix, locals_, None, np.zeros((0, cfg.codec.latent_dim)), [], prior)
+        return DataEnv(matrix.num_contents, locals_, None, np.zeros((0, cfg.codec.latent_dim)),
+                       [], prior)
     fleet.add(codec, latents)
-    return DataEnv(matrix, locals_, codec, np.vstack(hashes), latents, prior)
+    return DataEnv(matrix.num_contents, locals_, codec, np.vstack(hashes), latents, prior)
 
 
 def build_motion_env(cfg: SimConfig, locals_: list[LocalDataset]) -> MotionEnv:
@@ -636,179 +631,6 @@ def _ledger_total(cfg: SimConfig, messages: list[Message]) -> int:
              MSG_KNOWLEDGE_DOWN: knowledge_bytes(L), MSG_REC_LIST: rec_list_bytes(cfg.cache.list_m),
              MSG_FL_MODEL_DOWN: model, MSG_FL_MODEL_UP: model}
     return sum(sizes[m.kind] for m in messages)
-
-
-def validate_suite() -> list[tuple[str, bool, str]]:
-    """Self-contained invariant checks behind the ``validate`` CLI verb.
-
-    Returns one (name, passed, detail) row per check.  Every check is
-    cheap; the whole suite is meant to finish in a few seconds.
-    """
-    from .report import emit_report, parse_report
-
-    checks: list[tuple[str, bool, str]] = []
-
-    dist = SimConfig().mobility
-    grid = np.linspace(dist.v_min, dist.v_max, 200001)
-    area = float(np.trapezoid(truncated_gaussian_pdf(grid, dist), grid))
-    checks.append(("speed-pdf-normalization", abs(area - 1.0) < 1e-6,
-                   f"quadrature mass {area:.9f}"))
-
-    rng = substream(7, "validate", "speeds")
-    draws = np.array([sample_speed(dist, rng) for _ in range(20000)])
-    in_range = bool(draws.min() >= dist.v_min and draws.max() <= dist.v_max)
-    mean_gap = abs(float(draws.mean()) - float(np.sum(grid * truncated_gaussian_pdf(grid, dist))
-                                               * (grid[1] - grid[0])))
-    checks.append(("speed-sampler-support", in_range and mean_gap < 0.15,
-                   f"range [{draws.min():.2f}, {draws.max():.2f}], mean gap {mean_gap:.3f}"))
-
-    sched = ldpm.build_schedule(50)
-    mono = bool(np.all(np.diff(sched.alpha_bar) < 0) and sched.alpha_bar[0] < 1.0
-                and sched.alpha_bar[-1] > 0.0)
-    checks.append(("noise-schedule-monotone", mono,
-                   f"signal share falls {sched.alpha_bar[0]:.6f} -> {sched.alpha_bar[-1]:.6f}"))
-
-    rng = substream(7, "validate", "merge")
-    caches = []
-    for r in range(3):
-        kc = KnowledgeCache(rsu_id=r)
-        for vid in range(6):
-            if rng.random() < 0.7:
-                fed_distill.upsert_hi(kc, fed_distill.HIPair(
-                    hash=rng.normal(size=4), vehicle_id=vid,
-                    upload_time=float(rng.integers(0, 50))))
-            if rng.random() < 0.5:
-                fed_distill.upsert_ki(kc, fed_distill.KIPair(
-                    knowledge=rng.normal(size=4), vehicle_id=vid,
-                    upload_time=float(rng.integers(0, 50))))
-        caches.append(kc)
-    merged = merge_kc(caches)
-    twice = merge_kc([merged, merged.copy_with_rsu(9)])
-    checks.append(("cache-merge-idempotent", merged.equals(twice), "merge(m, m) == m"))
-
-    small = SimConfig()
-    small.ldpm.episodes = 2
-    small.ldpm.lr = 1e-2
-    small.ldpm.batch = 2
-    small.ldpm.sample_count = 200   # SAMPLE_ROWS // 200: the stack samples as 2 + 1 visits
-    small.validate()
-
-    rng = substream(7, "validate", "stack")
-    sched = ldpm.build_schedule(10)
-    codec = latent_codec.pretrain_codec(rng.random((6, 12)), 4)
-    denoisers = [ldpm.new_denoiser(4, 8, 4, rng) for _ in range(3)]
-    latents = rng.normal(loc=2.0, scale=3.0, size=(3, 5, 4))
-    knowledge = [rng.normal(size=4), None, rng.normal(size=4)]
-
-    def visit(v, denoiser):
-        return VisitInputs(v, latents[v], denoiser, knowledge[v],
-                           substream(7, "validate", "train", v),
-                           substream(7, "validate", "sample", v))
-
-    def outcome(result, denoiser):
-        scores, own_knowledge, losses = result
-        return [scores.tobytes(), own_knowledge.tobytes(), np.array(losses).tobytes(),
-                *(getattr(layer, name).tobytes() for layer in denoiser.net.dense
-                  for name in ("w", "b", "_vw", "_vb"))]
-
-    copies = [denoiser.copy() for denoiser in denoisers]
-    alone = [outcome(train_and_predict([visit(v, copies[v])], codec, small, sched)[0], copies[v])
-             for v in range(3)]
-    together = train_and_predict([visit(v, denoisers[v]) for v in range(3)], codec, small, sched)
-    same = all(outcome(together[v], denoisers[v]) == alone[v] for v in range(3))
-    checks.append(("stacked-visit-parity", same,
-                   "3 visits (2 with knowledge) trained, sampled in 2 slices and decoded as one "
-                   "stack == one at a time: scores, knowledge, losses, weights and momentum"))
-
-    rng = substream(7, "validate", "inference")
-    shapes = SimConfig()
-    profiles = np.where(rng.random((60, 3952)) < 0.05, rng.uniform(0.2, 1.0, (60, 3952)), 0.0)
-    codec = latent_codec.pretrain_codec(profiles, shapes.codec.latent_dim)
-    draws = rng.normal(size=(32, shapes.codec.latent_dim))
-    sched = ldpm.build_schedule(50)
-    stacked = ldpm.stack([ldpm.new_denoiser(shapes.codec.latent_dim, shapes.ldpm.hidden,
-                                            shapes.ldpm.time_embed, rng) for _ in range(3)])
-    x = rng.normal(size=(3, 32, shapes.codec.latent_dim))
-    emb = sched.embedding_table(shapes.ldpm.time_embed)[rng.integers(0, 50, size=(3, 32))]
-    # The codec is linear, so the decoded mean draw equals the mean of the
-    # decoded draws in exact arithmetic only.
-    mean_first = np.allclose(latent_codec.decode(codec, draws.mean(axis=0)),
-                             latent_codec.decode(codec, draws).mean(axis=0))
-    denoiser = (ldpm.predict_noise(stacked, x, emb).tobytes()
-                == ldpm.predict_noise(stacked, x, emb, train=True).tobytes())
-    checks.append(("inference-parity", mean_first and denoiser,
-                   "decode of the mean draw ~= mean of the decoded draws on a desk-shaped "
-                   "codec, and predict == forward on a 3-visit denoiser stack"))
-
-    metrics = Metrics(hits=321, misses=79, latency_ms_sum=321 * 20.0 + 79 * 100.0,
-                      uplink_bytes=123456, downlink_bytes=6543)
-    report = Report(rows=[ReportRow.build("proposed", 500, 25.0, 0, metrics)])
-    round_trip = parse_report(emit_report(report, "csv"), "csv")
-    checks.append(("report-round-trip", round_trip == report, "parse(emit(r)) == r"))
-
-    members = [(np.array([1, 5, 9]), 100.0, 20.0), (np.array([5, 7]), 300.0, 25.0)]
-    base_votes = replacement_scores(members, 0.1, 500.0, 10)
-    scaled = replacement_scores(members, 0.7, 500.0, 10)
-    linear = bool(np.allclose(scaled, 7.0 * base_votes))
-    checks.append(("vote-eta-linearity", linear, "votes scale linearly with eta"))
-
-    cfg = SimConfig()
-    cfg.sim.duration = 80.0
-    cfg.data.path = "synth://users=40,contents=200,seed=3"
-    cfg.data.num_vehicles = 5
-    cfg.codec.latent_dim = 4
-    cfg.ldpm.steps = 10
-    cfg.ldpm.hidden = 16
-    cfg.ldpm.time_embed = 4
-    cfg.ldpm.episodes = 2
-    cfg.ldpm.sample_count = 4
-    cfg.kc.sync_period = 40.0
-    cfg.cache.capacity_n = 20
-    cfg.cache.list_m = 20
-    cfg.validate()
-    # Two runs: one whose set-up fills its fleet, and one in a fleet filled
-    # from that set-up's data env, as are the worker-parity fleets.
-    logs = []
-    with Fleet(cfg) as fleet:
-        data = build_data_env(cfg, fleet)
-        motion = build_motion_env(cfg, data.locals_)
-        logs.append(format_message_trace(simulate_protocol(cfg, data, motion, fleet).messages))
-    with Fleet(cfg) as fleet:
-        fleet.add(data.codec, data.latents)
-        trace = simulate_protocol(cfg, data, motion, fleet)
-    logs.append(format_message_trace(trace.messages))
-    checks.append(("protocol-determinism", logs[0] == logs[1] and len(logs[0]) > 0,
-                   f"two runs, {len(logs[0])} identical bytes"))
-
-    # The last run's trace: one HI per entry, a list with every entry that
-    # carries one, one KI per completed visit, and every size by its formula.
-    kinds = Counter(m.kind for m in trace.messages)
-    got = tuple(kinds[kind] for kind in (MSG_HI, MSG_REC_LIST, MSG_KI))
-    want = (len(trace.entries), sum(e.list_version >= 0 for e in trace.entries),
-            trace.completed_visits)
-    total = sum(m.nbytes for m in trace.messages)
-    expected_total = _ledger_total(cfg, trace.messages)
-    checks.append(("visit-message-ledger", got == want and total == expected_total,
-                   f"HI/REC_LIST/KI counts {got} (expected {want}), "
-                   f"{total} bytes (expected {expected_total})"))
-
-    # The same run from 1 and 2 workers and from one in-process Shard, all
-    # filled from the data env: every byte the trace keeps agrees.
-    traces = []
-    for workers in (1, 2):
-        with Fleet(cfg, workers=workers) as fleet:
-            fleet.add(data.codec, data.latents)
-            traces.append(simulate_protocol(cfg, data, motion, fleet))
-    shard = Shard(cfg)
-    shard.add(data.codec, data.latents)
-    traces.append(simulate_protocol(cfg, data, motion, shard))
-    views = [(format_message_trace(t.messages), t.lists.tobytes(), np.array(t.losses).tobytes(),
-              t.completed_visits, t.aborted_visits) for t in traces]
-    checks.append(("worker-parity",
-                   views[0] == views[1] == views[2] and traces[0].completed_visits > 0,
-                   f"1 and 2 workers and an in-process Shard give the same messages, lists, "
-                   f"losses and visit counts ({traces[0].completed_visits} visits computed)"))
-    return checks
 
 
 def run_sweep(base: SimConfig, schemes: list[str], capacities: list[int],

@@ -436,22 +436,31 @@ class TestTrainAndPredict:
         return out
 
     def test_batch_equals_one_visit_at_a_time(self):
-        batch = self.visits()
-        alone = self.visits()
-        cfg = make_cfg()
-        assert fd.visit_batches(batch) == [[0, 1, 2], [3], [4]]
-        together = fd.train_and_predict(batch, CODEC, cfg, SCHEDULE)
-        assert len(together) == len(batch)
-        for visit, (scores, knowledge, losses) in zip(alone, together):
-            [(own_scores, own_knowledge, own_losses)] = fd.train_and_predict(
-                [visit], CODEC, cfg, SCHEDULE)
-            assert scores.tobytes() == own_scores.tobytes()
-            assert np.array_equal(top_m(scores, 5), top_m(own_scores, 5))
-            assert knowledge.tobytes() == own_knowledge.tobytes()
-            assert losses == own_losses and len(losses) == 2
-        for mine, theirs in zip(batch, alone):
-            assert (mine.denoiser.net.flat_params().tobytes()
-                    == theirs.denoiser.net.flat_params().tobytes())
+        """Scores, knowledge, losses, weights and momentum match one visit at a time.
+
+        At 200 draws per visit, ``SAMPLE_ROWS // 200`` is under the 3-visit
+        stack, so that stack samples in more than one slice.
+        """
+        assert fd.SAMPLE_ROWS // 200 < 3
+        for sample_count in (6, 200):
+            batch = self.visits()
+            alone = self.visits()
+            cfg = make_cfg()
+            cfg.ldpm.sample_count = sample_count
+            assert fd.visit_batches(batch) == [[0, 1, 2], [3], [4]]
+            together = fd.train_and_predict(batch, CODEC, cfg, SCHEDULE)
+            assert len(together) == len(batch)
+            for visit, (scores, knowledge, losses) in zip(alone, together):
+                [(own_scores, own_knowledge, own_losses)] = fd.train_and_predict(
+                    [visit], CODEC, cfg, SCHEDULE)
+                assert scores.tobytes() == own_scores.tobytes()
+                assert np.array_equal(top_m(scores, 5), top_m(own_scores, 5))
+                assert knowledge.tobytes() == own_knowledge.tobytes()
+                assert losses == own_losses and len(losses) == 2
+            for mine, theirs in zip(batch, alone):
+                for layer, own in zip(mine.denoiser.net.dense, theirs.denoiser.net.dense):
+                    for name in ("w", "b", "_vw", "_vb"):
+                        assert getattr(layer, name).tobytes() == getattr(own, name).tobytes()
 
     def test_distillation_follows_the_config(self):
         """A visit with knowledge trains under the run's lambda and delta."""
