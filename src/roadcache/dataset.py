@@ -219,10 +219,26 @@ def split_public_users(matrix: RatingMatrix, fraction: float, rng: np.random.Gen
     return shuffled[:n_public], shuffled[n_public:]
 
 
-def user_train_vector(matrix: RatingMatrix, idx: np.ndarray) -> np.ndarray:
-    vec = np.zeros(matrix.num_contents)
+def user_train_vector(matrix: RatingMatrix, idx: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """The K-wide vector of the entries ``idx``, written into ``out`` (all zeros) when given."""
+    vec = np.zeros(matrix.num_contents) if out is None else out
     vec[matrix.contents[idx] - 1] = normalize_rating(matrix.ratings[idx])
     return vec
+
+
+def public_rows(matrix: RatingMatrix, user_ids: np.ndarray) -> np.ndarray:
+    """The (users, K) vectors of every rating of each of ``user_ids``, in that order.
+
+    Only those users' entries are selected and indexed, and one zeroed
+    array is filled row by row, as ``user_train_vector`` fills one.
+    """
+    public = matrix.select_users(user_ids)
+    rows = user_rows(public)
+    out = np.zeros((len(user_ids), matrix.num_contents))
+    for row, uid in zip(out, user_ids):
+        user_train_vector(public, rows[int(uid)], out=row)
+    return out
 
 
 def partition_users(

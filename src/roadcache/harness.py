@@ -50,7 +50,7 @@ from . import fed_distill, latent_codec
 from .caching import Metrics, rank_contents, replacement_scores, serve, top_m
 from .config import SimConfig
 from .dataset import (LocalDataset, generate_requests, load_ratings, partition_users,
-                      split_public_users, user_rows, user_train_vector)
+                      public_rows, split_public_users)
 from .errors import ConfigError, InvariantError
 from .fed_distill import (MSG_FL_MODEL_DOWN, MSG_FL_MODEL_UP, MSG_HI, MSG_KI,
                           MSG_KNOWLEDGE_DOWN, MSG_REC_LIST, UPLINK_KINDS, KnowledgeCache,
@@ -76,7 +76,8 @@ class DataEnv:
 
     ``locals_`` keeps each rider's training ratings sparse; neither a dense
     per-rider row nor the loaded rating matrix outlives set-up.  ``codec``
-    is the one codec every vehicle shares: None, and ``hashes`` and
+    is the one codec every vehicle shares, fitted before any of the rest
+    was built (see ``build_data_env``): None, and ``hashes`` and
     ``latents`` empty, for a window-only run.
     """
 
@@ -105,40 +106,46 @@ class MotionEnv:
 def build_data_env(cfg: SimConfig, fleet: Fleet | None = None) -> DataEnv:
     """Load, split and encode the run's data, and fill ``fleet`` with it.
 
-    The codec is fitted once, on the public vectors (the riders' vectors
-    when there are none).  Then each vehicle, in list order, has its dense
-    training rows built once: their sum joins the prior, and their mean
-    (the fingerprint's profile) and the rows themselves are encoded.  The
-    rows are dropped before the next vehicle's are built, so the data env
-    keeps only the riders' sparse ratings.  Once every vehicle is encoded,
-    ``fleet.add(codec, latents)`` gets the codec and every vehicle's
-    latents.  Without a fleet (a window-only run, which reads no model),
-    no codec is fitted and ``hashes`` and ``latents`` are empty.
+    The codec is fitted once, on the public vectors, before any rider data
+    exists: at the fit the main process holds the loaded columns and one
+    preallocated array of the public rows, and nothing else set-up builds.
+    Only then are the riders selected, the loaded matrix dropped and the
+    riders dealt onto vehicles.  With no public users
+    (``data.public_fraction=0``) the codec is fitted on the riders'
+    training rows instead, after the partition.  Then each vehicle, in
+    list order, has its dense training rows built once: their sum joins
+    the prior, and their mean (the fingerprint's profile) and the rows
+    themselves are encoded.  The rows are dropped before the next
+    vehicle's are built, so the data env keeps only the riders' sparse
+    ratings.  Once every vehicle is encoded, ``fleet.add(codec, latents)``
+    gets the codec and every vehicle's latents.  Without a fleet (a
+    window-only run, which reads no model), no codec is fitted and
+    ``hashes`` and ``latents`` are empty.
     """
     seed = cfg.sim.seed
     matrix = load_ratings(cfg.data.path)
-    if cfg.cache.list_m > matrix.num_contents:
+    num_contents = matrix.num_contents
+    if cfg.cache.list_m > num_contents:
         raise ConfigError(f"cache.list_m={cfg.cache.list_m} exceeds the catalog of "
-                          f"{matrix.num_contents} contents")
+                          f"{num_contents} contents")
     public_ids, rider_ids = split_public_users(matrix, cfg.data.public_fraction, substream(seed, "public"))
     if cfg.data.num_vehicles > len(rider_ids):
         raise ConfigError(
             f"{cfg.data.num_vehicles} vehicles need at least that many riders, "
             f"only {len(rider_ids)} users remain after the public holdout"
         )
-    riders = matrix.select_users(rider_ids)
-    locals_ = partition_users(riders, cfg.data.num_vehicles, cfg.data.split_ratio, substream(seed, "partition"))
     codec = None
-    if fleet is not None:
-        if len(public_ids):
-            rows = user_rows(matrix)
-            public = np.vstack([user_train_vector(matrix, rows[int(uid)]) for uid in public_ids])
-        else:
-            # No public holdout configured: fall back to the riders' vectors.
-            public = np.vstack([loc.train_rows() for loc in locals_])
-        codec = latent_codec.pretrain_codec(public, cfg.codec.latent_dim)
-        del public
-    prior = np.zeros(matrix.num_contents)
+    if fleet is not None and len(public_ids):
+        codec = latent_codec.pretrain_codec(public_rows(matrix, public_ids), cfg.codec.latent_dim)
+    riders = matrix.select_users(rider_ids)
+    del matrix
+    locals_ = partition_users(riders, cfg.data.num_vehicles, cfg.data.split_ratio, substream(seed, "partition"))
+    del riders
+    if fleet is not None and codec is None:
+        # No public holdout configured: fall back to the riders' vectors.
+        codec = latent_codec.pretrain_codec(np.vstack([loc.train_rows() for loc in locals_]),
+                                            cfg.codec.latent_dim)
+    prior = np.zeros(num_contents)
     hashes, latents = [], []
     for loc in locals_:
         train = loc.train_rows()
@@ -147,10 +154,10 @@ def build_data_env(cfg: SimConfig, fleet: Fleet | None = None) -> DataEnv:
             hashes.append(latent_codec.encode(codec, train.mean(axis=0)))
             latents.append(latent_codec.encode(codec, train))
     if codec is None:
-        return DataEnv(matrix.num_contents, locals_, None, np.zeros((0, cfg.codec.latent_dim)),
+        return DataEnv(num_contents, locals_, None, np.zeros((0, cfg.codec.latent_dim)),
                        [], prior)
     fleet.add(codec, latents)
-    return DataEnv(matrix.num_contents, locals_, codec, np.vstack(hashes), latents, prior)
+    return DataEnv(num_contents, locals_, codec, np.vstack(hashes), latents, prior)
 
 
 def build_motion_env(cfg: SimConfig, locals_: list[LocalDataset]) -> MotionEnv:
@@ -247,7 +254,9 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
                 seq += 1
                 n_entries += 1
     # One row per completed visit; no more visits complete than vehicles enter zones.
-    lists = np.empty((n_entries, min(cfg.cache.list_m, data.num_contents)), dtype=np.int32)
+    # Ids run 1..K, so the narrowest dtype holding K holds them all.
+    lists = np.empty((n_entries, min(cfg.cache.list_m, data.num_contents)),
+                     dtype=np.min_scalar_type(data.num_contents))
 
     fleet.reset()
     while heap:

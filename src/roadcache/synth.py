@@ -43,12 +43,24 @@ def parse_synth_uri(uri: str) -> dict[str, int]:
     return params
 
 
+def _user_stream(seed: int, user: int,
+                 contents: int) -> tuple[np.random.Generator, np.ndarray, int]:
+    """A user's substream, positioned after its mixture and count draws, and those draws."""
+    rng = substream(seed, "synth", "user", user)
+    mixture = rng.dirichlet(np.full(NUM_GENRES, GENRE_CONCENTRATION))
+    count = int(np.clip(rng.lognormal(np.log(120.0), 0.45), MIN_RATINGS, MAX_RATINGS))
+    return rng, mixture, min(count, contents)
+
+
 def generate(users: int, contents: int, seed: int) -> tuple[np.ndarray, ...]:
     """Return the user, content, rating and timestamp columns, one row per rating.
 
     Dtypes are int32, int32, int8 and int64, as the text parser gives.  Each
     user's rows draw from that user's own substream and appear in a shuffled
-    order, users in id order.
+    order, users in id order.  A first pass draws every user's rating count
+    to size the four columns; the second remakes each substream, repeats
+    those draws and writes the user's rows straight into its slice, so no
+    per-user pieces are left behind on the heap.
     """
     base = substream(seed, "synth")
     genre_of = base.integers(0, NUM_GENRES, size=contents)
@@ -60,12 +72,15 @@ def generate(users: int, contents: int, seed: int) -> tuple[np.ndarray, ...]:
         ranks = base.permutation(len(members))
         weight[members] = (ranks + 1.0) ** (-POPULARITY_EXPONENT)
 
-    user_col, content_col, rating_col, stamp_col = [], [], [], []
-    for user in range(1, users + 1):
-        rng = substream(seed, "synth", "user", user)
-        mixture = rng.dirichlet(np.full(NUM_GENRES, GENRE_CONCENTRATION))
-        count = int(np.clip(rng.lognormal(np.log(120.0), 0.45), MIN_RATINGS, MAX_RATINGS))
-        count = min(count, contents)
+    ends = np.cumsum([_user_stream(seed, user, contents)[2] for user in range(1, users + 1)])
+    total = int(ends[-1])
+    user_col = np.empty(total, dtype=np.int32)
+    content_col = np.empty(total, dtype=np.int32)
+    rating_col = np.empty(total, dtype=np.int8)
+    stamp_col = np.empty(total, dtype=np.int64)
+    start = 0
+    for user, end in zip(range(1, users + 1), ends):
+        rng, mixture, count = _user_stream(seed, user, contents)
         # Gumbel-max sampling without replacement, biased by the user's
         # genre mixture times content popularity.
         score = np.log(weight * mixture[genre_of] + 1e-300)
@@ -76,9 +91,9 @@ def generate(users: int, contents: int, seed: int) -> tuple[np.ndarray, ...]:
         ratings = np.clip(np.rint(3.2 + 1.5 * affinity + noise), 1, 5)
         stamps = np.sort(rng.integers(0, TIME_SPAN, size=count))
         order = rng.permutation(count)
-        user_col.append(np.full(count, user, dtype=np.int32))
-        content_col.append((items[order] + 1).astype(np.int32))
-        rating_col.append(ratings[order].astype(np.int8))
-        stamp_col.append(stamps[order].astype(np.int64))
-    return (np.concatenate(user_col), np.concatenate(content_col),
-            np.concatenate(rating_col), np.concatenate(stamp_col))
+        user_col[start:end] = user
+        content_col[start:end] = items[order] + 1
+        rating_col[start:end] = ratings[order]
+        stamp_col[start:end] = stamps[order]
+        start = end
+    return user_col, content_col, rating_col, stamp_col

@@ -1,5 +1,6 @@
 """Ratings ingestion, partitioning, and request-trace derivation."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -10,6 +11,7 @@ from roadcache.dataset import (
     load_ratings,
     normalize_rating,
     partition_users,
+    public_rows,
     split_public_users,
     user_rows,
     user_train_vector,
@@ -176,6 +178,17 @@ def test_train_rows_are_the_dense_user_vectors():
     assert np.count_nonzero(one.train_rows()[one.user_ids.index(31)]) == 1
 
 
+def test_public_rows_are_the_dense_user_vectors():
+    """The public rows equal, byte for byte, the users' vectors built from the whole matrix."""
+    # User 32 rates content 4 twice: the later rating must win in both.
+    m = _synthetic_matrix(extra=["32::4::2::1001\n", "32::4::5::1002\n", "32::9::3::1003\n"])
+    public, _ = split_public_users(m, 0.3, substream(9, "pub"))
+    public = np.append(public, 32)
+    rows = user_rows(m)
+    want = np.vstack([user_train_vector(m, rows[int(uid)]) for uid in public])
+    assert public_rows(m, public).tobytes() == want.tobytes()
+
+
 def test_single_rating_user_never_requests():
     lines = ["1::5::4::10\n", "2::6::4::10\n", "2::7::2::20\n"]
     m = load_ratings(lines)
@@ -269,6 +282,17 @@ def test_synth_lines_parse_and_reproduce():
     assert m.num_contents == 80
     assert int(m.contents.max()) <= 80
     assert np.all((m.ratings >= 1) & (m.ratings <= 5))
+
+
+def test_synth_desk_columns_are_pinned():
+    """The desk catalog's four columns, each as its ``dtype.str`` then its bytes, hash as they
+    always have: any change to the generator's draws or row order changes every report."""
+    params = parse_synth_uri("synth://users=600,contents=3952,seed=1")
+    digest = hashlib.sha256()
+    for col in generate(params["users"], params["contents"], params["seed"]):
+        digest.update(col.dtype.str.encode())
+        digest.update(col.tobytes())
+    assert digest.hexdigest() == "6094a633cab020bcc5a753c0896b3d39f093d367077f6c7080bdad58b4d7de86"
 
 
 @pytest.mark.parametrize("uri", ["synth://users=25,contents=80,seed=3",

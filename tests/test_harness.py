@@ -1160,9 +1160,74 @@ class TestSetUpKeepsRatingsSparse:
         assert wide == []
         assert not any(isinstance(obj, RatingMatrix) for obj in held)
 
-    def test_trace_lists_are_int32(self, tiny_stack):
-        _, _, _, trace = tiny_stack
-        assert trace.completed_visits > 0 and trace.lists.dtype == np.int32
+    def test_trace_lists_use_the_narrowest_id_dtype(self, tiny_stack):
+        """Ids run 1..K, so the lists take the narrowest dtype holding K (uint16 on desk)."""
+        _, data, _, trace = tiny_stack
+        assert trace.completed_visits > 0
+        assert trace.lists.dtype == np.min_scalar_type(data.num_contents)
+        assert 1 <= trace.lists.min() and trace.lists.max() <= data.num_contents
+
+
+class TestCodecFitsBeforeRiderData:
+    """Set-up fits the codec on the public rows before it builds anything of the riders'."""
+
+    MARGIN = 64 * 1024   # the split's id arrays and small objects; desk measured 7.4 kB
+
+    @staticmethod
+    def build(cfg, monkeypatch, on_fit=lambda: None):
+        """Set-up with the calls to partition and fit recorded in order: the partition's
+        vehicles, and the rows the codec is fitted on."""
+        real_pretrain, real_partition = latent_codec.pretrain_codec, harness.partition_users
+        calls = []
+
+        def pretrain(public, latent_dim):
+            on_fit()
+            calls.append(("fit", public))
+            return real_pretrain(public, latent_dim)
+
+        def partition(*args, **kwargs):
+            locals_ = real_partition(*args, **kwargs)
+            calls.append(("partition", locals_))
+            return locals_
+
+        monkeypatch.setattr(latent_codec, "pretrain_codec", pretrain)
+        monkeypatch.setattr(harness, "partition_users", partition)
+        return harness.build_data_env(cfg, fleet.Shard(cfg)), calls
+
+    def test_fit_sees_only_the_loaded_columns_and_public_rows(self, desk_cfg, monkeypatch):
+        """On desk, the fit comes before the partition, and under tracemalloc main then
+        holds less than the public rows, the loaded columns and ``MARGIN`` bytes.
+
+        A warm-up build without a fleet first takes the one-off allocations.
+        """
+        matrix = load_ratings(desk_cfg.data.path)
+        columns = sum(col.nbytes for col in (matrix.users, matrix.contents, matrix.ratings,
+                                             matrix.timestamps))
+        del matrix
+        harness.build_data_env(desk_cfg)
+        held = []
+        tracemalloc.start()
+        try:
+            data, calls = self.build(desk_cfg, monkeypatch,
+                                     on_fit=lambda: held.append(tracemalloc.get_traced_memory()[0]))
+        finally:
+            tracemalloc.stop()
+        assert [kind for kind, _ in calls] == ["fit", "partition"]
+        [at_fit], public_bytes = held, calls[0][1].nbytes
+        assert at_fit < public_bytes + columns + self.MARGIN, (at_fit, public_bytes, columns)
+        assert codec_state(data.codec) == codec_state(
+            latent_codec.pretrain_codec(public_vectors(desk_cfg), desk_cfg.codec.latent_dim))
+
+    def test_without_public_users_the_fit_follows_the_partition(self, tiny_cfg_path,
+                                                               monkeypatch):
+        """With ``data.public_fraction=0`` the codec is the fit on the riders' training rows."""
+        cfg = load_config(tiny_cfg_path, ["data.public_fraction=0"])
+        data, calls = self.build(cfg, monkeypatch)
+        assert [kind for kind, _ in calls] == ["partition", "fit"]
+        riders = np.vstack([loc.train_rows() for loc in calls[0][1]])
+        assert calls[1][1].tobytes() == riders.tobytes()
+        assert codec_state(data.codec) == codec_state(
+            latent_codec.pretrain_codec(riders, cfg.codec.latent_dim))
 
 
 class TestFineTunesShareOneCodec:
