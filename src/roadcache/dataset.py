@@ -29,7 +29,6 @@ from .errors import ConfigError, DataFormatError
 class RatingMatrix:
     """Sparse user/content ratings as parallel arrays."""
 
-    num_users: int
     num_contents: int
     users: np.ndarray      # int32, original user ids
     contents: np.ndarray   # int32, 1-based content ids
@@ -45,7 +44,6 @@ class RatingMatrix:
     def select_users(self, keep: np.ndarray) -> "RatingMatrix":
         mask = np.isin(self.users, keep)
         return RatingMatrix(
-            num_users=len(np.unique(self.users[mask])),
             num_contents=self.num_contents,
             users=self.users[mask],
             contents=self.contents[mask],
@@ -185,7 +183,6 @@ def load_ratings(source, fmt: str | None = None, num_contents: int | None = None
         raise DataFormatError(f"content id {max_seen} exceeds declared catalog size {k}")
     users_arr = np.asarray(users, dtype=np.int32)
     return RatingMatrix(
-        num_users=len(np.unique(users_arr)),
         num_contents=k,
         users=users_arr,
         contents=contents_arr,

@@ -42,9 +42,9 @@ UPLINK_KINDS = frozenset({MSG_HI, MSG_KI, MSG_REC_LIST, MSG_FL_MODEL_UP})
 # Bigger stacks ran slower: at 500 draws per visit, sampling 20 visits at
 # once made the protocol phase slower than sampling one at a time.
 SAMPLE_ROWS = 512
-# Most visits whose denoisers train as one stack.  The stack is the one
-# copy of their state a visit batch makes, so this bounds its memory; 16
-# is desk's sampling chunk (SAMPLE_ROWS // 32 draws).
+# Most visits whose denoisers train as one stack (``visit_batches``).  A
+# stack is the one copy its visits' denoiser state gets, so this bounds
+# its memory; 16 is desk's sampling chunk (SAMPLE_ROWS // 32 draws).
 STACK_VISITS = 16
 
 
@@ -261,10 +261,11 @@ def visit_batches(visits: list[VisitInputs]) -> list[list[int]]:
     """Split visits (in entry order) into stacks, in the order they must run.
 
     A stack holds visits of one latent row count (every vehicle's latents
-    share the codec's width, so one latent shape) and at most one visit
-    per vehicle.  A vehicle's visits run in entry order: once a scan
-    passes over a vehicle, its later visits wait for a later stack.
-    Returns indices into ``visits``.
+    share the codec's width, so one latent shape), at most one visit per
+    vehicle, and at most ``STACK_VISITS`` visits.  A vehicle's visits run
+    in entry order: once a scan passes over a vehicle, its later visits
+    wait for a later scan.  A scan's visits too many for one stack fill
+    the next stacks, in scan order.  Returns indices into ``visits``.
     """
     left = list(range(len(visits)))
     batches = []
@@ -278,7 +279,7 @@ def visit_batches(visits: list[VisitInputs]) -> list[list[int]]:
             else:
                 rest.append(i)
             seen.add(visit.vehicle_id)
-        batches.append(batch)
+        batches.extend(batch[lo:lo + STACK_VISITS] for lo in range(0, len(batch), STACK_VISITS))
         left = rest
     return batches
 
@@ -289,9 +290,8 @@ def train_and_predict(visits: list[VisitInputs], codec: latent_codec.CodecParams
 
     Takes visits in entry order and returns one (scores, knowledge,
     losses) per visit, in that order; pure vehicle-side work under the
-    run's ``cfg.ldpm`` settings.  The visits run in the batches that
-    ``visit_batches`` picks, each cut into stacks of at most
-    ``STACK_VISITS`` visits (``_train_and_sample``), and each result is
+    run's ``cfg.ldpm`` settings.  The visits run in the stacks that
+    ``visit_batches`` picks (``_train_and_sample``), and each result is
     bit-identical to computing the visits one at a time.  The neighbor
     target is mapped into the vehicle's standardized latent coordinates
     for training, and draws are mapped back before decoding, so knowledge
@@ -303,15 +303,13 @@ def train_and_predict(visits: list[VisitInputs], codec: latent_codec.CodecParams
     before its visits decode.
     """
     results: list[tuple] = [()] * len(visits)
-    for batch in visit_batches(visits):
-        for lo in range(0, len(batch), STACK_VISITS):
-            group = batch[lo:lo + STACK_VISITS]
-            stack = [visits[i] for i in group]
-            standardizers = [latent_standardizer(visit.latents) for visit in stack]
-            draws, losses = _train_and_sample(stack, standardizers, cfg.ldpm, schedule)
-            for i, (mu, sd), own_draws, own_losses in zip(group, standardizers, draws, losses):
-                knowledge = (own_draws * sd + mu).mean(axis=0)
-                results[i] = (latent_codec.decode(codec, knowledge), knowledge, own_losses)
+    for group in visit_batches(visits):
+        stack = [visits[i] for i in group]
+        standardizers = [latent_standardizer(visit.latents) for visit in stack]
+        draws, losses = _train_and_sample(stack, standardizers, cfg.ldpm, schedule)
+        for i, (mu, sd), own_draws, own_losses in zip(group, standardizers, draws, losses):
+            knowledge = (own_draws * sd + mu).mean(axis=0)
+            results[i] = (latent_codec.decode(codec, knowledge), knowledge, own_losses)
     return results
 
 
@@ -330,7 +328,7 @@ def _train_and_sample(stack: list[VisitInputs], standardizers: list[tuple], sett
     latents = np.stack([(visit.latents - mu) / sd for visit, (mu, sd) in zip(stack, standardizers)])
     targets = [None if visit.integrated is None else (visit.integrated - mu) / sd
                for visit, (mu, sd) in zip(stack, standardizers)]
-    _, losses = ldpm.local_train(
+    losses = ldpm.local_train(
         stacked, latents, targets, schedule, settings.episodes, settings.lr, settings.batch,
         [visit.rng_train for visit in stack],
         weight=settings.distill_weight, temperature=settings.temperature,

@@ -82,10 +82,10 @@ class Shard:
         self.denoisers: dict[int, ldpm.DenoiserParams] = {}
         self.load = [[0, 0.0, None]]
 
-    def add(self, codec: CodecParams, latents: list[np.ndarray] | dict[int, np.ndarray]) -> None:
+    def add(self, codec: CodecParams, latents: dict[int, np.ndarray]) -> None:
         """Keep the codec, and the latents of each vehicle ``latents`` holds by vehicle id."""
         self.codec = codec
-        self.latents = dict(latents.items() if isinstance(latents, dict) else enumerate(latents))
+        self.latents = latents
 
     def reset(self) -> None:
         """Give every vehicle a new denoiser, made from its ``"denoiser"`` substream."""
@@ -151,15 +151,15 @@ class Fleet:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def add(self, codec: CodecParams, latents: list[np.ndarray]) -> None:
-        """Send each worker the codec and the latents (indexed by vehicle id) of its vehicles.
+    def add(self, codec: CodecParams, latents: dict[int, np.ndarray]) -> None:
+        """Send each worker the codec and the latents (keyed by vehicle id) of its vehicles.
 
         One message per worker, written before this returns; the worker
         sends no reply.
         """
         for w in range(self.count):
-            self._post(w, ("add", codec, {vid: latents[vid]
-                                          for vid in range(w, len(latents), self.count)}))
+            self._post(w, ("add", codec, {vid: own for vid, own in latents.items()
+                                          if vid % self.count == w}))
 
     def reset(self) -> None:
         """Start a protocol phase: every worker remakes its denoisers, and ``load`` restarts."""

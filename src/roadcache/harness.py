@@ -117,8 +117,8 @@ def build_data_env(cfg: SimConfig, fleet: Fleet | None = None) -> DataEnv:
     the prior, and their mean (the fingerprint's profile) and the rows
     themselves are encoded.  The rows are dropped before the next
     vehicle's are built, so the data env keeps only the riders' sparse
-    ratings.  Once every vehicle is encoded, ``fleet.add(codec, latents)``
-    gets the codec and every vehicle's latents.  Without a fleet (a
+    ratings.  Once every vehicle is encoded, ``fleet.add`` gets the codec
+    and every vehicle's latents, keyed by vehicle id.  Without a fleet (a
     window-only run, which reads no model), no codec is fitted and
     ``hashes`` and ``latents`` are empty.
     """
@@ -156,7 +156,7 @@ def build_data_env(cfg: SimConfig, fleet: Fleet | None = None) -> DataEnv:
     if codec is None:
         return DataEnv(num_contents, locals_, None, np.zeros((0, cfg.codec.latent_dim)),
                        [], prior)
-    fleet.add(codec, latents)
+    fleet.add(codec, dict(enumerate(latents)))
     return DataEnv(num_contents, locals_, codec, np.vstack(hashes), latents, prior)
 
 
@@ -255,8 +255,7 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
                 n_entries += 1
     # One row per completed visit; no more visits complete than vehicles enter zones.
     # Ids run 1..K, so the narrowest dtype holding K holds them all.
-    lists = np.empty((n_entries, min(cfg.cache.list_m, data.num_contents)),
-                     dtype=np.min_scalar_type(data.num_contents))
+    lists = np.empty((n_entries, cfg.cache.list_m), dtype=np.min_scalar_type(data.num_contents))
 
     fleet.reset()
     while heap:
@@ -312,7 +311,6 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
 
 @dataclass
 class FLOutcome:
-    kind: str
     completions: dict[int, list[float]]   # vehicle id -> completion times
     completed_rounds: int
     messages: list[Message]
@@ -366,7 +364,7 @@ def parameter_exchange_baseline(kind: str, cfg: SimConfig, motion: MotionEnv) ->
                         completions.setdefault(vid, []).append(end)
                         completed_rounds += 1
                     j += 1
-        return FLOutcome(kind, completions, completed_rounds, messages)
+        return FLOutcome(completions, completed_rounds, messages)
 
     # Synchronous rounds on a shared clock, one cohort per zone.
     occupancy: list[list[tuple[float, float, int, int]]] = [
@@ -397,7 +395,7 @@ def parameter_exchange_baseline(kind: str, cfg: SimConfig, motion: MotionEnv) ->
         k += 1
     for times in completions.values():
         times.sort()
-    return FLOutcome(kind, completions, completed_rounds, messages)
+    return FLOutcome(completions, completed_rounds, messages)
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,15 @@ network's implied clean-latent estimate toward the aggregated neighbor
 latent; the aggregate is a fixed target, so the penalty's gradient flows
 only through the local prediction.
 
-Training and sampling run on a stack of V denoisers at once (``stack``),
-one visit per slice, each with its own latents, generator and target
-(None for a visit without neighbor knowledge).  A stack can be sampled
-in parts through views of its slices (``nn.Mlp.slice``).  The
-distillation weight and temperature are run-wide settings, one per call.
-Every slice sees the same arithmetic and the same draws, in the same
-order, as that visit computed alone; a single denoiser is the V=1 case,
-and it is left holding the gradients its one-slice stack made.
+Training and sampling take only a stack of V denoisers (``stack``), one
+visit per slice, each with its own latents, generator and target (None
+for a visit without neighbor knowledge); one visit alone is a stack of
+one.  A stack can be sampled in parts through views of its slices
+(``nn.Mlp.slice``), and ``unstack`` writes its weights and momentum back
+to the denoisers it was made from.  The distillation weight and
+temperature are run-wide settings, one per call.  Every slice sees the
+same arithmetic and the same draws, in the same order, as that visit
+computed alone.
 """
 
 from __future__ import annotations
@@ -65,13 +66,6 @@ class DenoiserParams:
     latent_dim: int
     time_embed_dim: int
 
-    def copy(self) -> "DenoiserParams":
-        return DenoiserParams(self.net.copy(), self.latent_dim, self.time_embed_dim)
-
-    @property
-    def stacked(self) -> bool:
-        return self.net.layers[0].w.ndim == 3
-
 
 def stack(denoisers: list[DenoiserParams]) -> DenoiserParams:
     """V same-shaped denoisers as one, weights and momentum stacked (V, in, out)."""
@@ -82,10 +76,9 @@ def stack(denoisers: list[DenoiserParams]) -> DenoiserParams:
                           first.time_embed_dim)
 
 
-def unstack(stacked: DenoiserParams, denoisers: list[DenoiserParams], *,
-            grads: bool = False) -> None:
+def unstack(stacked: DenoiserParams, denoisers: list[DenoiserParams]) -> None:
     """Write each slice's weights and momentum back to its denoiser (``nn.unstack``)."""
-    nn.unstack(stacked.net, [d.net for d in denoisers], grads=grads)
+    nn.unstack(stacked.net, [d.net for d in denoisers])
 
 
 def new_denoiser(latent_dim: int, hidden: int, time_embed_dim: int, rng: np.random.Generator) -> DenoiserParams:
@@ -142,15 +135,13 @@ def _kl_rows(g: np.ndarray, target: np.ndarray, temperature: float) -> tuple:
     return (p * diff).sum(axis=-1), p, diff
 
 
-def objective(params: DenoiserParams, x0: np.ndarray, target: np.ndarray | None | list,
-              sched: NoiseSchedule, rng: np.random.Generator | list, *, weight: float,
-              temperature: float) -> float | np.ndarray:
+def objective(params: DenoiserParams, x0: np.ndarray, targets: list, sched: NoiseSchedule,
+              rngs: list, *, weight: float, temperature: float) -> np.ndarray:
     """Forward plus backward pass; leaves gradients on the network layers.
 
     ``params`` is a stack of V denoisers, ``x0`` is (V, n, d), and
-    ``target`` and ``rng`` hold one distillation target (or None) and one
-    generator per visit; returns the (V,) losses.  One denoiser with (n, d)
-    rows, one target and one generator is the V=1 case and returns a float.
+    ``targets`` and ``rngs`` hold one distillation target (or None) and
+    one generator per visit; returns the (V,) losses.
 
     A visit distills, adding ``weight`` times the KL at ``temperature``,
     exactly when its target is not None and ``weight`` > 0.  One (step,
@@ -158,19 +149,13 @@ def objective(params: DenoiserParams, x0: np.ndarray, target: np.ndarray | None 
     extra randomness, so the plain and distilled objectives see identical
     draws under identical streams.
     """
-    if not params.stacked:
-        one = stack([params])
-        loss = objective(one, np.atleast_2d(np.asarray(x0, dtype=float))[None], [target], sched,
-                         [rng], weight=weight, temperature=temperature)
-        unstack(one, [params], grads=True)
-        return float(loss[0])
     x0 = np.asarray(x0, dtype=float)
     batch = x0.shape[1]
     if batch == 0:
         raise ValueError("empty batch")
     t = np.empty(x0.shape[:2], dtype=np.int64)
     eps = np.empty_like(x0)
-    for v, visit_rng in enumerate(rng):
+    for v, visit_rng in enumerate(rngs):
         t[v] = visit_rng.integers(1, sched.steps + 1, size=batch)
         eps[v] = visit_rng.standard_normal(x0.shape[1:])
     xt = forward_noise(x0, t, eps, sched)
@@ -180,11 +165,11 @@ def objective(params: DenoiserParams, x0: np.ndarray, target: np.ndarray | None 
     loss = (resid**2).sum(axis=-1).mean(axis=-1)
     grad_eps_hat = 2.0 * resid / batch
 
-    d = [v for v, own in enumerate(target) if own is not None] if weight > 0 else []
+    d = [v for v, own in enumerate(targets) if own is not None] if weight > 0 else []
     if d:
         ab = sched.alpha_bar[t[d] - 1][..., None]
         root_ab, root_rest = np.sqrt(ab), np.sqrt(1.0 - ab)
-        goal = np.stack([np.asarray(target[v], dtype=float) for v in d])
+        goal = np.stack([np.asarray(targets[v], dtype=float) for v in d])
         x0_hat = (xt[d] - root_rest * eps_hat[d]) / root_ab
         kl, p, diff = _kl_rows(x0_hat, goal[:, None, :], temperature)
         loss[d] += weight * kl.mean(axis=-1)
@@ -194,62 +179,50 @@ def objective(params: DenoiserParams, x0: np.ndarray, target: np.ndarray | None 
 
     if not np.all(np.isfinite(loss)):
         raise TrainingError("diffusion objective became non-finite")
-    params.net.backward(grad_eps_hat, input_grad=False)
+    params.net.backward(grad_eps_hat)
     return loss
 
 
-def local_train(params: DenoiserParams, latents: np.ndarray, target: np.ndarray | None | list,
-                sched: NoiseSchedule, epochs: int, lr: float, batch_size: int,
-                rng: np.random.Generator | list, *, weight: float,
-                temperature: float) -> tuple[DenoiserParams, list]:
-    """Run SGD epochs over the local latents; records the loss trajectory.
+def local_train(params: DenoiserParams, latents: np.ndarray, targets: list, sched: NoiseSchedule,
+                epochs: int, lr: float, batch_size: int, rngs: list, *, weight: float,
+                temperature: float) -> list[list[float]]:
+    """Run SGD epochs over the stack's latents, in place; returns the loss trajectories.
 
-    Stacked as ``objective``: latents (V, n, d), one target and one
-    generator per visit, and one per-epoch trajectory per visit returned.
+    Stacked as ``objective``: latents (V, n, d) and one target and one
+    generator per visit; returns one per-epoch trajectory per visit.
     Each visit draws a permutation per epoch and then, per batch, its step
-    indices and noise.  One denoiser with (n, d) latents is the V=1 case
-    and returns its one trajectory.
+    indices and noise.
     """
-    if not params.stacked:
-        one = stack([params])
-        _, losses = local_train(one, np.atleast_2d(latents)[None], [target], sched, epochs, lr,
-                                batch_size, [rng], weight=weight, temperature=temperature)
-        unstack(one, [params], grads=True)
-        return params, losses[0]
     latents = np.asarray(latents, dtype=float)
     n_visits, n = latents.shape[:2]
     losses: list[list[float]] = [[] for _ in range(n_visits)]
     if n == 0:
-        return params, losses
+        return losses
     size = min(batch_size, n)
     rows = np.arange(n_visits)[:, None]
     for _ in range(epochs):
-        order = np.stack([visit_rng.permutation(n) for visit_rng in rng])
+        order = np.stack([visit_rng.permutation(n) for visit_rng in rngs])
         batch_losses = []
         for start in range(0, n, size):
             chunk = latents[rows, order[:, start:start + size]]
-            batch_losses.append(objective(params, chunk, target, sched, rng, weight=weight,
+            batch_losses.append(objective(params, chunk, targets, sched, rngs, weight=weight,
                                           temperature=temperature))
             params.net.step(lr, MOMENTUM)
         for own, per_batch in zip(losses, np.stack(batch_losses, axis=1)):
             own.append(float(np.mean(per_batch)))
-    return params, losses
+    return losses
 
 
-def sample(params: DenoiserParams, sched: NoiseSchedule, count: int,
-           rng: np.random.Generator | list) -> np.ndarray:
+def sample(params: DenoiserParams, sched: NoiseSchedule, count: int, rngs: list) -> np.ndarray:
     """Ancestral reverse walk from pure noise; the last step adds none.
 
-    Stacked: one generator per visit and (V, count, d) draws.  Each visit
-    draws all its noise in one block, the initial noise first and then one
-    noise per step, which are the values and generator state that drawing
-    them one at a time gives.  One denoiser with one generator is the V=1
-    case and returns (count, d).
+    One generator per visit of the stack, and (V, count, d) draws.  Each
+    visit draws all its noise in one block, the initial noise first and
+    then one noise per step, which are the values and generator state
+    that drawing them one at a time gives.
     """
-    if not params.stacked:
-        return sample(stack([params]), sched, count, [rng])[0]
     shape = (sched.steps, count, params.latent_dim)
-    noise = np.stack([visit_rng.standard_normal(shape) for visit_rng in rng], axis=1)
+    noise = np.stack([visit_rng.standard_normal(shape) for visit_rng in rngs], axis=1)
     x = noise[0]
     if count == 0:
         return x

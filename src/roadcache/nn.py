@@ -6,10 +6,10 @@ bias into the matmul's output.  Relu is ``max(x, 0)``: it gives +0.0
 where ``x * (x > 0)`` gives -0.0, and the next Dense's sums come out the
 same either way (the tests compare the two).  ``forward`` is the training
 pass: it keeps what backward needs on the layer and then calls
-``apply``; backward leaves parameter gradients on the layer (the first
-layer's input gradient only on request), and step applies SGD with
-optional momentum.  A new layer holds no gradients: the first backward
-makes them.
+``apply``; backward leaves parameter gradients on the layer (a network's
+backward skips its first layer's input gradient, which no caller reads),
+and step applies SGD with optional momentum.  A new layer holds no
+gradients: the first backward makes them.
 ``Mlp.predict`` chains the ``apply`` calls, so sampling holds no
 activations once it returns, and gives byte for byte what ``forward``
 gives.  Keeping the gradients explicit is what lets the test suite
@@ -22,10 +22,10 @@ of that slice, so ``stack``/``unstack`` let V independent networks train
 in one call with the same arithmetic as V separate calls.  A network's
 state is its Dense layers' weights, biases and momentum (``Mlp.dense``;
 activations hold no parameters).  Only that state moves in and out of a
-stack: gradients and activations live on the stack alone.  Copies,
-stacks and ``Mlp.slice`` views (which share a run of a stack's slices)
-all come from one builder, ``_build``, which differs between them only
-in where each Dense's state comes from.
+stack: gradients and activations live on the stack alone.  Stacks and
+``Mlp.slice`` views (which share a run of a stack's slices) both come
+from one builder, ``_build``, which differs between them only in where
+each Dense's state comes from.
 """
 
 from __future__ import annotations
@@ -101,16 +101,16 @@ class Mlp:
             x = layer.apply(x)
         return x
 
-    def backward(self, grad_y: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        """Leave gradients on every layer; return the input gradient (None without ``input_grad``).
+    def backward(self, grad_y: np.ndarray) -> None:
+        """Leave gradients on every layer.
 
-        The first layer is a Dense in every network ``mlp`` builds; without
-        ``input_grad`` it skips the product only a caller upstream would read.
+        The first layer is a Dense in every network ``mlp`` builds; it skips
+        the input gradient, a product only a caller upstream would read.
         """
         *later, first = reversed(self.layers)
         for layer in later:
             grad_y = layer.backward(grad_y)
-        return first.backward(grad_y, input_grad=input_grad)
+        first.backward(grad_y, input_grad=False)
 
     def step(self, lr: float, momentum: float = 0.0) -> None:
         for layer in self.dense:
@@ -136,14 +136,6 @@ class Mlp:
 
     def flat_grads(self) -> np.ndarray:
         return np.concatenate([g.ravel() for g in self.grads()])
-
-    def copy(self) -> "Mlp":
-        """An independent network with the same weights, biases and momentum.
-
-        No gradients or activations are carried over, so a copy costs the
-        parameters, not the last batch the source saw.
-        """
-        return _build(self, lambda i, name: getattr(self.dense[i], name).copy())
 
     def slice(self, lo: int, hi: int) -> "Mlp":
         """Slices ``lo:hi`` of a stacked network, as a stacked network that shares their state.
@@ -176,19 +168,13 @@ def stack(nets: list[Mlp]) -> Mlp:
     return _build(nets[0], lambda i, name: np.stack([getattr(net.dense[i], name) for net in nets]))
 
 
-def unstack(stacked: Mlp, nets: list[Mlp], *, grads: bool = False) -> None:
-    """Copy each slice's weights, biases and momentum back into its own network, in place.
-
-    With ``grads`` each network also takes (as a view) its slice of the
-    gradients the stack's last backward left, if it ran one.
-    """
+def unstack(stacked: Mlp, nets: list[Mlp]) -> None:
+    """Copy each slice's weights, biases and momentum back into its own network, in place."""
     for i, layer in enumerate(stacked.dense):
         for v, net in enumerate(nets):
             mine = net.dense[i]
             for name in _DENSE_STATE:
                 np.copyto(getattr(mine, name), getattr(layer, name)[v])
-            if grads and layer.dw is not None:
-                mine.dw, mine.db = layer.dw[v], layer.db[v]
 
 
 def _build(like: Mlp, state) -> Mlp:

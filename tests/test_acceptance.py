@@ -131,7 +131,9 @@ def _fd_rel_error(params, make_loss, h=1e-5):
 
 
 def _objective_and_grad(params, x0, target, sched, rng, weight=0.0):
-    loss = ldpm.objective(params, x0, target, sched, rng, weight=weight, temperature=2.0)
+    """One visit's objective, on a stack of one, and the flat gradient it leaves."""
+    [loss] = ldpm.objective(params, x0[None], [target], sched, [rng], weight=weight,
+                            temperature=2.0)
     return loss, params.net.flat_grads()
 
 
@@ -153,7 +155,7 @@ def test_criterion_5_generative_model(env_store, record_criterion):
 
     # (b) analytic gradients against central finite differences.
     x_fd = substream(0, "c5-fd").normal(size=(3, 4))
-    params = ldpm.new_denoiser(4, 6, 4, substream(1, "c5-fd"))
+    params = ldpm.stack([ldpm.new_denoiser(4, 6, 4, substream(1, "c5-fd"))])
     rel_simple = _fd_rel_error(
         params, lambda: _objective_and_grad(params, x_fd, None, ldpm.build_schedule(10),
                                             substream(2, "c5-fd")))
@@ -168,11 +170,11 @@ def test_criterion_5_generative_model(env_store, record_criterion):
     zstar = substream(1, "zs").normal(size=16)
     zstar = 2.0 * zstar / np.linalg.norm(zstar)
     deep_sched = ldpm.build_schedule(1000)
-    net = ldpm.new_denoiser(16, 128, 16, substream(0, "sm", "net"))
-    ldpm.local_train(net, np.tile(zstar, (32, 1)), None, deep_sched,
-                     epochs=1200, lr=5e-3, batch_size=32, rng=substream(0, "sm", "tr"),
+    net = ldpm.stack([ldpm.new_denoiser(16, 128, 16, substream(0, "sm", "net"))])
+    ldpm.local_train(net, np.tile(zstar, (1, 32, 1)), [None], deep_sched,
+                     epochs=1200, lr=5e-3, batch_size=32, rngs=[substream(0, "sm", "tr")],
                      weight=0.0, temperature=2.0)
-    draws = ldpm.sample(net, deep_sched, 500, substream(0, "sm", "sa"))
+    [draws] = ldpm.sample(net, deep_sched, 500, [substream(0, "sm", "sa")])
     rel = float(np.linalg.norm(draws.mean(axis=0) - zstar) / np.linalg.norm(zstar))
     mode_ok = rel < 0.15
     parts.append(f"mode recovery rel err {rel:.3f} < 0.15 (500 draws)")
@@ -189,14 +191,14 @@ def test_criterion_5_generative_model(env_store, record_criterion):
             latents = data.latents[vid]
             mu, sd = fd.latent_standardizer(latents)
             std = (latents - mu) / sd
-            net_v = ldpm.new_denoiser(cfg.codec.latent_dim, cfg.ldpm.hidden,
-                                      cfg.ldpm.time_embed,
-                                      substream(0, "descent", vid, "net"))
+            net_v = ldpm.stack([ldpm.new_denoiser(cfg.codec.latent_dim, cfg.ldpm.hidden,
+                                                  cfg.ldpm.time_embed,
+                                                  substream(0, "descent", vid, "net"))])
             target = std.mean(axis=0) if lam > 0 else None
-            _, losses = ldpm.local_train(net_v, std, target, desk_sched, 300,
-                                         cfg.ldpm.lr, cfg.ldpm.batch,
-                                         substream(0, "descent", vid, "tr"),
-                                         weight=lam, temperature=cfg.ldpm.temperature)
+            [losses] = ldpm.local_train(net_v, std[None], [target], desk_sched, 300,
+                                        cfg.ldpm.lr, cfg.ldpm.batch,
+                                        [substream(0, "descent", vid, "tr")],
+                                        weight=lam, temperature=cfg.ldpm.temperature)
             trajs.append(losses)
         mean_traj = np.mean(trajs, axis=0)
         smooth = np.convolve(mean_traj, np.ones(10) / 10, mode="valid")

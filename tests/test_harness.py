@@ -175,7 +175,7 @@ class TestParameterExchange:
             harness.parameter_exchange_baseline("gossip", cfg, motion_with([]))
 
     def test_completion_fraction(self):
-        out = harness.FLOutcome("asyfed", {0: [20.0, 40.0]}, 2, [])
+        out = harness.FLOutcome({0: [20.0, 40.0]}, 2, [])
         assert out.completion_fraction(0, 19.0, 10) == 0.0
         assert out.completion_fraction(0, 20.0, 10) == pytest.approx(0.1)
         assert out.completion_fraction(0, 99.0, 10) == pytest.approx(0.2)
@@ -301,7 +301,7 @@ class TestRunSimulation:
 def protocol(cfg, data, motion, workers=None):
     """simulate_protocol in a new fleet of ``workers``, filled from the data env."""
     with fleet.Fleet(cfg, workers=workers) as pool:
-        pool.add(data.codec, data.latents)
+        pool.add(data.codec, dict(enumerate(data.latents)))
         return harness.simulate_protocol(cfg, data, motion, pool)
 
 
@@ -317,7 +317,7 @@ def tiny_stack(tiny_cfg_path):
 def run_in_process(cfg, data, motion):
     """simulate_protocol computing every visit in this process, in one fleet.Shard."""
     shard = fleet.Shard(cfg)
-    shard.add(data.codec, data.latents)
+    shard.add(data.codec, dict(enumerate(data.latents)))
     return harness.simulate_protocol(cfg, data, motion, shard)
 
 
@@ -688,10 +688,14 @@ class TestCli:
          "codec.latent_dim=16"],
         ["cache.list_m=80"],              # every content on every list
         ["data.num_vehicles=27"],         # one rider per vehicle
+        ["data.num_vehicles=27", "topology.num_rsus=4"],   # ... spread over four zones
+        # two public rows, fewer than the codec's latent width
+        ["data.public_fraction=0.05", "codec.latent_dim=16"],
         ["data.public_fraction=0"],       # no public holdout
         ["compute.visit_seconds=0"],
         ["topology.num_rsus=1"],
-    ], ids=["tiny-catalog", "list-is-catalog", "one-rider", "no-public", "no-compute", "one-rsu"])
+    ], ids=["tiny-catalog", "list-is-catalog", "one-rider", "one-rider-four-zones",
+            "public-under-latent", "no-public", "no-compute", "one-rsu"])
     def test_boundary_config_runs(self, tiny_cfg_path, tmp_path, overrides):
         out = tmp_path / "row.csv"
         args = ["run", "--config", tiny_cfg_path, "--out", str(out)]

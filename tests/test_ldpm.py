@@ -12,13 +12,19 @@ from oracles import kl_tempered
 
 
 def loss_and_grad(params, x0, target, sched, rng, weight=1.0, temperature=2.0):
-    """The training objective and the flat gradient it leaves on the network."""
-    loss = ldpm.objective(params, x0, target, sched, rng, weight=weight, temperature=temperature)
+    """One visit's training objective, on a one-slice stack, and the flat gradient it leaves."""
+    [loss] = ldpm.objective(params, x0[None], [target], sched, [rng], weight=weight,
+                            temperature=temperature)
     return loss, params.net.flat_grads()
 
 
 def toy_model(latent_dim=4, hidden=8, temb=4, label="toy"):
     return ldpm.new_denoiser(latent_dim, hidden, temb, substream(11, label))
+
+
+def toy_stack(latent_dim=4, hidden=8, temb=4, label="toy"):
+    """``toy_model`` as a stack of one; the same label always builds the same network."""
+    return ldpm.stack([toy_model(latent_dim, hidden, temb, label)])
 
 
 class TestSchedule:
@@ -146,7 +152,7 @@ class TestObjectives:
         # eps_hat == 0 everywhere, so the loss is the mean squared norm of
         # standard normal noise: the latent dimension in expectation.
         d = 6
-        params = toy_model(latent_dim=d, hidden=8, temb=4, label="zero-net")
+        params = toy_stack(latent_dim=d, hidden=8, temb=4, label="zero-net")
         params.net.set_flat_params(np.zeros(params.net.flat_params().size))
         sched = ldpm.build_schedule(50)
         x0 = np.zeros((10_000, d))
@@ -155,34 +161,33 @@ class TestObjectives:
         assert grad.shape == (params.net.flat_params().size,)
 
     def test_distill_weight_zero_matches_simple(self):
-        params = toy_model(label="noctx")
         sched = ldpm.build_schedule(20)
         x0 = substream(0, "noctx").normal(size=(5, 4))
-        loss_a, grad_a = loss_and_grad(params.copy(), x0, None, sched,
+        loss_a, grad_a = loss_and_grad(toy_stack(label="noctx"), x0, None, sched,
                                        substream(1, "noctx"))
-        loss_b, grad_b = loss_and_grad(params.copy(), x0, np.ones(4), sched,
+        loss_b, grad_b = loss_and_grad(toy_stack(label="noctx"), x0, np.ones(4), sched,
                                        substream(1, "noctx"), weight=0.0)
         assert loss_a == loss_b
         assert np.array_equal(grad_a, grad_b)
 
     def test_missing_knowledge_matches_simple(self):
-        params = toy_model(label="nok")
         sched = ldpm.build_schedule(20)
         x0 = substream(0, "nok").normal(size=(5, 4))
-        loss_a, grad_a = loss_and_grad(params.copy(), x0, None, sched, substream(1, "nok"),
-                                       weight=0.0)
-        loss_b, grad_b = loss_and_grad(params.copy(), x0, None, sched, substream(1, "nok"),
-                                       weight=1.0)
+        loss_a, grad_a = loss_and_grad(toy_stack(label="nok"), x0, None, sched,
+                                       substream(1, "nok"), weight=0.0)
+        loss_b, grad_b = loss_and_grad(toy_stack(label="nok"), x0, None, sched,
+                                       substream(1, "nok"), weight=1.0)
         assert loss_a == loss_b
         assert np.array_equal(grad_a, grad_b)
 
     def test_distillation_adds_positive_term(self):
-        params = toy_model(label="addkl")
         sched = ldpm.build_schedule(20)
         x0 = substream(0, "addkl").normal(size=(8, 4))
         target = np.array([4.0, 0.0, -4.0, 0.0])
-        loss_plain, _ = loss_and_grad(params.copy(), x0, None, sched, substream(1, "addkl"))
-        loss_kd, _ = loss_and_grad(params.copy(), x0, target, sched, substream(1, "addkl"))
+        loss_plain, _ = loss_and_grad(toy_stack(label="addkl"), x0, None, sched,
+                                      substream(1, "addkl"))
+        loss_kd, _ = loss_and_grad(toy_stack(label="addkl"), x0, target, sched,
+                                   substream(1, "addkl"))
         assert loss_kd > loss_plain
 
     def test_distilled_loss_is_plain_plus_weighted_kl(self):
@@ -193,9 +198,10 @@ class TestObjectives:
         x0 = substream(0, "klref").normal(size=(6, 4))
         target = np.array([1.0, -2.0, 0.5, 3.0])
         weight, temperature = 0.7, 3.0
-        plain, _ = loss_and_grad(params.copy(), x0, None, sched, substream(1, "klref"))
-        distilled, _ = loss_and_grad(params.copy(), x0, target, sched, substream(1, "klref"),
-                                     weight=weight, temperature=temperature)
+        plain, _ = loss_and_grad(toy_stack(label="klref"), x0, None, sched, substream(1, "klref"))
+        distilled, _ = loss_and_grad(toy_stack(label="klref"), x0, target, sched,
+                                     substream(1, "klref"), weight=weight,
+                                     temperature=temperature)
         rng = substream(1, "klref")
         t = rng.integers(1, sched.steps + 1, size=6)
         xt = ldpm.forward_noise(x0, t, rng.standard_normal((6, 4)), sched)
@@ -206,7 +212,7 @@ class TestObjectives:
         assert distilled == pytest.approx(plain + weight * kl, rel=1e-12)
 
     def test_empty_batch_rejected(self):
-        params = toy_model(label="empty")
+        params = toy_stack(label="empty")
         sched = ldpm.build_schedule(5)
         with pytest.raises(ValueError):
             loss_and_grad(params, np.zeros((0, 4)), None, sched, substream(0, "empty"))
@@ -236,7 +242,7 @@ class TestGradients:
         return float(np.linalg.norm(analytic - numeric)) / denom
 
     def test_simple_loss_matches_finite_differences(self):
-        params = toy_model(latent_dim=4, hidden=6, temb=4, label="fd-simple")
+        params = toy_stack(latent_dim=4, hidden=6, temb=4, label="fd-simple")
         sched = ldpm.build_schedule(10)
         x0 = substream(0, "fd-simple").normal(size=(3, 4))
 
@@ -246,7 +252,7 @@ class TestGradients:
         assert self._fd_check(make_loss, params) < 1e-4
 
     def test_distill_loss_matches_finite_differences(self):
-        params = toy_model(latent_dim=4, hidden=6, temb=4, label="fd-kd")
+        params = toy_stack(latent_dim=4, hidden=6, temb=4, label="fd-kd")
         sched = ldpm.build_schedule(10)
         x0 = substream(0, "fd-kd").normal(size=(3, 4))
         target = substream(2, "fd-kd").normal(size=4)
@@ -259,74 +265,77 @@ class TestGradients:
 
 class TestLocalTrain:
     def test_zero_epochs_noop(self):
-        params = toy_model(label="noop")
+        params = toy_stack(label="noop")
         before = params.net.flat_params().copy()
         sched = ldpm.build_schedule(10)
-        latents = substream(0, "noop").normal(size=(6, 4))
-        _, losses = ldpm.local_train(params, latents, None, sched, epochs=0,
-                                     lr=0.01, batch_size=4, rng=substream(1, "noop"),
-                                     weight=1.0, temperature=2.0)
-        assert losses == []
+        latents = substream(0, "noop").normal(size=(1, 6, 4))
+        losses = ldpm.local_train(params, latents, [None], sched, epochs=0,
+                                  lr=0.01, batch_size=4, rngs=[substream(1, "noop")],
+                                  weight=1.0, temperature=2.0)
+        assert losses == [[]]
         assert np.array_equal(params.net.flat_params(), before)
 
     def test_empty_latents_noop(self):
-        params = toy_model(label="nolat")
+        params = toy_stack(label="nolat")
         before = params.net.flat_params().copy()
         sched = ldpm.build_schedule(10)
-        _, losses = ldpm.local_train(params, np.zeros((0, 4)), None, sched, epochs=5,
-                                     lr=0.01, batch_size=4, rng=substream(1, "nolat"),
-                                     weight=1.0, temperature=2.0)
-        assert losses == []
+        losses = ldpm.local_train(params, np.zeros((1, 0, 4)), [None], sched, epochs=5,
+                                  lr=0.01, batch_size=4, rngs=[substream(1, "nolat")],
+                                  weight=1.0, temperature=2.0)
+        assert losses == [[]]
         assert np.array_equal(params.net.flat_params(), before)
 
     def test_reproducible(self):
         sched = ldpm.build_schedule(20)
-        latents = substream(0, "repro").normal(size=(12, 4))
+        latents = substream(0, "repro").normal(size=(1, 12, 4))
         runs = []
         for _ in range(2):
-            params = toy_model(label="repro-net")
-            params, losses = ldpm.local_train(params, latents, np.ones(4), sched, epochs=4,
-                                              lr=0.01, batch_size=4,
-                                              rng=substream(1, "repro-train"),
-                                              weight=0.5, temperature=2.0)
+            params = toy_stack(label="repro-net")
+            losses = ldpm.local_train(params, latents, [np.ones(4)], sched, epochs=4,
+                                      lr=0.01, batch_size=4,
+                                      rngs=[substream(1, "repro-train")],
+                                      weight=0.5, temperature=2.0)
             runs.append((losses, params.net.flat_params()))
         assert runs[0][0] == runs[1][0]
         assert np.array_equal(runs[0][1], runs[1][1])
 
     def test_records_one_loss_per_epoch(self):
-        params = toy_model(label="traj")
+        params = toy_stack(label="traj")
         sched = ldpm.build_schedule(10)
-        latents = substream(0, "traj").normal(size=(10, 4))
-        _, losses = ldpm.local_train(params, latents, None, sched, epochs=7,
-                                     lr=0.005, batch_size=4, rng=substream(1, "traj"),
-                                     weight=1.0, temperature=2.0)
+        latents = substream(0, "traj").normal(size=(1, 10, 4))
+        [losses] = ldpm.local_train(params, latents, [None], sched, epochs=7,
+                                    lr=0.005, batch_size=4, rngs=[substream(1, "traj")],
+                                    weight=1.0, temperature=2.0)
         assert len(losses) == 7
         assert all(np.isfinite(v) for v in losses)
 
 
 class TestSample:
     def test_shapes(self):
-        params = toy_model(label="shape")
+        params = toy_stack(label="shape")
         sched = ldpm.build_schedule(10)
-        out = ldpm.sample(params, sched, 13, substream(0, "shape"))
-        assert out.shape == (13, 4)
+        out = ldpm.sample(params, sched, 13, [substream(0, "shape")])
+        assert out.shape == (1, 13, 4)
         assert np.all(np.isfinite(out))
 
     def test_zero_count(self):
-        params = toy_model(label="zcount")
+        params = toy_stack(label="zcount")
         sched = ldpm.build_schedule(10)
-        out = ldpm.sample(params, sched, 0, substream(0, "zcount"))
-        assert out.shape == (0, 4)
+        out = ldpm.sample(params, sched, 0, [substream(0, "zcount")])
+        assert out.shape == (1, 0, 4)
 
     def test_deterministic_under_stream(self):
-        params = toy_model(label="det")
+        params = toy_stack(label="det")
         sched = ldpm.build_schedule(25)
-        a = ldpm.sample(params, sched, 8, substream(3, "det"))
-        b = ldpm.sample(params, sched, 8, substream(3, "det"))
+        a = ldpm.sample(params, sched, 8, [substream(3, "det")])
+        b = ldpm.sample(params, sched, 8, [substream(3, "det")])
         assert a.tobytes() == b.tobytes()
 
     def test_matches_per_step_reference(self):
-        """One noise block per visit equals drawing the initial noise, then one per step."""
+        """One noise block per visit equals drawing the initial noise, then one per step.
+
+        The reference walks the unstacked network on 2-D rows.
+        """
         params = toy_model(label="ref")
         sched = ldpm.build_schedule(12)
         rng = substream(4, "ref")
@@ -339,17 +348,18 @@ class TestSample:
             if t > 1:
                 x = x + np.sqrt(sched.beta[t - 1]) * rng.standard_normal((7, 4))
         own = substream(4, "ref")
-        assert ldpm.sample(params, sched, 7, own).tobytes() == x.tobytes()
+        [draws] = ldpm.sample(ldpm.stack([params]), sched, 7, [own])
+        assert draws.tobytes() == x.tobytes()
         assert own.bit_generator.state == rng.bit_generator.state
 
     def test_non_finite_guard(self):
-        params = toy_model(label="nanspl")
+        params = toy_stack(label="nanspl")
         flat = params.net.flat_params()
         flat[0] = np.nan
         params.net.set_flat_params(flat)
         sched = ldpm.build_schedule(5)
         with pytest.raises(TrainingError):
-            ldpm.sample(params, sched, 4, substream(0, "nanspl"))
+            ldpm.sample(params, sched, 4, [substream(0, "nanspl")])
 
 
 class TestDenoiserConstruction:
@@ -372,7 +382,7 @@ def momentum(params):
 
 
 class TestStacked:
-    """A stack of V denoisers computes exactly what V lone calls compute."""
+    """A stack of V denoisers computes exactly what V stacks of one compute."""
 
     def test_stacked_train_and_sample_equal_lone_calls(self):
         for weight, temperature in ((1.0, 2.0), (0.5, 3.0)):
@@ -393,17 +403,17 @@ class TestStacked:
 
         alone = []
         train_after, sample_after = streams("train"), streams("sample")
-        for v, net in enumerate(nets):
-            own = net.copy()
-            _, losses = ldpm.local_train(own, latents[v], targets[v], sched, epochs=3, lr=0.01,
-                                         batch_size=4, rng=train_after[v], **settings)
-            draws = ldpm.sample(own, sched, 6, sample_after[v])
+        for v in range(5):
+            own = ldpm.stack([toy_model(label=f"stack-{v}")])
+            [losses] = ldpm.local_train(own, latents[v:v + 1], targets[v:v + 1], sched, epochs=3,
+                                        lr=0.01, batch_size=4, rngs=[train_after[v]], **settings)
+            [draws] = ldpm.sample(own, sched, 6, [sample_after[v]])
             alone.append((own.net.flat_params(), momentum(own), losses, draws))
 
         stacked = ldpm.stack(nets)
         train_rngs, sample_rngs = streams("train"), streams("sample")
-        _, losses = ldpm.local_train(stacked, latents, targets, sched, epochs=3, lr=0.01,
-                                     batch_size=4, rng=train_rngs, **settings)
+        losses = ldpm.local_train(stacked, latents, targets, sched, epochs=3, lr=0.01,
+                                  batch_size=4, rngs=train_rngs, **settings)
         draws = ldpm.sample(stacked, sched, 6, sample_rngs)
         ldpm.unstack(stacked, nets)
         assert draws.shape == (5, 6, 4)

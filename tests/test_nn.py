@@ -56,7 +56,7 @@ class TestPredict:
     def test_predict_and_forward_equal_first_formulas(self, stacked):
         # One zero-bias net too: a Relu zero reaches the next Dense unbiased.
         net, x = net_and_input(stacked)
-        bare = net.copy()
+        bare, _ = net_and_input(stacked)
         for layer in bare.layers[::2]:
             layer.b[...] = 0.0
         for each in (net, bare):
@@ -76,46 +76,25 @@ def test_slice_is_a_view_that_predicts_its_rows():
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["2d", "stacked"])
 def test_backward_without_input_grad(stacked):
-    """Skipping the input gradient leaves every parameter gradient as it was."""
+    """A network's backward skips only the input gradient.
+
+    Its parameter gradients are those that chaining every layer's own
+    backward, the first layer's input gradient included, leaves.
+    """
     net, x = net_and_input(stacked)
     grad = substream(3, "nn", "grad").normal(size=net.forward(x).shape)
-    full = net.backward(grad)
+    full = grad
+    for layer in reversed(net.layers):
+        full = layer.backward(full)
     want = net.flat_grads().tobytes()
     assert full.shape == x.shape
     net.forward(x)
-    assert net.backward(grad, input_grad=False) is None
+    assert net.backward(grad) is None
     assert net.flat_grads().tobytes() == want
 
 
-class TestCopyAndRelease:
-    def test_copy_keeps_weights_and_momentum_only(self):
-        rng = substream(0, "nn", "copy")
-        net = nn.mlp([4, 6, 3], rng)
-        x = rng.normal(size=(5, 4))
-        net.forward(x)
-        net.backward(np.ones((5, 3)))
-        net.step(0.1, momentum=0.9)
-        twin = net.copy()
-        assert twin.flat_params().tobytes() == net.flat_params().tobytes()
-        for mine, theirs in zip(twin.layers, net.layers):
-            if isinstance(mine, nn.Dense):
-                assert mine._vw.tobytes() == theirs._vw.tobytes()
-                assert mine._vb.tobytes() == theirs._vb.tobytes()
-                assert not np.any(mine.dw) and not np.any(mine.db)
-                assert mine.w is not theirs.w and mine._vw is not theirs._vw
-        assert cached(twin) == [] and cached(net) != []
-        # Training the copy leaves the source alone, and matches training the source.
-        before = net.flat_params().copy()
-        for target in (twin, net):
-            target.forward(x)
-            target.backward(np.ones((5, 3)))
-            target.step(0.1, momentum=0.9)
-        assert twin.flat_params().tobytes() == net.flat_params().tobytes()
-        assert not np.array_equal(before, net.flat_params())
-
-
 def test_built_dense_layers_match_init():
-    """copy, views and stack make Dense layers with exactly __init__'s fields, and no gradients."""
+    """Views and stacks make Dense layers with exactly __init__'s fields, and no gradients."""
     rng = substream(0, "nn", "builder")
     fields = set(vars(nn.Dense(2, 3, rng)))
     nets = [nn.mlp([4, 6, 3], rng) for _ in range(2)]
@@ -123,7 +102,7 @@ def test_built_dense_layers_match_init():
         net.forward(rng.normal(size=(5, 4)))
         net.backward(np.ones((5, 3)))
     stacked = nn.stack(nets)
-    built = [nets[0].copy(), stacked, stacked.slice(0, 1)]
+    built = [stacked, stacked.slice(0, 1)]
     for net in built:
         assert len(net.dense) == 2
         for layer in net.dense:
@@ -137,19 +116,22 @@ def test_unstack_equals_networks_trained_alone():
     The reference never goes through a stack: each network trains on its
     own 2-D inputs with ``Mlp.forward``, ``backward`` and ``step``.
     """
-    rng = substream(0, "nn", "unstack")
-    nets = [nn.mlp([5, 7, 3], rng) for _ in range(3)]
-    alone = [net.copy() for net in nets]
+    def build():
+        rng = substream(0, "nn", "unstack")
+        return [nn.mlp([5, 7, 3], rng) for _ in range(3)], rng
+
+    nets, rng = build()
+    alone, _ = build()
     x = rng.normal(size=(3, 6, 5))
     target = rng.uniform(size=(3, 6, 3))
     stacked = nn.stack(nets)
     for _ in range(4):
-        stacked.backward(stacked.forward(x) - target, input_grad=False)
+        stacked.backward(stacked.forward(x) - target)
         stacked.step(0.5, momentum=0.9)
     nn.unstack(stacked, nets)
     for net, ref, own_x, own_target in zip(nets, alone, x, target):
         for _ in range(4):
-            ref.backward(ref.forward(own_x) - own_target, input_grad=False)
+            ref.backward(ref.forward(own_x) - own_target)
             ref.step(0.5, momentum=0.9)
         for mine, theirs in zip(net.dense, ref.dense, strict=True):
             for name in ("w", "b", "_vw", "_vb"):
