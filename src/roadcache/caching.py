@@ -63,8 +63,6 @@ def rank_contents(scores: np.ndarray) -> np.ndarray:
 
 def top_m(scores: np.ndarray, m: int) -> np.ndarray:
     """The m best-scored content ids (every id, ordered, when m >= K)."""
-    if m < 1:
-        raise ValueError("list length must be >= 1")
     return rank_contents(scores)[:m].copy()   # a view would keep the K-long ranking alive
 
 

@@ -1,10 +1,12 @@
 """Rating ingestion, user partitioning, and request-trace derivation.
 
-Ratings arrive as ``UserID::MovieID::Rating::Timestamp`` lines (the 1M
-MovieLens layout) or a CSV equivalent with header
-``user_id,content_id,rating,timestamp``.  A ``synth://`` path takes its
-columns straight from the synthetic generator, with the dtypes and row
-order the parser would give for the same ratings written as lines.
+Ratings arrive as a file of ``UserID::MovieID::Rating::Timestamp`` lines
+(the 1M MovieLens layout) or a ``.csv`` file whose first line is the
+header ``user_id,content_id,rating,timestamp``: the extension picks the
+format.  A file's catalog is its largest rated id; nothing overrides it.
+A ``synth://`` path takes its columns straight from the synthetic
+generator, with the dtypes and row order the parser would give for the
+same ratings written as lines, and its catalog is the URI's ``contents``.
 
 Each user's rated items are split chronologically: the earlier share
 trains the vehicle's model and is kept sparse (content ids and
@@ -15,7 +17,6 @@ users' held-out items at uniform instants of the run.
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass, field
 
@@ -136,56 +137,34 @@ def _parse_csv(lines):
         yield lineno, row, row
 
 
-def _parse_rows(source, fmt):
-    """The (line number, fields, source) rows of a path, byte stream or iterable of lines."""
-    if isinstance(source, str):
-        if not os.path.exists(source):
-            raise ConfigError(f"rating file not found: {source}")
-        if fmt is None:
-            fmt = "csv" if source.endswith(".csv") else "dat"
-        with open(source, encoding="utf-8", errors="replace") as fh:
-            lines = fh.readlines()
-    elif isinstance(source, (bytes, bytearray)):
-        text = source.decode("utf-8", errors="replace")
-        lines = io.StringIO(text).readlines()
-    else:
-        lines = list(source)
-
-    if fmt is None:
-        probe = next((ln for ln in lines if ln.strip()), "")
-        fmt = "dat" if "::" in probe else "csv"
-    if fmt == "dat":
-        return _parse_dat(lines)
-    if fmt == "csv":
-        return _parse_csv(lines)
-    raise ConfigError(f"unknown rating format {fmt!r}")
+def _parse_rows(path):
+    """The (line number, fields, source) rows of a rating file; ``.csv`` picks the CSV parser."""
+    if not os.path.exists(path):
+        raise ConfigError(f"rating file not found: {path}")
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        lines = fh.readlines()
+    return _parse_csv(lines) if path.endswith(".csv") else _parse_dat(lines)
 
 
-def load_ratings(source, fmt: str | None = None, num_contents: int | None = None) -> RatingMatrix:
-    """Parse ratings from a path, byte stream, or iterable of lines.
+def load_ratings(path: str) -> RatingMatrix:
+    """Parse the rating file at path, or generate a ``synth://`` catalog.
 
-    A ``synth://`` path generates the columns instead; its catalog size is
-    the URI's ``contents``.  num_contents overrides the catalog size when
-    the tail of the id range happens to be unrated.
+    A ``.csv`` file is read as CSV with the header line; any other file as
+    ``::`` lines.  A file's catalog size is its largest rated id; a
+    ``synth://`` catalog's is the URI's ``contents``.
     """
-    if isinstance(source, str) and source.startswith("synth://"):
-        params = synth.parse_synth_uri(source)
+    if path.startswith("synth://"):
+        params = synth.parse_synth_uri(path)
         users, contents, ratings, stamps = synth.generate(
             params["users"], params["contents"], params["seed"])
         num_contents = params["contents"]
     else:
-        users, contents, ratings, stamps = _rating_columns(_parse_rows(source, fmt))
-
-    contents_arr = np.asarray(contents, dtype=np.int32)
-    max_seen = int(contents_arr.max()) if len(contents_arr) else 0
-    k = num_contents if num_contents is not None else max_seen
-    if max_seen > k:
-        raise DataFormatError(f"content id {max_seen} exceeds declared catalog size {k}")
-    users_arr = np.asarray(users, dtype=np.int32)
+        users, contents, ratings, stamps = _rating_columns(_parse_rows(path))
+        num_contents = max(contents, default=0)
     return RatingMatrix(
-        num_contents=k,
-        users=users_arr,
-        contents=contents_arr,
+        num_contents=num_contents,
+        users=np.asarray(users, dtype=np.int32),
+        contents=np.asarray(contents, dtype=np.int32),
         ratings=np.asarray(ratings, dtype=np.int8),
         timestamps=np.asarray(stamps, dtype=np.int64),
     )
@@ -253,10 +232,6 @@ def partition_users(
     ratings train only and never request.
     """
     users = matrix.distinct_users()
-    if num_vehicles > len(users):
-        raise ConfigError(f"{num_vehicles} vehicles but only {len(users)} users")
-    if not (0 < split_ratio < 1):
-        raise ConfigError("split_ratio must be in (0, 1)")
     rows = user_rows(matrix)
     shuffled = users[rng.permutation(len(users))]
     locals_: list[LocalDataset] = []

@@ -131,7 +131,7 @@ def build_data_env(cfg: SimConfig, fleet: Fleet | None = None) -> DataEnv:
     public_ids, rider_ids = split_public_users(matrix, cfg.data.public_fraction, substream(seed, "public"))
     if cfg.data.num_vehicles > len(rider_ids):
         raise ConfigError(
-            f"{cfg.data.num_vehicles} vehicles need at least that many riders, "
+            f"data.num_vehicles={cfg.data.num_vehicles} needs at least that many riders, "
             f"only {len(rider_ids)} users remain after the public holdout"
         )
     codec = None
@@ -331,13 +331,12 @@ def _segment_exit(timeline: VehicleTimeline, idx: int, duration: float) -> float
 def parameter_exchange_baseline(kind: str, cfg: SimConfig, motion: MotionEnv) -> FLOutcome:
     """Byte and completion accounting for whole-model exchange schemes.
 
-    A round moves the full parameter vector down at its start and up at
-    its end.  The synchronous variant runs zone-wide rounds that fail for
-    everyone when any participant hands off early; the asynchronous variant
-    lets each vehicle run its own rounds and simply lose unfinished ones.
+    kind is ``fedavg`` or ``asyfed``.  A round moves the full parameter
+    vector down at its start and up at its end.  The synchronous variant
+    (fedavg) runs zone-wide rounds that fail for everyone when any
+    participant hands off early; the asynchronous variant (asyfed) lets
+    each vehicle run its own rounds and simply lose unfinished ones.
     """
-    if kind not in ("fedavg", "asyfed"):
-        raise ConfigError(f"unknown parameter-exchange baseline {kind!r}")
     per_model = model_bytes(cfg.fl.param_count)
     rs = cfg.fl.round_seconds
     duration = cfg.sim.duration
@@ -416,8 +415,6 @@ def oracle_policy(window_request_ids, num_contents: int) -> tuple[np.ndarray, np
 def n_tau_greedy_policy(observed_counts: np.ndarray, tau: float,
                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
     """Rank by history, or fully at random a tau fraction of the time."""
-    if not (0 <= tau <= 1):
-        raise ConfigError("tau must be in [0, 1]")
     if rng.random() < tau:
         return rng.permutation(len(observed_counts)) + 1, None
     counts = np.asarray(observed_counts, dtype=float)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .errors import ConfigError, TrainingError
+from .errors import TrainingError
 from .nn import Mlp, mlp
 
 MOMENTUM = 0.9
@@ -53,8 +53,6 @@ class NoiseSchedule:
 
 def build_schedule(steps: int) -> NoiseSchedule:
     """Linear noise ramp; cumulative products are exact rolling products."""
-    if steps < 1:
-        raise ConfigError("noise schedule needs at least one step")
     beta = np.linspace(BETA_START, BETA_END, steps)
     alpha = 1.0 - beta
     return NoiseSchedule(steps=steps, beta=beta, alpha=alpha, alpha_bar=np.cumprod(alpha))
@@ -82,8 +80,6 @@ def unstack(stacked: DenoiserParams, denoisers: list[DenoiserParams]) -> None:
 
 
 def new_denoiser(latent_dim: int, hidden: int, time_embed_dim: int, rng: np.random.Generator) -> DenoiserParams:
-    if time_embed_dim < 2 or time_embed_dim % 2:
-        raise ConfigError("time embedding width must be even and >= 2")
     net = mlp([latent_dim + time_embed_dim, hidden, hidden, latent_dim], rng)
     return DenoiserParams(net=net, latent_dim=latent_dim, time_embed_dim=time_embed_dim)
 

@@ -153,9 +153,6 @@ class Mlp:
                 if hasattr(layer, name):
                     setattr(layer, name, None)
 
-    def param_count(self) -> int:
-        return int(sum(p.size for p in self.params()))
-
 
 def stack(nets: list[Mlp]) -> Mlp:
     """One network holding V same-shaped networks along a leading axis.
@@ -197,11 +194,11 @@ def _build(like: Mlp, state) -> Mlp:
     return Mlp(layers)
 
 
-def mlp(sizes: list[int], rng: np.random.Generator, *, hidden_act=Relu) -> Mlp:
+def mlp(sizes: list[int], rng: np.random.Generator) -> Mlp:
     """Build Dense/activation stacks like [K, 100, 16] in one call."""
     layers: list = []
     for i in range(len(sizes) - 1):
         layers.append(Dense(sizes[i], sizes[i + 1], rng))
         if i < len(sizes) - 2:
-            layers.append(hidden_act())
+            layers.append(Relu())
     return Mlp(layers)

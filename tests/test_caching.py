@@ -3,10 +3,10 @@
 import numpy as np
 import oracles
 import pytest
+from test_dataset import load_lines
 
 from roadcache import caching
 from roadcache.config import LatencyGroup, SimConfig
-from roadcache.dataset import load_ratings
 from roadcache.errors import ConfigError, DataFormatError, InvariantError
 from roadcache.rng import substream
 
@@ -54,10 +54,6 @@ class TestRanking:
             got = caching.top_m(scores, 10)
             order = sorted(range(1, 101), key=lambda k: (-scores[k - 1], k))
             assert got.tolist() == order[:10]
-
-    def test_top_m_rejects_short_lists(self):
-        with pytest.raises(ValueError):
-            caching.top_m(np.ones(3), 0)
 
 
 class TestReplacementScores:
@@ -164,14 +160,15 @@ class TestServeRequest:
         assert metrics.mean_latency_ms() == pytest.approx(want, abs=1e-12)
         assert metrics.hit_pct() == pytest.approx(100.0 * frac_hit)
 
-    def test_bad_content_id(self):
+    def test_bad_content_id(self, tmp_path):
         # Requests are drawn from the rating log, so an id below 1 is refused
         # there, in either format, before it can index the replay's id mask.
         header = "user_id,content_id,rating,timestamp\n"
-        for lines, fmt in ((["1::0::3::100\n"], "dat"), (["1::-2::3::100\n"], "dat"),
-                           ([header, "1,0,3,100\n"], "csv"), ([header, "1,-2,3,100\n"], "csv")):
+        cases = ((["1::0::3::100\n"], ".dat"), (["1::-2::3::100\n"], ".dat"),
+                 ([header, "1,0,3,100\n"], ".csv"), ([header, "1,-2,3,100\n"], ".csv"))
+        for lines, suffix in cases:
             with pytest.raises(DataFormatError):
-                load_ratings(lines, fmt=fmt)
+                load_lines(tmp_path, lines, suffix)
 
 
 class TestLatencyGroup:

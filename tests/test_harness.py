@@ -26,6 +26,7 @@ from roadcache.fed_distill import (MSG_HI, MSG_KI, MSG_KNOWLEDGE_DOWN, MSG_REC_L
                                    UPLINK_KINDS)
 from roadcache.mobility import Segment, VehicleTimeline
 from roadcache.rng import substream
+from roadcache.synth import generate, parse_synth_uri
 
 PER_MODEL = 770_000 * 4
 
@@ -110,12 +111,6 @@ class TestNTauGreedy:
             for _ in range(n))
         assert abs(randomized / n - 0.2) < 0.01
 
-    def test_tau_bounds(self):
-        with pytest.raises(ConfigError):
-            harness.n_tau_greedy_policy(self.counts, -0.1, substream(0, "bad"))
-        with pytest.raises(ConfigError):
-            harness.n_tau_greedy_policy(self.counts, 1.5, substream(0, "bad"))
-
 
 class TestRandomPolicy:
     def test_valid_and_reproducible(self):
@@ -168,11 +163,6 @@ class TestParameterExchange:
         down = [(m.time, m.src) for m in out.messages if m.kind == fed_distill.MSG_FL_MODEL_DOWN]
         assert down == [(0.0, "rsu:0"), (20.0, "rsu:0"), (40.0, "rsu:0"),
                         (50.0, "rsu:1"), (70.0, "rsu:1"), (90.0, "rsu:1")]
-
-    def test_unknown_kind(self):
-        cfg = load_config(None, [])
-        with pytest.raises(ConfigError):
-            harness.parameter_exchange_baseline("gossip", cfg, motion_with([]))
 
     def test_completion_fraction(self):
         out = harness.FLOutcome({0: [20.0, 40.0]}, 2, [])
@@ -546,15 +536,15 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[1].startswith("random,20,")
 
-    def test_unknown_key_exits_2(self, tiny_cfg_path):
+    def test_unknown_key_exits_2(self, tiny_cfg_path, capsys):
         for setting in ("bogus.key=1", "sim.dt=0.1", "data.subsample_users=10",
                         "sim.loop_road=false", "codec.hidden=16"):
-            proc = roadcache_cli("run", "--config", tiny_cfg_path, "--set", setting)
-            assert proc.returncode == 2
-            assert f"unknown config key {setting.split('=')[0]!r}" in proc.stderr
+            assert cli.main(["run", "--config", tiny_cfg_path, "--set", setting]) == 2
+            assert f"unknown config key {setting.split('=')[0]!r}" in capsys.readouterr().err
 
-    def test_bad_value_exits_2(self, tiny_cfg_path):
-        # list_m=81 exceeds the tiny config's 80-content catalog.
+    def test_bad_value_exits_2(self, tiny_cfg_path, capsys):
+        # list_m=81 exceeds the tiny config's 80-content catalog, and
+        # num_vehicles=28 its 27 riders (30 users, 3 of them public).
         for setting in ("cache.capacity_n=many", "ldpm.F=0", "cache.list_m=81", "cache.list_m=0",
                         "ldpm.batch=0", "ldpm.batch=-1", "ldpm.hidden=0",
                         "ldpm.time_embed=3", "ldpm.time_embed=0", "ldpm.lr=nan",
@@ -562,10 +552,11 @@ class TestCli:
                         "codec.finetune_epochs=-1", "ldpm.episodes=-1", "ldpm.delta=0",
                         "ldpm.delta=-1", "ldpm.lambda=-0.5", "cache.eta=nan", "cache.eta=inf",
                         "compute.visit_seconds=nan", "topology.coverage_length=inf",
-                        "mobility.sigma=nan", "mobility.mu=nan", "sim.seed=-1"):
-            proc = roadcache_cli("run", "--config", tiny_cfg_path, "--set", setting)
-            assert proc.returncode == 2
-            assert setting.split("=")[0] in proc.stderr
+                        "mobility.sigma=nan", "mobility.mu=nan", "sim.seed=-1",
+                        "greedy.tau=-0.1", "greedy.tau=1.5", "ldpm.T=0", "data.split_ratio=0",
+                        "data.split_ratio=1", "data.num_vehicles=28"):
+            assert cli.main(["run", "--config", tiny_cfg_path, "--set", setting]) == 2
+            assert setting.split("=")[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_floats_rejected(self, value):
@@ -610,6 +601,26 @@ class TestCli:
             assert proc.returncode == 0, proc.stderr
             outs.append((out.read_bytes(), trace.read_bytes()))
         assert outs[0] == outs[1]
+        assert len(outs[0][1]) > 0
+
+    def test_rating_file_runs_as_its_synth_catalog(self, tiny_cfg_path, tmp_path):
+        """The tiny config's synth catalog, written as a ``.dat`` and as a ``.csv`` rating
+        file, gives the synth run's report and message trace byte for byte."""
+        uri = load_config(tiny_cfg_path, []).data.path
+        params = parse_synth_uri(uri)
+        rows = list(zip(*(col.tolist() for col in
+                          generate(params["users"], params["contents"], params["seed"]))))
+        dat, csv = tmp_path / "ratings.dat", tmp_path / "ratings.csv"
+        dat.write_text("".join(f"{u}::{c}::{r}::{t}\n" for u, c, r, t in rows))
+        csv.write_text("user_id,content_id,rating,timestamp\n"
+                       + "".join(f"{u},{c},{r},{t}\n" for u, c, r, t in rows))
+        outs = []
+        for name, path in (("synth", uri), ("dat", dat), ("csv", csv)):
+            out, trace = tmp_path / f"{name}.csv", tmp_path / f"{name}.trace"
+            assert cli.main(["run", "--config", tiny_cfg_path, "--set", f"data.path={path}",
+                             "--out", str(out), "--trace", str(trace)]) == 0
+            outs.append((out.read_bytes(), trace.read_bytes()))
+        assert outs[0] == outs[1] == outs[2]
         assert len(outs[0][1]) > 0
 
     def test_sweep_grid(self, tiny_cfg_path, tmp_path):

