@@ -90,24 +90,24 @@ class RequestTrace:
         return len(self.times)
 
 
-def _rating_columns(rows):
-    """Check (line number, four fields, source) rows and return the user, content,
-    rating and timestamp columns; errors quote the repr of source."""
+def _rating_columns(path):
+    """The user, content, rating and timestamp columns of the rating file at path;
+    errors name the path and line, and quote the repr of the line's source."""
     users, contents, ratings, stamps = [], [], [], []
-    for lineno, fields, source in rows:
+    for lineno, fields, source in _parse_rows(path):
         try:
             u, c, r, t = int(fields[0]), int(fields[1]), int(fields[2]), int(fields[3])
         except ValueError:
-            raise DataFormatError(f"non-integer field in {source!r}", lineno) from None
+            raise DataFormatError(f"non-integer field in {source!r}", lineno, path) from None
         if not (1 <= r <= 5):
-            raise DataFormatError(f"rating {r} outside 1..5", lineno)
+            raise DataFormatError(f"rating {r} outside 1..5", lineno, path)
         if c < 1:
-            raise DataFormatError(f"content id {c} must be >= 1", lineno)
+            raise DataFormatError(f"content id {c} must be >= 1", lineno, path)
         users.append(u); contents.append(c); ratings.append(r); stamps.append(t)
     return users, contents, ratings, stamps
 
 
-def _parse_dat(lines):
+def _parse_dat(lines, path):
     """Yield (line number, four fields, the stripped line) per non-blank line."""
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
@@ -115,35 +115,36 @@ def _parse_dat(lines):
             continue
         parts = text.split("::")
         if len(parts) != 4:
-            raise DataFormatError(f"expected 4 '::' fields, got {len(parts)}", lineno)
+            raise DataFormatError(f"expected 4 '::' fields, got {len(parts)}", lineno, path)
         yield lineno, parts, text
 
 
-def _parse_csv(lines):
+def _parse_csv(lines, path):
     """Yield (line number, four fields, the same fields) per non-blank row after the header."""
     import csv
 
-    rows = list(csv.reader(lines))
-    if not rows:
+    rows = csv.reader(lines)
+    header = next(rows, None)
+    if header is None:
         return
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in header]
     if header != ["user_id", "content_id", "rating", "timestamp"]:
-        raise DataFormatError(f"unexpected CSV header {header}", 1)
-    for lineno, row in enumerate(rows[1:], start=2):
+        raise DataFormatError(f"unexpected CSV header {header}", 1, path)
+    for lineno, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != 4:
-            raise DataFormatError(f"expected 4 columns, got {len(row)}", lineno)
+            raise DataFormatError(f"expected 4 columns, got {len(row)}", lineno, path)
         yield lineno, row, row
 
 
 def _parse_rows(path):
-    """The (line number, fields, source) rows of a rating file; ``.csv`` picks the CSV parser."""
+    """Yield the (line number, fields, source) rows of a rating file, reading it line by
+    line; ``.csv`` picks the CSV parser."""
     if not os.path.exists(path):
         raise ConfigError(f"rating file not found: {path}")
     with open(path, encoding="utf-8", errors="replace") as fh:
-        lines = fh.readlines()
-    return _parse_csv(lines) if path.endswith(".csv") else _parse_dat(lines)
+        yield from (_parse_csv if path.endswith(".csv") else _parse_dat)(fh, path)
 
 
 def load_ratings(path: str) -> RatingMatrix:
@@ -159,7 +160,7 @@ def load_ratings(path: str) -> RatingMatrix:
             params["users"], params["contents"], params["seed"])
         num_contents = params["contents"]
     else:
-        users, contents, ratings, stamps = _rating_columns(_parse_rows(path))
+        users, contents, ratings, stamps = _rating_columns(path)
         num_contents = max(contents, default=0)
     return RatingMatrix(
         num_contents=num_contents,

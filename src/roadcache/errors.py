@@ -6,11 +6,11 @@ class ConfigError(Exception):
 
 
 class DataFormatError(Exception):
-    """Malformed input data; carries the 1-based line number when known."""
+    """Malformed input data; carries the 1-based line number and the file's path when known."""
 
-    def __init__(self, message: str, line_no: int | None = None):
+    def __init__(self, message: str, line_no: int | None = None, path: str | None = None):
         if line_no is not None:
-            message = f"line {line_no}: {message}"
+            message = f"{f'{path}:' if path else 'line '}{line_no}: {message}"
         super().__init__(message)
         self.line_no = line_no
 

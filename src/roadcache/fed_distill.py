@@ -8,8 +8,11 @@ list and fingerprint and receives the averaged knowledge of its most
 similar peers (``begin_visit``).  It then trains its local model
 against that knowledge (``train_and_predict``, which the fleet workers
 of ``roadcache.fleet`` run, vehicle-side) and uploads fresh
-knowledge before leaving (``complete_visit``).  A backhaul merge
-periodically reconciles all RSU caches to the per-vehicle latest.
+knowledge before leaving (``complete_visit``).  The list it uploads at
+its next entry is the top-M of that knowledge decoded: the harness
+derives it in the main process, so this module never sees the codec.  A
+backhaul merge periodically reconciles all RSU caches to the
+per-vehicle latest.
 
 Every over-the-air payload is metered: 4 bytes per real value or id,
 8 bytes per timestamp.  Backhaul reconciliation is wired and unmetered.
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import latent_codec, ldpm
+from . import ldpm
 from .config import LdpmGroup, SimConfig
 from .errors import ProtocolError
 
@@ -197,8 +200,7 @@ class VisitInputs:
 
     The vehicle's latents and denoiser, the knowledge its peers sent down
     (None when none had any), and the visit's train and sample substreams.
-    The codec is not a visit's: every vehicle shares the one that
-    ``train_and_predict`` is given.
+    No codec: a visit computes in latent space only.
     """
 
     vehicle_id: int
@@ -284,23 +286,19 @@ def visit_batches(visits: list[VisitInputs]) -> list[list[int]]:
     return batches
 
 
-def train_and_predict(visits: list[VisitInputs], codec: latent_codec.CodecParams,
-                      cfg: SimConfig, schedule: ldpm.NoiseSchedule) -> list[tuple]:
-    """Compute half of visits: distillation training, sampling, decoding.
+def train_and_predict(visits: list[VisitInputs], cfg: SimConfig,
+                      schedule: ldpm.NoiseSchedule) -> list[tuple]:
+    """Compute half of visits: distillation training and sampling.
 
-    Takes visits in entry order and returns one (scores, knowledge,
-    losses) per visit, in that order; pure vehicle-side work under the
-    run's ``cfg.ldpm`` settings.  The visits run in the stacks that
+    Takes visits in entry order and returns one (knowledge, losses) per
+    visit, in that order; pure vehicle-side work under the run's
+    ``cfg.ldpm`` settings.  The visits run in the stacks that
     ``visit_batches`` picks (``_train_and_sample``), and each result is
     bit-identical to computing the visits one at a time.  The neighbor
     target is mapped into the vehicle's standardized latent coordinates
-    for training, and draws are mapped back before decoding, so knowledge
-    exchanged over the air always lives in raw latent space.  A visit's
-    knowledge is the mean of its draws, and its scores are that mean
-    decoded with ``codec``, which every vehicle shares.  The codec is
-    linear, so this is the mean of the decoded draws (in exact
-    arithmetic), and no decoded draw is ever held.  A stack is gone
-    before its visits decode.
+    for training, and draws are mapped back, so knowledge exchanged over
+    the air always lives in raw latent space.  A visit's knowledge is the
+    mean of its draws.
     """
     results: list[tuple] = [()] * len(visits)
     for group in visit_batches(visits):
@@ -308,8 +306,7 @@ def train_and_predict(visits: list[VisitInputs], codec: latent_codec.CodecParams
         standardizers = [latent_standardizer(visit.latents) for visit in stack]
         draws, losses = _train_and_sample(stack, standardizers, cfg.ldpm, schedule)
         for i, (mu, sd), own_draws, own_losses in zip(group, standardizers, draws, losses):
-            knowledge = (own_draws * sd + mu).mean(axis=0)
-            results[i] = (latent_codec.decode(codec, knowledge), knowledge, own_losses)
+            results[i] = ((own_draws * sd + mu).mean(axis=0), own_losses)
     return results
 
 

@@ -3,24 +3,24 @@
 Each vehicle trains and samples its own denoiser, independently of the
 others, so its model lives in a worker process, never in the main one.
 Worker ``w`` of W owns the vehicles with ``vehicle_id % W == w``: it
-holds the codec, their latents and their denoisers in a ``Shard`` and
-runs every visit of theirs.  The main process keeps the event loop, the
-knowledge caches and the ledger.  A ``Shard`` is also a fleet of its own, run
+holds only their latents and their denoisers in a ``Shard`` and runs
+every visit of theirs.  The main process keeps the codec, the event
+loop, the knowledge caches and the ledger, and decodes each visit's list
+from its knowledge.  A ``Shard`` is also a fleet of its own, run
 in-process: ``Fleet`` and ``Shard`` share ``add``, ``reset``, ``compute``
 and ``load``, all that ``harness.simulate_protocol`` uses.
 
 The run's entry points open the ``Fleet`` before set-up.  Set-up
 (``harness.build_data_env``) fills it once every vehicle is encoded:
-``Fleet.add`` sends each worker one message holding the one codec every
-vehicle shares and the latents of the vehicles it owns.
-``Fleet.reset`` then starts each protocol phase: every worker remakes
-its denoisers from their ``"denoiser"`` substreams, so one fleet serves
-several protocol phases as fresh as a new one would.
+``Fleet.add`` sends each worker one message holding the latents of the
+vehicles it owns.  ``Fleet.reset`` then starts each protocol phase:
+every worker remakes its denoisers from their ``"denoiser"`` substreams,
+so one fleet serves several protocol phases as fresh as a new one would.
 
 A job is ``(vehicle_id, visit_index, integrated knowledge or None)``.
 ``Fleet.compute`` sends each worker its share of a round of jobs, in
-entry order, and returns one ``(list ids, knowledge, losses)`` per job
-in job order.  Each visit's result depends only on its own inputs and
+entry order, and returns one ``(knowledge, losses)`` per job in job
+order.  Each visit's result depends only on its own inputs and
 substreams, so the bytes do not depend on W.
 
 Workers are ``python -m roadcache.fleet`` processes talking over their
@@ -48,10 +48,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fed_distill, ldpm
-from .caching import top_m
 from .config import SimConfig
 from .errors import InvariantError, TrainingError
-from .latent_codec import CodecParams
 from .rng import substream
 
 # Seconds a closing worker gets to exit after its stdin closes, before it is killed.
@@ -67,7 +65,7 @@ def worker_count(vehicles: int) -> int:
 
 
 class Shard:
-    """One worker's vehicles: the codec they share, their latents and their denoisers.
+    """One worker's vehicles: their latents and their denoisers.
 
     Also an in-process fleet of one worker: ``load`` is its one
     ``[visits, seconds computing them, None]`` entry since the last
@@ -77,14 +75,12 @@ class Shard:
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
         self.schedule = ldpm.build_schedule(cfg.ldpm.steps)
-        self.codec: CodecParams | None = None
         self.latents: dict[int, np.ndarray] = {}
         self.denoisers: dict[int, ldpm.DenoiserParams] = {}
         self.load = [[0, 0.0, None]]
 
-    def add(self, codec: CodecParams, latents: dict[int, np.ndarray]) -> None:
-        """Keep the codec, and the latents of each vehicle ``latents`` holds by vehicle id."""
-        self.codec = codec
+    def add(self, latents: dict[int, np.ndarray]) -> None:
+        """Keep the latents of each vehicle ``latents`` holds by vehicle id."""
         self.latents = latents
 
     def reset(self) -> None:
@@ -99,7 +95,7 @@ class Shard:
     def compute(self, jobs: list[tuple]) -> list[tuple]:
         """Run the jobs (in entry order) through ``fed_distill.train_and_predict``.
 
-        Returns one (top-``list_m`` ids, knowledge, losses) per job, in job order.
+        Returns one (knowledge, losses) per job, in job order.
         """
         began = time.perf_counter()
         seed = self.cfg.sim.seed
@@ -108,9 +104,7 @@ class Shard:
             visits.append(fed_distill.VisitInputs(
                 vid, self.latents[vid], self.denoisers[vid], integrated,
                 substream(seed, "train", vid, index), substream(seed, "sample", vid, index)))
-        results = [(top_m(scores.astype(np.float32), self.cfg.cache.list_m), knowledge, losses)
-                   for scores, knowledge, losses
-                   in fed_distill.train_and_predict(visits, self.codec, self.cfg, self.schedule)]
+        results = fed_distill.train_and_predict(visits, self.cfg, self.schedule)
         self.load[0][0] += len(jobs)
         self.load[0][1] += time.perf_counter() - began
         return results
@@ -151,15 +145,15 @@ class Fleet:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def add(self, codec: CodecParams, latents: dict[int, np.ndarray]) -> None:
-        """Send each worker the codec and the latents (keyed by vehicle id) of its vehicles.
+    def add(self, latents: dict[int, np.ndarray]) -> None:
+        """Send each worker the latents (keyed by vehicle id) of its vehicles.
 
         One message per worker, written before this returns; the worker
         sends no reply.
         """
         for w in range(self.count):
-            self._post(w, ("add", codec, {vid: own for vid, own in latents.items()
-                                          if vid % self.count == w}))
+            self._post(w, ("add", {vid: own for vid, own in latents.items()
+                                   if vid % self.count == w}))
 
     def reset(self) -> None:
         """Start a protocol phase: every worker remakes its denoisers, and ``load`` restarts."""
@@ -168,7 +162,7 @@ class Fleet:
         self.load = [[0, 0.0, None] for _ in range(self.count)]
 
     def compute(self, jobs: list[tuple]) -> list[tuple]:
-        """Every job's (list ids, knowledge, losses), in job order."""
+        """Every job's (knowledge, losses), in job order."""
         owned: list[list[int]] = [[] for _ in self.procs]
         for i, job in enumerate(jobs):
             owned[job[0] % self.count].append(i)

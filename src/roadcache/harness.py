@@ -5,9 +5,9 @@ protocol first opens a ``fleet.Fleet`` of worker processes with one BLAS
 thread each, and set-up fills it: the codec is fitted once on the
 public vectors in the main process, with the host's BLAS threads (its
 bytes may depend on that thread count), every vehicle is encoded with
-it, and each worker is sent the codec once and the latents of the
-vehicles it owns.  A window-only run opens no fleet and fits no codec:
-its schemes read no model.
+it, and each worker is sent only the latents of the vehicles it owns.
+A window-only run opens no fleet and fits no codec: its schemes read no
+model.
 
 The protocol phase walks entry, completion, and cache-merge events in
 time order, training each vehicle's model on its visits and recording
@@ -19,12 +19,13 @@ proceeds joins a pending list.  The first completion event that finds no
 computed result hands every pending visit, as a round of jobs, to the
 fleet.  Each worker runs its own vehicles' visits through
 ``fed_distill.train_and_predict``, which stacks them itself, and returns
-each visit's list, knowledge and losses.  The main process keeps the
-events, the knowledge caches and the ledger.  Messages, lists and
-losses are still published at each visit's own completion event,
-bit-identical to computing the visits one at a time, whatever the
-number of workers.  The fleet may also be one in-process
-``fleet.Shard`` holding every vehicle, with the same bytes.
+each visit's knowledge and losses.  The main process keeps the codec,
+the events, the knowledge caches and the ledger.  Messages and losses
+are still published at each visit's own completion event, and each
+visit's list is decoded from its knowledge once the events are drained,
+bit-identical to computing the visits one at a time, whatever the number
+of workers.  The fleet may also be one in-process ``fleet.Shard``
+holding every vehicle, with the same bytes.
 
 The evaluation phase turns one caching scheme into cache refreshes, and
 one replay serves each request from its RSU's latest ranking.  Rankings
@@ -77,8 +78,8 @@ class DataEnv:
     ``locals_`` keeps each rider's training ratings sparse; neither a dense
     per-rider row nor the loaded rating matrix outlives set-up.  ``codec``
     is the one codec every vehicle shares, fitted before any of the rest
-    was built (see ``build_data_env``): None, and ``hashes`` and
-    ``latents`` empty, for a window-only run.
+    was built (see ``build_data_env``), which no worker holds: None, and
+    ``hashes`` and ``latents`` empty, for a window-only run.
     """
 
     num_contents: int
@@ -117,8 +118,8 @@ def build_data_env(cfg: SimConfig, fleet: Fleet | None = None) -> DataEnv:
     the prior, and their mean (the fingerprint's profile) and the rows
     themselves are encoded.  The rows are dropped before the next
     vehicle's are built, so the data env keeps only the riders' sparse
-    ratings.  Once every vehicle is encoded, ``fleet.add`` gets the codec
-    and every vehicle's latents, keyed by vehicle id.  Without a fleet (a
+    ratings.  Once every vehicle is encoded, ``fleet.add`` gets every
+    vehicle's latents, keyed by vehicle id.  Without a fleet (a
     window-only run, which reads no model), no codec is fitted and
     ``hashes`` and ``latents`` are empty.
     """
@@ -156,7 +157,7 @@ def build_data_env(cfg: SimConfig, fleet: Fleet | None = None) -> DataEnv:
     if codec is None:
         return DataEnv(num_contents, locals_, None, np.zeros((0, cfg.codec.latent_dim)),
                        [], prior)
-    fleet.add(codec, dict(enumerate(latents)))
+    fleet.add(dict(enumerate(latents)))
     return DataEnv(num_contents, locals_, codec, np.vstack(hashes), latents, prior)
 
 
@@ -236,7 +237,8 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
     entries: list[EntryRecord] = []
     messages: list[Message] = []
     losses: list[float] = []
-    completed = aborted = 0
+    knowledge_up: list[np.ndarray] = []           # each completed visit's KI, in completion order
+    aborted = 0
 
     heap: list[tuple] = []
     seq = 0
@@ -246,16 +248,11 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
         heapq.heappush(heap, (k * tick, 0, seq, ("merge", None)))
         seq += 1
         k += 1
-    n_entries = 0
     for timeline in motion.timelines:
         for seg in timeline.segments:
             if seg.entry_time < duration:
                 heapq.heappush(heap, (seg.entry_time, 1, seq, ("entry", (timeline.vehicle_id, seg))))
                 seq += 1
-                n_entries += 1
-    # One row per completed visit; no more visits complete than vehicles enter zones.
-    # Ids run 1..K, so the narrowest dtype holding K holds them all.
-    lists = np.empty((n_entries, cfg.cache.list_m), dtype=np.min_scalar_type(data.num_contents))
 
     fleet.reset()
     while heap:
@@ -292,16 +289,22 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
             results = fleet.compute(pending)
             ready.extend(zip((job[0] for job in pending), results))
             pending.clear()
-        owner, (ids, knowledge, visit_losses) = ready.popleft()
+        owner, (knowledge, visit_losses) = ready.popleft()
         if owner != vid:
             raise InvariantError(f"vehicle {vid} completed vehicle {owner}'s visit")
         messages.extend(fed_distill.complete_visit(kcs[rsu], vid, knowledge, now))
-        lists[completed] = ids
-        current_version[vid] = completed
+        current_version[vid] = len(knowledge_up)
+        knowledge_up.append(knowledge)
         losses.append(float(np.mean(visit_losses)) if visit_losses else float("nan"))
-        completed += 1
 
-    return ProtocolTrace(lists[:completed], entries, messages, completed, aborted, losses,
+    # Ids run 1..K, so the narrowest dtype holding K holds them all.  Decoding here, not at
+    # each completion, keeps main's BLAS threads off the cores while the workers compute.
+    lists = np.empty((len(knowledge_up), cfg.cache.list_m),
+                     dtype=np.min_scalar_type(data.num_contents))
+    for row, knowledge in zip(lists, knowledge_up):
+        row[:] = top_m(latent_codec.decode(data.codec, knowledge).astype(np.float32),
+                       cfg.cache.list_m)
+    return ProtocolTrace(lists, entries, messages, len(knowledge_up), aborted, losses,
                          [tuple(load) for load in fleet.load])
 
 

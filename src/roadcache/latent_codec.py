@@ -22,6 +22,7 @@ from .errors import TrainingError
 @dataclass
 class CodecParams:
     basis: np.ndarray   # (num_contents, latent_dim); zero columns past the public rank
+    decoder = None   # read only by the benchmark's decode observer: no layers to count
 
     @property
     def num_contents(self) -> int:

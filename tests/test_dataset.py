@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,34 @@ def test_csv_and_dat_agree(tmp_path):
     assert np.array_equal(a.contents, b.contents)
     assert np.array_equal(a.ratings, b.ratings)
     assert np.array_equal(a.timestamps, b.timestamps)
+
+
+def test_rating_files_are_read_a_line_at_a_time(tmp_path):
+    """Loading a rating file holds one line at a time, never every line or CSV row.
+
+    So padding each line with blanks leaves the tracemalloc peak alone, and
+    a ``.csv`` file peaks as its ``.dat`` twin does.
+    """
+    columns = generate(100, 400, 7)
+    rows = list(zip(*(col.tolist() for col in columns)))
+    files = {"dat": tmp_path / "ratings.dat", "padded": tmp_path / "padded.dat",
+             "csv": tmp_path / "ratings.csv"}
+    files["dat"].write_text("".join(f"{u}::{c}::{r}::{t}\n" for u, c, r, t in rows))
+    files["padded"].write_text("".join(f"{u}::{c}::{r}::{t}{' ' * 200}\n" for u, c, r, t in rows))
+    files["csv"].write_text("user_id,content_id,rating,timestamp\n"
+                            + "".join(f"{u},{c},{r},{t}\n" for u, c, r, t in rows))
+    peaks = {}
+    for name, path in files.items():
+        load_ratings(str(path))   # first loads import what they use outside the measurement
+        tracemalloc.start()
+        try:
+            loaded = load_ratings(str(path))
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.timestamps.tobytes() == columns[3].astype(np.int64).tobytes()
+    assert peaks["padded"] < 1.1 * peaks["dat"], peaks
+    assert peaks["csv"] < 1.1 * peaks["dat"], peaks
 
 
 def test_csv_header_checked(tmp_path):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from roadcache import fed_distill as fd
-from roadcache import latent_codec, ldpm
-from roadcache.caching import top_m
+from roadcache import ldpm
 from roadcache.config import SimConfig
 from roadcache.errors import ProtocolError
 from roadcache.rng import substream
@@ -43,8 +42,6 @@ def make_cfg(visit_seconds=5.0):
 
 
 SCHEDULE = ldpm.build_schedule(5)
-# The one codec every visit decodes with, as in the simulator.
-CODEC = latent_codec.pretrain_codec(substream(99, "setup", "codec").random((6, 20)), LATENT_DIM)
 
 
 def make_visit(vid, latents, integrated):
@@ -316,23 +313,23 @@ def run_visit(kc, vid, own_hash, latents, carries_list, now, residence, cfg):
                            residence=residence, cfg=cfg)
     if not begun.proceed:
         return begun.messages, None
-    [(scores, knowledge, _)] = fd.train_and_predict(
-        [make_visit(vid, latents, begun.integrated)], CODEC, cfg, SCHEDULE)
+    [(knowledge, _)] = fd.train_and_predict(
+        [make_visit(vid, latents, begun.integrated)], cfg, SCHEDULE)
     finish = now + cfg.compute.visit_seconds
-    return begun.messages + fd.complete_visit(kc, vid, knowledge, finish), scores
+    return begun.messages + fd.complete_visit(kc, vid, knowledge, finish), knowledge
 
 
 class TestVisit:
     def test_cold_start(self):
         kc = make_kc()
         cfg = make_cfg()
-        messages, scores = run_visit(kc, 0, np.array([1.0, 0.5, -0.5, 2.0]),
+        messages, knowledge = run_visit(kc, 0, np.array([1.0, 0.5, -0.5, 2.0]),
                                      substream(0, "visit").normal(size=(8, LATENT_DIM)),
                                      carries_list=False, now=10.0, residence=30.0, cfg=cfg)
         assert [m.kind for m in messages] == [fd.MSG_HI, fd.MSG_KI]
         assert [m.time for m in messages] == [10.0, 15.0]
-        assert scores.shape == (20,)
-        assert len(top_m(scores, cfg.cache.list_m)) == 5
+        assert knowledge.shape == (LATENT_DIM,) and np.all(np.isfinite(knowledge))
+        assert kc.ki[0].knowledge is knowledge
         assert 0 in kc.hi and 0 in kc.ki
         assert kc.ki[0].upload_time == 15.0
 
@@ -436,7 +433,7 @@ class TestTrainAndPredict:
         return out
 
     def test_batch_equals_one_visit_at_a_time(self):
-        """Scores, knowledge, losses, weights and momentum match one visit at a time.
+        """Knowledge, losses, weights and momentum match one visit at a time.
 
         At 200 draws per visit, ``SAMPLE_ROWS // 200`` is under the 3-visit
         stack, so that stack samples in more than one slice.
@@ -448,13 +445,10 @@ class TestTrainAndPredict:
             cfg = make_cfg()
             cfg.ldpm.sample_count = sample_count
             assert fd.visit_batches(batch) == [[0, 1, 2], [3], [4]]
-            together = fd.train_and_predict(batch, CODEC, cfg, SCHEDULE)
+            together = fd.train_and_predict(batch, cfg, SCHEDULE)
             assert len(together) == len(batch)
-            for visit, (scores, knowledge, losses) in zip(alone, together):
-                [(own_scores, own_knowledge, own_losses)] = fd.train_and_predict(
-                    [visit], CODEC, cfg, SCHEDULE)
-                assert scores.tobytes() == own_scores.tobytes()
-                assert np.array_equal(top_m(scores, 5), top_m(own_scores, 5))
+            for visit, (knowledge, losses) in zip(alone, together):
+                [(own_knowledge, own_losses)] = fd.train_and_predict([visit], cfg, SCHEDULE)
                 assert knowledge.tobytes() == own_knowledge.tobytes()
                 assert losses == own_losses and len(losses) == 2
             for mine, theirs in zip(batch, alone):
@@ -472,8 +466,8 @@ class TestTrainAndPredict:
             assert visit.integrated is not None
             if not with_knowledge:
                 visit.integrated = None
-            [(scores, _, losses)] = fd.train_and_predict([visit], CODEC, cfg, SCHEDULE)
-            return scores.tobytes(), losses
+            [(knowledge, losses)] = fd.train_and_predict([visit], cfg, SCHEDULE)
+            return knowledge.tobytes(), losses
 
         plain = run(with_knowledge=False)
         assert run(distill_weight=0.0) == plain
@@ -488,7 +482,7 @@ class TestTrainAndPredict:
         batch, alone = self.visits(shapes), self.visits(shapes)
         assert fd.visit_batches(batch) == [[0, 2], [1]]
         cfg = make_cfg()
-        together = fd.train_and_predict(batch, CODEC, cfg, SCHEDULE)
-        for visit, (scores, _, _) in zip(alone, together):
-            [(own_scores, _, _)] = fd.train_and_predict([visit], CODEC, cfg, SCHEDULE)
-            assert scores.tobytes() == own_scores.tobytes()
+        together = fd.train_and_predict(batch, cfg, SCHEDULE)
+        for visit, (knowledge, _) in zip(alone, together):
+            [(own_knowledge, _)] = fd.train_and_predict([visit], cfg, SCHEDULE)
+            assert knowledge.tobytes() == own_knowledge.tobytes()

@@ -17,7 +17,7 @@ import pytest
 from test_latent_codec import codec_state
 
 from roadcache import cli, fed_distill, fleet, harness, latent_codec, ldpm, nn, report
-from roadcache.caching import Metrics
+from roadcache.caching import Metrics, top_m
 from roadcache.config import SCHEMES, SimConfig, _key_table, load_config
 from roadcache.dataset import (RatingMatrix, load_ratings, split_public_users, user_rows,
                                user_train_vector)
@@ -291,7 +291,7 @@ class TestRunSimulation:
 def protocol(cfg, data, motion, workers=None):
     """simulate_protocol in a new fleet of ``workers``, filled from the data env."""
     with fleet.Fleet(cfg, workers=workers) as pool:
-        pool.add(data.codec, dict(enumerate(data.latents)))
+        pool.add(dict(enumerate(data.latents)))
         return harness.simulate_protocol(cfg, data, motion, pool)
 
 
@@ -307,8 +307,33 @@ def tiny_stack(tiny_cfg_path):
 def run_in_process(cfg, data, motion):
     """simulate_protocol computing every visit in this process, in one fleet.Shard."""
     shard = fleet.Shard(cfg)
-    shard.add(data.codec, dict(enumerate(data.latents)))
+    shard.add(dict(enumerate(data.latents)))
     return harness.simulate_protocol(cfg, data, motion, shard)
+
+
+def test_each_list_is_the_top_m_of_its_decoded_ki(tiny_stack, monkeypatch):
+    """Every completed visit's list is ``top_m(float32(decode(codec, KI)))`` of the KI it uploads.
+
+    Recorded in-process (``run_in_process``): the KI passed to each
+    ``fed_distill.complete_visit``, in completion order, the order of
+    ``trace.lists``.  A list that came to depend on more than its visit's
+    KI would fail here.
+    """
+    cfg, data, motion, default = tiny_stack
+    uploaded = []
+    real = fed_distill.complete_visit
+
+    def complete_visit(kc, vehicle_id, knowledge, now):
+        uploaded.append(knowledge.copy())
+        return real(kc, vehicle_id, knowledge, now)
+
+    monkeypatch.setattr(fed_distill, "complete_visit", complete_visit)
+    trace = run_in_process(cfg, data, motion)
+    assert trace.lists.tobytes() == default.lists.tobytes()
+    assert len(uploaded) == len(trace.lists) == trace.completed_visits > 0
+    for ids, ki in zip(trace.lists, uploaded):
+        scores = latent_codec.decode(data.codec, ki).astype(np.float32)
+        assert np.array_equal(ids, top_m(scores, cfg.cache.list_m))
 
 
 def test_protocol_ledger_follows_each_entry(tiny_stack):
@@ -542,7 +567,13 @@ class TestCli:
             assert cli.main(["run", "--config", tiny_cfg_path, "--set", setting]) == 2
             assert f"unknown config key {setting.split('=')[0]!r}" in capsys.readouterr().err
 
-    def test_bad_value_exits_2(self, tiny_cfg_path, capsys):
+    def test_bad_value_exits_2(self, tiny_cfg_path, tmp_path, capsys):
+        # A malformed rating file's error names it as path:line.
+        bad_dat, headless_csv = tmp_path / "bad.dat", tmp_path / "headless.csv"
+        bad_dat.write_text("1::10::5::100\noops\n")
+        headless_csv.write_text("1,2,3,4\n")
+        named = {f"data.path={bad_dat}": f"{bad_dat}:2: expected 4 '::' fields",
+                 f"data.path={headless_csv}": f"{headless_csv}:1: unexpected CSV header"}
         # list_m=81 exceeds the tiny config's 80-content catalog, and
         # num_vehicles=28 its 27 riders (30 users, 3 of them public).
         for setting in ("cache.capacity_n=many", "ldpm.F=0", "cache.list_m=81", "cache.list_m=0",
@@ -554,9 +585,9 @@ class TestCli:
                         "compute.visit_seconds=nan", "topology.coverage_length=inf",
                         "mobility.sigma=nan", "mobility.mu=nan", "sim.seed=-1",
                         "greedy.tau=-0.1", "greedy.tau=1.5", "ldpm.T=0", "data.split_ratio=0",
-                        "data.split_ratio=1", "data.num_vehicles=28"):
+                        "data.split_ratio=1", "data.num_vehicles=28", *named):
             assert cli.main(["run", "--config", tiny_cfg_path, "--set", setting]) == 2
-            assert setting.split("=")[0] in capsys.readouterr().err
+            assert named.get(setting, setting.split("=")[0]) in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_floats_rejected(self, value):
@@ -926,8 +957,7 @@ class TestFleet:
 
     def test_truncated_message_reads_as_none(self):
         """A message cut short anywhere reads as the end of the stream; whole ones read in order."""
-        ok = ("ok", [(np.arange(500, dtype=np.int64), np.linspace(0.0, 1.0, 8), [0.5, 0.25])],
-              [1, 0.125, 150.0])
+        ok = ("ok", [(np.linspace(0.0, 1.0, 8), [0.5, 0.25])], [1, 0.125, 150.0])
         error = ("error", TrainingError("diffusion objective became non-finite"))
         assert fleet._receive(io.BytesIO()) is None
         blobs = []
@@ -938,10 +968,9 @@ class TestFleet:
             for cut in range(len(blobs[-1])):
                 assert fleet._receive(io.BytesIO(blobs[-1][:cut])) is None, (message[0], cut)
         stream = io.BufferedReader(io.BytesIO(b"".join(blobs)))
-        kind, [(ids, knowledge, losses)], load = fleet._receive(stream)
+        kind, [(knowledge, losses)], load = fleet._receive(stream)
         assert (kind, losses, load) == ("ok", [0.5, 0.25], [1, 0.125, 150.0])
-        assert ids.tobytes() == ok[1][0][0].tobytes()
-        assert knowledge.tobytes() == ok[1][0][1].tobytes()
+        assert knowledge.tobytes() == ok[1][0][0].tobytes()
         kind, exc = fleet._receive(stream)
         assert kind == "error" and type(exc) is TrainingError and exc.args == error[1].args
         assert fleet._receive(stream) is None
@@ -1064,9 +1093,9 @@ class TestDataEnvKeepsDecoders:
         cfg, data, shard = built
         assert reachable_codecs(data) == [data.codec] and list(vars(data.codec)) == ["basis"]
         assert data.codec.basis.shape == (data.num_contents, cfg.codec.latent_dim)
-        # The filled shard's vehicles all share its one codec.
+        # The filled shard holds every vehicle's latents, and no codec.
         assert sorted(shard.latents) == list(range(data.num_vehicles))
-        assert reachable_codecs(shard) == [shard.codec]
+        assert reachable_codecs(shard) == []
         window_only = harness.build_data_env(cfg)
         assert window_only.codec is None and reachable_codecs(window_only) == []
 
@@ -1083,14 +1112,19 @@ class TestDataEnvKeepsDecoders:
             assert fingerprint.tobytes() == latent_codec.encode(codec, rows.mean(axis=0)).tobytes()
             want_latents = latent_codec.encode(codec, rows).tobytes()
             assert latents.tobytes() == shard.latents[loc.vehicle_id].tobytes() == want_latents
-        assert codec_state(data.codec) == codec_state(shard.codec) == codec_state(codec)
+        assert codec_state(data.codec) == codec_state(codec)
 
-    def test_each_worker_is_sent_one_codec_and_its_own_latents(self, tiny_cfg_path,
-                                                              monkeypatch):
-        """Set-up sends each of W workers one message: the codec, and the latents of the
-        vehicles with ``vehicle_id % W == w``."""
+    def test_each_worker_is_sent_only_its_own_latents(self, tiny_cfg_path, monkeypatch):
+        """No codec crosses a worker pipe, either way.
+
+        Set-up sends each of W workers one message: the latents of the
+        vehicles with ``vehicle_id % W == w``.  No message to a worker
+        reaches a codec, and each ``compute`` reply holds only each visit's
+        L-wide knowledge and its losses.
+        """
         cfg = load_config(tiny_cfg_path, [])
-        real_send = fleet._send
+        real_send, real_receive = fleet._send, fleet._receive
+        replies = []
         with fleet.Fleet(cfg, workers=3) as pool:
             sent = {pool.procs[w].stdin: [] for w in range(pool.count)}
 
@@ -1098,16 +1132,32 @@ class TestDataEnvKeepsDecoders:
                 sent[stream].append(pickle.dumps(obj, protocol=5))
                 real_send(stream, obj)
 
+            def receive(stream):
+                replies.append(real_receive(stream))
+                return replies[-1]
+
             with monkeypatch.context() as mp:
                 mp.setattr(fleet, "_send", send)
+                mp.setattr(fleet, "_receive", receive)
                 data = harness.build_data_env(cfg, pool)
+                added = [[pickle.loads(blob) for blob in sent[proc.stdin]] for proc in pool.procs]
+                motion = harness.build_motion_env(cfg, data.locals_)
+                trace = harness.simulate_protocol(cfg, data, motion, pool)
             received = [[pickle.loads(blob) for blob in sent[proc.stdin]] for proc in pool.procs]
-        for w, messages in enumerate(received):
-            [(kind, codec, latents)] = messages
-            assert kind == "add" and reachable_codecs(messages) == [codec]
-            assert codec.basis.tobytes() == data.codec.basis.tobytes()
+        for w, messages in enumerate(added):
+            [(kind, latents)] = messages
+            assert kind == "add"
             assert sorted(latents) == list(range(w, data.num_vehicles, 3))
             assert all(latents[vid].tobytes() == data.latents[vid].tobytes() for vid in latents)
+        assert {message[0] for messages in received for message in messages} == {
+            "add", "reset", "compute"}
+        assert reachable_codecs(received) == [] and reachable_codecs(replies) == []
+        assert sum(len(computed) for _, computed, _ in replies) == trace.completed_visits > 0
+        for kind, computed, _ in replies:
+            assert kind == "ok"
+            for knowledge, losses in computed:
+                assert knowledge.shape == (cfg.codec.latent_dim,)
+                assert all(type(loss) is float for loss in losses)
 
     def test_set_up_holds_one_decoder_at_a_time(self, monkeypatch):
         """Set-up hands each vehicle to its worker, so no copies of the codec pile up in main.
