@@ -36,15 +36,14 @@ def _cmd_run(args) -> int:
 
 
 def _expand_values(raw: str, cast):
-    """Comma lists plus an inclusive ``start:stop:step`` range shorthand."""
-    raw = raw.strip()
+    """Comma lists plus an inclusive ``start:stop:step`` range shorthand; ValueError if malformed."""
     if ":" in raw:
         parts = raw.split(":")
         if len(parts) != 3:
-            raise ConfigError(f"range must be start:stop:step, got {raw!r}")
+            raise ValueError("a range must be start:stop:step")
         start, stop, step = (cast(p.strip()) for p in parts)
         if step <= 0 or stop < start:
-            raise ConfigError(f"bad range {raw!r}")
+            raise ValueError("a range needs step > 0 and stop >= start")
         values = []
         v = start
         while v <= stop + (1e-9 if cast is float else 0):
@@ -57,25 +56,30 @@ def _expand_values(raw: str, cast):
 def _parse_grid(path: str):
     base_path = None
     overrides: list[str] = []
-    axes: dict[str, str] = {}
+    axes: dict[str, list] = {}
+    casts = {"capacities": int, "speeds": float, "seeds": int}
     for lineno, key, raw in read_assignments(path):
         if key == "config":
             base_path = raw if os.path.isabs(raw) else os.path.join(os.path.dirname(path) or ".", raw)
-        elif key in ("schemes", "capacities", "speeds", "seeds"):
-            axes[key] = raw
+        elif key == "schemes":
+            axes[key] = [s.strip() for s in raw.split(",") if s.strip()]
+        elif key in casts:
+            try:
+                axes[key] = _expand_values(raw, casts[key])
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {key} = {raw}: {exc}") from None
         elif "." in key:
             overrides.append(f"{key}={raw}")
         else:
             raise ConfigError(f"{path}:{lineno}: unknown grid key {key!r}")
     base = load_config(base_path, overrides)
-    schemes = ([s.strip() for s in axes["schemes"].split(",") if s.strip()]
-               if "schemes" in axes else [base.sim.scheme])
+    schemes = axes.get("schemes", [base.sim.scheme])
     for s in schemes:
         if s not in SCHEMES:
             raise ConfigError(f"unknown scheme {s!r} in grid")
-    capacities = _expand_values(axes["capacities"], int) if "capacities" in axes else [base.cache.capacity_n]
-    speeds = _expand_values(axes["speeds"], float) if "speeds" in axes else [base.mobility.mu]
-    seeds = _expand_values(axes["seeds"], int) if "seeds" in axes else [base.sim.seed]
+    capacities = axes.get("capacities", [base.cache.capacity_n])
+    speeds = axes.get("speeds", [base.mobility.mu])
+    seeds = axes.get("seeds", [base.sim.seed])
     if not (schemes and capacities and speeds and seeds):
         raise ConfigError("every grid axis needs at least one value")
     if min(capacities) < 1:
@@ -106,7 +110,10 @@ def _cmd_report(args) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot read report {args.infile}: {exc}") from exc
     in_fmt = "json" if blob.lstrip().startswith(b"{") else "csv"
-    report = parse_report(blob, in_fmt)
+    try:
+        report = parse_report(blob, in_fmt)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{args.infile}: {exc}") from None
     _write_output(emit_report(report, args.format), args.out)
     return 0
 

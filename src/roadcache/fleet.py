@@ -7,15 +7,15 @@ holds only their latents and their denoisers in a ``Shard`` and runs
 every visit of theirs.  The main process keeps the codec, the event
 loop, the knowledge caches and the ledger, and decodes each visit's list
 from its knowledge.  A ``Shard`` is also a fleet of its own, run
-in-process: ``Fleet`` and ``Shard`` share ``add``, ``reset``, ``compute``
-and ``load``, all that ``harness.simulate_protocol`` uses.
+in-process: ``Fleet`` and ``Shard`` share ``reset``, ``compute`` and
+``load``, all that ``harness.simulate_protocol`` uses.
 
-The run's entry points open the ``Fleet`` before set-up.  Set-up
-(``harness.build_data_env``) fills it once every vehicle is encoded:
-``Fleet.add`` sends each worker one message holding the latents of the
-vehicles it owns.  ``Fleet.reset`` then starts each protocol phase:
-every worker remakes its denoisers from their ``"denoiser"`` substreams,
-so one fleet serves several protocol phases as fresh as a new one would.
+Nothing a worker holds carries over from one protocol phase to the
+next.  ``Fleet.reset(cfg, latents)`` starts a phase: it sends each
+worker one message holding the phase's config and the latents of the
+vehicles it owns, and the worker remakes their denoisers from their
+``"denoiser"`` substreams.  So one fleet serves any number of protocol
+phases, of any seeds, each as fresh as a new fleet would be.
 
 A job is ``(vehicle_id, visit_index, integrated knowledge or None)``.
 ``Fleet.compute`` sends each worker its share of a round of jobs, in
@@ -27,12 +27,13 @@ Workers are ``python -m roadcache.fleet`` processes talking over their
 stdin and stdout pipes, with one BLAS thread each
 (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``).
 Each message on a pipe is one plain pickle (protocol 5, no out-of-band
-buffers); a message cut short reads as the end of the stream.  A worker
-checks that it imported the caller's package, and writes nothing else
-to its stdout; its stderr is the caller's.  Only ``compute`` is
-answered.  An exception a worker raises there is re-raised in the
-caller; a worker that dies (or raises what it cannot pickle) is reported
-as an ``InvariantError`` naming it, at the first round it owns a job in.
+buffers); a message cut short reads as the end of the stream.  A
+worker's start message holds only the caller's package path: the worker
+checks that it imported that package, and writes nothing else to its
+stdout; its stderr is the caller's.  Only ``compute`` is answered.  An
+exception a worker raises there is re-raised in the caller; a worker
+that dies (or raises what it cannot pickle) is reported as an
+``InvariantError`` naming it, at the first round it owns a job in.
 """
 
 from __future__ import annotations
@@ -65,32 +66,26 @@ def worker_count(vehicles: int) -> int:
 
 
 class Shard:
-    """One worker's vehicles: their latents and their denoisers.
+    """One worker's vehicles, for one protocol phase: their latents and their denoisers.
 
-    Also an in-process fleet of one worker: ``load`` is its one
-    ``[visits, seconds computing them, None]`` entry since the last
-    ``reset`` (see ``Fleet.load``).
+    It holds nothing until ``reset`` starts a phase.  Also an in-process
+    fleet of one worker: ``load`` is its one ``[visits, seconds computing
+    them, None]`` entry since the last ``reset`` (see ``Fleet.load``).
     """
 
-    def __init__(self, cfg: SimConfig):
+    def reset(self, cfg: SimConfig, latents: dict[int, np.ndarray]) -> None:
+        """Start a phase of ``cfg`` for the vehicles ``latents`` holds by vehicle id.
+
+        Each gets a new denoiser, made from its ``"denoiser"`` substream.
+        """
         self.cfg = cfg
         self.schedule = ldpm.build_schedule(cfg.ldpm.steps)
-        self.latents: dict[int, np.ndarray] = {}
-        self.denoisers: dict[int, ldpm.DenoiserParams] = {}
-        self.load = [[0, 0.0, None]]
-
-    def add(self, latents: dict[int, np.ndarray]) -> None:
-        """Keep the latents of each vehicle ``latents`` holds by vehicle id."""
         self.latents = latents
-
-    def reset(self) -> None:
-        """Give every vehicle a new denoiser, made from its ``"denoiser"`` substream."""
-        cfg = self.cfg
         self.load = [[0, 0.0, None]]
         self.denoisers = {vid: ldpm.new_denoiser(cfg.codec.latent_dim, cfg.ldpm.hidden,
                                                  cfg.ldpm.time_embed,
                                                  substream(cfg.sim.seed, "denoiser", vid))
-                          for vid in self.latents}
+                          for vid in latents}
 
     def compute(self, jobs: list[tuple]) -> list[tuple]:
         """Run the jobs (in entry order) through ``fed_distill.train_and_predict``.
@@ -121,7 +116,6 @@ class Fleet:
     """
 
     def __init__(self, cfg: SimConfig, workers: int | None = None):
-        self.cfg = cfg
         self.count = worker_count(cfg.data.num_vehicles) if workers is None else workers
         self.procs: list[subprocess.Popen] = []
         self.load = [[0, 0.0, None] for _ in range(self.count)]
@@ -136,7 +130,7 @@ class Fleet:
                 self.procs.append(subprocess.Popen(
                     [sys.executable, "-m", "roadcache.fleet"], cwd=src, env=env,
                     stdin=subprocess.PIPE, stdout=subprocess.PIPE))
-                self._post(len(self.procs) - 1, (str(_PACKAGE), self.cfg))
+                self._post(len(self.procs) - 1, str(_PACKAGE))
         except BaseException:
             self.close()
             raise
@@ -145,20 +139,16 @@ class Fleet:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def add(self, latents: dict[int, np.ndarray]) -> None:
-        """Send each worker the latents (keyed by vehicle id) of its vehicles.
+    def reset(self, cfg: SimConfig, latents: dict[int, np.ndarray]) -> None:
+        """Start a protocol phase of ``cfg``: each worker gets its vehicles' latents
+        (keyed by vehicle id) and remakes their denoisers, and ``load`` restarts.
 
         One message per worker, written before this returns; the worker
         sends no reply.
         """
         for w in range(self.count):
-            self._post(w, ("add", {vid: own for vid, own in latents.items()
-                                   if vid % self.count == w}))
-
-    def reset(self) -> None:
-        """Start a protocol phase: every worker remakes its denoisers, and ``load`` restarts."""
-        for w in range(self.count):
-            self._post(w, ("reset",))
+            self._post(w, ("reset", cfg, {vid: own for vid, own in latents.items()
+                                          if vid % self.count == w}))
         self.load = [[0, 0.0, None] for _ in range(self.count)]
 
     def compute(self, jobs: list[tuple]) -> list[tuple]:
@@ -253,22 +243,18 @@ def _serve() -> int:
     requests = sys.stdin.buffer
     replies = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)   # nothing but replies may reach the caller's pipe
-    start = _receive(requests)
-    if start is None:
+    package = _receive(requests)
+    if package is None:
         return 0
-    package, cfg = start
     if Path(package) != _PACKAGE:
         _send(replies, ("error", InvariantError(
             f"fleet worker imported roadcache from {_PACKAGE}, not {package}")))
         return 1
-    shard = Shard(cfg)
+    shard = Shard()
     while (message := _receive(requests)) is not None:
         kind, *args = message
-        if kind == "add":
-            shard.add(*args)
-            continue
         if kind == "reset":
-            shard.reset()
+            shard.reset(*args)
             continue
         try:
             computed = shard.compute(*args)

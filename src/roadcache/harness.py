@@ -1,23 +1,23 @@
 """Simulation driver: environments, protocol replay, schemes, reports.
 
-A run has a set-up and two phases.  A run whose schemes replay the
-protocol first opens a ``fleet.Fleet`` of worker processes with one BLAS
-thread each, and set-up fills it: the codec is fitted once on the
-public vectors in the main process, with the host's BLAS threads (its
-bytes may depend on that thread count), every vehicle is encoded with
-it, and each worker is sent only the latents of the vehicles it owns.
-A window-only run opens no fleet and fits no codec: its schemes read no
-model.
+A run has a set-up and two phases.  A run or sweep whose schemes replay
+the protocol first opens one ``fleet.Fleet`` of worker processes with
+one BLAS thread each, which start while set-up runs.  Set-up is pure
+data in the main process: the codec is fitted once on the public
+vectors, with the host's BLAS threads (its bytes may depend on that
+thread count), and every vehicle is encoded with it.  A window-only run
+opens no fleet and fits no codec: its schemes read no model.
 
 The protocol phase walks entry, completion, and cache-merge events in
 time order, training each vehicle's model on its visits and recording
 every over-the-air message plus the recommendation list each completed
-visit leaves the vehicle to upload.  It starts by having every worker
-remake its vehicles' denoisers.  A visit's compute inputs are fixed at
-entry and its output is first read at completion, so a visit that
-proceeds joins a pending list.  The first completion event that finds no
-computed result hands every pending visit, as a round of jobs, to the
-fleet.  Each worker runs its own vehicles' visits through
+visit leaves the vehicle to upload.  It starts with ``fleet.reset``,
+which sends each worker the phase's config and the latents of the
+vehicles it owns, and has it remake their denoisers.  A visit's compute
+inputs are fixed at entry and its output is first read at completion, so
+a visit that proceeds joins a pending list.  The first completion event
+that finds no computed result hands every pending visit, as a round of
+jobs, to the fleet.  Each worker runs its own vehicles' visits through
 ``fed_distill.train_and_predict``, which stacks them itself, and returns
 each visit's knowledge and losses.  The main process keeps the codec,
 the events, the knowledge caches and the ledger.  Messages and losses
@@ -78,8 +78,9 @@ class DataEnv:
     ``locals_`` keeps each rider's training ratings sparse; neither a dense
     per-rider row nor the loaded rating matrix outlives set-up.  ``codec``
     is the one codec every vehicle shares, fitted before any of the rest
-    was built (see ``build_data_env``), which no worker holds: None, and
-    ``hashes`` and ``latents`` empty, for a window-only run.
+    was built (see ``build_data_env``), which no worker holds; each
+    protocol phase's ``fleet.reset`` sends the workers ``latents``.  None,
+    and ``hashes`` and ``latents`` empty, for a window-only run.
     """
 
     num_contents: int
@@ -104,8 +105,8 @@ class MotionEnv:
     dropped_requests: int
 
 
-def build_data_env(cfg: SimConfig, fleet: Fleet | None = None) -> DataEnv:
-    """Load, split and encode the run's data, and fill ``fleet`` with it.
+def build_data_env(cfg: SimConfig, model: bool) -> DataEnv:
+    """Load, split and, if ``model``, encode the run's data; no worker is involved.
 
     The codec is fitted once, on the public vectors, before any rider data
     exists: at the fit the main process holds the loaded columns and one
@@ -118,10 +119,8 @@ def build_data_env(cfg: SimConfig, fleet: Fleet | None = None) -> DataEnv:
     the prior, and their mean (the fingerprint's profile) and the rows
     themselves are encoded.  The rows are dropped before the next
     vehicle's are built, so the data env keeps only the riders' sparse
-    ratings.  Once every vehicle is encoded, ``fleet.add`` gets every
-    vehicle's latents, keyed by vehicle id.  Without a fleet (a
-    window-only run, which reads no model), no codec is fitted and
-    ``hashes`` and ``latents`` are empty.
+    ratings.  Without ``model`` (a window-only run, which reads no
+    model), no codec is fitted and ``hashes`` and ``latents`` are empty.
     """
     seed = cfg.sim.seed
     matrix = load_ratings(cfg.data.path)
@@ -136,13 +135,13 @@ def build_data_env(cfg: SimConfig, fleet: Fleet | None = None) -> DataEnv:
             f"only {len(rider_ids)} users remain after the public holdout"
         )
     codec = None
-    if fleet is not None and len(public_ids):
+    if model and len(public_ids):
         codec = latent_codec.pretrain_codec(public_rows(matrix, public_ids), cfg.codec.latent_dim)
     riders = matrix.select_users(rider_ids)
     del matrix
     locals_ = partition_users(riders, cfg.data.num_vehicles, cfg.data.split_ratio, substream(seed, "partition"))
     del riders
-    if fleet is not None and codec is None:
+    if model and codec is None:
         # No public holdout configured: fall back to the riders' vectors.
         codec = latent_codec.pretrain_codec(np.vstack([loc.train_rows() for loc in locals_]),
                                             cfg.codec.latent_dim)
@@ -157,7 +156,6 @@ def build_data_env(cfg: SimConfig, fleet: Fleet | None = None) -> DataEnv:
     if codec is None:
         return DataEnv(num_contents, locals_, None, np.zeros((0, cfg.codec.latent_dim)),
                        [], prior)
-    fleet.add(dict(enumerate(latents)))
     return DataEnv(num_contents, locals_, codec, np.vstack(hashes), latents, prior)
 
 
@@ -219,11 +217,12 @@ class ProtocolTrace:
 
 def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
                       fleet: Fleet | Shard) -> ProtocolTrace:
-    """Walk the run's events; every visit computes in ``fleet``, which set-up filled.
+    """Walk the run's events; every visit computes in ``fleet``.
 
-    ``fleet`` is a ``Fleet`` of worker processes, or a ``Shard`` holding
-    every vehicle, which computes the visits in this process.  No byte of
-    the trace depends on which, nor on the fleet's size.
+    ``fleet`` is a ``Fleet`` of worker processes, or a ``Shard``, which
+    computes every vehicle's visits in this process.  The phase first
+    resets it with ``cfg`` and every vehicle's latents, so no earlier
+    phase leaves a trace.  No byte depends on which, nor on its size.
     """
     duration = cfg.sim.duration
     n_vehicles = data.num_vehicles
@@ -254,7 +253,7 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
                 heapq.heappush(heap, (seg.entry_time, 1, seq, ("entry", (timeline.vehicle_id, seg))))
                 seq += 1
 
-    fleet.reset()
+    fleet.reset(cfg, dict(enumerate(data.latents)))
     while heap:
         now, _, _, (kind, payload) = heapq.heappop(heap)
         if kind == "merge":
@@ -419,7 +418,7 @@ def n_tau_greedy_policy(observed_counts: np.ndarray, tau: float,
                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
     """Rank by history, or fully at random a tau fraction of the time."""
     if rng.random() < tau:
-        return rng.permutation(len(observed_counts)) + 1, None
+        return random_policy(len(observed_counts), rng)
     counts = np.asarray(observed_counts, dtype=float)
     return rank_contents(counts), counts
 
@@ -605,7 +604,7 @@ def run_simulation(cfg: SimConfig, trace_path: str | None = None,
     scheme = cfg.sim.scheme
     capacity = cfg.cache.capacity_n
     with _open_fleet(cfg, [scheme]) as fleet:
-        data = build_data_env(cfg, fleet)
+        data = build_data_env(cfg, fleet is not None)
         motion = build_motion_env(cfg, data.locals_)
         trace = simulate_protocol(cfg, data, motion, fleet) if fleet is not None else None
 
@@ -645,11 +644,11 @@ def run_sweep(base: SimConfig, schemes: list[str], capacities: list[int],
     """Grid evaluation that shares environments and protocol traces.
 
     Every (seed, speed) cell's config is validated before anything is
-    built.  The data environment depends only on the seed, so it is built
-    once for all of that seed's speeds, into one fleet that serves their
-    protocol phases.  The protocol phase depends only on (seed, speed), so
-    each such pair is simulated once; each scheme replays it once for
-    every capacity.
+    built.  One fleet, opened before the first set-up, serves every
+    protocol phase of the sweep.  The data environment depends only on
+    the seed, so it is built once for all of that seed's speeds.  The
+    protocol phase depends only on (seed, speed), so each such pair is
+    simulated once; each scheme replays it once for every capacity.
     """
     import copy
 
@@ -666,10 +665,10 @@ def run_sweep(base: SimConfig, schemes: list[str], capacities: list[int],
 
     grid = [[cell(seed, speed) for speed in speeds] for seed in seeds]
     rows: list[ReportRow] = []
-    for seed, cells in zip(seeds, grid):
-        with _open_fleet(cells[0], schemes) as fleet:
+    with _open_fleet(base, schemes) as fleet:
+        for seed, cells in zip(seeds, grid):
             note(f"seed={seed}: building data environment")
-            data = build_data_env(cells[0], fleet)
+            data = build_data_env(cells[0], fleet is not None)
             for speed, cfg in zip(speeds, cells):
                 motion = build_motion_env(cfg, data.locals_)
                 trace = None

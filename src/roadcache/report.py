@@ -15,6 +15,7 @@ from .errors import DataFormatError
 
 CSV_HEADER = "scheme,capacity,speed,hit_pct,mean_latency_ms,uplink_mb,downlink_mb,seed"
 _COLUMNS = CSV_HEADER.split(",")
+_CASTS = (str, int, float, float, float, float, float, int)   # per column, in order
 
 _MB = float(2**20)
 
@@ -65,6 +66,14 @@ def emit_report(report: Report, fmt: str = "csv") -> bytes:
     raise ValueError(f"unknown report format {fmt!r}")
 
 
+def _row(values, where: str) -> ReportRow:
+    """The row ``values`` maps by column name, each value cast to its column's type."""
+    try:
+        return ReportRow(**{name: cast(values[name]) for name, cast in zip(_COLUMNS, _CASTS)})
+    except (KeyError, TypeError, ValueError) as exc:   # a missing column, a non-object row
+        raise DataFormatError(f"{where}: bad report row: {exc!r}") from None
+
+
 def parse_report(blob: bytes, fmt: str = "csv") -> Report:
     text = blob.decode()
     rows: list[ReportRow] = []
@@ -76,18 +85,15 @@ def parse_report(blob: bytes, fmt: str = "csv") -> Report:
             parts = line.split(",")
             if len(parts) != len(_COLUMNS):
                 raise DataFormatError(f"expected {len(_COLUMNS)} columns", lineno)
-            rows.append(ReportRow(
-                scheme=parts[0], capacity=int(parts[1]), speed=float(parts[2]),
-                hit_pct=float(parts[3]), mean_latency_ms=float(parts[4]),
-                uplink_mb=float(parts[5]), downlink_mb=float(parts[6]), seed=int(parts[7]),
-            ))
+            rows.append(_row(dict(zip(_COLUMNS, parts)), f"line {lineno}"))
         return Report(rows)
     if fmt == "json":
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"bad JSON report: {exc}") from None
-        for entry in payload.get("rows", []):
-            rows.append(ReportRow(**{k: entry[k] for k in _COLUMNS}))
-        return Report(rows)
+        entries = payload.get("rows", [])
+        if not isinstance(entries, list):
+            raise DataFormatError(f"a JSON report's rows must be a list, not {entries!r}")
+        return Report([_row(entry, f"rows[{index}]") for index, entry in enumerate(entries)])
     raise ValueError(f"unknown report format {fmt!r}")

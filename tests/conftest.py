@@ -2,9 +2,10 @@
 
 Protocol simulation is the expensive step, so traces are built once per
 (seed, mean speed) pair and shared across every test that replays them.
-Only one full data environment, and the fleet of workers holding its
-vehicles' models, is kept alive at a time; cached traces carry a slimmed
-copy with the codec and the per-vehicle arrays dropped, which is all the
+One fleet of workers serves every protocol phase of the session, since
+each phase's reset hands the workers all they hold.  Only one full data
+environment is kept alive at a time; cached traces carry a slimmed copy
+with the codec and the per-vehicle arrays dropped, which is all the
 evaluation phase needs.  No fleet worker may outlive the session.
 """
 
@@ -73,11 +74,10 @@ def desk_cfg() -> SimConfig:
 class EnvStore:
     """Session cache of desk-scale simulation stages.
 
-    data_env(seed) keeps at most one full environment, and the fleet set-up
-    filled for it, alive; traces are cached per (seed, speed) with the codec
-    and the per-vehicle arrays stripped, since cache evaluation never reads
-    them.
-    ``close`` stops the fleet.
+    data_env(seed) keeps at most one full environment alive; traces are
+    cached per (seed, speed) with the codec and the per-vehicle arrays
+    stripped, since cache evaluation never reads them.  One fleet, opened
+    at the first protocol phase, computes every phase; ``close`` stops it.
     """
 
     def __init__(self, base: SimConfig):
@@ -96,23 +96,24 @@ class EnvStore:
 
     def data_env(self, seed: int) -> harness.DataEnv:
         if self._data_seed != seed:
-            self.close()
+            self._data_env = None   # at most one full environment alive
             cfg = self.config_for(seed, self.base.mobility.mu)
-            self._fleet = fleet.Fleet(cfg).__enter__()
-            self._data_env = harness.build_data_env(cfg, self._fleet)
+            self._data_env = harness.build_data_env(cfg, True)
             self._data_seed = seed
         return self._data_env
 
     def close(self) -> None:
         if self._fleet is not None:
             self._fleet.close()
-        self._fleet = self._data_env = self._data_seed = None
+        self._fleet = None
 
     def stack(self, seed: int, speed: float):
         """(cfg, slim data env, motion env, protocol trace) for one cell."""
         key = (seed, float(speed))
         if key not in self._traces:
             cfg = self.config_for(seed, speed)
+            if self._fleet is None:
+                self._fleet = fleet.Fleet(self.base).__enter__()
             data = self.data_env(seed)
             motion = harness.build_motion_env(cfg, data.locals_)
             trace = harness.simulate_protocol(cfg, data, motion, self._fleet)

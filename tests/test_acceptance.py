@@ -50,6 +50,9 @@ def test_criterion_1_overhead(env_store, desk_stack, record_criterion):
     up_recount = sum(sizes[m.kind] for m in trace.messages if m.kind in fd.UPLINK_KINDS)
 
     ratio = prop_bytes / base_bytes if base_bytes else float("inf")
+    # Each list is the top-M of its visit's decoded KI, so the RSU could derive these bytes.
+    lists = sum(sizes[m.kind] for m in trace.messages if m.kind == fd.MSG_REC_LIST)
+    share = lists / prop_bytes if prop_bytes else 0.0
     ok = (prop_bytes == recount
           and proposed.uplink_bytes == up_recount
           and base_bytes > 0
@@ -57,8 +60,9 @@ def test_criterion_1_overhead(env_store, desk_stack, record_criterion):
     record_criterion(
         "criterion-1 communication overhead",
         ok,
-        f"proposed {prop_bytes} B == ledger recount {recount} B; "
-        f"model exchange {base_bytes} B; ratio {ratio:.2e} < 0.02 [{elapsed(t0)}]")
+        f"proposed {prop_bytes} B == ledger recount {recount} B, of which REC_LIST {lists} B "
+        f"({share:.1%}); model exchange {base_bytes} B; "
+        f"ratio {ratio:.2e} < 0.02 [{elapsed(t0)}]")
 
 
 def test_readme_quick_start_row_is_the_desk_run(desk_stack):

@@ -1,6 +1,7 @@
 """Policies, exchange baselines, reports, and the command-line surface."""
 
 import io
+import json
 import os
 import pickle
 import re
@@ -8,7 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter, defaultdict
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -213,10 +214,24 @@ class TestReportFormats:
         with pytest.raises(DataFormatError):
             report.parse_report(b"", "csv")
 
-    def test_short_row_rejected(self):
+    def test_short_row_rejected(self, tmp_path, capsys):
         blob = (report.CSV_HEADER + "\nproposed,500\n").encode()
         with pytest.raises(DataFormatError):
             report.parse_report(blob, "csv")
+        # A column that will not cast, a JSON row missing a column, and a JSON
+        # row that is not an object: each exits 2 naming the file and the row.
+        row = asdict(self.make_report().rows[0])
+        missing = {k: v for k, v in row.items() if k != "capacity"}
+        saved = tmp_path / "saved"
+        for text, where in (
+                (report.CSV_HEADER + "\nproposed,abc,25.0,30.0,76.0,1.5,3.12,0\n",
+                 "line 2: bad report row: ValueError("),
+                (json.dumps({"rows": [row, missing]}), "rows[1]: bad report row: KeyError('capacity')"),
+                (json.dumps({"rows": [row, [1, 2]]}), "rows[1]: bad report row: TypeError("),
+                (json.dumps({"rows": 5}), "a JSON report's rows must be a list, not 5")):
+            saved.write_text(text)
+            assert cli.main(["report", "--in", str(saved)]) == 2
+            assert f"{saved}: {where}" in capsys.readouterr().err
 
 
 class TestMessageTrace:
@@ -289,9 +304,8 @@ class TestRunSimulation:
 
 
 def protocol(cfg, data, motion, workers=None):
-    """simulate_protocol in a new fleet of ``workers``, filled from the data env."""
+    """simulate_protocol in a new fleet of ``workers``."""
     with fleet.Fleet(cfg, workers=workers) as pool:
-        pool.add(dict(enumerate(data.latents)))
         return harness.simulate_protocol(cfg, data, motion, pool)
 
 
@@ -299,16 +313,14 @@ def protocol(cfg, data, motion, workers=None):
 def tiny_stack(tiny_cfg_path):
     cfg = load_config(tiny_cfg_path, [])
     with fleet.Fleet(cfg) as pool:
-        data = harness.build_data_env(cfg, pool)
+        data = harness.build_data_env(cfg, True)
         motion = harness.build_motion_env(cfg, data.locals_)
         return cfg, data, motion, harness.simulate_protocol(cfg, data, motion, pool)
 
 
 def run_in_process(cfg, data, motion):
     """simulate_protocol computing every visit in this process, in one fleet.Shard."""
-    shard = fleet.Shard(cfg)
-    shard.add(dict(enumerate(data.latents)))
-    return harness.simulate_protocol(cfg, data, motion, shard)
+    return harness.simulate_protocol(cfg, data, motion, fleet.Shard())
 
 
 def test_each_list_is_the_top_m_of_its_decoded_ki(tiny_stack, monkeypatch):
@@ -512,35 +524,44 @@ class TestSweepMatchesRuns:
             assert harness.run_simulation(cfg).rows == [row]
 
     def test_data_env_built_once_per_seed(self, tiny_cfg_path, monkeypatch):
-        """One data env and one fleet serve a seed's speeds, as fresh as a new one per speed."""
+        """One fleet serves a whole sweep and one data env a seed's speeds, as fresh as a
+        new sweep per (seed, speed) cell."""
         base = load_config(tiny_cfg_path, [])
-        schemes, capacities, speeds = ["proposed", "oracle"], [10, 40], [20.0, 30.0]
-        traces = []   # (speed, messages, lists, losses) per protocol phase
+        schemes, capacities, speeds, seeds = ["proposed", "oracle"], [10, 40], [20.0, 30.0], [0, 1]
+        cells = [(seed, speed) for seed in seeds for speed in speeds]
+        traces = []   # (seed, speed, messages, lists, losses) per protocol phase
         real_protocol = harness.simulate_protocol
 
         def recorded(cfg, *args, **kwargs):
             trace = real_protocol(cfg, *args, **kwargs)
-            traces.append((cfg.mobility.mu, harness.format_message_trace(trace.messages),
+            traces.append((cfg.sim.seed, cfg.mobility.mu,
+                           harness.format_message_trace(trace.messages),
                            trace.lists.tobytes(), np.array(trace.losses).tobytes()))
             return trace
 
         monkeypatch.setattr(harness, "simulate_protocol", recorded)
-        apart = [harness.run_sweep(base, schemes, capacities, [speed], [0]).rows
-                 for speed in speeds]
+        apart = [row for seed, speed in cells
+                 for row in harness.run_sweep(base, schemes, capacities, [speed], [seed]).rows]
         standalone = traces[:]
         traces.clear()
-        calls = []
-        real = harness.build_data_env
+        built, opened = [], []
+        real_build, real_enter = harness.build_data_env, fleet.Fleet.__enter__
 
         def counted(cfg, *args):
-            calls.append(cfg.mobility.mu)
-            return real(cfg, *args)
+            built.append(cfg.sim.seed)
+            return real_build(cfg, *args)
+
+        def enter(self):
+            opened.append(self)
+            return real_enter(self)
 
         monkeypatch.setattr(harness, "build_data_env", counted)
-        together = harness.run_sweep(base, schemes, capacities, speeds, [0]).rows
-        assert len(calls) == 1
-        assert together == apart[0] + apart[1]
-        assert [speed for speed, *_ in traces] == speeds
+        monkeypatch.setattr(fleet.Fleet, "__enter__", enter)
+        together = harness.run_sweep(base, schemes, capacities, speeds, seeds).rows
+        assert len(opened) == 1
+        assert built == seeds
+        assert together == apart
+        assert [(seed, speed) for seed, speed, *_ in traces] == cells
         assert traces == standalone
 
 
@@ -697,9 +718,14 @@ class TestCli:
         ("run", ["topology.coverage_length=0.01"], "crosses more than 10000 zones"),
         ("run", ["mobility.v_max=1e6"], "sim.duration * mobility.v_max = 1.2e+08 m crosses"),
         ("sweep", ["topology.coverage_length = 0.01"], "topology.coverage_length = 0.01 m"),
+        # grid axes that will not cast: the message names the file, line, key and value
+        ("sweep", ["capacities = 10, x"], "grid.cfg:3: capacities = 10, x: invalid literal"),
+        ("sweep", ["speeds = a:b:c"], "grid.cfg:3: speeds = a:b:c: could not convert"),
+        ("sweep", ["seeds = 0:2:0.5"], "grid.cfg:3: seeds = 0:2:0.5: invalid literal"),
     ], ids=["run-massless-window", "sweep-negative-seed", "sweep-massless-speed",
             "run-tiny-sync-period", "run-tiny-fl-round", "sweep-tiny-fl-round",
-            "run-tiny-zone", "run-huge-top-speed", "sweep-tiny-zone"])
+            "run-tiny-zone", "run-huge-top-speed", "sweep-tiny-zone",
+            "sweep-capacity-not-int", "sweep-speed-range-not-float", "sweep-seed-step-not-int"])
     def test_bad_cell_exits_2_before_building(self, tiny_cfg_path, tmp_path, capsys, monkeypatch,
                                               verb, settings, message):
         """A bad setting fails at config load, before any data environment is built."""
@@ -907,7 +933,7 @@ class TestInferenceCachesNothing:
 
         monkeypatch.setattr(ldpm, "new_denoiser", new_denoiser)
         monkeypatch.setattr(ldpm, "sample", sample)
-        data = harness.build_data_env(cfg, fleet.Shard(cfg))
+        data = harness.build_data_env(cfg, True)
         motion = harness.build_motion_env(cfg, data.locals_)
         trace = run_in_process(cfg, data, motion)
         in_workers = protocol(cfg, data, motion)
@@ -1027,23 +1053,31 @@ class TestFleet:
             pool.procs[0].kill()
             pool.procs[0].wait()
 
-        real_compute = fleet.Fleet.compute
+        real_compute, real_reset = fleet.Fleet.compute, fleet.Fleet.reset
 
         def compute(self, jobs):
             kill(self)
             return real_compute(self, jobs)
 
+        def reset(self, *args):
+            real_reset(self, *args)
+            kill(self)
+
         with monkeypatch.context() as mp:
             mp.setattr(fleet.Fleet, "compute", compute)
             with pytest.raises(InvariantError, match=died):
                 protocol(cfg, data, motion, workers=1)
-        # Set-up hands over the vehicles with no reply, so a worker killed
-        # after that and before the first round must not go unnoticed.
+        # A phase's reset hands over the vehicles with no reply, so a worker
+        # killed before it, or after it and before the first round, must not
+        # go unnoticed.
         with fleet.Fleet(cfg, workers=1) as pool:
-            data = harness.build_data_env(cfg, pool)
             kill(pool)
             with pytest.raises(InvariantError, match=died):
                 harness.simulate_protocol(cfg, data, motion, pool)
+        with monkeypatch.context() as mp:
+            mp.setattr(fleet.Fleet, "reset", reset)
+            with pytest.raises(InvariantError, match=died):
+                protocol(cfg, data, motion, workers=1)
 
 
 def reachable(root):
@@ -1086,8 +1120,10 @@ class TestDataEnvKeepsDecoders:
     @pytest.fixture(scope="class")
     def built(self, tiny_cfg_path):
         cfg = load_config(tiny_cfg_path, [])
-        shard = fleet.Shard(cfg)
-        return cfg, harness.build_data_env(cfg, shard), shard
+        data = harness.build_data_env(cfg, True)
+        shard = fleet.Shard()
+        shard.reset(cfg, dict(enumerate(data.latents)))
+        return cfg, data, shard
 
     def test_no_encoder_reachable(self, built):
         cfg, data, shard = built
@@ -1096,7 +1132,7 @@ class TestDataEnvKeepsDecoders:
         # The filled shard holds every vehicle's latents, and no codec.
         assert sorted(shard.latents) == list(range(data.num_vehicles))
         assert reachable_codecs(shard) == []
-        window_only = harness.build_data_env(cfg)
+        window_only = harness.build_data_env(cfg, False)
         assert window_only.codec is None and reachable_codecs(window_only) == []
 
     def test_equals_direct_fine_tune(self, built):
@@ -1117,40 +1153,43 @@ class TestDataEnvKeepsDecoders:
     def test_each_worker_is_sent_only_its_own_latents(self, tiny_cfg_path, monkeypatch):
         """No codec crosses a worker pipe, either way.
 
-        Set-up sends each of W workers one message: the latents of the
-        vehicles with ``vehicle_id % W == w``.  No message to a worker
-        reaches a codec, and each ``compute`` reply holds only each visit's
-        L-wide knowledge and its losses.
+        Set-up sends nothing.  Each of W workers gets a start message
+        holding only the package path, then each phase's ``reset``: the
+        phase's config and the latents of the vehicles with
+        ``vehicle_id % W == w``, then ``compute`` rounds.  No message to a
+        worker reaches a codec, and each ``compute`` reply holds only each
+        visit's L-wide knowledge and its losses.
         """
         cfg = load_config(tiny_cfg_path, [])
         real_send, real_receive = fleet._send, fleet._receive
-        replies = []
-        with fleet.Fleet(cfg, workers=3) as pool:
-            sent = {pool.procs[w].stdin: [] for w in range(pool.count)}
+        sent, replies = {}, []
 
-            def send(stream, obj):
-                sent[stream].append(pickle.dumps(obj, protocol=5))
-                real_send(stream, obj)
+        def send(stream, obj):
+            sent.setdefault(stream, []).append(pickle.dumps(obj, protocol=5))
+            real_send(stream, obj)
 
-            def receive(stream):
-                replies.append(real_receive(stream))
-                return replies[-1]
+        def receive(stream):
+            replies.append(real_receive(stream))
+            return replies[-1]
 
-            with monkeypatch.context() as mp:
-                mp.setattr(fleet, "_send", send)
-                mp.setattr(fleet, "_receive", receive)
-                data = harness.build_data_env(cfg, pool)
-                added = [[pickle.loads(blob) for blob in sent[proc.stdin]] for proc in pool.procs]
+        with monkeypatch.context() as mp:
+            mp.setattr(fleet, "_send", send)
+            mp.setattr(fleet, "_receive", receive)
+            with fleet.Fleet(cfg, workers=3) as pool:
+                data = harness.build_data_env(cfg, True)
+                assert [len(sent[proc.stdin]) for proc in pool.procs] == [1, 1, 1]
                 motion = harness.build_motion_env(cfg, data.locals_)
                 trace = harness.simulate_protocol(cfg, data, motion, pool)
-            received = [[pickle.loads(blob) for blob in sent[proc.stdin]] for proc in pool.procs]
-        for w, messages in enumerate(added):
-            [(kind, latents)] = messages
-            assert kind == "add"
+                received = [[pickle.loads(blob) for blob in sent[proc.stdin]]
+                            for proc in pool.procs]
+        for w, (package, (kind, phase_cfg, latents), *rounds) in enumerate(received):
+            assert package == str(Path(fleet.__file__).resolve().parent)
+            assert kind == "reset" and phase_cfg == cfg
             assert sorted(latents) == list(range(w, data.num_vehicles, 3))
             assert all(latents[vid].tobytes() == data.latents[vid].tobytes() for vid in latents)
-        assert {message[0] for messages in received for message in messages} == {
-            "add", "reset", "compute"}
+            assert all(message[0] == "compute" for message in rounds)
+        assert {message[0] for _, *messages in received for message in messages} == {
+            "reset", "compute"}
         assert reachable_codecs(received) == [] and reachable_codecs(replies) == []
         assert sum(len(computed) for _, computed, _ in replies) == trace.completed_visits > 0
         for kind, computed, _ in replies:
@@ -1160,7 +1199,7 @@ class TestDataEnvKeepsDecoders:
                 assert all(type(loss) is float for loss in losses)
 
     def test_set_up_holds_one_decoder_at_a_time(self, monkeypatch):
-        """Set-up hands each vehicle to its worker, so no copies of the codec pile up in main.
+        """Set-up encodes every vehicle with the one codec, so no copies of it pile up in main.
 
         Under tracemalloc, main's allocations in ``build_data_env`` after the
         codec is fitted peak less than three codecs' bytes above what it held
@@ -1206,11 +1245,10 @@ class TestSetUpKeepsRatingsSparse:
 
         A warm-up build first takes the one-off import and cache allocations.
         """
-        harness.build_data_env(desk_cfg, fleet.Shard(desk_cfg))
-        shard = fleet.Shard(desk_cfg)
+        harness.build_data_env(desk_cfg, True)
         tracemalloc.start()
         try:
-            data = harness.build_data_env(desk_cfg, shard)
+            data = harness.build_data_env(desk_cfg, True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1257,19 +1295,19 @@ class TestCodecFitsBeforeRiderData:
 
         monkeypatch.setattr(latent_codec, "pretrain_codec", pretrain)
         monkeypatch.setattr(harness, "partition_users", partition)
-        return harness.build_data_env(cfg, fleet.Shard(cfg)), calls
+        return harness.build_data_env(cfg, True), calls
 
     def test_fit_sees_only_the_loaded_columns_and_public_rows(self, desk_cfg, monkeypatch):
         """On desk, the fit comes before the partition, and under tracemalloc main then
         holds less than the public rows, the loaded columns and ``MARGIN`` bytes.
 
-        A warm-up build without a fleet first takes the one-off allocations.
+        A warm-up build that fits no codec first takes the one-off allocations.
         """
         matrix = load_ratings(desk_cfg.data.path)
         columns = sum(col.nbytes for col in (matrix.users, matrix.contents, matrix.ratings,
                                              matrix.timestamps))
         del matrix
-        harness.build_data_env(desk_cfg)
+        harness.build_data_env(desk_cfg, False)
         held = []
         tracemalloc.start()
         try:
@@ -1317,7 +1355,7 @@ class TestFineTunesShareOneCodec:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(latent_codec, "pretrain_codec", pretrain)
             mp.setattr(harness, "partition_users", partition)
-            data = harness.build_data_env(cfg, fleet.Shard(cfg))
+            data = harness.build_data_env(cfg, True)
         return bases[0], data
 
     def test_pretrained_codec_untouched(self, tiny_cfg_path):
