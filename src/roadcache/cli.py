@@ -35,6 +35,10 @@ def _cmd_run(args) -> int:
     return 0
 
 
+# Most values one start:stop:step range may expand to.
+MAX_RANGE_VALUES = 1000
+
+
 def _expand_values(raw: str, cast):
     """Comma lists plus an inclusive ``start:stop:step`` range shorthand; ValueError if malformed."""
     if ":" in raw:
@@ -44,9 +48,15 @@ def _expand_values(raw: str, cast):
         start, stop, step = (cast(p.strip()) for p in parts)
         if step <= 0 or stop < start:
             raise ValueError("a range needs step > 0 and stop >= start")
+        # Exact for ints; for floats within one of the loop's count, and NaN
+        # for an infinite end, which fails the test below too.
+        count = (stop - start) // step + 1
+        if not count <= MAX_RANGE_VALUES:
+            raise ValueError(f"a range may give at most {MAX_RANGE_VALUES} values")
         values = []
         v = start
-        while v <= stop + (1e-9 if cast is float else 0):
+        # The count also stops a step too small to move v.
+        while v <= stop + (1e-9 if cast is float else 0) and len(values) <= count:
             values.append(cast(v))
             v += step
         return values

@@ -6,12 +6,15 @@ one BLAS thread each, which start while set-up runs.  Set-up is pure
 data in the main process: the codec is fitted once on the public
 vectors, with the host's BLAS threads (its bytes may depend on that
 thread count), and every vehicle is encoded with it.  A window-only run
-opens no fleet and fits no codec: its schemes read no model.
+opens no fleet and fits no codec: its schemes read no model.  The motion
+env holds every zone entry, built once from the vehicles' timelines;
+the protocol phase, both FL baselines and the vote walk that one list.
 
-The protocol phase walks entry, completion, and cache-merge events in
-time order, training each vehicle's model on its visits and recording
-every over-the-air message plus the recommendation list each completed
-visit leaves the vehicle to upload.  It starts with ``fleet.reset``,
+The protocol phase walks those entries with completion and cache-merge
+events in time order, adding only the list version each entry carries.
+It trains each vehicle's model on its visits and records every
+over-the-air message plus the recommendation list each completed visit
+leaves the vehicle to upload.  It starts with ``fleet.reset``,
 which sends each worker the phase's config and the latents of the
 vehicles it owns, and has it remake their denoisers.  A visit's compute
 inputs are fixed at entry and its output is first read at completion, so
@@ -43,7 +46,7 @@ from bisect import bisect_right
 from collections import Counter, deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import chain, count
 
 import numpy as np
 
@@ -59,7 +62,7 @@ from .fed_distill import (MSG_FL_MODEL_DOWN, MSG_FL_MODEL_UP, MSG_HI, MSG_KI,
                           model_bytes, rec_list_bytes)
 from .fleet import Fleet, Shard
 from .latent_codec import CodecParams
-from .mobility import VehicleTimeline, residence_time, rollout
+from .mobility import Entry, residence_time, rollout, zone_entries
 from .report import Report, ReportRow
 from .rng import substream
 
@@ -97,7 +100,10 @@ class DataEnv:
 
 @dataclass
 class MotionEnv:
-    timelines: list[VehicleTimeline]
+    """Every zone entry, the one list that the protocol phase, both FL
+    baselines and the vote walk, and the requests, each in its vehicle's zone."""
+
+    entries: list[Entry]
     request_times: np.ndarray
     request_vehicles: np.ndarray
     request_contents: np.ndarray
@@ -176,7 +182,7 @@ def build_motion_env(cfg: SimConfig, locals_: list[LocalDataset]) -> MotionEnv:
         mine = trace.vehicle_ids == timeline.vehicle_id
         rsus[mine] = timeline.rsu_at(trace.times[mine])
     return MotionEnv(
-        timelines=timelines,
+        entries=zone_entries(timelines, cfg.sim.duration),
         request_times=trace.times,
         request_vehicles=trace.vehicle_ids,
         request_contents=trace.content_ids,
@@ -189,22 +195,11 @@ def build_motion_env(cfg: SimConfig, locals_: list[LocalDataset]) -> MotionEnv:
 # protocol phase
 
 
-@dataclass(frozen=True)
-class EntryRecord:
-    """One zone entry: who, where, with which list version on board."""
-
-    time: float
-    vehicle_id: int
-    rsu: int
-    entry_position: float
-    speed: float
-    list_version: int  # row of ProtocolTrace.lists; -1 before the first completed visit
-
-
 @dataclass
 class ProtocolTrace:
     lists: np.ndarray              # (completed visits, list_m) ids each visit leaves to upload
-    entries: list[EntryRecord]     # time order
+    entries: list[Entry]           # the motion env's; only the benchmark's output check reads it
+    versions: list[int]            # per entry: its row of lists, -1 before the first completed visit
     messages: list[Message]
     completed_visits: int
     aborted_visits: int
@@ -217,73 +212,64 @@ class ProtocolTrace:
 
 def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
                       fleet: Fleet | Shard) -> ProtocolTrace:
-    """Walk the run's events; every visit computes in ``fleet``.
+    """Walk the motion env's entries; every visit computes in ``fleet``.
 
-    ``fleet`` is a ``Fleet`` of worker processes, or a ``Shard``, which
-    computes every vehicle's visits in this process.  The phase first
-    resets it with ``cfg`` and every vehicle's latents, so no earlier
-    phase leaves a trace.  No byte depends on which, nor on its size.
+    The phase adds only the list version each entry carries.  ``fleet`` is
+    a ``Fleet`` of worker processes, or a ``Shard``, which computes every
+    vehicle's visits in this process.  The phase first resets it with
+    ``cfg`` and every vehicle's latents, so no earlier phase leaves a
+    trace.  No byte depends on which, nor on its size.
     """
-    duration = cfg.sim.duration
-    n_vehicles = data.num_vehicles
+    entries = motion.entries
     num_rsus = cfg.topology.num_rsus
     kcs = [KnowledgeCache(rsu_id=r) for r in range(num_rsus)]
 
-    current_version = [-1] * n_vehicles
-    visit_index = [0] * n_vehicles
+    current_version = [-1] * data.num_vehicles
+    visit_index = [0] * data.num_vehicles
     pending: list[tuple] = []                     # jobs of proceeding visits not yet computed
     ready: deque[tuple[int, tuple]] = deque()     # (vehicle id, result) of computed visits
-    entries: list[EntryRecord] = []
+    versions = [-1] * len(entries)
     messages: list[Message] = []
     losses: list[float] = []
     knowledge_up: list[np.ndarray] = []           # each completed visit's KI, in completion order
     aborted = 0
 
-    heap: list[tuple] = []
-    seq = 0
+    # Events (time, 0 merge | 1 entry | 2 completion, index): a merge's index
+    # is its period, an entry's or completion's that of its entry.
     tick = cfg.kc.sync_period
+    heap = [(e.time, 1, i) for i, e in enumerate(entries)]
     k = 1
-    while k * tick < duration:
-        heapq.heappush(heap, (k * tick, 0, seq, ("merge", None)))
-        seq += 1
+    while k * tick < cfg.sim.duration:
+        heap.append((k * tick, 0, k))
         k += 1
-    for timeline in motion.timelines:
-        for seg in timeline.segments:
-            if seg.entry_time < duration:
-                heapq.heappush(heap, (seg.entry_time, 1, seq, ("entry", (timeline.vehicle_id, seg))))
-                seq += 1
+    heapq.heapify(heap)
 
     fleet.reset(cfg, dict(enumerate(data.latents)))
     while heap:
-        now, _, _, (kind, payload) = heapq.heappop(heap)
-        if kind == "merge":
+        now, kind, i = heapq.heappop(heap)
+        if kind == 0:
             merged = merge_kc(kcs)
             kcs = [merged.copy_with_rsu(r) for r in range(num_rsus)]
             continue
-        if kind == "entry":
-            vid, seg = payload
-            kc = kcs[seg.rsu_index]
-            residence = residence_time(seg, cfg.topology.coverage_length)
-            version = current_version[vid]
-            entries.append(EntryRecord(now, vid, seg.rsu_index, seg.entry_position, seg.speed,
-                                       version))
-            begun = fed_distill.begin_visit(kc, vid, data.hashes[vid], version >= 0,
-                                            now, residence, cfg)
+        e = entries[i]
+        vid = e.vehicle_id
+        if kind == 1:
+            version = versions[i] = current_version[vid]
+            begun = fed_distill.begin_visit(kcs[e.rsu], vid, data.hashes[vid], version >= 0,
+                                            now, residence_time(e, cfg.topology.coverage_length),
+                                            cfg)
             messages.extend(begun.messages)
             if not begun.proceed:
                 aborted += 1
                 continue
             pending.append((vid, visit_index[vid], begun.integrated))
             visit_index[vid] += 1
-            finish = now + cfg.compute.visit_seconds
-            heapq.heappush(heap, (finish, 2, seq, ("complete", (vid, seg.rsu_index))))
-            seq += 1
+            heapq.heappush(heap, (now + cfg.compute.visit_seconds, 2, i))
             continue
         # Completion.  Every visit finishes the same visit_seconds after its
-        # entry, and equal times pop by seq, which grows with entry order, so
-        # visits complete in entry order, the order of ``ready`` then
-        # ``pending``: the head of ``ready`` is always this visit.
-        vid, rsu = payload
+        # entry, and equal times pop by entry index, so visits complete in
+        # entry order, the order of ``ready`` then ``pending``: the head of
+        # ``ready`` is always this visit.
         if not ready:
             results = fleet.compute(pending)
             ready.extend(zip((job[0] for job in pending), results))
@@ -291,7 +277,7 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
         owner, (knowledge, visit_losses) = ready.popleft()
         if owner != vid:
             raise InvariantError(f"vehicle {vid} completed vehicle {owner}'s visit")
-        messages.extend(fed_distill.complete_visit(kcs[rsu], vid, knowledge, now))
+        messages.extend(fed_distill.complete_visit(kcs[e.rsu], vid, knowledge, now))
         current_version[vid] = len(knowledge_up)
         knowledge_up.append(knowledge)
         losses.append(float(np.mean(visit_losses)) if visit_losses else float("nan"))
@@ -303,8 +289,8 @@ def simulate_protocol(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
     for row, knowledge in zip(lists, knowledge_up):
         row[:] = top_m(latent_codec.decode(data.codec, knowledge).astype(np.float32),
                        cfg.cache.list_m)
-    return ProtocolTrace(lists, entries, messages, len(knowledge_up), aborted, losses,
-                         [tuple(load) for load in fleet.load])
+    return ProtocolTrace(lists, entries, versions, messages, len(knowledge_up), aborted,
+                         losses, [tuple(load) for load in fleet.load])
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +308,6 @@ class FLOutcome:
         return min(1.0, done / required)
 
 
-def _segment_exit(timeline: VehicleTimeline, idx: int, duration: float) -> float:
-    """When the vehicle hands off out of segment idx; the last segment lasts the run,
-    so no segment outlasts the horizon."""
-    if idx + 1 < len(timeline.segments):
-        return timeline.segments[idx + 1].entry_time
-    return duration
-
-
 def parameter_exchange_baseline(kind: str, cfg: SimConfig, motion: MotionEnv) -> FLOutcome:
     """Byte and completion accounting for whole-model exchange schemes.
 
@@ -337,56 +315,49 @@ def parameter_exchange_baseline(kind: str, cfg: SimConfig, motion: MotionEnv) ->
     vector down at its start and up at its end.  The synchronous variant
     (fedavg) runs zone-wide rounds that fail for everyone when any
     participant hands off early; the asynchronous variant (asyfed) lets
-    each vehicle run its own rounds and simply lose unfinished ones.
+    each vehicle run its own rounds from each zone entry and simply lose
+    unfinished ones.  Both read only the motion env's entries.
     """
     per_model = model_bytes(cfg.fl.param_count)
     rs = cfg.fl.round_seconds
-    duration = cfg.sim.duration
     completions: dict[int, list[float]] = {}
     completed_rounds = 0
     messages: list[Message] = []
 
     if kind == "asyfed":
-        for timeline in motion.timelines:
-            vid = timeline.vehicle_id
-            for idx, seg in enumerate(timeline.segments):
-                exit_time = _segment_exit(timeline, idx, duration)
-                j = 0
-                while True:
-                    start = seg.entry_time + j * rs
-                    if start >= exit_time:
-                        break
-                    messages.append(Message(start, f"rsu:{seg.rsu_index}", f"veh:{vid}",
-                                            MSG_FL_MODEL_DOWN, per_model))
-                    end = start + rs
-                    if end < exit_time:
-                        messages.append(Message(end, f"veh:{vid}", f"rsu:{seg.rsu_index}",
-                                                MSG_FL_MODEL_UP, per_model))
-                        completions.setdefault(vid, []).append(end)
-                        completed_rounds += 1
-                    j += 1
+        for e in motion.entries:
+            vid = e.vehicle_id
+            for j in count():
+                start = e.time + j * rs
+                if start >= e.exit_time:
+                    break
+                messages.append(Message(start, f"rsu:{e.rsu}", f"veh:{vid}",
+                                        MSG_FL_MODEL_DOWN, per_model))
+                end = start + rs
+                if end < e.exit_time:
+                    messages.append(Message(end, f"veh:{vid}", f"rsu:{e.rsu}",
+                                            MSG_FL_MODEL_UP, per_model))
+                    completions.setdefault(vid, []).append(end)
+                    completed_rounds += 1
         return FLOutcome(completions, completed_rounds, messages)
 
     # Synchronous rounds on a shared clock, one cohort per zone.
-    occupancy: list[list[tuple[float, float, int, int]]] = [
-        [] for _ in range(cfg.topology.num_rsus)]
-    for timeline in motion.timelines:
-        for idx, seg in enumerate(timeline.segments):
-            occupancy[seg.rsu_index].append(
-                (seg.entry_time, _segment_exit(timeline, idx, duration), timeline.vehicle_id, idx))
+    occupancy: list[list[Entry]] = [[] for _ in range(cfg.topology.num_rsus)]
+    for e in motion.entries:
+        occupancy[e.rsu].append(e)
     k = 0
-    while k * rs < duration:
+    while k * rs < cfg.sim.duration:
         start = k * rs
         end = start + rs
         for rsu, spans in enumerate(occupancy):
-            starters = [(vid, exit_t) for (entry_t, exit_t, vid, _) in spans
-                        if entry_t <= start < exit_t]
+            starters = [e for e in spans if e.time <= start < e.exit_time]
             if not starters:
                 continue
             stayers = []
-            for vid, exit_t in starters:
+            for e in starters:
+                vid = e.vehicle_id
                 messages.append(Message(start, f"rsu:{rsu}", f"veh:{vid}", MSG_FL_MODEL_DOWN, per_model))
-                if exit_t >= end:
+                if e.exit_time >= end:
                     stayers.append(vid)
                     messages.append(Message(end, f"veh:{vid}", f"rsu:{rsu}", MSG_FL_MODEL_UP, per_model))
             if len(stayers) == len(starters):
@@ -394,8 +365,6 @@ def parameter_exchange_baseline(kind: str, cfg: SimConfig, motion: MotionEnv) ->
                 for vid in stayers:
                     completions.setdefault(vid, []).append(end)
         k += 1
-    for times in completions.values():
-        times.sort()
     return FLOutcome(completions, completed_rounds, messages)
 
 
@@ -471,15 +440,14 @@ def _entry_lists(cfg: SimConfig, data: DataEnv, motion: MotionEnv, trace: Protoc
     proposed carries the list its last completed visit left; an FL baseline carries it
     with probability equal to the vehicle's completed share of rounds, else the prior.
     """
-    carried = [trace.lists[e.list_version] if e.list_version >= 0 else None
-               for e in trace.entries]
+    carried = [trace.lists[v] if v >= 0 else None for v in trace.versions]
     if scheme == "proposed":
         return carried, list(trace.messages)
     fl = parameter_exchange_baseline(scheme, cfg, motion)
     messages = list(fl.messages)
     prior_list = top_m(data.prior_scores, cfg.cache.list_m)
     entry_counter, lists = Counter(), []
-    for e, own in zip(trace.entries, carried):
+    for e, own in zip(motion.entries, carried):
         vid = e.vehicle_id
         q = fl.completion_fraction(vid, e.time, cfg.fl.rounds_required)
         pick = substream(cfg.sim.seed, "flpick", scheme, vid, entry_counter[vid]).random()
@@ -491,12 +459,12 @@ def _entry_lists(cfg: SimConfig, data: DataEnv, motion: MotionEnv, trace: Protoc
     return lists, messages
 
 
-def _vote_refreshes(cfg: SimConfig, data: DataEnv, entries: list[EntryRecord],
+def _vote_refreshes(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
                     lists: list[np.ndarray | None]):
     """At each entry, re-rank the entered zone, then the zone left, by a dwell-weighted vote."""
     # vehicle -> (its latest entry, the list it carried); re-inserted at each
     # entry, so each zone's members stay in entry order, the order the votes sum in.
-    members: dict[int, tuple[EntryRecord, np.ndarray | None]] = {}
+    members: dict[int, tuple[Entry, np.ndarray | None]] = {}
 
     def refresh(rsu: int, now: float):
         votes = replacement_scores(
@@ -505,7 +473,7 @@ def _vote_refreshes(cfg: SimConfig, data: DataEnv, entries: list[EntryRecord],
             cfg.cache.eta, cfg.topology.coverage_length, data.num_contents)
         return now, rsu, rank_contents(votes), votes
 
-    for e, ids in zip(entries, lists):
+    for e, ids in zip(motion.entries, lists):
         left = members.pop(e.vehicle_id, None)
         members[e.vehicle_id] = (e, ids)
         yield refresh(e.rsu, e.time)
@@ -556,7 +524,7 @@ def evaluate_caching(cfg: SimConfig, data: DataEnv, motion: MotionEnv,
             raise InvariantError(f"scheme {scheme} needs a protocol trace")
         lists, messages = _entry_lists(cfg, data, motion, trace, scheme)
         messages.sort(key=lambda m: (m.time, m.src, m.dst, m.kind))
-        refreshes = _vote_refreshes(cfg, data, trace.entries, lists)
+        refreshes = _vote_refreshes(cfg, data, motion, lists)
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")
     positions = _replay(motion, refreshes, data.num_contents, cfg.topology.num_rsus, dump)

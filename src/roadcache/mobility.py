@@ -97,7 +97,19 @@ class Segment:
     speed: float
 
 
-def residence_time(seg: Segment, coverage_length: float) -> float:
+@dataclass(frozen=True)
+class Entry:
+    """One zone entry: a segment of a vehicle's timeline and the time it hands off."""
+
+    time: float
+    vehicle_id: int
+    rsu: int
+    entry_position: float
+    speed: float
+    exit_time: float  # the next segment's entry time, or the horizon for the last one
+
+
+def residence_time(seg: Segment | Entry, coverage_length: float) -> float:
     """Seconds from the segment's entry until it reaches the end of its zone."""
     return (coverage_length - seg.entry_position) / seg.speed
 
@@ -143,3 +155,20 @@ def rollout(
             return VehicleTimeline(vehicle_id, segments)
         segments.append(Segment(t, (seg.rsu_index + 1) % topo.num_rsus, 0.0,
                                 sample_speed(dist, rng)))
+
+
+def zone_entries(timelines: list[VehicleTimeline], duration: float) -> list[Entry]:
+    """Every segment that starts before the horizon, in (time, vehicle id) order.
+
+    A segment lasts until the next one starts; the last lasts the run, so
+    no entry outlasts the horizon.  Only a zero horizon drops a segment.
+    """
+    entries = []
+    for timeline in timelines:
+        segs = timeline.segments
+        exits = [seg.entry_time for seg in segs[1:]] + [duration]
+        entries.extend(Entry(seg.entry_time, timeline.vehicle_id, seg.rsu_index,
+                             seg.entry_position, seg.speed, exit_time)
+                       for seg, exit_time in zip(segs, exits) if seg.entry_time < duration)
+    entries.sort(key=lambda e: (e.time, e.vehicle_id))
+    return entries

@@ -75,7 +75,10 @@ def _row(values, where: str) -> ReportRow:
 
 
 def parse_report(blob: bytes, fmt: str = "csv") -> Report:
-    text = blob.decode()
+    try:
+        text = blob.decode()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"a report must be UTF-8 text: {exc}") from None
     rows: list[ReportRow] = []
     if fmt == "csv":
         lines = [ln for ln in text.splitlines() if ln.strip()]

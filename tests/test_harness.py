@@ -5,6 +5,7 @@ import json
 import os
 import pickle
 import re
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -25,16 +26,16 @@ from roadcache.dataset import (RatingMatrix, load_ratings, split_public_users, u
 from roadcache.errors import ConfigError, DataFormatError, InvariantError, TrainingError
 from roadcache.fed_distill import (MSG_HI, MSG_KI, MSG_KNOWLEDGE_DOWN, MSG_REC_LIST,
                                    UPLINK_KINDS)
-from roadcache.mobility import Segment, VehicleTimeline
+from roadcache.mobility import Segment, VehicleTimeline, zone_entries
 from roadcache.rng import substream
 from roadcache.synth import generate, parse_synth_uri
 
 PER_MODEL = 770_000 * 4
 
 
-def motion_with(timelines):
+def motion_with(timelines, duration):
     return harness.MotionEnv(
-        timelines=timelines,
+        entries=zone_entries(timelines, duration),
         request_times=np.zeros(0),
         request_vehicles=np.zeros(0, dtype=np.int64),
         request_contents=np.zeros(0, dtype=np.int64),
@@ -128,7 +129,7 @@ class TestRandomPolicy:
 class TestParameterExchange:
     def test_fedavg_single_round(self):
         cfg = load_config(None, ["sim.duration=20", "fl.round_seconds=20"])
-        motion = motion_with([handoff_timeline(0)])
+        motion = motion_with([handoff_timeline(0)], cfg.sim.duration)
         out = harness.parameter_exchange_baseline("fedavg", cfg, motion)
         assert link_bytes(out) == (PER_MODEL, PER_MODEL)
         assert out.completed_rounds == 1
@@ -137,7 +138,7 @@ class TestParameterExchange:
     def test_fedavg_departure_wastes_downlink(self):
         # Handing off to zone 1 mid-round loses zone 0's round; zone 1 starts none before 20 s.
         cfg = load_config(None, ["sim.duration=20", "fl.round_seconds=20"])
-        motion = motion_with([handoff_timeline(0, handoff=10.0)])
+        motion = motion_with([handoff_timeline(0, handoff=10.0)], cfg.sim.duration)
         out = harness.parameter_exchange_baseline("fedavg", cfg, motion)
         assert link_bytes(out) == (0, PER_MODEL)
         assert out.completed_rounds == 0
@@ -146,7 +147,8 @@ class TestParameterExchange:
     def test_fedavg_cohort_fails_together(self):
         # One early handoff spoils the zone's round for everyone.
         cfg = load_config(None, ["sim.duration=20", "fl.round_seconds=20"])
-        motion = motion_with([handoff_timeline(0), handoff_timeline(1, handoff=10.0)])
+        motion = motion_with([handoff_timeline(0), handoff_timeline(1, handoff=10.0)],
+                             cfg.sim.duration)
         out = harness.parameter_exchange_baseline("fedavg", cfg, motion)
         assert link_bytes(out) == (PER_MODEL, 2 * PER_MODEL)
         assert out.completed_rounds == 0
@@ -156,7 +158,7 @@ class TestParameterExchange:
         cfg = load_config(None, ["sim.duration=100", "fl.round_seconds=20"])
         # Zone 0 until the 50 s handoff, zone 1 to the end: each zone completes
         # two rounds and loses the third, cut by the handoff or by the horizon.
-        motion = motion_with([handoff_timeline(0, handoff=50.0)])
+        motion = motion_with([handoff_timeline(0, handoff=50.0)], cfg.sim.duration)
         out = harness.parameter_exchange_baseline("asyfed", cfg, motion)
         assert link_bytes(out) == (4 * PER_MODEL, 6 * PER_MODEL)
         assert out.completed_rounds == 4
@@ -218,8 +220,9 @@ class TestReportFormats:
         blob = (report.CSV_HEADER + "\nproposed,500\n").encode()
         with pytest.raises(DataFormatError):
             report.parse_report(blob, "csv")
-        # A column that will not cast, a JSON row missing a column, and a JSON
-        # row that is not an object: each exits 2 naming the file and the row.
+        # A column that will not cast, a JSON row missing a column, a JSON row
+        # that is not an object, and bytes that are not UTF-8: each exits 2
+        # naming the file, and the row where there is one.
         row = asdict(self.make_report().rows[0])
         missing = {k: v for k, v in row.items() if k != "capacity"}
         saved = tmp_path / "saved"
@@ -228,8 +231,12 @@ class TestReportFormats:
                  "line 2: bad report row: ValueError("),
                 (json.dumps({"rows": [row, missing]}), "rows[1]: bad report row: KeyError('capacity')"),
                 (json.dumps({"rows": [row, [1, 2]]}), "rows[1]: bad report row: TypeError("),
-                (json.dumps({"rows": 5}), "a JSON report's rows must be a list, not 5")):
-            saved.write_text(text)
+                (json.dumps({"rows": 5}), "a JSON report's rows must be a list, not 5"),
+                (b"\xff\xfe", "a report must be UTF-8 text: ")):
+            if isinstance(text, bytes):
+                saved.write_bytes(text)
+            else:
+                saved.write_text(text)
             assert cli.main(["report", "--in", str(saved)]) == 2
             assert f"{saved}: {where}" in capsys.readouterr().err
 
@@ -279,15 +286,20 @@ def roadcache_cli(*args, cwd=None):
 
 class TestRunSimulation:
     def test_zero_duration_guarded(self):
-        cfg = load_config(None, ["sim.duration=0", "sim.scheme=random",
-                                 "data.path=synth://users=30,contents=80,seed=7",
-                                 "data.num_vehicles=6", "codec.latent_dim=4",
-                                 "cache.capacity_n=10", "cache.list_m=20"])
-        rep = harness.run_simulation(cfg)
-        row = rep.rows[0]
-        assert row.hit_pct == 0.0
-        assert row.mean_latency_ms == 0.0
-        assert row.uplink_mb == 0.0
+        # The one horizon that drops a zone entry: every vehicle starts its
+        # first zone at t = 0, which is not before it.  Every scheme serves
+        # no request and bills no byte.
+        for scheme in SCHEMES:
+            cfg = load_config(None, ["sim.duration=0", f"sim.scheme={scheme}",
+                                     "data.path=synth://users=30,contents=80,seed=7",
+                                     "data.num_vehicles=6", "codec.latent_dim=4",
+                                     "cache.capacity_n=10", "cache.list_m=20"])
+            rep = harness.run_simulation(cfg)
+            row = rep.rows[0]
+            assert row.hit_pct == 0.0, scheme
+            assert row.mean_latency_ms == 0.0, scheme
+            assert row.uplink_mb == 0.0, scheme
+            assert row.downlink_mb == 0.0, scheme
 
     def test_window_only_runs_train_no_codec(self, tiny_cfg_path, monkeypatch):
         """Window schemes read no model, so neither a run nor a sweep of them fits one."""
@@ -357,7 +369,7 @@ def test_protocol_ledger_follows_each_entry(tiny_stack):
     knowledge come down at entry and one KI go up at entry + budget.  Each
     message is claimed by exactly one entry.
     """
-    cfg, _, _, trace = tiny_stack
+    cfg, _, motion, trace = tiny_stack
     budget, L = cfg.compute.visit_seconds, cfg.codec.latent_dim
     sizes = {MSG_HI: fed_distill.hi_bytes(L), MSG_KI: fed_distill.ki_bytes(L),
              MSG_KNOWLEDGE_DOWN: fed_distill.knowledge_bytes(L),
@@ -370,12 +382,15 @@ def test_protocol_ledger_follows_each_entry(tiny_stack):
         assert veh.startswith("veh:") and rsu.startswith("rsu:"), m
         sent[veh, m.time].append((m.kind, rsu))
 
+    # The phase walks the motion env's own entries and adds one list version to each.
+    assert trace.entries is motion.entries
+    assert len(trace.versions) == len(motion.entries)
     outcomes = Counter()
-    for e in trace.entries:
+    for e, version in zip(motion.entries, trace.versions):
         veh, rsu = f"veh:{e.vehicle_id}", f"rsu:{e.rsu}"
         stays = (cfg.topology.coverage_length - e.entry_position) / e.speed >= budget
         at_entry = sent[veh, e.time]
-        head = [(MSG_REC_LIST, rsu)] * (e.list_version >= 0) + [(MSG_HI, rsu)]
+        head = [(MSG_REC_LIST, rsu)] * (version >= 0) + [(MSG_HI, rsu)]
         assert at_entry[:len(head)] == head, (e, at_entry)
         del at_entry[:len(head)]
         finish = e.time + budget
@@ -398,12 +413,12 @@ def test_protocol_ledger_follows_each_entry(tiny_stack):
 
 
 def test_request_zones_match_segments(tiny_stack):
-    """Each request's zone is that of the last segment its vehicle entered by then."""
+    """Each request's zone is that of its vehicle's latest entry at or before it."""
     _, _, motion, _ = tiny_stack
     assert len(motion.request_times) > 0
     for t, vid, rsu in zip(motion.request_times, motion.request_vehicles, motion.request_rsus):
-        entered = [seg for seg in motion.timelines[vid].segments if seg.entry_time <= t]
-        assert rsu == entered[-1].rsu_index
+        entered = [e for e in motion.entries if e.vehicle_id == vid and e.time <= t]
+        assert rsu == entered[-1].rsu
 
 
 class TestEvaluationAccounting:
@@ -434,14 +449,14 @@ class TestEvaluationAccounting:
         K = 4
         cfg = load_config(None, [])
         data = SimpleNamespace(num_contents=K, num_vehicles=1, prior_scores=np.ones(K))
-        motion = motion_with([])
+        motion = motion_with([VehicleTimeline(0, [Segment(5.0, 0, 0.0, 25.0)])], cfg.sim.duration)
         motion.request_times = np.array([1.0, 6.0])
         motion.request_vehicles = np.zeros(2, dtype=np.int64)
         motion.request_contents = np.ones(2, dtype=np.int64)
         motion.request_rsus = np.zeros(2, dtype=np.int32)
         trace = harness.ProtocolTrace(
             lists=np.zeros((0, cfg.cache.list_m), dtype=np.int64),
-            entries=[harness.EntryRecord(5.0, 0, 0, 0.0, 25.0, -1)],
+            entries=motion.entries, versions=[-1],
             messages=[], completed_visits=0, aborted_visits=0, losses=[])
         curve, _ = harness.evaluate_caching(cfg, data, motion, trace, "proposed", [1, K, 2 * K])
         assert [(m.hits, m.misses) for m in curve] == [(1, 1)] * 3
@@ -453,15 +468,15 @@ class TestEvaluationAccounting:
         cfg = load_config(None, [])
         data = SimpleNamespace(num_contents=K, num_vehicles=1, prior_scores=np.ones(K))
         # The vehicle carries list [3] into RSU 0 at t=5, then into RSU 1 at t=10.
+        timeline = VehicleTimeline(0, [Segment(5.0, 0, 0.0, 25.0), Segment(10.0, 1, 0.0, 25.0)])
         trace = harness.ProtocolTrace(
             lists=np.array([[3]]),
-            entries=[harness.EntryRecord(5.0, 0, 0, 0.0, 25.0, 0),
-                     harness.EntryRecord(10.0, 0, 1, 0.0, 25.0, 0)],
+            entries=zone_entries([timeline], cfg.sim.duration), versions=[0, 0],
             messages=[], completed_visits=1, aborted_visits=0, losses=[])
 
         def hits(scheme, t):
             """Hits at N = 1 and 3 of one request for content 3 at RSU 0 at time t."""
-            motion = motion_with([])
+            motion = motion_with([timeline], cfg.sim.duration)
             motion.request_times = np.array([t])
             motion.request_vehicles = np.zeros(1, dtype=np.int64)
             motion.request_contents = np.array([3])
@@ -742,6 +757,29 @@ class TestCli:
         assert cli.main(argv) == 2
         assert message in capsys.readouterr().err
         assert built == []
+
+    @pytest.mark.parametrize("setting", ["speeds = 0:inf:1", "speeds = -inf:0:1",
+                                         "speeds = 0:1e12:1", "seeds = 0:1000000000000:1"])
+    def test_endless_grid_range_exits_2(self, tiny_cfg_path, tmp_path, setting):
+        """A range with an infinite, NaN or huge value count exits 2 before its loop.
+
+        Run in a child process with a 512 MiB address space and a timeout, so
+        a range that did expand fails fast instead of filling the host's memory.
+        """
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("\n".join([f"config = {tiny_cfg_path}", "schemes = random", setting]))
+        limit = 512 * 2**20
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run([sys.executable, "-m", "roadcache.cli", "sweep", "--grid", str(grid),
+                               "--out", str(tmp_path / "o")],
+                              capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+        assert proc.returncode == 2, proc.stderr[-400:]
+        assert (f"grid.cfg:3: {setting}: a range may give at most {cli.MAX_RANGE_VALUES} values"
+                in proc.stderr)
 
     def test_unreadable_grid_exits_2(self, tiny_cfg_path, tmp_path, capsys):
         grid = tmp_path / "grid.cfg"

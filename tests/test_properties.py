@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from roadcache import caching, ldpm, report
 from roadcache import fed_distill as fd
-from roadcache.config import MobilityGroup, SimConfig
+from roadcache.config import MobilityGroup, SimConfig, load_config
 from roadcache.errors import ConfigError
-from roadcache.mobility import truncated_gaussian_pdf
+from roadcache.mobility import residence_time, rollout, truncated_gaussian_pdf, zone_entries
+from roadcache.rng import substream
 
 from oracles import kl_tempered
 
@@ -138,3 +139,34 @@ def test_report_row_round_trip(scheme, capacity, speed, hits, misses, latency,
     for fmt in ("csv", "json"):
         blob = report.emit_report(rep, fmt)
         assert report.parse_report(blob, fmt).rows == [row]
+
+
+@COMMON
+@given(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=600.0)),
+       st.integers(min_value=1, max_value=4),
+       st.floats(min_value=50.0, max_value=1000.0),
+       st.floats(min_value=15.0, max_value=35.0),
+       st.integers(min_value=0, max_value=3))
+def test_zone_entries_chain_each_vehicle_around_the_ring(duration, num_rsus, coverage, mu, seed):
+    cfg = load_config(None, [f"sim.duration={duration!r}", f"topology.num_rsus={num_rsus}",
+                             f"topology.coverage_length={coverage!r}", f"mobility.mu={mu!r}"])
+    timelines = [rollout(vid, cfg.mobility, cfg.topology, duration,
+                         substream(seed, "mobility", "speed", vid),
+                         initial_offset=substream(seed, "mobility", "init", vid).uniform(
+                             0.0, cfg.topology.road_length))
+                 for vid in range(3)]
+    entries = zone_entries(timelines, duration)
+    keys = [(e.time, e.vehicle_id) for e in entries]
+    assert keys == sorted(keys)
+    assert all(e.time < duration for e in entries)
+    for timeline in timelines:
+        mine = [e for e in entries if e.vehicle_id == timeline.vehicle_id]
+        if duration == 0:
+            assert mine == []
+            continue
+        assert mine[0].time == 0.0
+        assert [e.exit_time for e in mine] == [e.time for e in mine[1:]] + [duration]
+        assert all(b.rsu == (a.rsu + 1) % num_rsus for a, b in zip(mine, mine[1:]))
+        for e, seg in zip(mine, timeline.segments, strict=True):
+            assert (e.time, e.rsu) == (seg.entry_time, seg.rsu_index)
+            assert residence_time(e, coverage) == residence_time(seg, coverage)
