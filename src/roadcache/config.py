@@ -17,6 +17,8 @@ SCHEMES = ("proposed", "oracle", "n_tau_greedy", "fedavg", "asyfed", "random")
 # Most sync periods or FL rounds a run's duration may hold, and most zones
 # a vehicle at top speed may cross in it.
 MAX_PERIODS = 10_000
+# Most RSUs a road may have: the replay holds a catalog-wide int64 row per RSU.
+MAX_RSUS = 1_000
 
 
 @dataclass
@@ -147,11 +149,11 @@ class SimConfig:
             raise ConfigError(
                 "mobility window [v_min, v_max] carries vanishing probability mass; "
                 "move mobility.mu/sigma and the bounds closer together")
-        if t.num_rsus < 1:
-            raise ConfigError("topology.num_rsus must be >= 1")
+        if not (1 <= t.num_rsus <= MAX_RSUS):
+            raise ConfigError(f"topology.num_rsus must be in 1..{MAX_RSUS}")
         if t.coverage_length <= 0:
             raise ConfigError("topology.coverage_length must be > 0")
-        # Each zone crossing is one mobility segment, made before any protocol
+        # Each zone crossing is one mobility entry, made before any protocol
         # work: a tiny zone or a huge top speed would fill memory first.
         if s.duration * m.v_max > MAX_PERIODS * t.coverage_length:
             raise ConfigError(f"sim.duration * mobility.v_max = {s.duration * m.v_max:g} m crosses "

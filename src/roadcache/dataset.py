@@ -3,7 +3,8 @@
 Ratings arrive as a file of ``UserID::MovieID::Rating::Timestamp`` lines
 (the 1M MovieLens layout) or a ``.csv`` file whose first line is the
 header ``user_id,content_id,rating,timestamp``: the extension picks the
-format.  A file's catalog is its largest rated id; nothing overrides it.
+format.  A file's catalog is its largest rated id, at most
+``synth.MAX_CONTENTS``; nothing overrides it.
 A ``synth://`` path takes its columns straight from the synthetic
 generator, with the dtypes and row order the parser would give for the
 same ratings written as lines, and its catalog is the URI's ``contents``.
@@ -24,6 +25,9 @@ import numpy as np
 
 from . import synth
 from .errors import ConfigError, DataFormatError
+
+_INT32 = np.iinfo(np.int32)
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass
@@ -101,8 +105,12 @@ def _rating_columns(path):
             raise DataFormatError(f"non-integer field in {source!r}", lineno, path) from None
         if not (1 <= r <= 5):
             raise DataFormatError(f"rating {r} outside 1..5", lineno, path)
-        if c < 1:
-            raise DataFormatError(f"content id {c} must be >= 1", lineno, path)
+        if not (1 <= c <= synth.MAX_CONTENTS):
+            raise DataFormatError(f"content id {c} outside 1..{synth.MAX_CONTENTS}", lineno, path)
+        if not (_INT32.min <= u <= _INT32.max):
+            raise DataFormatError(f"user id {u} does not fit an int32", lineno, path)
+        if not (_INT64.min <= t <= _INT64.max):
+            raise DataFormatError(f"timestamp {t} does not fit an int64", lineno, path)
         users.append(u); contents.append(c); ratings.append(r); stamps.append(t)
     return users, contents, ratings, stamps
 

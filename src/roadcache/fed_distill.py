@@ -11,8 +11,9 @@ of ``roadcache.fleet`` run, vehicle-side) and uploads fresh
 knowledge before leaving (``complete_visit``).  The list it uploads at
 its next entry is the top-M of that knowledge decoded: the harness
 derives it in the main process, so this module never sees the codec.  A
-backhaul merge periodically reconciles all RSU caches to the
-per-vehicle latest.
+backhaul merge (``merge_kc``) periodically gives every RSU one view:
+each vehicle's HI and its KI both come from the RSU holding its newest
+HI, so the merged KI can be older than one another RSU held, or absent.
 
 Every over-the-air payload is metered: 4 bytes per real value or id,
 8 bytes per timestamp.  Backhaul reconciliation is wired and unmetered.

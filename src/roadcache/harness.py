@@ -182,7 +182,7 @@ def build_motion_env(cfg: SimConfig, locals_: list[LocalDataset]) -> MotionEnv:
         mine = trace.vehicle_ids == timeline.vehicle_id
         rsus[mine] = timeline.rsu_at(trace.times[mine])
     return MotionEnv(
-        entries=zone_entries(timelines, cfg.sim.duration),
+        entries=zone_entries(timelines),
         request_times=trace.times,
         request_vehicles=trace.vehicle_ids,
         request_contents=trace.content_ids,

@@ -12,6 +12,11 @@ handing off to the next one (the last zone hands off to the first).
 A vehicle keeps one speed for the whole zone and draws a fresh speed
 each time it crosses into the next zone.  Zone crossings are computed
 exactly from the kinematics, never quantized to a time step.
+
+One record describes a zone stay: ``rollout`` emits each vehicle's
+``Entry`` list (entry time, zone, position, speed and hand-off time),
+and ``zone_entries`` merges the vehicles' lists into the one entry list
+that the protocol phase, the FL baselines and the cache vote read.
 """
 
 from __future__ import annotations
@@ -88,44 +93,41 @@ def sample_speed(dist: MobilityGroup, rng: np.random.Generator) -> float:
 
 
 @dataclass(frozen=True)
-class Segment:
-    """One constant-speed stretch of a vehicle's timeline inside one zone."""
-
-    entry_time: float
-    rsu_index: int
-    entry_position: float
-    speed: float
-
-
-@dataclass(frozen=True)
 class Entry:
-    """One zone entry: a segment of a vehicle's timeline and the time it hands off."""
+    """One zone stay: a vehicle enters zone ``rsu`` at ``time`` and hands off at ``exit_time``.
+
+    The vehicle enters ``entry_position`` metres into the zone and keeps
+    ``speed`` until it leaves.  ``exit_time`` is the next entry's time, or
+    the horizon for the vehicle's last entry.
+    """
 
     time: float
     vehicle_id: int
     rsu: int
     entry_position: float
     speed: float
-    exit_time: float  # the next segment's entry time, or the horizon for the last one
+    exit_time: float
 
 
-def residence_time(seg: Segment | Entry, coverage_length: float) -> float:
-    """Seconds from the segment's entry until it reaches the end of its zone."""
-    return (coverage_length - seg.entry_position) / seg.speed
+def residence_time(entry: Entry, coverage_length: float) -> float:
+    """Seconds from the entry until the vehicle reaches the end of its zone."""
+    return (coverage_length - entry.entry_position) / entry.speed
 
 
 @dataclass
 class VehicleTimeline:
+    """A vehicle's zone entries, in time order; every one starts before the horizon."""
+
     vehicle_id: int
-    segments: list[Segment]
+    segments: list[Entry]
 
     def entry_times(self) -> np.ndarray:
-        return np.array([s.entry_time for s in self.segments])
+        return np.array([e.time for e in self.segments])
 
     def rsu_at(self, t: float | np.ndarray) -> int | np.ndarray:
         """Zone occupied at time t; an array of times gives an array of zones."""
         idx = np.searchsorted(self.entry_times(), t, side="right") - 1
-        zones = np.array([s.rsu_index for s in self.segments])[np.maximum(idx, 0)]
+        zones = np.array([e.rsu for e in self.segments])[np.maximum(idx, 0)]
         return zones if np.ndim(t) else int(zones)
 
 
@@ -138,37 +140,27 @@ def rollout(
     *,
     initial_offset: float = 0.0,
 ) -> VehicleTimeline:
-    """Precompute a vehicle's whole sequence of zone visits up to duration.
+    """Precompute a vehicle's zone entries up to the horizon ``duration``.
 
     The vehicle starts at a global road offset at t = 0 and draws a new
     speed at every zone entry, wrapping to the first zone after the last,
-    so it stays on the ring until the horizon.
+    so it stays on the ring until the horizon.  Each entry hands off when
+    the next one starts; the last starts before the horizon and ends at
+    it, and a zero horizon gives no entry.
     """
     B = topo.coverage_length
     offset = initial_offset % topo.road_length
     rsu = min(int(offset // B), topo.num_rsus - 1)
-    segments = [Segment(0.0, rsu, offset - rsu * B, sample_speed(dist, rng))]
-    while True:
-        seg = segments[-1]
-        t = seg.entry_time + residence_time(seg, B)
-        if t >= duration:
-            return VehicleTimeline(vehicle_id, segments)
-        segments.append(Segment(t, (seg.rsu_index + 1) % topo.num_rsus, 0.0,
-                                sample_speed(dist, rng)))
+    t, position, entries = 0.0, offset - rsu * B, []
+    while t < duration:
+        speed = sample_speed(dist, rng)
+        exit_time = t + (B - position) / speed
+        entries.append(Entry(t, vehicle_id, rsu, position, speed, min(exit_time, duration)))
+        t, rsu, position = exit_time, (rsu + 1) % topo.num_rsus, 0.0
+    return VehicleTimeline(vehicle_id, entries)
 
 
-def zone_entries(timelines: list[VehicleTimeline], duration: float) -> list[Entry]:
-    """Every segment that starts before the horizon, in (time, vehicle id) order.
-
-    A segment lasts until the next one starts; the last lasts the run, so
-    no entry outlasts the horizon.  Only a zero horizon drops a segment.
-    """
-    entries = []
-    for timeline in timelines:
-        segs = timeline.segments
-        exits = [seg.entry_time for seg in segs[1:]] + [duration]
-        entries.extend(Entry(seg.entry_time, timeline.vehicle_id, seg.rsu_index,
-                             seg.entry_position, seg.speed, exit_time)
-                       for seg, exit_time in zip(segs, exits) if seg.entry_time < duration)
-    entries.sort(key=lambda e: (e.time, e.vehicle_id))
-    return entries
+def zone_entries(timelines: list[VehicleTimeline]) -> list[Entry]:
+    """Every vehicle's entries, merged in (time, vehicle id) order."""
+    return sorted((e for timeline in timelines for e in timeline.segments),
+                  key=lambda e: (e.time, e.vehicle_id))

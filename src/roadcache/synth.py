@@ -21,6 +21,10 @@ POPULARITY_EXPONENT = 0.9
 MIN_RATINGS = 30
 MAX_RATINGS = 400
 TIME_SPAN = 365 * 24 * 3600
+# Set-up holds the public (or riders') ratings as one dense (users, K)
+# float64 array, so these bound it; a file's catalog obeys MAX_CONTENTS too.
+MAX_USERS = 10_000
+MAX_CONTENTS = 10_000
 
 
 def parse_synth_uri(uri: str) -> dict[str, int]:
@@ -40,6 +44,9 @@ def parse_synth_uri(uri: str) -> dict[str, int]:
                 raise ConfigError(f"synth parameter {key} must be an integer") from None
     if params["users"] < 1 or params["contents"] < NUM_GENRES:
         raise ConfigError(f"synth needs users >= 1 and contents >= {NUM_GENRES}")
+    for key, bound in (("users", MAX_USERS), ("contents", MAX_CONTENTS)):
+        if params[key] > bound:
+            raise ConfigError(f"synth parameter {key}={params[key]} exceeds {bound} in {uri!r}")
     return params
 
 

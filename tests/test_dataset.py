@@ -19,7 +19,7 @@ from roadcache.dataset import (
 )
 from roadcache.errors import ConfigError, DataFormatError
 from roadcache.rng import substream
-from roadcache.synth import generate, parse_synth_uri
+from roadcache.synth import MAX_CONTENTS, MAX_USERS, generate, parse_synth_uri
 
 THREE_LINES = [
     "1::10::5::100\n",
@@ -293,6 +293,28 @@ def test_synth_uri_parsing():
         parse_synth_uri("synth://riders=4")
     with pytest.raises(ConfigError):
         parse_synth_uri("synth://users=abc")
+    at = parse_synth_uri(f"synth://users={MAX_USERS},contents={MAX_CONTENTS}")
+    assert (at["users"], at["contents"]) == (MAX_USERS, MAX_CONTENTS)
+    for key, value in (("users", MAX_USERS + 1), ("contents", MAX_CONTENTS + 1)):
+        with pytest.raises(ConfigError, match=f"{key}={value} exceeds"):
+            parse_synth_uri(f"synth://{key}={value}")
+
+
+def test_ids_and_stamps_fit_their_columns(tmp_path):
+    """The loader admits every value its columns and the catalog bound hold, and
+    names the file and line of the first one outside them."""
+    i32, i64 = np.iinfo(np.int32), np.iinfo(np.int64)
+    m = load_lines(tmp_path, [f"{i32.max}::{MAX_CONTENTS}::5::{i64.max}\n",
+                              f"{i32.min}::1::4::{i64.min}\n"])
+    assert m.num_contents == MAX_CONTENTS
+    assert m.users.tolist() == [i32.max, i32.min]
+    assert m.timestamps.tolist() == [i64.max, i64.min]
+    for bad in (f"1::{MAX_CONTENTS + 1}::5::11", f"{i32.max + 1}::1::5::11",
+                f"{i32.min - 1}::1::5::11", f"1::1::5::{i64.max + 1}",
+                f"1::1::5::{i64.min - 1}"):
+        with pytest.raises(DataFormatError, match=r"ratings\.dat:2: ") as err:
+            load_lines(tmp_path, ["1::10::5::100\n", bad + "\n"])
+        assert err.value.line_no == 2
 
 
 def test_synth_lines_parse_and_reproduce():

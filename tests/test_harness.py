@@ -26,16 +26,16 @@ from roadcache.dataset import (RatingMatrix, load_ratings, split_public_users, u
 from roadcache.errors import ConfigError, DataFormatError, InvariantError, TrainingError
 from roadcache.fed_distill import (MSG_HI, MSG_KI, MSG_KNOWLEDGE_DOWN, MSG_REC_LIST,
                                    UPLINK_KINDS)
-from roadcache.mobility import Segment, VehicleTimeline, zone_entries
+from roadcache.mobility import Entry, VehicleTimeline, zone_entries
 from roadcache.rng import substream
 from roadcache.synth import generate, parse_synth_uri
 
 PER_MODEL = 770_000 * 4
 
 
-def motion_with(timelines, duration):
+def motion_with(timelines):
     return harness.MotionEnv(
-        entries=zone_entries(timelines, duration),
+        entries=zone_entries(timelines),
         request_times=np.zeros(0),
         request_vehicles=np.zeros(0, dtype=np.int64),
         request_contents=np.zeros(0, dtype=np.int64),
@@ -44,15 +44,14 @@ def motion_with(timelines, duration):
     )
 
 
-def handoff_timeline(vid, handoff=None, rsu=0):
+def handoff_timeline(vid, duration, handoff=None, rsu=0):
     """A vehicle entering zone rsu at t=0 that hands off to the next zone at
-    t=handoff (its speed makes that the zone's residence time), or stays to the end."""
-    speed = 25.0 if handoff is None else 500.0 / handoff
-    segments = [Segment(entry_time=0.0, rsu_index=rsu, entry_position=0.0, speed=speed)]
-    if handoff is not None:
-        segments.append(Segment(entry_time=handoff, rsu_index=rsu + 1, entry_position=0.0,
-                                speed=25.0))
-    return VehicleTimeline(vehicle_id=vid, segments=segments)
+    t=handoff (its speed makes that the zone's residence time), or stays to
+    the horizon ``duration``."""
+    if handoff is None:
+        return VehicleTimeline(vid, [Entry(0.0, vid, rsu, 0.0, 25.0, duration)])
+    return VehicleTimeline(vid, [Entry(0.0, vid, rsu, 0.0, 500.0 / handoff, handoff),
+                                 Entry(handoff, vid, rsu + 1, 0.0, 25.0, duration)])
 
 
 def link_bytes(outcome):
@@ -129,7 +128,7 @@ class TestRandomPolicy:
 class TestParameterExchange:
     def test_fedavg_single_round(self):
         cfg = load_config(None, ["sim.duration=20", "fl.round_seconds=20"])
-        motion = motion_with([handoff_timeline(0)], cfg.sim.duration)
+        motion = motion_with([handoff_timeline(0, cfg.sim.duration)])
         out = harness.parameter_exchange_baseline("fedavg", cfg, motion)
         assert link_bytes(out) == (PER_MODEL, PER_MODEL)
         assert out.completed_rounds == 1
@@ -138,7 +137,7 @@ class TestParameterExchange:
     def test_fedavg_departure_wastes_downlink(self):
         # Handing off to zone 1 mid-round loses zone 0's round; zone 1 starts none before 20 s.
         cfg = load_config(None, ["sim.duration=20", "fl.round_seconds=20"])
-        motion = motion_with([handoff_timeline(0, handoff=10.0)], cfg.sim.duration)
+        motion = motion_with([handoff_timeline(0, cfg.sim.duration, handoff=10.0)])
         out = harness.parameter_exchange_baseline("fedavg", cfg, motion)
         assert link_bytes(out) == (0, PER_MODEL)
         assert out.completed_rounds == 0
@@ -147,8 +146,8 @@ class TestParameterExchange:
     def test_fedavg_cohort_fails_together(self):
         # One early handoff spoils the zone's round for everyone.
         cfg = load_config(None, ["sim.duration=20", "fl.round_seconds=20"])
-        motion = motion_with([handoff_timeline(0), handoff_timeline(1, handoff=10.0)],
-                             cfg.sim.duration)
+        motion = motion_with([handoff_timeline(0, cfg.sim.duration),
+                              handoff_timeline(1, cfg.sim.duration, handoff=10.0)])
         out = harness.parameter_exchange_baseline("fedavg", cfg, motion)
         assert link_bytes(out) == (PER_MODEL, 2 * PER_MODEL)
         assert out.completed_rounds == 0
@@ -158,7 +157,7 @@ class TestParameterExchange:
         cfg = load_config(None, ["sim.duration=100", "fl.round_seconds=20"])
         # Zone 0 until the 50 s handoff, zone 1 to the end: each zone completes
         # two rounds and loses the third, cut by the handoff or by the horizon.
-        motion = motion_with([handoff_timeline(0, handoff=50.0)], cfg.sim.duration)
+        motion = motion_with([handoff_timeline(0, cfg.sim.duration, handoff=50.0)])
         out = harness.parameter_exchange_baseline("asyfed", cfg, motion)
         assert link_bytes(out) == (4 * PER_MODEL, 6 * PER_MODEL)
         assert out.completed_rounds == 4
@@ -282,6 +281,19 @@ def tiny_cfg_path(tmp_path_factory):
 def roadcache_cli(*args, cwd=None):
     return subprocess.run([sys.executable, "-m", "roadcache.cli", *args],
                           capture_output=True, text=True, cwd=cwd, timeout=300)
+
+
+def capped_cli(*args):
+    """Run the CLI in a child process with a 512 MiB address space and a 60 s
+    timeout, so an input that did expand fails fast instead of filling the host's memory."""
+    limit = 512 * 2**20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run([sys.executable, "-m", "roadcache.cli", *args],
+                          capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
 
 
 class TestRunSimulation:
@@ -449,7 +461,7 @@ class TestEvaluationAccounting:
         K = 4
         cfg = load_config(None, [])
         data = SimpleNamespace(num_contents=K, num_vehicles=1, prior_scores=np.ones(K))
-        motion = motion_with([VehicleTimeline(0, [Segment(5.0, 0, 0.0, 25.0)])], cfg.sim.duration)
+        motion = motion_with([VehicleTimeline(0, [Entry(5.0, 0, 0, 0.0, 25.0, cfg.sim.duration)])])
         motion.request_times = np.array([1.0, 6.0])
         motion.request_vehicles = np.zeros(2, dtype=np.int64)
         motion.request_contents = np.ones(2, dtype=np.int64)
@@ -468,15 +480,16 @@ class TestEvaluationAccounting:
         cfg = load_config(None, [])
         data = SimpleNamespace(num_contents=K, num_vehicles=1, prior_scores=np.ones(K))
         # The vehicle carries list [3] into RSU 0 at t=5, then into RSU 1 at t=10.
-        timeline = VehicleTimeline(0, [Segment(5.0, 0, 0.0, 25.0), Segment(10.0, 1, 0.0, 25.0)])
+        timeline = VehicleTimeline(0, [Entry(5.0, 0, 0, 0.0, 25.0, 10.0),
+                                       Entry(10.0, 0, 1, 0.0, 25.0, cfg.sim.duration)])
         trace = harness.ProtocolTrace(
             lists=np.array([[3]]),
-            entries=zone_entries([timeline], cfg.sim.duration), versions=[0, 0],
+            entries=zone_entries([timeline]), versions=[0, 0],
             messages=[], completed_visits=1, aborted_visits=0, losses=[])
 
         def hits(scheme, t):
             """Hits at N = 1 and 3 of one request for content 3 at RSU 0 at time t."""
-            motion = motion_with([timeline], cfg.sim.duration)
+            motion = motion_with([timeline])
             motion.request_times = np.array([t])
             motion.request_vehicles = np.zeros(1, dtype=np.int64)
             motion.request_contents = np.array([3])
@@ -761,25 +774,41 @@ class TestCli:
     @pytest.mark.parametrize("setting", ["speeds = 0:inf:1", "speeds = -inf:0:1",
                                          "speeds = 0:1e12:1", "seeds = 0:1000000000000:1"])
     def test_endless_grid_range_exits_2(self, tiny_cfg_path, tmp_path, setting):
-        """A range with an infinite, NaN or huge value count exits 2 before its loop.
-
-        Run in a child process with a 512 MiB address space and a timeout, so
-        a range that did expand fails fast instead of filling the host's memory.
-        """
+        """A range with an infinite, NaN or huge value count exits 2 before its loop."""
         grid = tmp_path / "grid.cfg"
         grid.write_text("\n".join([f"config = {tiny_cfg_path}", "schemes = random", setting]))
-        limit = 512 * 2**20
-
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        proc = subprocess.run([sys.executable, "-m", "roadcache.cli", "sweep", "--grid", str(grid),
-                               "--out", str(tmp_path / "o")],
-                              capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
-                              env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+        proc = capped_cli("sweep", "--grid", str(grid), "--out", str(tmp_path / "o"))
         assert proc.returncode == 2, proc.stderr[-400:]
         assert (f"grid.cfg:3: {setting}: a range may give at most {cli.MAX_RANGE_VALUES} values"
                 in proc.stderr)
+
+    @pytest.mark.parametrize("setting, where", [
+        ("data.path=synth://users=2,contents=100000000000,seed=1", "contents=100000000000"),
+        ("data.path=synth://users=100000000,contents=100,seed=1", "users=100000000"),
+        ("data.path=1::1000000000000::5::11", "ratings.dat:2:"),
+        ("data.path=99999999999::1::5::11", "ratings.dat:2:"),
+        ("data.path=1::1::5::99999999999999999999", "ratings.dat:2:"),
+        ("data.path=1::1000000000::5::11", "ratings.dat:2:"),
+        ("topology.num_rsus=10000000", "topology.num_rsus"),
+    ], ids=["synth-huge-catalog", "synth-huge-user-count", "dat-huge-content-id",
+            "dat-user-id-past-int32", "dat-timestamp-past-int64", "dat-content-id-past-catalog",
+            "huge-rsu-count"])
+    def test_oversized_input_exits_2(self, tiny_cfg_path, tmp_path, setting, where):
+        """An id too wide for its column, or a size whose set-up or replay would not fit
+        in memory, exits 2 at load, naming the key, the parameter or ``file:line``.
+
+        A ``data.path=`` setting that is not a URI is one ``.dat`` line, written
+        after a valid one.
+        """
+        key, value = setting.split("=", 1)
+        if key == "data.path" and not value.startswith("synth://"):
+            path = tmp_path / "ratings.dat"
+            path.write_text(f"1::10::5::100\n{value}\n")
+            setting = f"data.path={path}"
+        proc = capped_cli("run", "--config", tiny_cfg_path, "--set", "sim.scheme=random",
+                          "--set", setting, "--out", str(tmp_path / "report.csv"))
+        assert proc.returncode == 2, proc.stderr[-400:]
+        assert where in proc.stderr
 
     def test_unreadable_grid_exits_2(self, tiny_cfg_path, tmp_path, capsys):
         grid = tmp_path / "grid.cfg"

@@ -1,6 +1,7 @@
 """Speed distribution, residence, and rollout behavior."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from roadcache.config import MobilityGroup, SimConfig, TopologyGroup
 from roadcache.errors import ConfigError
 from roadcache.mobility import (
-    Segment,
+    Entry,
     residence_time,
     rollout,
     sample_speed,
@@ -131,36 +132,40 @@ def test_cdf_endpoints_and_midpoint():
     assert truncated_gaussian_cdf(25.0, DIST) == pytest.approx(0.5, abs=1e-12)
 
 
-def _segment(position, speed):
-    return Segment(entry_time=0.0, rsu_index=0, entry_position=position, speed=speed)
+def _entry(position, speed):
+    return Entry(time=0.0, vehicle_id=0, rsu=0, entry_position=position, speed=speed,
+                 exit_time=(TOPO.coverage_length - position) / speed)
 
 
 def test_residence_time_direct_values():
     B = TOPO.coverage_length
-    assert residence_time(_segment(0.0, 25.0), B) == pytest.approx(20.0)
-    assert residence_time(_segment(500.0, 25.0), B) == pytest.approx(0.0)
-    assert residence_time(_segment(250.0, 20.0), B) == pytest.approx(12.5)
+    assert residence_time(_entry(0.0, 25.0), B) == pytest.approx(20.0)
+    assert residence_time(_entry(500.0, 25.0), B) == pytest.approx(0.0)
+    assert residence_time(_entry(250.0, 20.0), B) == pytest.approx(12.5)
 
 
 def test_residence_time_monotonicity():
     B = TOPO.coverage_length
     speeds = np.linspace(DIST.v_min, DIST.v_max, 9)
-    at_fixed_p = [residence_time(_segment(100.0, v), B) for v in speeds]
+    at_fixed_p = [residence_time(_entry(100.0, v), B) for v in speeds]
     assert all(a > b for a, b in zip(at_fixed_p, at_fixed_p[1:]))
     positions = np.linspace(0.0, 499.0, 9)
-    at_fixed_v = [residence_time(_segment(p, 25.0), B) for p in positions]
+    at_fixed_v = [residence_time(_entry(p, 25.0), B) for p in positions]
     assert all(a > b for a, b in zip(at_fixed_v, at_fixed_v[1:]))
 
 
 def test_rollout_entries_chain_by_residence_time():
     big = TopologyGroup(num_rsus=40, coverage_length=500.0)
     timeline = rollout(0, DIST, big, 500.0, substream(1, "chain"), initial_offset=490.0)
-    segs = timeline.segments
-    assert len(segs) > 10
-    for prev, seg in zip(segs, segs[1:]):
-        assert seg.entry_time == prev.entry_time + residence_time(prev, big.coverage_length)
-        assert seg.rsu_index == prev.rsu_index + 1
-        assert DIST.v_min <= seg.speed <= DIST.v_max
+    entries = timeline.segments
+    assert len(entries) > 10
+    for prev, e in zip(entries, entries[1:]):
+        assert e.time == prev.time + residence_time(prev, big.coverage_length)
+        assert prev.exit_time == e.time
+        assert e.rsu == prev.rsu + 1
+        assert e.vehicle_id == 0
+        assert DIST.v_min <= e.speed <= DIST.v_max
+    assert entries[-1].exit_time == 500.0
 
 
 def test_rollout_shorter_horizon_is_prefix():
@@ -169,11 +174,15 @@ def test_rollout_shorter_horizon_is_prefix():
     assert len(whole.segments) > TOPO.num_rsus + 1
     for horizon in (0.5, 20.0, 100.0, 250.0):
         part = rollout(0, DIST, TOPO, horizon, substream(9, "chain"))
-        assert part.segments == whole.segments[:len(part.segments)]
-        # The rollout stops at the horizon: its last zone lasts past it.
+        n = len(part.segments)
+        assert part.segments[:-1] == whole.segments[:n - 1]
+        # The rollout stops at the horizon: its last zone lasts past it, so
+        # that entry matches the longer rollout's in every field but its end.
         last = part.segments[-1]
-        assert last.entry_time < horizon
-        assert last.entry_time + residence_time(last, TOPO.coverage_length) >= horizon
+        assert last.exit_time == horizon
+        assert replace(last, exit_time=whole.segments[n - 1].exit_time) == whole.segments[n - 1]
+        assert last.time < horizon
+        assert last.time + residence_time(last, TOPO.coverage_length) >= horizon
         assert whole.rsu_at(horizon - 1e-9) == part.rsu_at(horizon - 1e-9)
 
 
@@ -182,23 +191,24 @@ def test_position_bounded_between_events():
         rng = substream(4, "bounds", seed)
         offset = float(rng.uniform(0.0, TOPO.road_length))
         timeline = rollout(0, DIST, TOPO, 600.0, rng, initial_offset=offset)
-        for seg in timeline.segments:
-            assert 0.0 <= seg.entry_position < TOPO.coverage_length
-            assert 0 <= seg.rsu_index < TOPO.num_rsus
+        for e in timeline.segments:
+            assert 0.0 <= e.entry_position < TOPO.coverage_length
+            assert 0 <= e.rsu < TOPO.num_rsus
 
 
 def test_rollout_loop_road_covers_everything():
     timeline = rollout(0, DIST, TOPO, 600.0, substream(6, "roll"), initial_offset=750.0)
-    assert timeline.segments[0].entry_time == 0.0
+    assert timeline.segments[0].time == 0.0
     last = timeline.segments[-1]
-    assert last.entry_time + residence_time(last, TOPO.coverage_length) >= 600.0
+    assert last.time + residence_time(last, TOPO.coverage_length) >= 600.0
+    assert last.exit_time == 600.0
     entries = timeline.entry_times()
     assert np.all(np.diff(entries) > 0)
-    # Segment chaining: each entry follows from the previous zone's span.
-    for prev, seg in zip(timeline.segments, timeline.segments[1:]):
-        expect = prev.entry_time + (TOPO.coverage_length - prev.entry_position) / prev.speed
-        assert seg.entry_time == pytest.approx(expect)
-        assert seg.entry_position == 0.0
+    # Entry chaining: each entry follows from the previous zone's span.
+    for prev, e in zip(timeline.segments, timeline.segments[1:]):
+        expect = prev.time + (TOPO.coverage_length - prev.entry_position) / prev.speed
+        assert e.time == pytest.approx(expect)
+        assert e.entry_position == 0.0
 
 
 def test_rollout_last_zone_hands_off_to_first():
@@ -209,9 +219,13 @@ def test_rollout_last_zone_hands_off_to_first():
     timeline = rollout(0, DIST, TOPO, handoff + 1.0, substream(8, "roll"),
                        initial_offset=TOPO.road_length - 100.0)
     first, second = timeline.segments
-    assert first == first_leg.segments[0]
-    assert (first.rsu_index, first.entry_position) == (TOPO.num_rsus - 1, 400.0)
-    assert (second.entry_time, second.rsu_index, second.entry_position) == (handoff, 0, 0.0)
+    # The shorter rollout's only entry ends at its own horizon, not at the handoff.
+    assert first_leg.segments[0].exit_time == 1e-9
+    assert replace(first_leg.segments[0], exit_time=handoff) == first
+    assert (first.rsu, first.entry_position, first.exit_time) == (TOPO.num_rsus - 1, 400.0,
+                                                                  handoff)
+    assert (second.time, second.rsu, second.entry_position) == (handoff, 0, 0.0)
+    assert second.exit_time == handoff + 1.0
     assert timeline.rsu_at(handoff - 1e-9) == TOPO.num_rsus - 1
     assert timeline.rsu_at(handoff) == 0
     assert timeline.rsu_at(handoff + 1.0) == 0
@@ -221,10 +235,10 @@ def test_rollout_last_zone_hands_off_to_first():
 
 def test_rsu_at_matches_segments():
     timeline = rollout(1, DIST, TOPO, 300.0, substream(10, "roll"), initial_offset=100.0)
-    for seg in timeline.segments:
-        assert timeline.rsu_at(seg.entry_time + 1e-9) == seg.rsu_index
+    for e in timeline.segments:
+        assert timeline.rsu_at(e.time + 1e-9) == e.rsu
     # An array of times looks every one up at once, as the scalar calls do.
-    times = np.array([seg.entry_time + 1e-9 for seg in timeline.segments] + [0.0, 150.0, 299.9])
+    times = np.array([e.time + 1e-9 for e in timeline.segments] + [0.0, 150.0, 299.9])
     zones = timeline.rsu_at(times)
     assert zones.shape == times.shape
     assert zones.tolist() == [timeline.rsu_at(float(t)) for t in times]

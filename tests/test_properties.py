@@ -155,18 +155,22 @@ def test_zone_entries_chain_each_vehicle_around_the_ring(duration, num_rsus, cov
                          initial_offset=substream(seed, "mobility", "init", vid).uniform(
                              0.0, cfg.topology.road_length))
                  for vid in range(3)]
-    entries = zone_entries(timelines, duration)
+    entries = zone_entries(timelines)
     keys = [(e.time, e.vehicle_id) for e in entries]
     assert keys == sorted(keys)
     assert all(e.time < duration for e in entries)
     for timeline in timelines:
         mine = [e for e in entries if e.vehicle_id == timeline.vehicle_id]
+        assert mine == timeline.segments
         if duration == 0:
             assert mine == []
             continue
         assert mine[0].time == 0.0
         assert [e.exit_time for e in mine] == [e.time for e in mine[1:]] + [duration]
         assert all(b.rsu == (a.rsu + 1) % num_rsus for a, b in zip(mine, mine[1:]))
-        for e, seg in zip(mine, timeline.segments, strict=True):
-            assert (e.time, e.rsu) == (seg.entry_time, seg.rsu_index)
-            assert residence_time(e, coverage) == residence_time(seg, coverage)
+        # Each hand-off is the kinematic one, bit for bit, until the horizon cuts the last.
+        for e, after in zip(mine, mine[1:]):
+            assert e.exit_time == e.time + residence_time(e, coverage) == after.time
+        last = mine[-1]
+        assert last.exit_time == duration <= last.time + residence_time(last, coverage)
+        assert all(0.0 <= e.entry_position < coverage for e in mine)
